@@ -112,30 +112,6 @@ traceCacheFlag(int argc, char **argv)
 }
 
 /**
- * Replay-mode selector ("--replay-mode batched|percell", default
- * batched). batched advances every timing cell of a trace group from
- * one pass over the record stream; percell re-walks the buffer once
- * per cell (the reference oracle). Simulated output is bit-identical
- * either way - only pass count and wall time differ. An unknown mode
- * name is fatal, like every other malformed bench flag.
- */
-inline core::ReplayMode
-replayModeFlag(int argc, char **argv)
-{
-    const char *name =
-        stringFlag(argc, argv, "--replay-mode", "batched");
-    core::ReplayMode mode;
-    if (!core::parseReplayMode(name, mode)) {
-        std::fprintf(stderr,
-                     "--replay-mode: unknown mode \"%s\" (expected "
-                     "\"batched\" or \"percell\")\n",
-                     name);
-        std::exit(2);
-    }
-    return mode;
-}
-
-/**
  * Timing-backend selector ("--timing-model pipeline|ooo", default
  * pipeline). Every timing cell of the run simulates on the named
  * TimingModel backend (SweepRunner::setTimingModel overrides each
@@ -170,8 +146,7 @@ timingModelFlag(int argc, char **argv)
 
 /**
  * SweepRunner configured from the shared bench flags: "--threads N"
- * workers, "--replay-mode batched|percell" group replay,
- * "--timing-model pipeline|ooo" backend selection, plus, when
+ * workers, "--timing-model pipeline|ooo" backend selection, plus, when
  * "--trace-cache DIR" is given, a persistent content-addressed trace
  * store (trace/trace_store.hh). With the store, a second (warm) run
  * of the same grid replays every kernel trace from disk instead of
@@ -182,7 +157,6 @@ inline core::SweepRunner
 makeSweepRunner(int argc, char **argv)
 {
     core::SweepRunner runner(threadsFlag(argc, argv));
-    runner.setReplayMode(replayModeFlag(argc, argv));
     runner.setTimingModel(timingModelFlag(argc, argv));
     const std::string dir = traceCacheFlag(argc, argv);
     if (dir.empty() && boolFlag(argc, argv, "--trace-cache")) {

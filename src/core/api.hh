@@ -41,7 +41,6 @@
 #include "timing/config.hh"
 #include "timing/model.hh"
 #include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
 #include "timing/results.hh"
 #include "trace/addrmap.hh"
 #include "trace/emitter.hh"

@@ -219,7 +219,6 @@ struct CampaignRunOptions {
     std::string jsonDir;  //!< artifact directory (required)
     int threads = 0;      //!< SweepRunner worker count (0 = hardware)
     std::string traceCache;  //!< persistent trace store dir; empty = none
-    ReplayMode replayMode = ReplayMode::Batched;
 };
 
 /// Per-chunk outcome of one driver invocation.

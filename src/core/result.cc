@@ -271,7 +271,6 @@ BenchResult::toJson(bool includeInformational) const
             info.set("bytesMapped", stats.bytesMapped);
             info.set("recordSeconds", stats.recordSeconds);
             info.set("replaySeconds", stats.replaySeconds);
-            info.set("streamSeconds", stats.streamSeconds);
             info.set("loadSeconds", stats.loadSeconds);
             info.set("decodeSeconds", stats.decodeSeconds);
             info.set("wallSeconds", stats.wallSeconds);
@@ -358,12 +357,13 @@ BenchResult::fromJson(const json::Value &v)
                     r.stats.bytesMapped = bm->asUint();
                 if (const json::Value *ds = io.find("decodeSeconds"))
                     r.stats.decodeSeconds = ds->asDouble();
+                // Removed informational field: older artifacts may
+                // still carry "streamSeconds" (the retired fused
+                // record+simulate pass); it is accepted and ignored.
                 r.stats.recordSeconds =
                     requireDouble(io, "recordSeconds", "informational");
                 r.stats.replaySeconds =
                     requireDouble(io, "replaySeconds", "informational");
-                r.stats.streamSeconds =
-                    requireDouble(io, "streamSeconds", "informational");
                 r.stats.loadSeconds =
                     requireDouble(io, "loadSeconds", "informational");
                 r.stats.wallSeconds =

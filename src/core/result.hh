@@ -60,11 +60,12 @@ struct SimResultField {
 
 /**
  * The one SimResult counter table: artifact serialization, parsing,
- * diff gating, and the batched-vs-percell differential tests all
+ * diff gating, and the batched-vs-oracle differential tests all
  * iterate this list, so a future counter added here is automatically
- * carried by the artifact, gated by uasim-report, AND compared across
- * both replay engines — it cannot serialize yet silently never gate,
- * nor be modeled in PipelineSim but forgotten in BatchedPipelineSim.
+ * carried by the artifact, gated by uasim-report, AND compared between
+ * the production pipeline engine and its test oracle — it cannot
+ * serialize yet silently never gate, nor be modeled in the PipelineSim
+ * oracle but forgotten in BatchedPipelineSim.
  * (Adding one is a simulated-schema change: bump
  * BenchResult::schemaVersion.)
  */

@@ -59,26 +59,6 @@ SweepPlan::addCell(int trace, int config)
     cells_.push_back({trace, config});
 }
 
-bool
-parseReplayMode(const std::string &name, ReplayMode &mode)
-{
-    if (name == "batched") {
-        mode = ReplayMode::Batched;
-        return true;
-    }
-    if (name == "percell") {
-        mode = ReplayMode::PerCell;
-        return true;
-    }
-    return false;
-}
-
-const char *
-replayModeName(ReplayMode mode)
-{
-    return mode == ReplayMode::Batched ? "batched" : "percell";
-}
-
 void
 SweepPlan::crossProduct()
 {
@@ -128,8 +108,8 @@ SweepRunner::run(const SweepPlan &plan)
                       traces = 0, tracesLoaded = 0, tracesStored = 0,
                       cells = 0, replayPasses = 0, decodeBytes = 0,
                       bytesMapped = 0;
-        double recordSec = 0, replaySec = 0, streamSec = 0,
-               loadSec = 0, decodeSec = 0;
+        double recordSec = 0, replaySec = 0, loadSec = 0,
+               decodeSec = 0;
         int maxShards = 1;  //!< widest intra-group shard fan-out used
 
         void
@@ -147,7 +127,6 @@ SweepRunner::run(const SweepPlan &plan)
             bytesMapped += o.bytesMapped;
             recordSec += o.recordSec;
             replaySec += o.replaySec;
-            streamSec += o.streamSec;
             loadSec += o.loadSec;
             decodeSec += o.decodeSec;
             maxShards = std::max(maxShards, o.maxShards);
@@ -250,133 +229,34 @@ SweepRunner::run(const SweepPlan &plan)
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
 
-                // The single timing cell of a fused group.
-                const int simCi = timingCells == 1 ? timingCis[0] : -1;
-
-                // Replay a captured record stream into every timing
-                // cell of the group: one batched model pass in
-                // Batched mode, one per-cell model walk per cell in
-                // the PerCell reference mode. Spare thread budget splits
-                // the cells across shards, each replaying its slice
-                // from its own pass over the buffer - cells are
-                // mutually independent, so any split fills identical
-                // results (tests/batched_replay_test.cc and the
-                // sharding cases in tests/sweep_test.cc); only pass
-                // count and wall time differ.
-                auto replayCells = [&](const trace::TraceBuffer &buf) {
+                // Replay the group's records into every timing cell:
+                // spare thread budget splits the cells contiguously
+                // across shards, each running one batched model pass
+                // that feed(model, shardTotals) fills with the whole
+                // stream. Cells are mutually independent, so any split
+                // fills identical results (tests/sweep_test.cc); only
+                // pass count and wall time differ.
+                auto replayCells = [&](std::uint64_t records, auto &&feed) {
                     const int nShards =
                         std::min<int>(shardBudget, timingCells);
                     const std::size_t cellsN = timingCis.size();
-                    if (replayMode_ == ReplayMode::Batched) {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            std::vector<timing::CoreConfig> cfgs(
-                                timingCfgs.begin() + lo,
-                                timingCfgs.begin() + hi);
-                            auto batch =
-                                timing::makeBatchedTimingModel(cfgs);
-                            buf.replayInto(*batch);
-                            auto sims = batch->finalizeAll();
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                results[timingCis[i]].sim =
-                                    std::move(sims[i - lo]);
-                            }
-                            lt.replayed += buf.size() * (hi - lo);
-                            ++lt.replayPasses;
-                        });
-                    } else {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                auto sim = timing::makeTimingModel(
-                                    timingCfgs[i]);
-                                buf.replayInto(*sim);
-                                results[timingCis[i]].sim =
-                                    sim->finalize();
-                                lt.replayed += buf.size();
-                                ++lt.replayPasses;
-                            }
-                        });
-                    }
-                };
-
-                // Store-hit analogue of replayCells: the record
-                // stream is never materialized - every shard decodes
-                // the (usually mmap'd) payload itself through an
-                // independent TraceCursor. Throws if the payload does
-                // not decode; the caller discards the entry and falls
-                // back to recording.
-                auto replayFromReader =
-                    [&](const trace::TraceReader &reader) {
-                    const int nShards =
-                        std::min<int>(shardBudget, timingCells);
-                    const std::size_t cellsN = timingCis.size();
-                    auto decodePassInto = [&](trace::TraceSink &sink,
-                                              WorkerTotals &lt) {
-                        trace::TraceCursor cur = reader.cursor();
-                        trace::InstrRecord block[1024];
-                        for (;;) {
-                            auto d0 = Clock::now();
-                            const std::size_t got =
-                                cur.nextBlock(block, std::size(block));
-                            lt.decodeSec += secondsSince(d0);
-                            if (got == 0)
-                                break;
-                            sink.appendBlock(block, got);
-                        }
-                        lt.decodeBytes += reader.payloadBytes();
-                    };
-                    if (replayMode_ == ReplayMode::Batched) {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            std::vector<timing::CoreConfig> cfgs(
-                                timingCfgs.begin() + lo,
-                                timingCfgs.begin() + hi);
-                            auto t0 = Clock::now();
-                            auto batch =
-                                timing::makeBatchedTimingModel(cfgs);
-                            decodePassInto(*batch, lt);
-                            auto sims = batch->finalizeAll();
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                results[timingCis[i]].sim =
-                                    std::move(sims[i - lo]);
-                            }
-                            lt.replaySec += secondsSince(t0);
-                            lt.replayed += reader.count() * (hi - lo);
-                            ++lt.replayPasses;
-                        });
-                    } else {
-                        runShards(nShards, [&](int k,
-                                               WorkerTotals &lt) {
-                            const std::size_t lo =
-                                cellsN * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                cellsN * std::size_t(k + 1) / nShards;
-                            for (std::size_t i = lo; i < hi; ++i) {
-                                auto t0 = Clock::now();
-                                auto sim = timing::makeTimingModel(
-                                    timingCfgs[i]);
-                                decodePassInto(*sim, lt);
-                                results[timingCis[i]].sim =
-                                    sim->finalize();
-                                lt.replaySec += secondsSince(t0);
-                                lt.replayed += reader.count();
-                                ++lt.replayPasses;
-                            }
-                        });
-                    }
+                    runShards(nShards, [&](int k, WorkerTotals &lt) {
+                        const std::size_t lo =
+                            cellsN * std::size_t(k) / nShards;
+                        const std::size_t hi =
+                            cellsN * std::size_t(k + 1) / nShards;
+                        auto t0 = Clock::now();
+                        auto batch = timing::makeBatchedTimingModel(
+                            {timingCfgs.begin() + lo,
+                             timingCfgs.begin() + hi});
+                        feed(*batch, lt);
+                        auto sims = batch->finalizeAll();
+                        for (std::size_t i = lo; i < hi; ++i)
+                            results[timingCis[i]].sim = std::move(sims[i - lo]);
+                        lt.replaySec += secondsSince(t0);
+                        lt.replayed += records * (hi - lo);
+                        ++lt.replayPasses;
+                    });
                 };
 
                 trace::InstrMix mix;
@@ -385,16 +265,15 @@ SweepRunner::run(const SweepPlan &plan)
                 // Store probe, shaped per group kind so a hit never
                 // materializes state the cells don't need: a mix-only
                 // group reads just the header's validated mix section
-                // (no payload decode at all); timing groups open the
-                // entry zero-copy (mmap where available) and decode
-                // it straight into their simulators - a single cell
-                // as one streamed pass, a multi-cell group as sharded
-                // cursor passes over the shared mapping. Replay
-                // equivalence keeps every hit bit-identical to
-                // recording in-process. A payload that fails
-                // mid-decode (valid checksum, corrupt stream) is
-                // discarded like any corrupt entry and the group
-                // falls through to re-recording.
+                // (no payload decode at all); a timing group opens the
+                // entry zero-copy (mmap where available) and every
+                // replay shard decodes the shared payload through its
+                // own TraceCursor. Replay equivalence keeps every hit
+                // bit-identical to recording in-process. A payload
+                // that fails mid-decode (valid checksum, corrupt
+                // stream) is discarded like any corrupt entry and the
+                // group falls through to re-recording, which
+                // overwrites any partially filled result slots.
                 if (store && timingCells == 0) {
                     auto t0 = Clock::now();
                     if (auto sum = store->loadSummary(job.key)) {
@@ -404,47 +283,26 @@ SweepRunner::run(const SweepPlan &plan)
                         ++local.tracesLoaded;
                         fromStore = true;
                     }
-                } else if (store && timingCells == 1) {
+                } else if (store) {
                     if (auto reader = store->openReader(job.key)) {
-                        try {
-                            auto t0 = Clock::now();
-                            auto sim = timing::makeTimingModel(
-                                timingCfgs[0]);
+                        // One independent decode pass per shard.
+                        auto decode = [&](trace::TraceSink &model,
+                                          WorkerTotals &lt) {
                             trace::TraceCursor cur = reader->cursor();
                             trace::InstrRecord block[1024];
                             for (;;) {
                                 auto d0 = Clock::now();
-                                const std::size_t got = cur.nextBlock(
-                                    block, std::size(block));
-                                local.decodeSec += secondsSince(d0);
+                                const std::size_t got =
+                                    cur.nextBlock(block, std::size(block));
+                                lt.decodeSec += secondsSince(d0);
                                 if (got == 0)
                                     break;
-                                sim->appendBlock(block, got);
+                                model.appendBlock(block, got);
                             }
-                            results[simCi].sim = sim->finalize();
-                            mix = reader->mix();
-                            local.replaySec += secondsSince(t0);
-                            local.decodeBytes +=
-                                reader->payloadBytes();
-                            if (reader->mapped()) {
-                                local.bytesMapped +=
-                                    reader->payloadBytes();
-                            }
-                            local.loaded += reader->count();
-                            local.replayed += reader->count();
-                            ++local.replayPasses;
-                            ++local.tracesLoaded;
-                            fromStore = true;
-                        } catch (const std::exception &e) {
-                            // The partially fed sim is discarded; the
-                            // record path below starts fresh.
-                            store->discardEntry(job.key, e.what());
-                        }
-                    }
-                } else if (store) {
-                    if (auto reader = store->openReader(job.key)) {
+                            lt.decodeBytes += reader->payloadBytes();
+                        };
                         try {
-                            replayFromReader(*reader);
+                            replayCells(reader->count(), decode);
                             mix = reader->mix();
                             if (reader->mapped()) {
                                 local.bytesMapped +=
@@ -454,93 +312,56 @@ SweepRunner::run(const SweepPlan &plan)
                             ++local.tracesLoaded;
                             fromStore = true;
                         } catch (const std::exception &e) {
-                            // Any partially filled result slots are
-                            // overwritten by the record path below.
                             store->discardEntry(job.key, e.what());
                         }
                     }
                 }
 
-                // Write-through recorder for a store miss; a failed
-                // store write degrades to an uncached run, never a
-                // failed sweep.
-                std::unique_ptr<trace::TraceStore::Recorder> recorder;
-                if (store && !fromStore)
-                    recorder = store->startRecord(job.key);
-                auto commitRecorder = [&]() {
-                    if (!recorder)
-                        return;
-                    try {
-                        recorder->commit();
-                        ++local.tracesStored;
-                    } catch (const std::exception &e) {
-                        std::fprintf(stderr,
-                                     "trace-store: cannot persist "
-                                     "\"%s\": %s; continuing\n",
-                                     job.key.c_str(), e.what());
-                    }
-                    recorder.reset();
-                };
-
-                if (fromStore) {
-                    // All cells already filled by the probe above.
-                } else if (timingCells == 1) {
-                    // Single consumer: stream the emulation straight
-                    // into its simulator (replay equivalence makes
-                    // this bit-identical to the buffered path, minus
-                    // the buffer). The fused pass interleaves record
-                    // and replay work, so its time is accounted as
-                    // streamSeconds - not recordSeconds - and its
-                    // instructions count as both recorded and
-                    // replayed, keeping the instruction totals
-                    // identical to the buffered path's.
-                    auto t0 = Clock::now();
-                    auto sim = timing::makeTimingModel(timingCfgs[0]);
+                if (!fromStore) {
+                    // Record once: a mix-only group just counts, a
+                    // timing group buffers the stream for its replay
+                    // shards. On a store miss the recording tees into
+                    // a write-through recorder; a failed store write
+                    // degrades to an uncached run, never a failed
+                    // sweep.
+                    std::unique_ptr<trace::TraceStore::Recorder> recorder;
+                    if (store)
+                        recorder = store->startRecord(job.key);
                     trace::CountingSink counter;
-                    trace::TeeSink tee(counter, *sim);
-                    if (recorder) {
-                        trace::TeeSink teeStore(tee, *recorder);
-                        job.record(teeStore);
-                    } else {
-                        job.record(tee);
-                    }
-                    auto &res = results[simCi];
-                    res.sim = sim->finalize();
-                    mix = counter.mix();
-                    local.streamSec += secondsSince(t0);
-                    local.recorded += mix.total();
-                    local.replayed += mix.total();
-                    ++local.replayPasses;
-                    commitRecorder();
-                } else if (timingCells == 0) {
-                    auto t0 = Clock::now();
-                    trace::CountingSink counter;
-                    if (recorder) {
-                        trace::TeeSink tee(counter, *recorder);
-                        job.record(tee);
-                    } else {
-                        job.record(counter);
-                    }
-                    mix = counter.mix();
-                    local.recordSec += secondsSince(t0);
-                    local.recorded += mix.total();
-                    commitRecorder();
-                } else {
                     trace::TraceBuffer buffer;
+                    trace::TraceSink &sink = timingCells == 0
+                        ? static_cast<trace::TraceSink &>(counter)
+                        : buffer;
                     auto t0 = Clock::now();
                     if (recorder) {
-                        trace::TeeSink tee(buffer, *recorder);
+                        trace::TeeSink tee(sink, *recorder);
                         job.record(tee);
                     } else {
-                        job.record(buffer);
+                        job.record(sink);
                     }
-                    mix = buffer.mix();
+                    mix = timingCells == 0 ? counter.mix() : buffer.mix();
                     local.recordSec += secondsSince(t0);
-                    local.recorded += buffer.size();
-                    commitRecorder();
-                    auto t1 = Clock::now();
-                    replayCells(buffer);
-                    local.replaySec += secondsSince(t1);
+                    local.recorded += mix.total();
+                    ++local.traces;
+                    if (recorder) {
+                        try {
+                            recorder->commit();
+                            ++local.tracesStored;
+                        } catch (const std::exception &e) {
+                            std::fprintf(stderr,
+                                         "trace-store: cannot persist "
+                                         "\"%s\": %s; continuing\n",
+                                         job.key.c_str(), e.what());
+                        }
+                        recorder.reset();
+                    }
+                    if (timingCells > 0) {
+                        replayCells(buffer.size(),
+                                    [&](trace::TraceSink &model,
+                                        WorkerTotals &) {
+                                        buffer.replayInto(model);
+                                    });
+                    }
                 }
 
                 for (int ci : group.cellIndices) {
@@ -555,8 +376,6 @@ SweepRunner::run(const SweepPlan &plan)
                     res.traceInstrs = mix.total();
                     ++local.cells;
                 }
-                if (!fromStore)
-                    ++local.traces;
             }
         } catch (...) {
             {
@@ -596,7 +415,6 @@ SweepRunner::run(const SweepPlan &plan)
     stats_.bytesMapped = totals.bytesMapped;
     stats_.recordSeconds = totals.recordSec;
     stats_.replaySeconds = totals.replaySec;
-    stats_.streamSeconds = totals.streamSec;
     stats_.loadSeconds = totals.loadSec;
     stats_.decodeSeconds = totals.decodeSec;
     stats_.wallSeconds = secondsSince(wallStart);

@@ -8,9 +8,10 @@
  * strategy loop, a decoder-stage microbenchmark) and a set of core
  * configurations, plus the cells of the grid to evaluate. The runner
  * records each referenced trace exactly once (keyed cache), replays
- * it into a fresh timing model per cell (built through the
- * timing::TimingModel factory, so the runner never names a concrete
- * backend), and shards the work across a thread pool. Results land in
+ * it into all of the trace's timing cells with one batched pass per
+ * cell shard (built through the timing::makeBatchedTimingModel
+ * factory, so the runner never names a concrete backend), and shards
+ * the work across a thread pool. Results land in
  * cell order regardless of scheduling, so reports are byte-identical
  * from 1 thread to N.
  *
@@ -84,26 +85,6 @@ struct SweepCell {
     int config = mixOnly;
 };
 
-/**
- * How a multi-timing-cell trace group is replayed.
- *
- * Batched (the default) advances every cell of the group from one
- * pass over the record stream (timing::makeBatchedTimingModel);
- * PerCell re-walks the buffer once per cell with a standalone
- * per-cell model (timing::makeTimingModel).
- * The two are bit-identical in every simulated field
- * (tests/batched_replay_test.cc is the differential harness), so
- * PerCell exists as the reference oracle and for debugging, not as a
- * different model.
- */
-enum class ReplayMode { Batched, PerCell };
-
-/// Parse a --replay-mode value. @return false on an unknown name.
-bool parseReplayMode(const std::string &name, ReplayMode &mode);
-
-/// "batched" or "percell".
-const char *replayModeName(ReplayMode mode);
-
 /// Declarative sweep description.
 class SweepPlan
 {
@@ -149,21 +130,16 @@ struct SweepCellResult {
 /**
  * Aggregate runner statistics (for BENCH_*.json artifacts).
  *
- * Invariants, independent of thread count and of which execution path
- * a group took: every unique trace is obtained exactly once - by
+ * Invariants, independent of thread count and of whether a trace came
+ * from the store: every unique trace is obtained exactly once - by
  * emulation (counted in tracesRecorded/instrsRecorded) or from the
  * persistent store (tracesLoaded/instrsLoaded) - and instrsReplayed
- * is the summed trace length over all timing cells (a group whose
- * single timing cell is streamed directly still accounts its
- * instructions as replayed). Without a store, tracesLoaded and
- * tracesStored are zero and tracesRecorded covers every trace. Time
- * is split by pass kind: pure record passes (recordSeconds), pure
- * buffer-replay passes (replaySeconds), fused single-consumer
- * record+simulate passes (streamSeconds), and pure store reads -
- * summary probes and buffer loads (loadSeconds). A store hit on a
- * single-timing-cell group streams the decoded records straight into
- * the simulator; that fused disk-read+simulate pass is accounted as
- * replaySeconds, like the in-memory replay it replaces.
+ * is the summed trace length over all timing cells. Without a store,
+ * tracesLoaded and tracesStored are zero and tracesRecorded covers
+ * every trace. Time is split by pass kind: record passes
+ * (recordSeconds), replay passes - from the in-memory buffer or
+ * decoded straight from a store entry (replaySeconds) - and mix-only
+ * summary reads from the store (loadSeconds).
  */
 struct SweepStats {
     /// Maximum worker concurrency of the run: group workers times the
@@ -177,16 +153,14 @@ struct SweepStats {
     std::uint64_t instrsLoaded = 0;    //!< records read from the store
     std::uint64_t instrsReplayed = 0;  //!< records fed to timing sims
     /**
-     * Decode/replay passes over trace record streams that fed timing
-     * simulators: a fused or streamed single-cell group is 1 pass, a
-     * batched multi-cell group is 1 pass per replay shard (spare
-     * thread budget splits a group's cells across up to
-     * min(threads, cells) shards, each running its own pass - 1 when
-     * the sweep has at least as many groups as threads), a per-cell
-     * multi-cell group is 1 pass per timing cell, and mix-only groups
-     * contribute none. Informational (it describes how the run
-     * executed, not what was simulated): instrsReplayed stays the
-     * summed trace length over all timing cells in every mode.
+     * Batched replay passes that fed timing simulators: one per replay
+     * shard of each timing group (spare thread budget splits a group's
+     * cells across up to min(threads, cells) shards, each running its
+     * own pass - 1 when the sweep has at least as many groups as
+     * threads); mix-only groups contribute none. Informational (it
+     * describes how the run executed, not what was simulated):
+     * instrsReplayed stays the summed trace length over all timing
+     * cells at any shard count.
      */
     std::uint64_t replayPasses = 0;
     /**
@@ -201,9 +175,8 @@ struct SweepStats {
     /// counted once per opened trace. Informational.
     std::uint64_t bytesMapped = 0;
     double recordSeconds = 0;  //!< pure record passes, summed across workers
-    double replaySeconds = 0;  //!< buffer-replay passes, summed across workers
-    double streamSeconds = 0;  //!< fused record+simulate fast-path passes
-    double loadSeconds = 0;    //!< store-read passes, summed across workers
+    double replaySeconds = 0;  //!< replay passes, summed across shards
+    double loadSeconds = 0;    //!< mix-only store reads, summed across workers
     /// Time inside TraceCursor::nextBlock during store-hit replay,
     /// summed across all shards (a subset of replaySeconds).
     double decodeSeconds = 0;
@@ -249,10 +222,6 @@ class SweepRunner
     /// The attached store, or nullptr.
     trace::TraceStore *store() const { return store_.get(); }
 
-    /// Select how multi-cell groups replay (default Batched).
-    void setReplayMode(ReplayMode mode) { replayMode_ = mode; }
-    ReplayMode replayMode() const { return replayMode_; }
-
     /**
      * Force every timing cell onto one TimingModel backend ("pipeline",
      * "ooo", ...; see timing::timingModelNames). Applied as an override
@@ -281,7 +250,6 @@ class SweepRunner
     int threads_;
     SweepStats stats_;
     std::unique_ptr<trace::TraceStore> store_;
-    ReplayMode replayMode_ = ReplayMode::Batched;
     std::string timingModel_;  //!< backend override; empty = per-config
 };
 

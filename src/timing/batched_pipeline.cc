@@ -33,8 +33,11 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
 
 BatchedPipelineSim::BatchedPipelineSim(const std::vector<CoreConfig> &cfgs)
     // All cells share one predictor geometry (constructor
-    // precondition); the shared stream-pure predictor uses it.
-    : bpred_(cfgs.empty() ? 12u : unsigned(cfgs.front().bpredLog2Entries))
+    // precondition); the shared stream-pure predictor uses it, so that
+    // geometry is validated before it sizes the table.
+    : bpred_(cfgs.empty() ? 12u
+                          : unsigned((cfgs.front().validate(),
+                                      cfgs.front().bpredLog2Entries)))
 {
     cells_.reserve(cfgs.size());
     std::size_t maxSpan = 1;

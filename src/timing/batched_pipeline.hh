@@ -5,12 +5,12 @@
  *
  * A BatchedPipelineSim holds one machine state per CoreConfig of a
  * sweep group and consumes the instruction stream exactly once,
- * instead of the per-cell path's one full replay per configuration.
- * Every cell's simulated counters are bit-identical to feeding the
- * same stream into a standalone PipelineSim with the same config
- * (tests/batched_replay_test.cc is the differential harness that
- * locks this cell for cell; the per-cell path stays available as the
- * reference oracle behind SweepRunner's ReplayMode::PerCell).
+ * instead of one full replay per configuration. It is the only
+ * production engine of the "pipeline" backend: makeTimingModel()
+ * wraps it as a one-cell model. Every cell's simulated counters are
+ * bit-identical to feeding the same stream into the PipelineSim
+ * reference oracle with the same config (tests/batched_replay_test.cc
+ * is the differential harness that locks this cell for cell).
  *
  * Why it is faster than N PipelineSims, while staying bit-identical:
  *

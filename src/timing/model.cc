@@ -5,11 +5,49 @@
 
 #include "timing/batched_pipeline.hh"
 #include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
 
 namespace uasim::timing {
 
 namespace {
+
+/**
+ * The "pipeline" backend as a one-cell TimingModel. BatchedPipelineSim
+ * at one cell is bit-identical to the PipelineSim reference and about
+ * twice as fast, so it is the only pipeline engine in production;
+ * PipelineSim stays as the test oracle (tests/batched_replay_test.cc).
+ */
+class SingleCellPipelineModel : public TimingModel
+{
+  public:
+    explicit SingleCellPipelineModel(const CoreConfig &cfg)
+        : cfg_(cfg), batch_({cfg})
+    {
+    }
+
+    void
+    append(const trace::InstrRecord &rec) override
+    {
+        batch_.append(rec);
+    }
+
+    void
+    appendBlock(const trace::InstrRecord *recs, std::size_t n) override
+    {
+        batch_.appendBlock(recs, n);
+    }
+
+    SimResult
+    finalize() override
+    {
+        return batch_.finalizeAll().front();
+    }
+
+    const CoreConfig &config() const override { return cfg_; }
+
+  private:
+    CoreConfig cfg_;
+    BatchedPipelineSim batch_;
+};
 
 /**
  * Fallback batched engine: one TimingModel per cell, fed cell-major
@@ -79,7 +117,7 @@ std::unique_ptr<TimingModel>
 makeTimingModel(const CoreConfig &cfg)
 {
     if (cfg.model == "pipeline")
-        return std::make_unique<PipelineSim>(cfg);
+        return std::make_unique<SingleCellPipelineModel>(cfg);
     if (cfg.model == "ooo")
         return std::make_unique<OoOPipelineSim>(cfg);
     throw std::invalid_argument("unknown timing model \"" + cfg.model +

@@ -13,10 +13,12 @@
  * factories, never by naming a concrete simulator class.
  *
  * Backends:
- *   "pipeline"  PipelineSim (timing/pipeline.hh) - the Turandot-like
- *               in-flight-window model of the paper's Table II runs,
- *               with BatchedPipelineSim as its one-pass multi-cell
- *               engine.
+ *   "pipeline"  BatchedPipelineSim (timing/batched_pipeline.hh) - the
+ *               Turandot-like in-flight-window model of the paper's
+ *               Table II runs, at any cell count: makeTimingModel()
+ *               returns it as a one-cell model. PipelineSim, the
+ *               straightforward reference implementation, is only the
+ *               oracle tests diff it against.
  *   "ooo"       OoOPipelineSim (timing/ooo_pipeline.hh) - an
  *               out-of-order core with a ROB/issue-queue split, a
  *               store-set memory-dependence predictor, and a

@@ -3,7 +3,7 @@
  * Out-of-order timing backend (the "ooo" TimingModel): a ROB /
  * issue-queue split with store-set memory-dependence prediction.
  *
- * Where PipelineSim models the paper's Table II machines with a
+ * Where the "pipeline" backend models the paper's Table II machines with a
  * single in-flight window walked by every stage, this backend keeps
  * the reorder buffer (program-order retirement) and the issue queue
  * (the pool of not-yet-issued instructions) as separate structures:

@@ -20,6 +20,11 @@
  * Wrong-path execution is approximated the standard trace-driven way:
  * fetch halts at a mispredicted branch and resumes a redirect penalty
  * after the branch resolves.
+ *
+ * This is the reference implementation of the "pipeline" backend, kept
+ * as the test oracle: production runs use BatchedPipelineSim
+ * (timing/batched_pipeline.hh), which tests/batched_replay_test.cc
+ * proves bit-identical to it.
  */
 
 #ifndef UASIM_TIMING_PIPELINE_HH

@@ -6,7 +6,7 @@
  * (core/sweep.hh): a worker records a workload's normalized record
  * stream once, then replays the buffer into any number of timing
  * simulators. Replay feeds the exact records that were appended, in
- * order, so a replayed PipelineSim is bit-identical to one that
+ * order, so a replayed timing model is bit-identical to one that
  * consumed the emulation stream directly (tests/sweep_test.cc locks
  * this equivalence).
  */

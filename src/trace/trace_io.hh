@@ -24,8 +24,8 @@
  * address delta and a raw size byte, then three dep fields encoded
  * relative to the record's own id. Fields that are meaningless for a
  * class (addr/size on non-memory records, taken on non-branches) are
- * canonicalized to zero, which every consumer (PipelineSim, InstrMix)
- * already treats as "absent".
+ * canonicalized to zero, which every consumer (the timing backends,
+ * InstrMix) already treats as "absent".
  *
  * Every error path is checked: FileSink::close() throws on any failed
  * write/flush/seek/close (the destructor reports to stderr instead),

@@ -10,6 +10,8 @@
  *    CoreConfig knob, including inflight windows spanning the 1024
  *    producer-ready-ring boundary fixed in PR 3;
  *  - degenerate grids: a single cell, duplicate configs;
+ *  - the one-cell "pipeline" model makeTimingModel() returns, fed
+ *    record by record as emulation feeds it;
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
  *    empty stream.
@@ -27,6 +29,7 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "timing/batched_pipeline.hh"
+#include "timing/model.hh"
 #include "timing/pipeline.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
@@ -232,6 +235,26 @@ TEST(BatchedReplay, SingleCellGrid)
     auto records =
         kernelRecords({KernelId::Sad, 16, false}, Variant::Altivec, 4);
     expectBitIdentical({CoreConfig::fourWayOoO()}, records, "1-cell");
+}
+
+TEST(BatchedReplay, FactoryPipelineModelMatchesOracle)
+{
+    // makeTimingModel's "pipeline" backend is the batched engine at
+    // one cell; emulation feeds it through append(), one record at a
+    // time, so that is the path compared here.
+    auto records =
+        kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4);
+    for (int p = 0; p < 3; ++p) {
+        const CoreConfig cfg = CoreConfig::preset(p);
+        auto model = timing::makeTimingModel(cfg);
+        EXPECT_EQ(model->config().name, cfg.name);
+        for (const auto &rec : records)
+            model->append(rec);
+        const auto got = model->finalize();
+        const auto want = perCellResults({cfg}, records);
+        expectFieldsIdentical(want[0], got, "factory " + cfg.name);
+        expectFieldsIdentical(got, model->finalize(), "idempotent");
+    }
 }
 
 TEST(BatchedReplay, DuplicateConfigsProduceIdenticalCells)

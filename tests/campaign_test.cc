@@ -476,6 +476,17 @@ TEST(CampaignCli, SweepDriver)
                   .exit,
               2)
         << "--shard wants I/N";
+    // --threads takes a whole decimal int operand, nothing else; the
+    // retired replay selector is an unknown flag.
+    EXPECT_EQ(run(sweep + " expand " + conf + " --threads 4").exit, 0);
+    for (const char *bad : {"abc", "4x", "99999999999"}) {
+        EXPECT_EQ(
+            run(sweep + " expand " + conf + " --threads " + bad).exit, 2)
+            << "--threads " << bad;
+    }
+    EXPECT_EQ(
+        run(sweep + " expand " + conf + " --replay-mode batched").exit,
+        2);
 
     const RunResult expand = run(sweep + " expand " + conf);
     EXPECT_EQ(expand.exit, 0);

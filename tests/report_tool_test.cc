@@ -171,6 +171,27 @@ TEST(ReportTool, BaselineFormComparesAgainstFullForm)
     EXPECT_EQ(diff.status, DiffStatus::Match);
 }
 
+TEST(ReportTool, LoadsArtifactCarryingRetiredStreamSeconds)
+{
+    // Artifacts written before the fused record+simulate pass was
+    // retired still carry "streamSeconds" in their informational
+    // block; it loads, is ignored, and never gates.
+    const std::string current = makeResult().serialize();
+    const std::string key = "\"replaySeconds\": ";
+    const std::size_t at = current.find(key);
+    ASSERT_NE(at, std::string::npos);
+    std::string old = current;
+    old.insert(at, "\"streamSeconds\": 1.25,\n      ");
+    ASSERT_NE(old.find("streamSeconds"), std::string::npos);
+
+    const BenchResult loaded = BenchResult::parse(old);
+    EXPECT_TRUE(loaded.hasInformational);
+    EXPECT_EQ(loaded.stats.recordSeconds, 0.25);
+    EXPECT_EQ(core::diffResults(makeResult(), loaded).status,
+              DiffStatus::Match);
+    EXPECT_EQ(loaded.serialize(), current);
+}
+
 TEST(ReportTool, SchemaErrors)
 {
     EXPECT_THROW(BenchResult::parse("{\"schema\": nope"),

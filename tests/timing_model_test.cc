@@ -153,7 +153,7 @@ TEST(TimingModelCrossDiff, StreamInvariantsOnSeededKernelTraces)
     }
 }
 
-TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesPerCell)
+TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesStandaloneModels)
 {
     // A mixed-model group routes through the generic multiplexer;
     // per-cell results must be bit-identical to standalone models.

@@ -1,19 +1,27 @@
 /**
  * @file
- * Tests for the superscalar pipeline model: basic invariants, width
+ * Tests for the "pipeline" timing backend: basic invariants, width
  * scaling, dependence serialization, load latency, store-to-load
  * forwarding, branch misprediction, unaligned-access latency, and the
  * branch predictor.
+ *
+ * Every case drives the production engine through
+ * timing::makeTimingModel and checks each result against the
+ * PipelineSim reference oracle counter for counter, so these cases
+ * cover the engine that actually runs while the oracle pins the exact
+ * cycles.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "core/result.hh"
 #include "timing/branch_pred.hh"
-#include "trace/trace_io.hh"
+#include "timing/model.hh"
 #include "timing/pipeline.hh"
 #include "trace/emitter.hh"
+#include "trace/trace_io.hh"
 #include "vmx/buffer.hh"
 #include "vmx/scalarops.hh"
 #include "vmx/vecops.hh"
@@ -26,27 +34,51 @@ using trace::InstrRecord;
 
 namespace {
 
+/**
+ * Feed the stream @p gen emits into the production engine
+ * (timing::makeTimingModel) and into the PipelineSim oracle, expect
+ * every counter to agree, and return the production result. @p gen
+ * must emit the same stream on every call.
+ */
+template <class Gen>
+timing::SimResult
+simulate(const CoreConfig &cfg, Gen &&gen)
+{
+    auto model = timing::makeTimingModel(cfg);
+    gen(*model);
+    const timing::SimResult got = model->finalize();
+
+    PipelineSim oracle(cfg);
+    gen(oracle);
+    const timing::SimResult want = oracle.finalize();
+    EXPECT_EQ(want.core, got.core);
+    for (const auto &f : core::simResultFields())
+        EXPECT_EQ(want.*(f.member), got.*(f.member))
+            << cfg.name << ": counter " << f.name;
+    return got;
+}
+
 /// Feed n independent instructions of one class.
 timing::SimResult
 runIndependent(const CoreConfig &cfg, InstrClass cls, int n)
 {
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    for (int i = 0; i < n; ++i)
-        em.emit(cls, std::source_location::current());
-    return sim.finalize();
+    return simulate(cfg, [&](trace::TraceSink &sink) {
+        trace::Emitter em(sink);
+        for (int i = 0; i < n; ++i)
+            em.emit(cls, std::source_location::current());
+    });
 }
 
 /// Feed a serial dependence chain of n instructions.
 timing::SimResult
 runChain(const CoreConfig &cfg, InstrClass cls, int n)
 {
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    trace::Dep prev{};
-    for (int i = 0; i < n; ++i)
-        prev = em.emit(cls, std::source_location::current(), prev);
-    return sim.finalize();
+    return simulate(cfg, [&](trace::TraceSink &sink) {
+        trace::Emitter em(sink);
+        trace::Dep prev{};
+        for (int i = 0; i < n; ++i)
+            prev = em.emit(cls, std::source_location::current(), prev);
+    });
 }
 
 } // namespace
@@ -107,16 +139,16 @@ TEST(Pipeline, LoadLatencyAppearsInChains)
     CoreConfig cfg = CoreConfig::fourWayOoO();
     vmx::AlignedBuffer buf(256, 0);
     // Pointer-chase-like chain: load feeding the next load's address.
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    trace::Dep prev{};
     const int n = 500;
-    for (int i = 0; i < n; ++i) {
-        prev = em.emitMem(InstrClass::Load,
-                          reinterpret_cast<std::uint64_t>(buf.data()),
-                          4, std::source_location::current(), prev);
-    }
-    auto r = sim.finalize();
+    auto r = simulate(cfg, [&](trace::TraceSink &sink) {
+        trace::Emitter em(sink);
+        trace::Dep prev{};
+        for (int i = 0; i < n; ++i) {
+            prev = em.emitMem(InstrClass::Load,
+                              reinterpret_cast<std::uint64_t>(buf.data()),
+                              4, std::source_location::current(), prev);
+        }
+    });
     // Each hit costs the 4-cycle load-to-use latency.
     EXPECT_GE(r.cycles, std::uint64_t(n) * 4);
     EXPECT_LE(r.cycles, std::uint64_t(n) * 4 + 600);
@@ -128,16 +160,16 @@ TEST(Pipeline, UnalignedExtraLatencySlowsChains)
     auto run = [&](int extra) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.lat.unalignedLoadExtra = extra;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        trace::Dep prev{};
-        for (int i = 0; i < 400; ++i) {
-            prev = em.emitMem(
-                InstrClass::VecLoadU,
-                reinterpret_cast<std::uint64_t>(buf.data()), 16,
-                std::source_location::current(), prev);
-        }
-        return sim.finalize();
+        return simulate(cfg, [&](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            trace::Dep prev{};
+            for (int i = 0; i < 400; ++i) {
+                prev = em.emitMem(
+                    InstrClass::VecLoadU,
+                    reinterpret_cast<std::uint64_t>(buf.data()), 16,
+                    std::source_location::current(), prev);
+            }
+        });
     };
     auto base = run(0);
     auto plus2 = run(2);
@@ -153,16 +185,16 @@ TEST(Pipeline, AlignedLvxuPaysNoPenalty)
     auto run = [&](int extra) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.lat.unalignedLoadExtra = extra;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        trace::Dep prev{};
-        for (int i = 0; i < 400; ++i) {
-            prev = em.emitMem(
-                InstrClass::VecLoadU,
-                reinterpret_cast<std::uint64_t>(buf.data()), 16,
-                std::source_location::current(), prev);
-        }
-        return sim.finalize();
+        return simulate(cfg, [&](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            trace::Dep prev{};
+            for (int i = 0; i < 400; ++i) {
+                prev = em.emitMem(
+                    InstrClass::VecLoadU,
+                    reinterpret_cast<std::uint64_t>(buf.data()), 16,
+                    std::source_location::current(), prev);
+            }
+        });
     };
     EXPECT_EQ(run(0).cycles, run(6).cycles);
 }
@@ -170,17 +202,16 @@ TEST(Pipeline, AlignedLvxuPaysNoPenalty)
 TEST(Pipeline, StoreToLoadForwarding)
 {
     vmx::AlignedBuffer buf(256, 0);
-    CoreConfig cfg = CoreConfig::fourWayOoO();
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
     auto addr = reinterpret_cast<std::uint64_t>(buf.data());
-    for (int i = 0; i < 100; ++i) {
-        auto st = em.emitMem(InstrClass::Store, addr, 8,
-                             std::source_location::current());
-        em.emitMem(InstrClass::Load, addr, 8,
-                   std::source_location::current(), st);
-    }
-    auto r = sim.finalize();
+    auto r = simulate(CoreConfig::fourWayOoO(), [&](trace::TraceSink &sink) {
+        trace::Emitter em(sink);
+        for (int i = 0; i < 100; ++i) {
+            auto st = em.emitMem(InstrClass::Store, addr, 8,
+                                 std::source_location::current());
+            em.emitMem(InstrClass::Load, addr, 8,
+                       std::source_location::current(), st);
+        }
+    });
     EXPECT_GE(r.storeForwards, 90u);
 }
 
@@ -188,23 +219,23 @@ TEST(Pipeline, MispredictsStallFetch)
 {
     CoreConfig cfg = CoreConfig::fourWayOoO();
     auto run = [&](bool random_pattern) {
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        std::uint64_t lcg = 12345;
-        for (int i = 0; i < 2000; ++i) {
-            bool taken;
-            if (random_pattern) {
-                lcg = lcg * 6364136223846793005ull + 13;
-                taken = (lcg >> 40) & 1;
-            } else {
-                taken = true;
+        return simulate(cfg, [&](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            std::uint64_t lcg = 12345;
+            for (int i = 0; i < 2000; ++i) {
+                bool taken;
+                if (random_pattern) {
+                    lcg = lcg * 6364136223846793005ull + 13;
+                    taken = (lcg >> 40) & 1;
+                } else {
+                    taken = true;
+                }
+                em.emitBranch(taken, std::source_location::current());
+                for (int k = 0; k < 3; ++k)
+                    em.emit(InstrClass::IntAlu,
+                            std::source_location::current());
             }
-            em.emitBranch(taken, std::source_location::current());
-            for (int k = 0; k < 3; ++k)
-                em.emit(InstrClass::IntAlu,
-                        std::source_location::current());
-        }
-        return sim.finalize();
+        });
     };
     auto predictable = run(false);
     auto random = run(true);
@@ -222,21 +253,22 @@ TEST(Pipeline, InOrderSlowerThanOoOOnMixedChain)
     auto run = [&](CoreConfig cfg) {
         cfg.units = {2, 1, 1, 1, 1, 1, 1};
         cfg.fetchWidth = 2;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
         auto base = reinterpret_cast<std::uint64_t>(buf.data());
-        trace::Dep prev{};
-        for (int i = 0; i < 500; ++i) {
-            auto ld = em.emitMem(InstrClass::Load, base + (i % 64) * 8,
-                                 8, std::source_location::current(),
-                                 prev);
-            prev = em.emit(InstrClass::IntAlu,
-                           std::source_location::current(), ld);
-            for (int k = 0; k < 4; ++k)
-                em.emit(InstrClass::IntAlu,
-                        std::source_location::current());
-        }
-        return sim.finalize();
+        return simulate(cfg, [&](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            trace::Dep prev{};
+            for (int i = 0; i < 500; ++i) {
+                auto ld = em.emitMem(InstrClass::Load,
+                                     base + (i % 64) * 8, 8,
+                                     std::source_location::current(),
+                                     prev);
+                prev = em.emit(InstrClass::IntAlu,
+                               std::source_location::current(), ld);
+                for (int k = 0; k < 4; ++k)
+                    em.emit(InstrClass::IntAlu,
+                            std::source_location::current());
+            }
+        });
     };
     CoreConfig in_order = CoreConfig::twoWayInOrder();
     CoreConfig ooo = CoreConfig::fourWayOoO();
@@ -253,14 +285,14 @@ TEST(Pipeline, MshrLimitThrottlesMisses)
     auto run = [&](int mshrs) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.missMax = mshrs;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        for (int i = 0; i < 200; ++i) {
-            em.emitMem(InstrClass::Load,
-                       0x40000000ull + std::uint64_t(i) * 4096, 8,
-                       std::source_location::current());
-        }
-        return sim.finalize();
+        return simulate(cfg, [](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            for (int i = 0; i < 200; ++i) {
+                em.emitMem(InstrClass::Load,
+                           0x40000000ull + std::uint64_t(i) * 4096, 8,
+                           std::source_location::current());
+            }
+        });
     };
     auto few = run(1);
     auto many = run(8);
@@ -269,15 +301,14 @@ TEST(Pipeline, MshrLimitThrottlesMisses)
 
 TEST(Pipeline, CacheStatsPlumbedThrough)
 {
-    CoreConfig cfg = CoreConfig::fourWayOoO();
-    PipelineSim sim(cfg);
-    trace::Emitter em(sim);
-    for (int i = 0; i < 64; ++i) {
-        em.emitMem(InstrClass::Load,
-                   0x1000ull + std::uint64_t(i % 4) * 131072, 8,
-                   std::source_location::current());
-    }
-    auto r = sim.finalize();
+    auto r = simulate(CoreConfig::fourWayOoO(), [](trace::TraceSink &sink) {
+        trace::Emitter em(sink);
+        for (int i = 0; i < 64; ++i) {
+            em.emitMem(InstrClass::Load,
+                       0x1000ull + std::uint64_t(i % 4) * 131072, 8,
+                       std::source_location::current());
+        }
+    });
     EXPECT_GT(r.l1dAccesses, 0u);
     EXPECT_GT(r.l1dMisses, 0u);
     EXPECT_LE(r.l1dMisses, r.l1dAccesses);
@@ -359,21 +390,17 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
     CoreConfig cfg = CoreConfig::fourWayOoO();
     cfg.lat.unalignedLoadExtra = 1;
 
-    timing::PipelineSim online(cfg);
-    gen(online);
-    auto r_online = online.finalize();
+    auto r_online = simulate(cfg, gen);
 
     std::string path = ::testing::TempDir() + "/uasim_offline.trace";
     {
         trace::FileSink file(path);
         gen(file);
     }
-    timing::PipelineSim offline(cfg);
-    {
+    auto r_offline = simulate(cfg, [&](trace::TraceSink &sink) {
         trace::TraceReader reader(path);
-        reader.drainTo(offline);
-    }
-    auto r_offline = offline.finalize();
+        reader.drainTo(sink);
+    });
     std::remove(path.c_str());
 
     EXPECT_EQ(r_online.cycles, r_offline.cycles);
@@ -428,15 +455,15 @@ TEST(Pipeline, PredictorSizeIsSweepable)
     auto run = [](int log2) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         cfg.bpredLog2Entries = log2;
-        PipelineSim sim(cfg);
-        trace::Emitter em(sim);
-        for (int i = 0; i < 4000; ++i) {
-            em.emitBranch((i % 4) != 3,
-                          std::source_location::current());
-            em.emit(InstrClass::IntAlu,
-                    std::source_location::current());
-        }
-        return sim.finalize();
+        return simulate(cfg, [](trace::TraceSink &sink) {
+            trace::Emitter em(sink);
+            for (int i = 0; i < 4000; ++i) {
+                em.emitBranch((i % 4) != 3,
+                              std::source_location::current());
+                em.emit(InstrClass::IntAlu,
+                        std::source_location::current());
+            }
+        });
     };
     auto tiny = run(1);
     auto tableII = run(12);
@@ -469,11 +496,14 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
     EXPECT_THROW(bad([](CoreConfig &c) { c.model.clear(); })
                      .validate(),
                  std::invalid_argument);
-    // The constructor path must throw before sizing anything.
-    EXPECT_THROW(PipelineSim(bad([](CoreConfig &c) {
-                     c.inflight = 0;
-                 })),
-                 std::invalid_argument);
+    // Both engines' constructor paths must throw before sizing
+    // anything - the predictor table included.
+    for (auto poke : {+[](CoreConfig &c) { c.inflight = 0; },
+                      +[](CoreConfig &c) { c.bpredLog2Entries = 40; }}) {
+        EXPECT_THROW((void)timing::makeTimingModel(bad(poke)),
+                     std::invalid_argument);
+        EXPECT_THROW(PipelineSim(bad(poke)), std::invalid_argument);
+    }
 }
 
 TEST(BranchPredictor, LearnsBias)

@@ -25,6 +25,8 @@
  */
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,7 +60,6 @@ usage(const char *argv0, bool requested)
         "                      single-process run\n"
         "  --threads N         sweep worker threads (default: hardware)\n"
         "  --trace-cache DIR   persistent content-addressed trace store\n"
-        "  --replay-mode M     batched (default) or percell\n"
         "\n"
         "expand prints the campaign identity, grid shape, and chunk ->\n"
         "shard table without simulating.\n"
@@ -84,6 +85,21 @@ parseShard(const std::string &spec, int &shard, int &count)
     return true;
 }
 
+/// Parse a --threads operand: the whole string must be a decimal
+/// integer in [0, INT_MAX] (0 = hardware concurrency).
+bool
+parseThreads(const char *text, int &threads)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
+        v > INT_MAX)
+        return false;
+    threads = int(v);
+    return true;
+}
+
 /// Operand of flag argv[i]; exits 2 when missing or another flag.
 const char *
 operand(int argc, char **argv, int &i)
@@ -105,7 +121,6 @@ struct Options {
     std::string jsonDir;
     int threads = 0;
     std::string traceCache;
-    uasim::core::ReplayMode replayMode = uasim::core::ReplayMode::Batched;
 };
 
 int
@@ -146,7 +161,6 @@ runRun(const Campaign &c, const Options &opt)
     ro.jsonDir = opt.jsonDir;
     ro.threads = opt.threads;
     ro.traceCache = opt.traceCache;
-    ro.replayMode = opt.replayMode;
 
     const CampaignRunOutcome out = uasim::core::runCampaignShard(c, ro);
     for (const auto &s : out.chunks)
@@ -196,23 +210,13 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--json") == 0) {
             opt.jsonDir = operand(argc, argv, i);
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            opt.threads = std::atoi(operand(argc, argv, i));
-            if (opt.threads < 0) {
-                std::fprintf(stderr, "%s: bad --threads value\n",
-                             argv[0]);
+            if (!parseThreads(operand(argc, argv, i), opt.threads)) {
+                std::fprintf(stderr, "%s: bad --threads value '%s'\n",
+                             argv[0], argv[i]);
                 return 2;
             }
         } else if (std::strcmp(argv[i], "--trace-cache") == 0) {
             opt.traceCache = operand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--replay-mode") == 0) {
-            const char *mode = operand(argc, argv, i);
-            if (!uasim::core::parseReplayMode(mode, opt.replayMode)) {
-                std::fprintf(stderr,
-                             "%s: unknown replay mode '%s' (want "
-                             "batched or percell)\n",
-                             argv[0], mode);
-                return 2;
-            }
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
                          argv[i]);
