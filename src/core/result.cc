@@ -268,7 +268,6 @@ BenchResult::toJson(bool includeInformational) const
             info.set("instrsLoaded", stats.instrsLoaded);
             info.set("replayPasses", stats.replayPasses);
             info.set("decodeBytes", stats.decodeBytes);
-            info.set("bytesMapped", stats.bytesMapped);
             info.set("recordSeconds", stats.recordSeconds);
             info.set("replaySeconds", stats.replaySeconds);
             info.set("loadSeconds", stats.loadSeconds);
@@ -353,13 +352,13 @@ BenchResult::fromJson(const json::Value &v)
                     r.stats.replayPasses = rp->asUint();
                 if (const json::Value *db = io.find("decodeBytes"))
                     r.stats.decodeBytes = db->asUint();
-                if (const json::Value *bm = io.find("bytesMapped"))
-                    r.stats.bytesMapped = bm->asUint();
                 if (const json::Value *ds = io.find("decodeSeconds"))
                     r.stats.decodeSeconds = ds->asDouble();
-                // Removed informational field: older artifacts may
+                // Removed informational fields: older artifacts may
                 // still carry "streamSeconds" (the retired fused
-                // record+simulate pass); it is accepted and ignored.
+                // record+simulate pass) or the mapped-byte count of
+                // the retired mmap read path; both are accepted and
+                // ignored.
                 r.stats.recordSeconds =
                     requireDouble(io, "recordSeconds", "informational");
                 r.stats.replaySeconds =
@@ -524,9 +523,7 @@ diffResults(const BenchResult &base, const BenchResult &cur)
                << cur.stats.tracesRecorded << ", loaded "
                << cur.stats.tracesLoaded << ", replay passes "
                << cur.stats.replayPasses << ", decoded "
-               << cur.stats.decodeBytes << " B ("
-               << cur.stats.bytesMapped << " B mmap'd)"
-               << ")";
+               << cur.stats.decodeBytes << " B)";
             report.notes.push_back(os.str());
         }
     }

@@ -106,8 +106,7 @@ SweepRunner::run(const SweepPlan &plan)
     struct WorkerTotals {
         std::uint64_t recorded = 0, loaded = 0, replayed = 0,
                       traces = 0, tracesLoaded = 0, tracesStored = 0,
-                      cells = 0, replayPasses = 0, decodeBytes = 0,
-                      bytesMapped = 0;
+                      cells = 0, replayPasses = 0, decodeBytes = 0;
         double recordSec = 0, replaySec = 0, loadSec = 0,
                decodeSec = 0;
         int maxShards = 1;  //!< widest intra-group shard fan-out used
@@ -124,7 +123,6 @@ SweepRunner::run(const SweepPlan &plan)
             cells += o.cells;
             replayPasses += o.replayPasses;
             decodeBytes += o.decodeBytes;
-            bytesMapped += o.bytesMapped;
             recordSec += o.recordSec;
             replaySec += o.replaySec;
             loadSec += o.loadSec;
@@ -265,15 +263,15 @@ SweepRunner::run(const SweepPlan &plan)
                 // Store probe, shaped per group kind so a hit never
                 // materializes state the cells don't need: a mix-only
                 // group reads just the header's validated mix section
-                // (no payload decode at all); a timing group opens the
-                // entry zero-copy (mmap where available) and every
-                // replay shard decodes the shared payload through its
-                // own TraceCursor. Replay equivalence keeps every hit
-                // bit-identical to recording in-process. A payload
-                // that fails mid-decode (valid checksum, corrupt
-                // stream) is discarded like any corrupt entry and the
-                // group falls through to re-recording, which
-                // overwrites any partially filled result slots.
+                // (no payload decode at all); a timing group reads the
+                // entry's payload once and every replay shard decodes
+                // that shared buffer through its own TraceCursor.
+                // Replay equivalence keeps every hit bit-identical to
+                // recording in-process. A payload that fails
+                // mid-decode (valid checksum, corrupt stream) is
+                // discarded like any corrupt entry and the group falls
+                // through to re-recording, which overwrites any
+                // partially filled result slots.
                 if (store && timingCells == 0) {
                     auto t0 = Clock::now();
                     if (auto sum = store->loadSummary(job.key)) {
@@ -304,10 +302,6 @@ SweepRunner::run(const SweepPlan &plan)
                         try {
                             replayCells(reader->count(), decode);
                             mix = reader->mix();
-                            if (reader->mapped()) {
-                                local.bytesMapped +=
-                                    reader->payloadBytes();
-                            }
                             local.loaded += reader->count();
                             ++local.tracesLoaded;
                             fromStore = true;
@@ -412,7 +406,6 @@ SweepRunner::run(const SweepPlan &plan)
     stats_.instrsReplayed = totals.replayed;
     stats_.replayPasses = totals.replayPasses;
     stats_.decodeBytes = totals.decodeBytes;
-    stats_.bytesMapped = totals.bytesMapped;
     stats_.recordSeconds = totals.recordSec;
     stats_.replaySeconds = totals.replaySec;
     stats_.loadSeconds = totals.loadSec;

@@ -171,9 +171,6 @@ struct SweepStats {
      * already-decoded records).
      */
     std::uint64_t decodeBytes = 0;
-    /// Payload bytes served zero-copy from an mmap'd store entry,
-    /// counted once per opened trace. Informational.
-    std::uint64_t bytesMapped = 0;
     double recordSeconds = 0;  //!< pure record passes, summed across workers
     double replaySeconds = 0;  //!< replay passes, summed across shards
     double loadSeconds = 0;    //!< mix-only store reads, summed across workers

@@ -2,18 +2,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define UASIM_HAVE_MMAP 1
-#include <sys/mman.h>
-#endif
-
-#include "trace/simd_decode.hh"
 
 namespace uasim::trace {
 
@@ -167,17 +159,17 @@ RecordDecoder::decode(const std::uint8_t *&p, const std::uint8_t *end,
     std::uint64_t v;
     if (!getVarint(p, end, v))
         truncated();
-    rec.id = st_.prevId + std::uint64_t(unzigzag(v));
-    st_.prevId = rec.id;
+    rec.id = prevId_ + std::uint64_t(unzigzag(v));
+    prevId_ = rec.id;
     if (!getVarint(p, end, v))
         truncated();
-    rec.pc = st_.prevPc + std::uint64_t(unzigzag(v));
-    st_.prevPc = rec.pc;
+    rec.pc = prevPc_ + std::uint64_t(unzigzag(v));
+    prevPc_ = rec.pc;
     if (isMemClass(rec.cls)) {
         if (!getVarint(p, end, v))
             truncated();
-        rec.addr = st_.prevAddr + std::uint64_t(unzigzag(v));
-        st_.prevAddr = rec.addr;
+        rec.addr = prevAddr_ + std::uint64_t(unzigzag(v));
+        prevAddr_ = rec.addr;
         if (p == end)
             truncated();
         rec.size = *p++;
@@ -197,12 +189,7 @@ RecordDecoder::decodeBlock(const std::uint8_t *&p,
                            const std::uint8_t *end, InstrRecord *out,
                            std::size_t maxRecords)
 {
-    // Fast region: while at least maxRecordBytes remain every field
-    // of a record is readable without bounds checks, so the run is
-    // delegated to the runtime-dispatched kernel (scalar fallback
-    // included - see trace/simd_decode.hh).
-    std::size_t n = simd::decodeRun(p, end, out, maxRecords, st_);
-    // Checked scalar path once a record could cross the end.
+    std::size_t n = 0;
     while (n < maxRecords && p != end) {
         decode(p, end, out[n]);
         ++n;
@@ -349,7 +336,6 @@ struct OpenedTrace {
     std::uint64_t count = 0;
     std::uint64_t payloadBytes = 0;
     std::uint64_t payloadHash = 0;
-    long payloadAt = 0;  //!< payload's file offset (for mmap views)
 };
 
 [[noreturn]] void
@@ -455,17 +441,7 @@ openTrace(const std::string &path, const std::string &expectKey)
     }
     if (std::fseek(ot.file.get(), payload_at, SEEK_SET) != 0)
         bad("payload seek failed: " + errnoText());
-    ot.payloadAt = payload_at;
     return ot;
-}
-
-/// Checked per reader open (not cached) so tests can toggle the
-/// environment between opens.
-bool
-mmapDisabled()
-{
-    const char *e = std::getenv("UASIM_NO_MMAP");
-    return e && *e != '\0';
 }
 
 } // namespace
@@ -478,60 +454,15 @@ TraceReader::TraceReader(const std::string &path,
     key_ = std::move(ot.key);
     mix_ = ot.mix;
     count_ = ot.count;
-    payloadSize_ = ot.payloadBytes;
-
-#if UASIM_HAVE_MMAP
-    // Zero-copy path: map the whole file (the payload offset is not
-    // page-aligned, so mapping from 0 keeps the arithmetic trivial)
-    // and decode straight out of the page cache. The mapping outlives
-    // the FILE handle; checksum verification below runs over the
-    // mapped bytes themselves, so a torn or corrupted file is caught
-    // exactly like on the buffered path.
-    if (ot.payloadBytes && !mmapDisabled()) {
-        const std::size_t len =
-            std::size_t(ot.payloadAt) + std::size_t(ot.payloadBytes);
-        void *base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE,
-                            ::fileno(ot.file.get()), 0);
-        if (base != MAP_FAILED) {
-            mapBase_ = base;
-            mapLen_ = len;
-            data_ = static_cast<const std::uint8_t *>(base) +
-                    ot.payloadAt;
-            // Streaming hint only; failure changes nothing.
-            (void)::madvise(base, len, MADV_SEQUENTIAL);
-        }
+    payload_.resize(ot.payloadBytes);
+    if (ot.payloadBytes &&
+        std::fread(payload_.data(), 1, payload_.size(), ot.file.get()) !=
+            payload_.size()) {
+        badTrace(path, "payload read failed");
     }
-#endif
-    if (!mapBase_) {
-        // Buffered fallback: mmap unavailable, disabled via
-        // UASIM_NO_MMAP, or an empty payload.
-        payload_.resize(ot.payloadBytes);
-        if (ot.payloadBytes &&
-            std::fread(payload_.data(), 1, ot.payloadBytes,
-                       ot.file.get()) != ot.payloadBytes) {
-            badTrace(path, "payload read failed");
-        }
-        data_ = payload_.data();
-    }
-    if (wire::fnv1a(data_, std::size_t(payloadSize_)) !=
-        ot.payloadHash) {
-#if UASIM_HAVE_MMAP
-        if (mapBase_) {
-            (void)::munmap(mapBase_, mapLen_);
-            mapBase_ = nullptr;
-        }
-#endif
+    if (wire::fnv1a(payload_.data(), payload_.size()) != ot.payloadHash)
         badTrace(path, "payload checksum mismatch");
-    }
     cur_ = TraceCursor(this);
-}
-
-TraceReader::~TraceReader()
-{
-#if UASIM_HAVE_MMAP
-    if (mapBase_)
-        (void)::munmap(mapBase_, mapLen_);
-#endif
 }
 
 TraceSummary
@@ -546,7 +477,7 @@ readTraceSummary(const std::string &path, const std::string &expectKey)
 }
 
 TraceCursor::TraceCursor(const TraceReader *reader)
-    : reader_(reader), pos_(reader->data_)
+    : reader_(reader), pos_(reader->payload_.data())
 {
 }
 
@@ -556,7 +487,7 @@ TraceCursor::next(InstrRecord &rec)
     if (!reader_)
         return false;
     const std::uint8_t *end =
-        reader_->data_ + reader_->payloadSize_;
+        reader_->payload_.data() + reader_->payload_.size();
     if (read_ >= reader_->count_) {
         if (pos_ != end)
             throw std::runtime_error(
@@ -577,7 +508,7 @@ TraceCursor::nextBlock(InstrRecord *out, std::size_t maxRecords)
     if (!reader_)
         return 0;
     const std::uint8_t *end =
-        reader_->data_ + reader_->payloadSize_;
+        reader_->payload_.data() + reader_->payload_.size();
     if (read_ >= reader_->count_) {
         if (pos_ != end)
             throw std::runtime_error(

@@ -72,13 +72,6 @@ constexpr std::size_t mixBytes = std::size_t(numInstrClasses) * 8;
 /// Smallest possible encoded record (tag + 5 single-byte varints).
 constexpr std::size_t minRecordBytes = 6;
 
-/// Largest possible encoded record: tag byte + 10-byte id and pc
-/// varints + 10-byte addr varint + size byte + three 10-byte dep
-/// varints. The block decoder's unchecked fast path relies on this
-/// bound: with maxRecordBytes readable it can skip every per-field
-/// end-of-buffer check.
-constexpr std::size_t maxRecordBytes = 62;
-
 /// Upper bound on a plausible key length (headers claiming more are
 /// rejected as corrupt before any allocation).
 constexpr std::uint32_t maxKeyBytes = 4096;
@@ -145,18 +138,6 @@ class RecordEncoder
     std::uint64_t prevAddr_ = 0;
 };
 
-/**
- * Cross-record delta state of the decoder: the running previous value
- * of each delta-encoded lane. Split out of RecordDecoder so the
- * runtime-dispatched block decoders (trace/simd_decode.hh) can thread
- * the exact same state through their fast paths.
- */
-struct DecodeState {
-    std::uint64_t prevId = 0;
-    std::uint64_t prevPc = 0;
-    std::uint64_t prevAddr = 0;
-};
-
 /// Stateful decoder matching RecordEncoder.
 class RecordDecoder
 {
@@ -171,14 +152,9 @@ class RecordDecoder
 
     /**
      * Decode up to @p maxRecords records from [@p p, @p end) into
-     * @p out, advancing @p p. Records are decoded on an unchecked
-     * fast path while at least maxRecordBytes remain (no per-field
-     * bounds checks; the path is SIMD-accelerated when the host
-     * supports it, see trace/simd_decode.hh), falling back to the
-     * checked scalar path near the end of the buffer, so the result
-     * is byte-for-byte identical to @p maxRecords decode() calls -
-     * including every error case (trace_io_test and simd_decode_test
-     * lock the equivalence property across every dispatch tier).
+     * @p out, advancing @p p: a plain loop over decode(), so every
+     * record is bounds- and sanity-checked and the result and errors
+     * are those of @p maxRecords decode() calls.
      *
      * @return the number of records decoded; less than @p maxRecords
      * only when the buffer ended cleanly on a record boundary.
@@ -189,7 +165,10 @@ class RecordDecoder
                             std::size_t maxRecords);
 
   private:
-    DecodeState st_;
+    // Running previous value of each delta-encoded lane.
+    std::uint64_t prevId_ = 0;
+    std::uint64_t prevPc_ = 0;
+    std::uint64_t prevAddr_ = 0;
 };
 
 } // namespace wire
@@ -263,7 +242,7 @@ class TraceReader;
  *
  * A cursor owns its own decoder state and position, so any number of
  * cursors (e.g. one per replay shard) can walk the same reader - and
- * the same mmap'd bytes - concurrently without re-opening or copying
+ * the same payload buffer - concurrently without re-opening or copying
  * the file. Decoding is read-only on the shared payload; the only
  * mutable state is inside the cursor itself. The reader must outlive
  * every cursor obtained from it.
@@ -305,17 +284,12 @@ class TraceCursor
 /**
  * Reader for UATRACE2 files produced by FileSink.
  *
- * The payload is checksum-verified at construction and then served
- * zero-copy: on POSIX hosts the file is mmap'd (with
- * madvise(MADV_SEQUENTIAL) as a streaming hint) and decoding walks
- * the mapping directly; when mmap is unavailable - or disabled via
- * the UASIM_NO_MMAP environment variable - the payload is read into a
- * heap buffer instead, with identical behaviour (mapped() tells which
- * path was taken). Header, key and mix reads never touch the payload
- * mapping. next() decodes incrementally and throws on any malformed
- * record, so a short read can never be mistaken for end-of-trace;
- * cursor() hands out additional independent decode passes over the
- * same validated bytes.
+ * Construction validates the front matter, reads the whole payload
+ * into one buffer with a single checked read, and verifies the payload
+ * checksum over that buffer before any record is served. next()
+ * decodes incrementally and throws on any malformed record, so a short
+ * read can never be mistaken for end-of-trace; cursor() hands out
+ * additional independent decode passes over the same validated bytes.
  */
 class TraceReader
 {
@@ -330,7 +304,6 @@ class TraceReader
      */
     explicit TraceReader(const std::string &path,
                          const std::string &expectKey = {});
-    ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -346,11 +319,7 @@ class TraceReader
     const InstrMix &mix() const { return mix_; }
 
     /// Payload length in bytes (the compressed record stream).
-    std::uint64_t payloadBytes() const { return payloadSize_; }
-
-    /// True when the payload is served zero-copy from an mmap'd view
-    /// of the file; false on the buffered fallback path.
-    bool mapped() const { return mapBase_ != nullptr; }
+    std::uint64_t payloadBytes() const { return payload_.size(); }
 
     /**
      * A fresh, independent decode pass positioned at the first
@@ -390,11 +359,7 @@ class TraceReader
     std::string path_;
     std::string key_;
     InstrMix mix_;
-    std::vector<std::uint8_t> payload_;  //!< buffered fallback storage
-    void *mapBase_ = nullptr;            //!< whole-file mapping base
-    std::size_t mapLen_ = 0;
-    const std::uint8_t *data_ = nullptr; //!< payload start (either path)
-    std::uint64_t payloadSize_ = 0;
+    std::vector<std::uint8_t> payload_;  //!< checksum-verified payload
     std::uint64_t count_ = 0;
     TraceCursor cur_;  //!< backs the reader's own next()/nextBlock()
 };

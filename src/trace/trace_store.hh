@@ -72,11 +72,11 @@ class TraceStore
     std::optional<TraceSummary> loadSummary(const std::string &key) const;
 
     /**
-     * Probe the store and open the entry for direct (zero-copy where
-     * mmap is available) decoding: the caller drains the reader - or
-     * any number of TraceCursor passes over it - itself. This is the
-     * multi-shard replay path; unlike load() nothing is streamed
-     * eagerly, so a hit costs one checksum pass and no payload copy.
+     * Probe the store and open the entry for direct decoding: the
+     * caller drains the reader - or any number of TraceCursor passes
+     * over it - itself. This is the multi-shard replay path; unlike
+     * load() nothing is streamed eagerly, so a hit costs one payload
+     * read plus checksum pass and no decode.
      *
      * @return nullptr on a miss; corruption policy as load() (report,
      * delete, miss). The reader's payload decodes lazily, so a

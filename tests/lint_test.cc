@@ -8,8 +8,8 @@
  *
  * The fixtures live in tests/lint_fixtures/ and are scanned in
  * fixture mode (`--as <vpath> <file>`): the vpath decides which rules
- * are in scope, so one snippet can serve as known-bad under
- * src/core/ and known-good under the designated decode-tier path.
+ * are in scope, so one snippet can serve as known-bad under one path
+ * (src/trace/ for checked-io) and known-good under another.
  */
 
 #include <gtest/gtest.h>
@@ -77,9 +77,7 @@ TEST(LintTool, VersionAndRuleList)
 
     const RunResult rules = run(lint("--list-rules"));
     EXPECT_EQ(rules.exit, 0);
-    for (const char *r :
-         {"checked-io", "field-table", "isa-flags", "sim-determinism"})
-        EXPECT_NE(rules.out.find(r), std::string::npos) << r;
+    EXPECT_EQ(rules.out, "checked-io\nfield-table\nsim-determinism\n");
 }
 
 TEST(LintTool, UsageErrors)
@@ -90,6 +88,11 @@ TEST(LintTool, UsageErrors)
                   .exit,
               2);
     EXPECT_EQ(run(lint("--compdb /nonexistent.json")).exit, 2);
+    // The per-TU compile-flag option went with the retired ISA rule.
+    EXPECT_EQ(run(lint("--flags -O2 --as src/core/x.cc " +
+                       fixture("checked_io_good.cc")))
+                  .exit,
+              2);
 }
 
 TEST(LintTool, FieldTable)
@@ -176,36 +179,6 @@ TEST(LintTool, CheckedIo)
     const RunResult outside = run(
         lint("--as src/vmx/fx_io.cc " + fixture("checked_io_bad.cc")));
     EXPECT_EQ(outside.exit, 0) << outside.out;
-}
-
-TEST(LintTool, IsaFlags)
-{
-    const RunResult bad = run(lint("--as src/core/fx_isa.cc " +
-                                   fixture("isa_flags_bad.cc")));
-    EXPECT_EQ(bad.exit, 1);
-    EXPECT_EQ(countOf(bad.out, "[isa-flags]"), 3);
-    EXPECT_NE(bad.out.find("intrinsic"), std::string::npos);
-
-    // Identical bytes under a designated decode-tier vpath are fine.
-    const RunResult designated =
-        run(lint("--as src/trace/simd_decode_fx.cc " +
-                 fixture("isa_flags_bad.cc")));
-    EXPECT_EQ(designated.exit, 0) << designated.out;
-
-    // -m ISA compile flags outside a designated TU are findings even
-    // when the source itself is clean...
-    const RunResult flags =
-        run(lint("--flags \"-mavx2 -O2\" --as src/core/fx_isa2.cc " +
-                 fixture("checked_io_good.cc")));
-    EXPECT_EQ(flags.exit, 1);
-    EXPECT_EQ(countOf(flags.out, "[isa-flags]"), 1);
-    EXPECT_NE(flags.out.find("-mavx2"), std::string::npos);
-
-    // ...and accepted on the designated tier TUs.
-    const RunResult tierFlags = run(
-        lint("--flags \"-mavx2 -O2\" --as src/trace/simd_decode_fx.cc " +
-             fixture("checked_io_good.cc")));
-    EXPECT_EQ(tierFlags.exit, 0) << tierFlags.out;
 }
 
 TEST(LintTool, SuppressionSyntax)

@@ -171,25 +171,49 @@ TEST(ReportTool, BaselineFormComparesAgainstFullForm)
     EXPECT_EQ(diff.status, DiffStatus::Match);
 }
 
-TEST(ReportTool, LoadsArtifactCarryingRetiredStreamSeconds)
-{
-    // Artifacts written before the fused record+simulate pass was
-    // retired still carry "streamSeconds" in their informational
-    // block; it loads, is ignored, and never gates.
-    const std::string current = makeResult().serialize();
-    const std::string key = "\"replaySeconds\": ";
-    const std::size_t at = current.find(key);
-    ASSERT_NE(at, std::string::npos);
-    std::string old = current;
-    old.insert(at, "\"streamSeconds\": 1.25,\n      ");
-    ASSERT_NE(old.find("streamSeconds"), std::string::npos);
+namespace {
 
+/// makeResult()'s artifact with a retired informational field
+/// @p field (already JSON-encoded, trailing comma included) spliced
+/// into the informational block, as an older writer produced it.
+std::string
+withRetiredField(const std::string &field)
+{
+    std::string old = makeResult().serialize();
+    const std::size_t at = old.find("\"replaySeconds\": ");
+    EXPECT_NE(at, std::string::npos);
+    old.insert(at, field + "\n      ");
+    return old;
+}
+
+/// A retired informational field loads, is ignored, and never gates.
+void
+expectRetiredFieldIgnored(const std::string &old)
+{
     const BenchResult loaded = BenchResult::parse(old);
     EXPECT_TRUE(loaded.hasInformational);
     EXPECT_EQ(loaded.stats.recordSeconds, 0.25);
     EXPECT_EQ(core::diffResults(makeResult(), loaded).status,
               DiffStatus::Match);
-    EXPECT_EQ(loaded.serialize(), current);
+    EXPECT_EQ(loaded.serialize(), makeResult().serialize());
+}
+
+} // namespace
+
+TEST(ReportTool, LoadsArtifactCarryingRetiredStreamSeconds)
+{
+    // Artifacts written before the fused record+simulate pass was
+    // retired still carry "streamSeconds".
+    expectRetiredFieldIgnored(
+        withRetiredField("\"streamSeconds\": 1.25,"));
+}
+
+TEST(ReportTool, LoadsArtifactCarryingRetiredBytesMapped)
+{
+    // Artifacts written while store reads were mmap'd still carry
+    // the mapped-byte count.
+    expectRetiredFieldIgnored(
+        withRetiredField("\"bytesMapped\": 4096,"));
 }
 
 TEST(ReportTool, SchemaErrors)

@@ -29,6 +29,7 @@
 #include "core/sweep.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
+#include "trace/trace_store.hh"
 
 using namespace uasim;
 using core::KernelBench;
@@ -558,7 +559,6 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     // Cold replay feeds already-decoded records from the in-memory
     // buffer; no payload bytes go through the block decoder.
     EXPECT_EQ(cold.stats().decodeBytes, 0u);
-    EXPECT_EQ(cold.stats().bytesMapped, 0u);
 
     SweepRunner warm(8);
     warm.attachStore(dir.path);
@@ -569,11 +569,11 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     EXPECT_EQ(ws.replayPasses, 8u);
     EXPECT_EQ(ws.instrsReplayed, cold.stats().instrsReplayed);
 
-    // Each shard decodes the whole payload (decode work counts per
-    // pass); mapped bytes count once per opened trace.
-    EXPECT_GT(ws.decodeBytes, 0u);
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_GT(ws.bytesMapped, 0u);
-    EXPECT_EQ(ws.decodeBytes, ws.replayPasses * ws.bytesMapped);
-#endif
+    // Each shard decodes the whole stored payload (decode work counts
+    // per pass).
+    const auto reader = trace::TraceStore(dir.path).openReader(
+        makeSingleBigGroupPlan().traces().front().key);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_GT(reader->payloadBytes(), 0u);
+    EXPECT_EQ(ws.decodeBytes, ws.replayPasses * reader->payloadBytes());
 }

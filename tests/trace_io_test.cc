@@ -14,11 +14,12 @@
  *    from the destructor) instead of leaving a truncated trace with
  *    a valid-looking header - the PR 4 bug class.
  *  - the block decoder (RecordDecoder::decodeBlock, TraceReader::
- *    nextBlock) is byte-for-byte equivalent to the scalar path on
- *    seeded random streams for every block size, including blocks
- *    straddling the checked/unchecked boundary, final partial
- *    blocks, truncation mid-block, and over-long varints reached on
- *    the unchecked fast path.
+ *    nextBlock, TraceCursor) is byte-for-byte equivalent to record-
+ *    by-record decode() on seeded random and adversarial streams for
+ *    every block size, including final partial blocks, truncation at
+ *    every byte offset of a record, max-length and over-long varints
+ *    and invalid tag bytes (same error message as decode()), and
+ *    independent cursors over one reader.
  */
 
 #include <gtest/gtest.h>
@@ -326,9 +327,19 @@ TEST_F(TraceIoCorruption, BadVersionFieldRejected)
 
 TEST_F(TraceIoCorruption, PayloadChecksumMismatchRejected)
 {
-    std::string b = bytes_;
-    b.back() = char(b.back() ^ 0xff);
-    expectRejected(b, "checksum mismatch");
+    // The checksum covers the whole read-in payload buffer and runs
+    // before any record is served: a flip in its last byte or in its
+    // middle fails the open.
+    const std::size_t payloadAt = ut::wire::headerBytes +
+                                  std::string("corrupt/key").size() +
+                                  ut::wire::mixBytes;
+    ASSERT_GT(bytes_.size(), payloadAt + 10);
+    for (std::size_t at : {bytes_.size() - 1,
+                           payloadAt + (bytes_.size() - payloadAt) / 2}) {
+        std::string b = bytes_;
+        b[at] = char(b[at] ^ 0x40);
+        expectRejected(b, "payload checksum mismatch");
+    }
 }
 
 TEST_F(TraceIoCorruption, MixSectionTamperRejected)
@@ -696,6 +707,55 @@ randomRecords(std::uint64_t seed, std::size_t n)
     return recs;
 }
 
+/**
+ * Adversarial record stream: id/pc/addr deltas of uniformly random bit
+ * width in both directions (varints of every length, sign flips on
+ * every lane), and absent, near, future and arbitrary deps. Fields are
+ * canonicalized the way the encoder would (no addr/size off the memory
+ * classes, no taken off branches), so decode round-trips exactly.
+ */
+std::vector<ut::InstrRecord>
+adversarialRecords(std::uint64_t seed, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<ut::InstrRecord> recs;
+    recs.reserve(n);
+    auto delta = [&rng]() -> std::int64_t {
+        const int bits = int(rng() % 63) + 1;
+        auto mag = std::int64_t(rng() & ((std::uint64_t{1} << bits) - 1));
+        return (rng() & 1) ? mag : -mag;
+    };
+    std::uint64_t id = rng() >> 32;
+    std::uint64_t pc = rng();
+    std::uint64_t addr = rng();
+    for (std::size_t i = 0; i < n; ++i) {
+        ut::InstrRecord rec{};
+        id += std::uint64_t(delta());
+        pc += std::uint64_t(delta());
+        rec.id = id;
+        rec.pc = pc;
+        rec.cls = static_cast<ut::InstrClass>(
+            rng() % std::uint64_t(ut::numInstrClasses));
+        if (rec.isMem()) {
+            addr += std::uint64_t(delta());
+            rec.addr = addr;
+            rec.size = std::uint8_t(rng());
+        }
+        if (rec.cls == ut::InstrClass::Branch)
+            rec.taken = (rng() & 1) != 0;
+        for (auto &dep : rec.deps) {
+            switch (rng() % 4) {
+            case 0: break;                                    // absent
+            case 1: dep = rec.id - rng() % 64; break;         // near
+            case 2: dep = rec.id + std::uint64_t(delta()); break;
+            default: dep = rng() | 1; break;                  // anywhere
+            }
+        }
+        recs.push_back(rec);
+    }
+    return recs;
+}
+
 /// Encode @p recs into one contiguous payload.
 std::string
 encodeAll(const std::vector<ut::InstrRecord> &recs)
@@ -707,57 +767,125 @@ encodeAll(const std::vector<ut::InstrRecord> &recs)
     return payload;
 }
 
+const std::uint8_t *
+bytesOf(const std::string &payload)
+{
+    return reinterpret_cast<const std::uint8_t *>(payload.data());
+}
+
+/// Decode all of @p payload through decodeBlock in @p chunk sized
+/// blocks and return the records; throws where the decoder throws.
+std::vector<ut::InstrRecord>
+decodeBlocks(const std::string &payload, std::size_t chunk)
+{
+    ut::wire::RecordDecoder dec;
+    std::vector<ut::InstrRecord> out, block(chunk);
+    const std::uint8_t *p = bytesOf(payload);
+    const std::uint8_t *end = p + payload.size();
+    while (p != end) {
+        const std::size_t got =
+            dec.decodeBlock(p, end, block.data(), chunk);
+        EXPECT_GT(got, 0u) << "silent end of stream before the payload end";
+        if (got == 0)
+            break;
+        out.insert(out.end(), block.begin(),
+                   block.begin() + std::ptrdiff_t(got));
+    }
+    return out;
+}
+
+/// The message thrown when @p payload is decoded by @p decode (empty
+/// when it decodes cleanly).
+template <typename Decode>
+std::string
+errorOf(Decode decode)
+{
+    try {
+        decode();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
+}
+
+/// decode() called record by record over all of @p payload.
+std::string
+scalarError(const std::string &payload)
+{
+    return errorOf([&payload] {
+        ut::wire::RecordDecoder dec;
+        const std::uint8_t *p = bytesOf(payload);
+        const std::uint8_t *end = p + payload.size();
+        ut::InstrRecord rec;
+        while (p != end)
+            dec.decode(p, end, rec);
+    });
+}
+
+std::string
+blockError(const std::string &payload, std::size_t chunk)
+{
+    return errorOf([&] { decodeBlocks(payload, chunk); });
+}
+
 } // namespace
 
 TEST(TraceBlockDecode, MatchesScalarForEveryBlockSize)
 {
-    const auto want = randomRecords(0xb10cdec0de, 3000);
-    const std::string payload = encodeAll(want);
-    const auto *base =
-        reinterpret_cast<const std::uint8_t *>(payload.data());
-    const auto *end = base + payload.size();
+    // Two seeded corpora: a canonical Emitter-shaped stream and an
+    // adversarial one with varints of every width in every lane.
+    const std::vector<std::vector<ut::InstrRecord>> corpora = {
+        randomRecords(0xb10cdec0de, 3000), adversarialRecords(7, 3000),
+        adversarialRecords(0xabcdef, 1500)};
+    for (const auto &want : corpora) {
+        const std::string payload = encodeAll(want);
+        const auto *base = bytesOf(payload);
+        const auto *end = base + payload.size();
 
-    // Scalar reference decode.
-    {
-        ut::wire::RecordDecoder dec;
-        const std::uint8_t *p = base;
-        for (const auto &w : want) {
-            ut::InstrRecord got;
-            dec.decode(p, end, got);
-            expectRecordEqual(w, got);
-        }
-        ASSERT_EQ(p, end);
-    }
-
-    // Block decode at sizes below, straddling, and above the payload,
-    // verifying the stream position after every call (the checked/
-    // unchecked boundary must consume exactly the same bytes).
-    for (std::size_t blockSize : {std::size_t(1), std::size_t(2),
-                                  std::size_t(7), std::size_t(64),
-                                  std::size_t(256), std::size_t(999),
-                                  want.size(), want.size() + 17}) {
-        ut::wire::RecordDecoder scalar;
-        ut::wire::RecordDecoder block;
-        const std::uint8_t *ps = base;
-        const std::uint8_t *pb = base;
-        std::vector<ut::InstrRecord> out(blockSize);
-        std::size_t total = 0;
-        while (pb != end) {
-            std::size_t got =
-                block.decodeBlock(pb, end, out.data(), blockSize);
-            ASSERT_GT(got, 0u);
-            for (std::size_t i = 0; i < got; ++i) {
-                ut::InstrRecord ref;
-                scalar.decode(ps, end, ref);
-                expectRecordEqual(ref, out[i]);
+        // Scalar reference decode.
+        {
+            ut::wire::RecordDecoder dec;
+            const std::uint8_t *p = base;
+            for (const auto &w : want) {
+                ut::InstrRecord got;
+                dec.decode(p, end, got);
+                expectRecordEqual(w, got);
             }
-            ASSERT_EQ(pb, ps) << "block size " << blockSize
-                              << " diverged after " << total;
-            total += got;
+            ASSERT_EQ(p, end);
         }
-        EXPECT_EQ(total, want.size()) << "block size " << blockSize;
-        EXPECT_EQ(block.decodeBlock(pb, end, out.data(), blockSize),
-                  0u);
+
+        // Block decode at sizes below, straddling, and above the
+        // payload, verifying the stream position after every call
+        // (block and record decode must consume exactly the same
+        // bytes).
+        for (std::size_t blockSize :
+             {std::size_t(1), std::size_t(2), std::size_t(3),
+              std::size_t(5), std::size_t(7), std::size_t(13),
+              std::size_t(64), std::size_t(256), std::size_t(999),
+              want.size(), want.size() + 17}) {
+            ut::wire::RecordDecoder scalar;
+            ut::wire::RecordDecoder block;
+            const std::uint8_t *ps = base;
+            const std::uint8_t *pb = base;
+            std::vector<ut::InstrRecord> out(blockSize);
+            std::size_t total = 0;
+            while (pb != end) {
+                std::size_t got =
+                    block.decodeBlock(pb, end, out.data(), blockSize);
+                ASSERT_GT(got, 0u);
+                for (std::size_t i = 0; i < got; ++i) {
+                    ut::InstrRecord ref;
+                    scalar.decode(ps, end, ref);
+                    expectRecordEqual(ref, out[i]);
+                }
+                ASSERT_EQ(pb, ps) << "block size " << blockSize
+                                  << " diverged after " << total;
+                total += got;
+            }
+            EXPECT_EQ(total, want.size()) << "block size " << blockSize;
+            EXPECT_EQ(block.decodeBlock(pb, end, out.data(), blockSize),
+                      0u);
+        }
     }
 }
 
@@ -765,8 +893,7 @@ TEST(TraceBlockDecode, CleanPrefixReturnsShortMidRecordCutThrows)
 {
     const auto want = randomRecords(77, 400);
     const std::string payload = encodeAll(want);
-    const auto *base =
-        reinterpret_cast<const std::uint8_t *>(payload.data());
+    const auto *base = bytesOf(payload);
 
     // Record boundaries, from a scalar decode of the full payload.
     std::vector<std::size_t> bounds;  // offset after record i
@@ -783,8 +910,8 @@ TEST(TraceBlockDecode, CleanPrefixReturnsShortMidRecordCutThrows)
 
     // A buffer ending exactly on a record boundary decodes clean and
     // returns short; the same buffer one byte shorter throws exactly
-    // the scalar decoder's truncation error. Probe boundaries on
-    // both sides of the 62-byte checked/unchecked switchover.
+    // the scalar decoder's truncation error. Probe boundaries at the
+    // start, middle and end of the stream.
     for (std::size_t cut : {std::size_t(0), std::size_t(1),
                             std::size_t(5), bounds.size() / 2,
                             bounds.size() - 2}) {
@@ -810,58 +937,123 @@ TEST(TraceBlockDecode, CleanPrefixReturnsShortMidRecordCutThrows)
     }
 }
 
-TEST(TraceBlockDecode, FastPathErrorsMatchScalarErrors)
+TEST(TraceBlockDecode, TruncationAtEveryOffsetThrowsScalarMessage)
 {
-    // Malformed payloads padded far past maxRecordBytes so the block
-    // decoder takes the unchecked fast path; the thrown message must
-    // be identical to scalar decode() on the same bytes.
-    const std::string pad(4 * ut::wire::maxRecordBytes, '\0');
-    struct Case {
-        const char *name;
-        std::string payload;
-    };
-    std::vector<Case> cases;
+    const auto recs = adversarialRecords(99, 64);
+    std::string payload;
+    std::vector<std::size_t> starts;  // starts[i]: offset of record i
     {
-        // Over-long varint: 11 continuation bytes in the id field.
-        std::string p(1, '\0');  // IntAlu tag
-        p.append(11, char(0x80));
-        p += '\0';
-        cases.push_back({"overlong varint", p + pad});
-    }
-    cases.push_back(
-        {"invalid class", std::string(1, char(0x7f)) + pad});
-    {
-        // Taken flag on a non-branch (IntAlu tag with bit 7).
-        cases.push_back(
-            {"taken on non-branch", std::string(1, char(0x80)) + pad});
-    }
-    for (const auto &c : cases) {
-        const auto *base =
-            reinterpret_cast<const std::uint8_t *>(c.payload.data());
-        const auto *end = base + c.payload.size();
-        std::string scalarErr, blockErr;
-        {
-            ut::wire::RecordDecoder dec;
-            const std::uint8_t *p = base;
-            ut::InstrRecord rec;
-            try {
-                dec.decode(p, end, rec);
-            } catch (const std::runtime_error &e) {
-                scalarErr = e.what();
-            }
+        ut::wire::RecordEncoder enc;
+        for (const auto &rec : recs) {
+            starts.push_back(payload.size());
+            enc.encode(rec, payload);
         }
-        {
-            ut::wire::RecordDecoder dec;
-            const std::uint8_t *p = base;
-            ut::InstrRecord out[4];
-            try {
-                dec.decodeBlock(p, end, out, 4);
-            } catch (const std::runtime_error &e) {
-                blockErr = e.what();
-            }
+        starts.push_back(payload.size());
+    }
+
+    // Cut inside the first, a middle, and the last record, at every
+    // byte offset within each: the block decoder must throw the
+    // record decoder's exact message, never report a clean end.
+    for (std::size_t v : {std::size_t(0), recs.size() / 2,
+                          recs.size() - 1}) {
+        for (std::size_t cut = starts[v] + 1; cut < starts[v + 1];
+             ++cut) {
+            const std::string truncated = payload.substr(0, cut);
+            const std::string want = scalarError(truncated);
+            ASSERT_NE(want.find("truncated"), std::string::npos)
+                << "cut " << cut << " in record " << v << ": " << want;
+            for (std::size_t chunk : {std::size_t(1), std::size_t(256)})
+                EXPECT_EQ(want, blockError(truncated, chunk))
+                    << "cut " << cut << " in record " << v;
         }
-        EXPECT_FALSE(scalarErr.empty()) << c.name;
-        EXPECT_EQ(scalarErr, blockErr) << c.name;
+    }
+}
+
+TEST(TraceBlockDecode, MaxLengthAndOverLongVarints)
+{
+    // 10-byte varints (deltas ~2^63, with sign flips) in the id, pc,
+    // addr and dep lanes round-trip through every block size.
+    std::vector<ut::InstrRecord> recs;
+    ut::InstrRecord rec{};
+    rec.id = 0x8000000000000000ull;
+    rec.pc = 0xffffffffffffffffull;
+    rec.cls = ut::InstrClass::IntAlu;
+    rec.deps = {1, rec.id - 1, 0};
+    recs.push_back(rec);
+
+    rec = {};
+    rec.id = 1;
+    rec.pc = 2;
+    rec.cls = ut::InstrClass::VecLoadU;
+    rec.addr = 0x8000000000000001ull;
+    rec.size = 255;
+    rec.deps = {0, 0, 0x7fffffffffffffffull};
+    recs.push_back(rec);
+
+    rec = {};
+    rec.id = 2;
+    rec.pc = 6;
+    rec.cls = ut::InstrClass::Branch;
+    rec.taken = true;
+    recs.push_back(rec);
+
+    for (int i = 0; i < 32; ++i) {
+        rec = {};
+        rec.id = std::uint64_t(3 + i);
+        rec.pc = std::uint64_t(10 + 4 * i);
+        rec.cls = ut::InstrClass::IntAlu;
+        recs.push_back(rec);
+    }
+    const std::string payload = encodeAll(recs);
+    for (std::size_t chunk : {std::size_t(1), std::size_t(3),
+                              std::size_t(256)}) {
+        const auto got = decodeBlocks(payload, chunk);
+        ASSERT_EQ(got.size(), recs.size()) << "chunk " << chunk;
+        for (std::size_t i = 0; i < recs.size(); ++i)
+            expectRecordEqual(recs[i], got[i]);
+    }
+
+    // An 11-byte varint is over-long in any lane. Take a one-byte-per-
+    // field VecLoadU record (tag, id, pc, addr, size, three deps) and
+    // stretch each varint lane in turn: scalar and block decode throw
+    // the same message, alone and after a run of valid records.
+    const std::string valid = encodeAll(randomRecords(5, 40));
+    const std::string base = {char(ut::InstrClass::VecLoadU), 2, 4, 0,
+                              16, 0, 0, 0};
+    for (std::size_t lane : {1, 2, 3, 5, 6, 7}) {
+        std::string bad = base;
+        bad.replace(lane, 1, std::string(11, char(0x80)) + '\x01');
+        for (const std::string &stream : {bad, valid + bad}) {
+            const std::string want = scalarError(stream);
+            EXPECT_NE(want.find("truncated"), std::string::npos)
+                << "lane " << lane << ": " << want;
+            EXPECT_EQ(want, blockError(stream, 256)) << "lane " << lane;
+        }
+    }
+}
+
+TEST(TraceBlockDecode, AdversarialTagBytesMatchScalarErrors)
+{
+    // Invalid class bytes and a taken flag on each non-branch class,
+    // each alone, followed by padding, and after a run of valid
+    // records: the block decoder throws decode()'s exact message.
+    std::vector<std::string> tags;
+    for (int cls : {int(ut::numInstrClasses), 0x3f, 0x7f, 0xff})
+        tags.emplace_back(1, char(cls));
+    for (int c = 0; c < ut::numInstrClasses; ++c) {
+        if (static_cast<ut::InstrClass>(c) != ut::InstrClass::Branch)
+            tags.emplace_back(1, char(c | 0x80));
+    }
+    const std::string pad(256, '\0');
+    const std::string valid = encodeAll(randomRecords(11, 40));
+    for (const std::string &tag : tags) {
+        for (const std::string &payload :
+             {tag, tag + pad, valid + tag + pad}) {
+            const std::string want = scalarError(payload);
+            EXPECT_FALSE(want.empty()) << "tag " << int(std::uint8_t(tag[0]));
+            EXPECT_EQ(want, blockError(payload, 256))
+                << "tag " << int(std::uint8_t(tag[0]));
+        }
     }
 }
 
@@ -938,5 +1130,50 @@ TEST(TraceBlockDecode, NextBlockRejectsPayloadShorterThanCount)
         },
         std::runtime_error);
     EXPECT_LE(drained, recs.size());
+    std::remove(path.c_str());
+}
+
+TEST(TraceBlockDecode, CursorsAreIndependent)
+{
+    const std::string path = tempPath("cursors.uatrace");
+    const auto want = adversarialRecords(123, 2500);
+    writeTrace(path, "cursor-test", want);
+    ut::TraceReader reader(path, "cursor-test");
+    ASSERT_EQ(reader.count(), want.size());
+
+    // Two cursors with different block sizes, interleaved, plus the
+    // reader's own stream: three independent passes over one payload.
+    ut::TraceCursor a = reader.cursor();
+    ut::TraceCursor b = reader.cursor();
+    std::vector<ut::InstrRecord> ra, rb, rc;
+    ut::InstrRecord one;
+    ut::InstrRecord block[97];
+    for (bool more = true; more;) {
+        more = false;
+        if (std::size_t got = a.nextBlock(block, 97)) {
+            ra.insert(ra.end(), block, block + got);
+            more = true;
+        }
+        if (std::size_t got = b.nextBlock(block, 13)) {
+            rb.insert(rb.end(), block, block + got);
+            more = true;
+        }
+        if (reader.next(one)) {
+            rc.push_back(one);
+            more = true;
+        }
+    }
+    for (const auto *got : {&ra, &rb, &rc}) {
+        ASSERT_EQ(got->size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            expectRecordEqual(want[i], (*got)[i]);
+    }
+    EXPECT_EQ(a.read(), want.size());
+    EXPECT_EQ(b.read(), want.size());
+
+    // A default-constructed cursor is a clean end of trace.
+    ut::TraceCursor empty;
+    EXPECT_FALSE(empty.next(one));
+    EXPECT_EQ(empty.nextBlock(block, 97), 0u);
     std::remove(path.c_str());
 }

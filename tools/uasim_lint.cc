@@ -24,11 +24,6 @@
  *                    exceptions - wall-clock feeding the *Seconds
  *                    informational stats - carry a visible
  *                    suppression comment.
- *   isa-flags        vector intrinsics and -m ISA compile flags only
- *                    in the designated per-tier decode TUs
- *                    (src/trace/simd_decode_*.cc), so no other TU
- *                    can silently require a wider ISA than the
- *                    runtime dispatcher promises.
  *   checked-io       no discarded fwrite/fread/fseek/fflush/fclose/
  *                    mmap/munmap/madvise return values in src/trace
  *                    (the PR 3 checked-I/O-only rule). An explicit
@@ -70,7 +65,7 @@ const std::vector<std::string> &
 ruleNames()
 {
     static const std::vector<std::string> rules = {
-        "checked-io", "field-table", "isa-flags", "sim-determinism"};
+        "checked-io", "field-table", "sim-determinism"};
     return rules;
 }
 
@@ -80,8 +75,7 @@ usage(bool requested)
     std::fprintf(
         requested ? stdout : stderr,
         "usage: uasim-lint --compdb FILE [--root DIR] [--check RULE]...\n"
-        "       uasim-lint [--check RULE]... [--flags STR] --as VPATH "
-        "FILE [--as ...]\n"
+        "       uasim-lint [--check RULE]... --as VPATH FILE [--as ...]\n"
         "\n"
         "  --compdb FILE   scan every repo TU of a "
         "compile_commands.json\n"
@@ -92,8 +86,6 @@ usage(bool requested)
         "directory's parent)\n"
         "  --as VPATH FILE scan FILE as if it were repo path VPATH\n"
         "                  (fixture mode; rules scope by VPATH)\n"
-        "  --flags STR     compile flags attributed to subsequent "
-        "--as files\n"
         "  --check RULE    run only RULE (repeatable; default: all)\n"
         "  --list-rules    print the rule ids and exit 0\n"
         "  --version       print version + rule ids and exit 0\n"
@@ -127,7 +119,6 @@ struct Finding {
 /// comments, and the collected string-literal contents.
 struct Source {
     std::string vpath;       //!< repo-relative path (rule scoping key)
-    std::string flags;       //!< compile command (compile-db mode)
     std::string raw;
     std::string stripped;
     std::vector<std::size_t> lineStart;  //!< offset of each line
@@ -339,7 +330,6 @@ class Linter
     }
 
     void checkSimDeterminism(const Source &src);
-    void checkIsaFlags(const Source &src);
     void checkCheckedIo(const Source &src);
     void checkFieldTable(const std::vector<Source> &sources);
 
@@ -349,7 +339,6 @@ class Linter
         for (Source &src : sources) {
             stripSource(src);
             checkSimDeterminism(src);
-            checkIsaFlags(src);
             checkCheckedIo(src);
         }
         checkFieldTable(sources);
@@ -458,71 +447,6 @@ Linter::checkSimDeterminism(const Source &src)
         for (std::size_t at : findIdent(text, fn)) {
             if (isCall(text, at, std::strlen(fn)))
                 flag(at, std::string(fn) + "() call");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// isa-flags
-// ---------------------------------------------------------------------------
-
-bool
-isDesignatedSimdTU(const std::string &vpath)
-{
-    return vpath.rfind("src/trace/simd_decode_", 0) == 0;
-}
-
-void
-Linter::checkIsaFlags(const Source &src)
-{
-    if (!ruleEnabled("isa-flags") || isDesignatedSimdTU(src.vpath))
-        return;
-
-    // Per-TU compile flags (compile-db or --flags): any -m ISA flag
-    // outside the designated tier TUs makes the whole binary require
-    // that ISA, defeating the runtime dispatcher.
-    if (!src.flags.empty()) {
-        std::stringstream ss(src.flags);
-        std::string tok;
-        while (ss >> tok) {
-            if (tok.size() > 2 && tok[0] == '-' && tok[1] == 'm') {
-                addFinding(src, 1, "isa-flags",
-                           "ISA compile flag " + tok +
-                               " outside the designated "
-                               "src/trace/simd_decode_* tier TUs");
-            }
-        }
-    }
-
-    const std::string &text = src.stripped;
-    static const char *incpats[] = {"intrin.h>", "arm_neon.h>"};
-    for (const char *inc : incpats) {
-        std::size_t at = 0;
-        while ((at = text.find(inc, at)) != std::string::npos) {
-            addFinding(src, src.lineOf(at), "isa-flags",
-                       "vector-intrinsics header include outside the "
-                       "designated src/trace/simd_decode_* tier TUs");
-            at += std::strlen(inc);
-        }
-    }
-    static const char *prefixes[] = {"_mm_",   "_mm256_", "_mm512_",
-                                     "vld1",   "vst1",    "_pext_",
-                                     "_pdep_", "_bzhi_",  "_tzcnt_"};
-    std::set<int> flagged;
-    for (const char *pre : prefixes) {
-        std::size_t at = 0;
-        const std::string p = pre;
-        while ((at = text.find(p, at)) != std::string::npos) {
-            if (at == 0 || !identChar(text[at - 1])) {
-                const int line = src.lineOf(at);
-                if (flagged.insert(line).second) {
-                    addFinding(src, line, "isa-flags",
-                               "vector intrinsic (" + p +
-                                   "...) outside the designated "
-                                   "src/trace/simd_decode_* tier TUs");
-                }
-            }
-            at += p.size();
         }
     }
 }
@@ -823,7 +747,7 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
                      compdb.string().c_str());
         return false;
     }
-    std::map<std::string, std::string> tus;  // vpath -> flags
+    std::set<std::string> tus;  // repo-relative paths
     try {
         const uasim::json::Value db = uasim::json::parse(text);
         for (const uasim::json::Value &e : db.asArray()) {
@@ -840,17 +764,7 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
             if (vpath.empty() || vpath.rfind("build", 0) == 0 ||
                 vpath.find("/_deps/") != std::string::npos)
                 continue;
-            std::string flags;
-            if (const uasim::json::Value *cmd = o.find("command")) {
-                flags = cmd->asString();
-            } else if (const uasim::json::Value *args =
-                           o.find("arguments")) {
-                for (const uasim::json::Value &a : args->asArray()) {
-                    flags += a.asString();
-                    flags += ' ';
-                }
-            }
-            tus.emplace(vpath, std::move(flags));
+            tus.insert(vpath);
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "uasim-lint: %s: %s\n",
@@ -872,14 +786,13 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
                 continue;
             const std::string vpath = relativeTo(root, it->path());
             if (!vpath.empty())
-                tus.emplace(vpath, "");
+                tus.insert(vpath);
         }
     }
 
-    for (const auto &[vpath, flags] : tus) {
+    for (const std::string &vpath : tus) {
         Source src;
         src.vpath = vpath;
-        src.flags = flags;
         if (!readFile(root / vpath, src.raw)) {
             std::fprintf(stderr, "uasim-lint: cannot read %s\n",
                          (root / vpath).string().c_str());
@@ -897,7 +810,6 @@ main(int argc, char **argv)
 {
     std::string compdb;
     std::string rootArg;
-    std::string flags;
     Linter linter;
     std::vector<Source> sources;
     bool fixtureMode = false;
@@ -935,8 +847,6 @@ main(int argc, char **argv)
             compdb = operand("--compdb");
         } else if (arg == "--root") {
             rootArg = operand("--root");
-        } else if (arg == "--flags") {
-            flags = operand("--flags");
         } else if (arg == "--check") {
             const std::string rule = operand("--check");
             if (std::find(ruleNames().begin(), ruleNames().end(),
@@ -953,7 +863,6 @@ main(int argc, char **argv)
             const char *file = operand("--as");
             Source src;
             src.vpath = vpath;
-            src.flags = flags;
             if (!readFile(file, src.raw)) {
                 std::fprintf(stderr,
                              "uasim-lint: cannot read %s\n", file);
