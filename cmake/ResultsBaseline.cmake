@@ -1,7 +1,8 @@
 # Machine-readable result gate: regenerate every bench's --quick
 # BENCH_*.json artifact and require bit-identical simulated fields
 # against the committed baselines/ - at --threads 1, at --threads 4,
-# and (for the trace-cache benches) cold vs warm persistent store.
+# and (for the trace-cache benches) cold vs warm persistent store at
+# --threads 1 and 4, after checking the cold run populated the store.
 # Wall-time fields are informational and never gate (uasim-report
 # enforces the split).
 #
@@ -182,7 +183,13 @@ check_report("baselines vs --threads 4" ${BASELINES} ${WORK}/t4)
 
 foreach(bench IN LISTS CACHE_BENCHES)
     run_bench(${bench} cachecold --threads 1 --trace-cache ${WORK}/store)
+    file(GLOB entries ${WORK}/store/*.uatrace)
+    if(NOT entries)
+        message(FATAL_ERROR
+            "${bench}: cold run left no *.uatrace entries in ${WORK}/store")
+    endif()
     run_bench(${bench} cachewarm --threads 1 --trace-cache ${WORK}/store)
+    run_bench(${bench} cachewarm4 --threads 4 --trace-cache ${WORK}/store)
     # Each cache bench against its committed baseline (file pair), so
     # the store path is gated against the same truth as the plain runs.
     check_report("baseline vs cold-store ${bench}"
@@ -192,6 +199,8 @@ endforeach()
 if(CACHE_BENCHES)
     check_report("cold store vs warm store"
         ${WORK}/cachecold ${WORK}/cachewarm)
+    check_report("cold store vs warm store --threads 4"
+        ${WORK}/cachecold ${WORK}/cachewarm4)
 endif()
 
 file(REMOVE_RECURSE ${WORK})

@@ -37,10 +37,10 @@
 #include "h264/tables.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "timing/batched_pipeline.hh"
 #include "timing/branch_pred.hh"
 #include "timing/config.hh"
 #include "timing/model.hh"
-#include "timing/ooo_pipeline.hh"
 #include "timing/results.hh"
 #include "trace/addrmap.hh"
 #include "trace/emitter.hh"

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -327,6 +328,25 @@ parseFail(int line, const std::string &msg)
     throw CampaignError("campaign line " + std::to_string(line) + ": " + msg);
 }
 
+/// Evaluate the value expression of core field @p field; every field
+/// is an int, so a value outside int range is a parse error rather
+/// than a silent narrowing.
+long long
+evalCoreValue(int line, const std::string &field, const std::string &expr,
+              const std::map<std::string, long long> &values)
+{
+    long long v = 0;
+    try {
+        v = evalCampaignExpr(expr, values);
+    } catch (const CampaignError &err) {
+        parseFail(line, err.what());
+    }
+    if (v < INT_MIN || v > INT_MAX)
+        parseFail(line, "value " + std::to_string(v) + " for '" + field +
+                            "' is out of int range");
+    return v;
+}
+
 const std::vector<KernelSpec> &
 kernelGrid()
 {
@@ -602,13 +622,8 @@ Campaign::parse(std::string_view text)
                 if (!setCampaignCoreField(probe, e.key, 0))
                     parseFail(e.line,
                               "unknown core field '" + e.key + "'");
-                long long v;
-                try {
-                    v = evalCampaignExpr(e.value, values);
-                } catch (const CampaignError &err) {
-                    parseFail(e.line, err.what());
-                }
-                c.overrides_.emplace_back(e.key, v);
+                c.overrides_.emplace_back(
+                    e.key, evalCoreValue(e.line, e.key, e.value, values));
                 fixedFields.insert(e.key);
             }
         }
@@ -646,12 +661,8 @@ Campaign::parse(std::string_view text)
                                           "and an axis");
                 std::set<long long> dup;
                 for (const std::string &t : splitList(e.value)) {
-                    long long v;
-                    try {
-                        v = evalCampaignExpr(t, values);
-                    } catch (const CampaignError &err) {
-                        parseFail(e.line, err.what());
-                    }
+                    const long long v =
+                        evalCoreValue(e.line, e.key, t, values);
                     if (!dup.insert(v).second)
                         parseFail(e.line, "duplicate axis value " +
                                               std::to_string(v));

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+
+#include "timing/model.hh"
 
 namespace uasim::timing {
 
@@ -10,10 +13,18 @@ using trace::InstrClass;
 using trace::InstrRecord;
 
 BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
-    // Same rule as PipelineSim: reject a bad config before sizing
-    // anything from it.
-    : cfg((config.validate(), config)), mem(config.mem)
+    // Same rule as both oracles: reject a bad config before sizing
+    // anything from it (the predictor table, the rings, the SSIT).
+    : cfg((config.validate(), config)), mem(config.mem),
+      bpred(unsigned(config.bpredLog2Entries)),
+      ooo(config.model == "ooo"),
+      outOfOrder(ooo || config.outOfOrder),
+      issueWidth(ooo && config.issueWidth > 0 ? config.issueWidth
+                                              : config.fetchWidth)
 {
+    if (!isTimingModel(cfg.model))
+        throw std::invalid_argument("unknown timing model \"" +
+                                    cfg.model + "\"");
     res.core = cfg.name;
     storeQ.reserve(cfg.storeQ);
     mshr.reserve(cfg.missMax);
@@ -29,15 +40,11 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
     slots.resize(std::bit_ceil(ibuffer + inflight + 2));
     slotMask = slots.size() - 1;
     pendingCap = std::size_t(2 * cfg.ibuffer);
+    if (ooo)
+        ssit.assign(std::size_t(1) << cfg.storeSetLog2, 0);
 }
 
 BatchedPipelineSim::BatchedPipelineSim(const std::vector<CoreConfig> &cfgs)
-    // All cells share one predictor geometry (constructor
-    // precondition); the shared stream-pure predictor uses it, so that
-    // geometry is validated before it sizes the table.
-    : bpred_(cfgs.empty() ? 12u
-                          : unsigned((cfgs.front().validate(),
-                                      cfgs.front().bpredLog2Entries)))
 {
     cells_.reserve(cfgs.size());
     std::size_t maxSpan = 1;
@@ -51,7 +58,6 @@ BatchedPipelineSim::BatchedPipelineSim(const std::vector<CoreConfig> &cfgs)
     // A whole appendBlock chunk is staged before the laggiest cell
     // advances, so the window needs chunk headroom past every span.
     window_.resize(std::bit_ceil(maxSpan + chunkRecords + 8));
-    windowMispred_.resize(window_.size());
     winMask_ = window_.size() - 1;
 }
 
@@ -94,18 +100,17 @@ BatchedPipelineSim::Cell::classLatency(InstrClass cls) const
 }
 
 void
-BatchedPipelineSim::stageRecord(const InstrRecord &rec)
+BatchedPipelineSim::Cell::trainStoreSet(std::uint64_t loadPc,
+                                        std::uint64_t storePc)
 {
-    window_[feedSeq_ & winMask_] = rec;
-    // Branch outcomes are stream-pure: predict and train once, in
-    // program order, exactly as every per-cell fetch stage would.
-    bool mispred = false;
-    if (rec.cls == InstrClass::Branch) {
-        mispred = bpred_.predict(rec.pc) != rec.taken;
-        bpred_.update(rec.pc, rec.taken);
+    std::uint32_t set = ssit[ssitIndex(storePc)];
+    if (!set) {
+        const auto sets = std::uint32_t(ssit.size());
+        nextSet = nextSet + 1 < sets ? nextSet + 1 : 1;
+        set = nextSet;
+        ssit[ssitIndex(storePc)] = set;
     }
-    windowMispred_[feedSeq_ & winMask_] = mispred ? 1 : 0;
-    ++feedSeq_;
+    ssit[ssitIndex(loadPc)] = set;
 }
 
 void
@@ -133,7 +138,7 @@ BatchedPipelineSim::appendBlock(const InstrRecord *recs, std::size_t n)
     while (n > 0) {
         const std::size_t chunk = std::min(n, chunkRecords);
         for (std::size_t i = 0; i < chunk; ++i)
-            stageRecord(recs[i]);
+            window_[feedSeq_++ & winMask_] = recs[i];
         // Cell-major: each cell consumes the whole staged chunk while
         // its machine state is cache-hot.
         for (auto &cell : cells_)
@@ -151,8 +156,8 @@ BatchedPipelineSim::finalizeAll()
     if (!finalized_) {
         for (auto &cell : cells_) {
             assert(cell.fed == feedSeq_);
-            // Guard against pathological deadlock, as
-            // PipelineSim::finalize() does.
+            // Guard against pathological deadlock, as both oracles'
+            // finalize() do.
             std::uint64_t limit = cell.now + 1000000 +
                 1000 * (cell.fed - cell.retirePos);
             while (cell.retirePos < cell.fed) {
@@ -189,7 +194,7 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     cell.unitTokens[int(Unit::VCMPLX)] = cell.cfg.units.vcmplx;
     cell.readPorts = cell.cfg.dReadPorts;
     cell.writePorts = cell.cfg.dWritePorts;
-    cell.issueTokens = cell.cfg.fetchWidth;
+    cell.issueTokens = cell.issueWidth;
 
     // Release completed misses.
     if (!cell.mshr.empty()) {
@@ -212,7 +217,7 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     // budget after all four stages means nothing issued this cycle.
     if (preRetire == cell.retirePos && preDispatch == cell.dispatchPos &&
         preFetch == cell.fetchPos && preStall == cell.fetchStallUntil &&
-        cell.issueTokens == cell.cfg.fetchWidth) {
+        cell.issueTokens == cell.issueWidth) {
         idleJump(cell);
     }
 }
@@ -243,7 +248,9 @@ BatchedPipelineSim::idleJump(Cell &cell)
     // halted cycle - replicated arithmetically below. Blockers that
     // can clear without a timestamp (port or token shortage, store
     // aliasing, MSHR-full issue retries) always leave a wake bound of
-    // now + 1, which forbids the jump.
+    // now + 1, which forbids the jump; so do an "ooo" load's
+    // store-set wait and any retry of a load that speculated past a
+    // blocker.
     std::uint64_t t = notReady;
     if (cell.retirePos < cell.dispatchPos) {
         const Slot &head = cell.slots[cell.retirePos & cell.slotMask];
@@ -385,7 +392,18 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 forwarder = nullptr;
             }
         }
-        if (blocker) {
+        if (blocker && cell.ooo) {
+            // Store-set prediction instead of the unconditional wait
+            // below: a trained load (the undrained aliasing store's
+            // pc maps to the load's own set) waits for the drain; an
+            // untrained load speculates past the store and pays the
+            // replay penalty further down, once the access is known
+            // to go ahead this cycle. The SSIT can change whenever
+            // another load issues, so a wait keeps the now + 1 bound.
+            const std::uint32_t lset = cell.ssit[cell.ssitIndex(rec.pc)];
+            if (lset && cell.ssit[cell.ssitIndex(blocker->pc)] == lset)
+                return false;
+        } else if (blocker) {
             // The classification of this load is decided by the last
             // overlapping older store, and drains (front-first) never
             // remove it before it issues - so the earliest the
@@ -434,8 +452,11 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                     static_cast<std::size_t>(cell.cfg.missMax)) {
                 // Only a full MSHR file blocks this load (no older
                 // overlapping store reached this far): idle-stable,
-                // so it does not veto an idle jump.
-                slot.wake = wakeMshrFull;
+                // so it does not veto an idle jump. A speculated-past
+                // blocker can turn into a forwarder at its fwdReady,
+                // so that load keeps the now + 1 bound.
+                if (!blocker)
+                    slot.wake = wakeMshrFull;
                 return false;
             }
             auto acc = cell.mem.dataAccess(rec.addr, rec.size, false,
@@ -448,6 +469,12 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             }
             if (acc.l1Miss)
                 cell.mshr.push_back(cell.now + cell.cfg.lat.load + extra);
+            if (blocker) {
+                // Ordering violation taken ("ooo" only): train the
+                // pair into one store set and charge the replay cost.
+                cell.trainStoreSet(rec.pc, blocker->pc);
+                extra += cell.cfg.memReplayPenalty;
+            }
         }
         if (runtime_unaligned) {
             ++cell.res.unalignedVecOps;
@@ -476,7 +503,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
         std::uint64_t resolve = cell.now + cell.cfg.lat.branchResolve;
         slot.readyCycle = resolve;
         ++cell.res.branches;
-        if (mispredAt(seq)) {
+        if (slot.mispredict) {
             ++cell.res.mispredicts;
             cell.fetchStallUntil = std::max(
                 cell.fetchStallUntil,
@@ -504,12 +531,13 @@ BatchedPipelineSim::issueStage(Cell &cell)
 {
     // Scan only the Waiting slots (in ROB order): tryIssue is
     // side-effect-free for slots it is never called on, so skipping
-    // Issued slots reproduces PipelineSim's full-ROB walk exactly.
+    // Issued slots reproduces PipelineSim's full-ROB walk exactly; for
+    // an "ooo" cell the list is OoOPipelineSim's issue queue.
     auto &waiting = cell.waiting;
     const std::size_t n = waiting.size();
     std::size_t keep = 0;
     std::size_t i = 0;
-    if (cell.cfg.outOfOrder) {
+    if (cell.outOfOrder) {
         for (; i < n; ++i) {
             if (cell.issueTokens <= 0)
                 break;
@@ -576,6 +604,7 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
             }
             StoreEntry se;
             se.id = rec.id;
+            se.pc = rec.pc;
             se.addr = rec.addr;
             se.size = rec.size;
             cell.storeQ.push_back(se);
@@ -621,11 +650,16 @@ BatchedPipelineSim::fetchStage(Cell &cell)
         slot.state = State::Waiting;
         slot.readyCycle = 0;
         slot.wake = 0;
+        slot.mispredict = false;
 
-        if (rec.cls == InstrClass::Branch && mispredAt(cell.fetchPos)) {
-            cell.haltBranchId = rec.id;
-            ++cell.fetchPos;
-            return;  // fetch halts behind the mispredict
+        if (rec.cls == InstrClass::Branch) {
+            slot.mispredict = cell.bpred.predict(rec.pc) != rec.taken;
+            cell.bpred.update(rec.pc, rec.taken);
+            if (slot.mispredict) {
+                cell.haltBranchId = rec.id;
+                ++cell.fetchPos;
+                return;  // fetch halts behind the mispredict
+            }
         }
         ++cell.fetchPos;
         ++fetched;

@@ -6,13 +6,34 @@
  * A BatchedPipelineSim holds one machine state per CoreConfig of a
  * sweep group and consumes the instruction stream exactly once,
  * instead of one full replay per configuration. It is the only
- * production engine of the "pipeline" backend: makeTimingModel()
- * wraps it as a one-cell model. Every cell's simulated counters are
- * bit-identical to feeding the same stream into the PipelineSim
- * reference oracle with the same config (tests/batched_replay_test.cc
+ * production timing engine, for both backends: each cell derives its
+ * behaviour from its own CoreConfig::model, so one group may mix
+ * "pipeline" and "ooo" cells, and makeTimingModel() wraps the engine
+ * as a one-cell model. Every cell's simulated counters are
+ * bit-identical to feeding the same stream into the reference oracle
+ * of its model with the same config - PipelineSim for "pipeline"
+ * cells, OoOPipelineSim for "ooo" cells (tests/batched_replay_test.cc
  * is the differential harness that locks this cell for cell).
  *
- * Why it is faster than N PipelineSims, while staying bit-identical:
+ * The two backends differ per cell in three places only:
+ *
+ *  - **Issue order and width.** A "pipeline" cell issues out of order
+ *    when cfg.outOfOrder is set, and otherwise near program order
+ *    within cfg.inorderLookahead waiting slots; its issue width is
+ *    cfg.fetchWidth. An "ooo" cell always issues out of order, under
+ *    cfg.issueWidth (0 = fetchWidth).
+ *  - **Store-to-load ordering.** A "pipeline" load always waits for
+ *    an older overlapping store it cannot forward from. An "ooo" load
+ *    consults a store-set predictor (Chrysos & Emer, simplified):
+ *    when its SSIT set matches the blocking store's it waits;
+ *    otherwise it speculates past the store, pays
+ *    cfg.memReplayPenalty and trains the SSIT so the next instance of
+ *    the pair waits. The store queue plays the LFST role.
+ *  - Nothing else: fetch, dispatch, retire, the memory hierarchy and
+ *    the predictor are shared code.
+ *
+ * Why it is faster than one oracle per cell, while staying
+ * bit-identical:
  *
  *  - **Shared record window.** All cells consume the same records in
  *    the same order, and each cell's pending/fetch-buffer/ROB windows
@@ -21,15 +42,13 @@
  *    once in a power-of-two window ring and each cell keeps three
  *    cursors into it, instead of copying every record through three
  *    std::deques per cell.
- *  - **Stream-pure branch prediction.** PipelineSim queries and
- *    trains the gshare predictor exactly once per record, in fetch
- *    (= program) order, regardless of cycle timing - so the predicted
- *    direction of every branch is a pure function of the stream. The
- *    batch precomputes one mispredict bit per record with a single
- *    shared predictor instead of running one table per cell. (The
- *    I-cache and data hierarchy are NOT shareable - they couple
- *    through the unified L2, whose contents depend on per-cell issue
- *    timing - so each cell owns a full MemoryHierarchy.)
+ *  - **Per-cell branch prediction at fetch.** Each cell predicts and
+ *    trains its own gshare table (cfg.bpredLog2Entries) exactly once
+ *    per branch, in fetch (= program) order, as both oracles do, and
+ *    keeps the mispredict bit in the fetched slot. (The I-cache and
+ *    data hierarchy are not shareable either - they couple through
+ *    the unified L2, whose contents depend on per-cell issue timing -
+ *    so each cell owns a full MemoryHierarchy.)
  *  - **Waiting-list issue scan.** PipelineSim's issue stage walks the
  *    whole ROB (up to cfg.inflight entries) every cycle even when
  *    almost all slots are already issued. Only Waiting slots can
@@ -50,9 +69,10 @@
  *    wake of exactly those watchers (push invalidation: one producer
  *    issuing wakes just its own consumers; a watcher-list overflow
  *    degrades to flushing every cached bound, which is always safe).
- *    Resource-blocked slots (tokens, ports, store queue) retry next
- *    cycle as before. Net effect: the oracle's ~16 failed issue
- *    attempts per cycle collapse to one integer compare each.
+ *    Resource-blocked slots (tokens, ports, store queue) and
+ *    store-set waits (the SSIT changes whenever another load issues)
+ *    retry next cycle as before. Net effect: the oracles' ~16 failed
+ *    issue attempts per cycle collapse to one integer compare each.
  *  - **Idle-cycle event jump.** Under long-latency stalls (an L2 or
  *    memory miss pins the ROB head for hundreds of cycles) most
  *    cycles move no cursor and issue nothing. After such a provably
@@ -64,8 +84,9 @@
  *    of now + 1, which forbids the jump (see idleJump()).
  *
  * Field-table rule (core/result.hh): a counter added to SimResult
- * must be accumulated here as well as in PipelineSim, and
- * batched_replay_test compares the two engines over the full
+ * must be accumulated here as well as in both oracles (PipelineSim
+ * and OoOPipelineSim), and batched_replay_test compares this engine
+ * against the oracle of each cell's model over the full
  * simResultFields() table - a counter wired into only one engine
  * fails the harness instead of silently diverging.
  */
@@ -80,22 +101,20 @@
 #include "mem/hierarchy.hh"
 #include "timing/branch_pred.hh"
 #include "timing/config.hh"
-#include "timing/model.hh"
 #include "timing/results.hh"
 #include "trace/sink.hh"
 
 namespace uasim::timing {
 
-class BatchedPipelineSim : public BatchedTimingModel
+class BatchedPipelineSim : public trace::TraceSink
 {
   public:
     /**
      * One machine state per entry of @p cfgs (duplicates allowed;
-     * every cell is simulated independently). Precondition: every
-     * entry is a "pipeline" cell and all share one bpredLog2Entries
-     * (the shared mispredict precompute runs a single predictor) -
-     * makeBatchedTimingModel() routes any other group to the generic
-     * multiplexer instead of here.
+     * every cell is simulated independently; models and predictor
+     * sizes may differ from cell to cell).
+     * @throws std::invalid_argument on an invalid config or an
+     * unknown model name.
      */
     explicit BatchedPipelineSim(const std::vector<CoreConfig> &cfgs);
 
@@ -111,9 +130,9 @@ class BatchedPipelineSim : public BatchedTimingModel
      * Drain every cell and return per-cell results, in constructor
      * config order. Idempotent.
      */
-    std::vector<SimResult> finalizeAll() override;
+    std::vector<SimResult> finalizeAll();
 
-    int cellCount() const override { return int(cells_.size()); }
+    int cellCount() const { return int(cells_.size()); }
 
   private:
     enum class State : std::uint8_t { Waiting, Issued };
@@ -128,10 +147,12 @@ class BatchedPipelineSim : public BatchedTimingModel
         /// this through the watcher list); wakeMshrFull = see below.
         std::uint64_t wake = 0;
         State state = State::Waiting;
+        bool mispredict = false;  //!< set at fetch by the cell's gshare
     };
 
     struct StoreEntry {
         std::uint64_t id = 0;
+        std::uint64_t pc = 0;  //!< store-set lookup key ("ooo" cells)
         std::uint64_t addr = 0;
         std::uint64_t fwdReady = 0;
         unsigned size = 0;
@@ -165,6 +186,11 @@ class BatchedPipelineSim : public BatchedTimingModel
 
         CoreConfig cfg;
         mem::MemoryHierarchy mem;
+        BranchPredictor bpred;
+
+        bool ooo = false;         //!< cfg.model == "ooo"
+        bool outOfOrder = false;  //!< ooo || cfg.outOfOrder
+        int issueWidth = 1;       //!< resolved per-cycle issue budget
 
         std::uint64_t now = 0;
         std::uint64_t fed = 0;        //!< records fed to this cell
@@ -184,6 +210,11 @@ class BatchedPipelineSim : public BatchedTimingModel
         /// Per-ready-ring-index watcher lists for push invalidation
         /// of cached wake bounds.
         std::vector<RingWatch> ringWatch;
+
+        /// Store-set predictor of an "ooo" cell: the SSIT maps pc ->
+        /// set id (0 = untrained); empty for "pipeline" cells.
+        std::vector<std::uint32_t> ssit;
+        std::uint32_t nextSet = 0;
 
         std::uint64_t fetchStallUntil = 0;
         std::uint64_t haltBranchId = 0;
@@ -205,6 +236,17 @@ class BatchedPipelineSim : public BatchedTimingModel
         int renameLimit(RegFile rf) const;
         int *renameCounter(RegFile rf);
         int classLatency(trace::InstrClass cls) const;
+
+        std::size_t
+        ssitIndex(std::uint64_t pc) const
+        {
+            return std::size_t(pc >> 2) & (ssit.size() - 1);
+        }
+
+        /// Record a load/store ordering violation: merge both PCs into
+        /// one store set (ids cycle through [1, ssit.size())) so the
+        /// next instance of the pair waits.
+        void trainStoreSet(std::uint64_t loadPc, std::uint64_t storePc);
 
         std::uint64_t
         readyCycleOf(std::uint64_t id) const
@@ -266,7 +308,9 @@ class BatchedPipelineSim : public BatchedTimingModel
     /// provably idle window the cache cannot change, so the block
     /// provably holds until the earliest MSHR release - which is
     /// already an idleJump candidate, so the sentinel simply does not
-    /// veto the jump the way a now + 1 bound does.
+    /// veto the jump the way a now + 1 bound does. Not used for an
+    /// "ooo" load that speculated past a blocker: that blocker can
+    /// become a forwarder at its fwdReady, which is no jump candidate.
     static constexpr std::uint64_t wakeMshrFull = ~std::uint64_t{0} - 1;
 
     /// Same floor as PipelineSim::minRingSize: the producer-ready ring
@@ -284,13 +328,6 @@ class BatchedPipelineSim : public BatchedTimingModel
         return window_[seq & winMask_];
     }
 
-    bool
-    mispredAt(std::uint64_t seq) const
-    {
-        return windowMispred_[seq & winMask_] != 0;
-    }
-
-    void stageRecord(const trace::InstrRecord &rec);
     void advanceCell(Cell &cell, std::uint64_t fedEnd);
 
     void cycleCell(Cell &cell);
@@ -302,11 +339,8 @@ class BatchedPipelineSim : public BatchedTimingModel
     bool tryIssue(Cell &cell, std::uint64_t seq);
 
     std::vector<trace::InstrRecord> window_;  //!< shared record ring
-    std::vector<std::uint8_t> windowMispred_; //!< per-record mispredict
     std::size_t winMask_ = 0;
     std::uint64_t feedSeq_ = 0;  //!< total records appended
-
-    BranchPredictor bpred_;  //!< shared: outcomes are stream-pure
 
     std::vector<Cell> cells_;
     bool finalized_ = false;

@@ -12,17 +12,20 @@
  * CoreConfig::model and the makeTimingModel()/makeBatchedTimingModel()
  * factories, never by naming a concrete simulator class.
  *
- * Backends:
- *   "pipeline"  BatchedPipelineSim (timing/batched_pipeline.hh) - the
- *               Turandot-like in-flight-window model of the paper's
- *               Table II runs, at any cell count: makeTimingModel()
- *               returns it as a one-cell model. PipelineSim, the
- *               straightforward reference implementation, is only the
- *               oracle tests diff it against.
- *   "ooo"       OoOPipelineSim (timing/ooo_pipeline.hh) - an
- *               out-of-order core with a ROB/issue-queue split, a
- *               store-set memory-dependence predictor, and a
- *               decoupled issue width.
+ * Backends, both simulated by one engine, BatchedPipelineSim
+ * (timing/batched_pipeline.hh), whose cells each follow their own
+ * CoreConfig::model - makeTimingModel() returns it as a one-cell
+ * model, makeBatchedTimingModel() as an N-cell one, for any mix of
+ * models and predictor sizes:
+ *   "pipeline"  the Turandot-like in-flight-window model of the
+ *               paper's Table II runs (in-order issue with a bounded
+ *               lookahead unless CoreConfig::outOfOrder; every
+ *               aliasing load waits for the older store).
+ *   "ooo"       an always-out-of-order core with a decoupled issue
+ *               width (CoreConfig::issueWidth) and a store-set
+ *               memory-dependence predictor.
+ * The straightforward reference implementations, PipelineSim and
+ * OoOPipelineSim, are only the oracles tests diff the engine against.
  *
  * Stream-pure invariants shared by every backend: the fetch stage
  * predicts and trains the branch predictor exactly once per branch,
@@ -40,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "timing/batched_pipeline.hh"
 #include "timing/config.hh"
 #include "timing/results.hh"
 #include "trace/sink.hh"
@@ -64,24 +68,6 @@ class TimingModel : public trace::TraceSink
     virtual const CoreConfig &config() const = 0;
 };
 
-/**
- * One batched replay engine advancing N independent timing cells from
- * a single pass over the record stream. Per-cell results are
- * bit-identical to feeding the same stream into N standalone
- * TimingModels of the same configs.
- */
-class BatchedTimingModel : public trace::TraceSink
-{
-  public:
-    ~BatchedTimingModel() override = default;
-
-    /// Drain every cell and return per-cell results, in constructor
-    /// config order. Idempotent.
-    virtual std::vector<SimResult> finalizeAll() = 0;
-
-    virtual int cellCount() const = 0;
-};
-
 /// Registered backend names, in presentation order.
 const std::vector<std::string> &timingModelNames();
 
@@ -96,15 +82,14 @@ bool isTimingModel(const std::string &name);
 std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &cfg);
 
 /**
- * Construct a batched engine for @p cfgs (one cell per entry;
- * duplicates allowed). A uniform all-"pipeline" group gets the
- * optimized one-pass BatchedPipelineSim; any other group falls back
- * to a generic multiplexer that feeds one TimingModel per cell
- * cell-major - trivially bit-identical to the per-cell path, just
- * without the shared-window speedups.
- * @throws std::invalid_argument if any entry names an unknown model.
+ * Construct the batched engine for @p cfgs (one cell per entry;
+ * duplicates allowed; models and predictor sizes may differ). Per-cell
+ * results are bit-identical to feeding the same stream into one
+ * makeTimingModel() per config.
+ * @throws std::invalid_argument if any entry is invalid or names an
+ * unknown model.
  */
-std::unique_ptr<BatchedTimingModel>
+std::unique_ptr<BatchedPipelineSim>
 makeBatchedTimingModel(const std::vector<CoreConfig> &cfgs);
 
 } // namespace uasim::timing

@@ -1,10 +1,15 @@
 /**
  * @file
- * Out-of-order timing backend (the "ooo" TimingModel): a ROB /
- * issue-queue split with store-set memory-dependence prediction.
+ * Reference oracle of the "ooo" timing backend: a straightforward
+ * out-of-order core with a ROB / issue-queue split and store-set
+ * memory-dependence prediction. It is not a production engine -
+ * every "ooo" cell runs on BatchedPipelineSim
+ * (timing/batched_pipeline.hh), which tests/batched_replay_test.cc
+ * diffs against this simulator cell for cell over the full
+ * simResultFields() table.
  *
  * Where the "pipeline" backend models the paper's Table II machines with a
- * single in-flight window walked by every stage, this backend keeps
+ * single in-flight window walked by every stage, this model keeps
  * the reorder buffer (program-order retirement) and the issue queue
  * (the pool of not-yet-issued instructions) as separate structures:
  * issue scans only the waiting pool, fully out of order, under its

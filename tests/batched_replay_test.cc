@@ -3,15 +3,19 @@
  * Differential harness for the batched replay engine
  * (timing/batched_pipeline.hh): for any record stream and any config
  * grid, BatchedPipelineSim must produce per-cell SimResults
- * bit-identical to one standalone PipelineSim per config fed the same
- * stream. Coverage:
+ * bit-identical to one standalone reference oracle per config fed the
+ * same stream - PipelineSim for a "pipeline" cell, OoOPipelineSim for
+ * an "ooo" cell. Coverage:
  *  - real kernel traces (KernelBench::recordTrace) across the paper
  *    presets and randomized (seeded) config grids that mutate every
- *    CoreConfig knob, including inflight windows spanning the 1024
- *    producer-ready-ring boundary fixed in PR 3;
+ *    CoreConfig knob - model, predictor and store-set sizes, issue
+ *    width and memory bandwidth included, so one group mixes both
+ *    backends and several predictor geometries - including inflight
+ *    windows spanning the 1024 producer-ready-ring boundary;
+ *  - a store-set aliasing stream replayed through tiny SSITs;
  *  - degenerate grids: a single cell, duplicate configs;
- *  - the one-cell "pipeline" model makeTimingModel() returns, fed
- *    record by record as emulation feeds it;
+ *  - the one-cell model makeTimingModel() returns for each backend,
+ *    fed record by record as emulation feeds it;
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
  *    empty stream.
@@ -30,7 +34,9 @@
 #include "core/result.hh"
 #include "timing/batched_pipeline.hh"
 #include "timing/model.hh"
+#include "timing/ooo_pipeline.hh"
 #include "timing/pipeline.hh"
+#include "trace/emitter.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
 
@@ -41,13 +47,25 @@ using h264::KernelId;
 using h264::Variant;
 using timing::BatchedPipelineSim;
 using timing::CoreConfig;
+using timing::OoOPipelineSim;
 using timing::PipelineSim;
 using trace::InstrClass;
 using trace::InstrRecord;
 
 namespace {
 
-/// Per-cell oracle: one fresh PipelineSim per config over the stream.
+/// Feed @p records into @p sim one at a time and finalize it.
+template <class Sim>
+timing::SimResult
+runOracle(Sim &&sim, const std::vector<InstrRecord> &records)
+{
+    for (const auto &rec : records)
+        sim.feed(rec);
+    return sim.finalize();
+}
+
+/// Per-cell oracle: one fresh reference simulator per config over the
+/// stream, picked by the config's model.
 std::vector<timing::SimResult>
 perCellResults(const std::vector<CoreConfig> &cfgs,
                const std::vector<InstrRecord> &records)
@@ -55,10 +73,10 @@ perCellResults(const std::vector<CoreConfig> &cfgs,
     std::vector<timing::SimResult> out;
     out.reserve(cfgs.size());
     for (const auto &cfg : cfgs) {
-        PipelineSim sim(cfg);
-        for (const auto &rec : records)
-            sim.feed(rec);
-        out.push_back(sim.finalize());
+        if (cfg.model == "ooo")
+            out.push_back(runOracle(OoOPipelineSim(cfg), records));
+        else
+            out.push_back(runOracle(PipelineSim(cfg), records));
     }
     return out;
 }
@@ -98,7 +116,8 @@ expectBitIdentical(const std::vector<CoreConfig> &cfgs,
     for (std::size_t i = 0; i < want.size(); ++i)
         expectFieldsIdentical(want[i], got[i],
                               label + " cell " + std::to_string(i) +
-                                  " (" + cfgs[i].name + ")");
+                                  " (" + cfgs[i].name + ", " +
+                                  cfgs[i].model + ")");
 }
 
 /// Record @p execs executions of a kernel into a plain record vector.
@@ -112,11 +131,12 @@ kernelRecords(const KernelSpec &spec, Variant variant, int execs)
 }
 
 /**
- * Seeded random CoreConfig exercising every knob the timing model
+ * Seeded random CoreConfig exercising every knob either backend
  * reads. Values stay in plausible machine ranges (all >= 1 where the
  * model divides or reserves), but deliberately include tiny queues,
- * in-order cores with different lookaheads, single-ported caches, and
- * windows big enough to cross the 1024-entry ready-ring floor.
+ * in-order cores with different lookaheads, single-ported caches,
+ * windows big enough to cross the 1024-entry ready-ring floor, tiny
+ * predictor and store-set tables, and both backends in one grid.
  */
 CoreConfig
 randomConfig(std::mt19937_64 &rng, int idx)
@@ -126,6 +146,7 @@ randomConfig(std::mt19937_64 &rng, int idx)
     };
     CoreConfig c = CoreConfig::preset(pick(0, 2));
     c.name = "rand" + std::to_string(idx);
+    c.model = (rng() & 1) != 0 ? "ooo" : "pipeline";
     c.outOfOrder = (rng() & 1) != 0;
     c.inorderLookahead = pick(1, 8);
     c.fetchWidth = pick(1, 8);
@@ -149,6 +170,12 @@ randomConfig(std::mt19937_64 &rng, int idx)
     c.dWritePorts = pick(1, 2);
     c.missMax = pick(1, 8);
     c.storeQ = pick(4, 32);
+    c.bpredLog2Entries = pick(1, 14);
+    // Half the draws couple issue width to fetch width (0); "pipeline"
+    // cells must ignore a nonzero value.
+    c.issueWidth = (rng() & 1) != 0 ? 0 : pick(1, 8);
+    c.storeSetLog2 = pick(1, 12);
+    c.memReplayPenalty = pick(0, 12);
     c.lat.intMul = pick(1, 5);
     c.lat.fpAlu = pick(1, 8);
     c.lat.load = pick(1, 6);
@@ -162,6 +189,7 @@ randomConfig(std::mt19937_64 &rng, int idx)
     c.mem.parallelBanks = (rng() & 1) != 0;
     c.mem.l2Latency = pick(6, 20);
     c.mem.memLatency = pick(100, 300);
+    c.mem.memBWBytesPerCycle = (rng() % 3 == 0) ? 0 : pick(1, 32);
     return c;
 }
 
@@ -182,6 +210,40 @@ chainRecords(int n)
         recs.push_back(rec);
     }
     return recs;
+}
+
+/**
+ * Store/load pairs from a handful of call sites (so distinct PCs) that
+ * alias in memory: partial overlaps that can never forward, contained
+ * loads that forward once the store's realignment pipe drains, and
+ * unaligned vector stores. Under an "ooo" cell the first instances
+ * speculate and train the SSIT; a tiny SSIT makes unrelated PCs share
+ * entries and set ids, so training keeps colliding.
+ */
+std::vector<InstrRecord>
+storeSetAliasRecords(std::uint64_t base, int iters)
+{
+    trace::BufferSink sink;
+    trace::Emitter em(sink);
+    for (int i = 0; i < iters; ++i) {
+        const std::uint64_t a = base + 64 * std::uint64_t(i % 8);
+        // Partial overlap: store 8 bytes, load 16 across it.
+        em.emitMem(InstrClass::Store, a + 4, 8,
+                   std::source_location::current());
+        em.emitMem(InstrClass::VecLoadU, a, 16,
+                   std::source_location::current());
+        em.emit(InstrClass::IntAlu, std::source_location::current());
+        // Contained load: forwardable after the store drains its pipe.
+        em.emitMem(InstrClass::VecStoreU, a + 33, 16,
+                   std::source_location::current());
+        em.emitMem(InstrClass::Load, a + 37, 8,
+                   std::source_location::current());
+        // A non-aliasing load and a branch between the pairs.
+        em.emitMem(InstrClass::Load, a + 2048, 8,
+                   std::source_location::current());
+        em.emitBranch(i % 3 != 0, std::source_location::current());
+    }
+    return sink.records();
 }
 
 } // namespace
@@ -214,7 +276,8 @@ TEST(BatchedReplay, PresetGridOnKernelTraces)
 
 TEST(BatchedReplay, RandomizedConfigGrids)
 {
-    // Three seeded grids of six random configs each, replaying a real
+    // Three seeded grids of eight random configs each (both models
+    // and several predictor sizes per grid), replaying a real
     // unaligned vector trace (the densest feature mix: vector loads/
     // stores, line crossings, store forwarding, branches).
     auto records =
@@ -223,10 +286,66 @@ TEST(BatchedReplay, RandomizedConfigGrids)
     for (std::uint64_t seed : {1u, 20260807u, 0xdecafu}) {
         std::mt19937_64 rng(seed);
         std::vector<CoreConfig> cfgs;
-        for (int i = 0; i < 6; ++i)
+        for (int i = 0; i < 8; ++i)
             cfgs.push_back(randomConfig(rng, i));
         expectBitIdentical(cfgs, records,
                            "seed " + std::to_string(seed));
+    }
+}
+
+TEST(BatchedReplay, MixedModelsAndPredictorSizesInOneGroup)
+{
+    // Both backends and three predictor geometries share one pass:
+    // every cell must still match the oracle of its own model.
+    std::vector<CoreConfig> cfgs;
+    const int bpredSizes[] = {2, 12, 7};
+    for (int p = 0; p < 3; ++p) {
+        for (const char *model : {"pipeline", "ooo"}) {
+            CoreConfig c = CoreConfig::preset(p);
+            c.name = c.name + "-" + model;
+            c.model = model;
+            c.bpredLog2Entries = bpredSizes[(p + (c.model == "ooo")) % 3];
+            cfgs.push_back(c);
+        }
+    }
+    cfgs[1].issueWidth = 1;  // an "ooo" cell narrower than its fetch
+    cfgs[5].issueWidth = 16; // and one wider
+    cfgs[4].issueWidth = 3;  // ignored by a "pipeline" cell
+    for (auto variant : {Variant::Scalar, Variant::Unaligned}) {
+        auto records =
+            kernelRecords({KernelId::ChromaMc, 8, false}, variant, 4);
+        expectBitIdentical(cfgs, records,
+                           "mixed/" +
+                               std::string(h264::variantName(variant)));
+    }
+}
+
+TEST(BatchedReplay, StoreSetAliasingThroughTinySsit)
+{
+    auto records = storeSetAliasRecords(0x40000000ull, 300);
+    std::vector<CoreConfig> cfgs;
+    for (int log2 : {1, 2, 10}) {
+        for (int p = 1; p < 3; ++p) {
+            CoreConfig c = CoreConfig::preset(p);
+            c.name = c.name + "-ssit" + std::to_string(log2);
+            c.model = "ooo";
+            c.storeSetLog2 = log2;
+            c.memReplayPenalty = 3 + log2;
+            cfgs.push_back(c);
+        }
+    }
+    cfgs.push_back(CoreConfig::fourWayOoO());  // a "pipeline" cell
+    expectBitIdentical(cfgs, records, "store-set");
+
+    // The stream must actually exercise speculation and training: a
+    // one-bit SSIT (a single set id) stops speculating after its first
+    // violation, larger tables train more than one pair.
+    for (std::size_t i = 0; i + 1 < cfgs.size(); ++i) {
+        OoOPipelineSim oracle(cfgs[i]);
+        runOracle(oracle, records);
+        EXPECT_GE(oracle.memOrderReplays(),
+                  cfgs[i].storeSetLog2 == 1 ? 1u : 2u)
+            << cfgs[i].name;
     }
 }
 
@@ -237,22 +356,24 @@ TEST(BatchedReplay, SingleCellGrid)
     expectBitIdentical({CoreConfig::fourWayOoO()}, records, "1-cell");
 }
 
-TEST(BatchedReplay, FactoryPipelineModelMatchesOracle)
+TEST(BatchedReplay, FactoryModelsMatchOracles)
 {
-    // makeTimingModel's "pipeline" backend is the batched engine at
-    // one cell; emulation feeds it through append(), one record at a
-    // time, so that is the path compared here.
+    // makeTimingModel returns the batched engine at one cell for
+    // either backend; emulation feeds it through append(), one record
+    // at a time, so that is the path compared here.
     auto records =
         kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4);
-    for (int p = 0; p < 3; ++p) {
-        const CoreConfig cfg = CoreConfig::preset(p);
+    for (int i = 0; i < 6; ++i) {
+        CoreConfig cfg = CoreConfig::preset(i % 3);
+        cfg.model = timing::timingModelNames()[std::size_t(i / 3)];
         auto model = timing::makeTimingModel(cfg);
         EXPECT_EQ(model->config().name, cfg.name);
         for (const auto &rec : records)
             model->append(rec);
         const auto got = model->finalize();
         const auto want = perCellResults({cfg}, records);
-        expectFieldsIdentical(want[0], got, "factory " + cfg.name);
+        expectFieldsIdentical(want[0], got,
+                              "factory " + cfg.name + " " + cfg.model);
         expectFieldsIdentical(got, model->finalize(), "idempotent");
     }
 }

@@ -276,6 +276,11 @@ TEST(CampaignParse, MalformedFileTable)
         "[campaign]\nname = x\nexecs = 1\n[workload]\nkernels = sad4x4\n"
         "variants = scalar\n[core]\nfetchWidth = 2\n[axes]\n"
         "fetchWidth = 2, 4\n",
+        // values outside int range would narrow silently in a field
+        "[campaign]\nname = x\nexecs = 1\n[workload]\nkernels = sad4x4\n"
+        "variants = scalar\n[core]\nfetchWidth = 4294967298\n",
+        "[campaign]\nname = x\nexecs = 1\n[workload]\nkernels = sad4x4\n"
+        "variants = scalar\n[axes]\nlat.unalignedLoadExtra = 0, 4294967297\n",
         // undefined reference and division by zero in [values]
         "[campaign]\nname = x\nexecs = 1\n[values]\na = $(zz)\n"
         "[workload]\nkernels = sad4x4\nvariants = scalar\n",
@@ -476,6 +481,14 @@ TEST(CampaignCli, SweepDriver)
                   .exit,
               2)
         << "--shard wants I/N";
+    // Each half of I/N is a whole decimal int; no half may wrap.
+    for (const char *bad :
+         {"4294967297/3", "1/4294967299", "99999999999/3"}) {
+        EXPECT_EQ(run(sweep + " expand " + conf + " --shard " + bad).exit,
+                  2)
+            << "--shard " << bad;
+    }
+    EXPECT_EQ(run(sweep + " expand " + conf + " --shard 1/3").exit, 0);
     // --threads takes a whole decimal int operand, nothing else; the
     // retired replay selector is an unknown flag.
     EXPECT_EQ(run(sweep + " expand " + conf + " --threads 4").exit, 0);

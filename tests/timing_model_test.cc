@@ -27,6 +27,7 @@
 #include "core/sweep.hh"
 #include "timing/model.hh"
 #include "timing/ooo_pipeline.hh"
+#include "timing/pipeline.hh"
 #include "trace/emitter.hh"
 #include "trace/sink.hh"
 #include "vmx/buffer.hh"
@@ -153,16 +154,18 @@ TEST(TimingModelCrossDiff, StreamInvariantsOnSeededKernelTraces)
     }
 }
 
-TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesStandaloneModels)
+TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesOracles)
 {
-    // A mixed-model group routes through the generic multiplexer;
-    // per-cell results must be bit-identical to standalone models.
+    // A mixed-model group runs on the one batched engine; per-cell
+    // results must be bit-identical to the reference oracle of each
+    // cell's model.
     auto records =
         kernelRecords({KernelId::Sad, 16, false}, Variant::Unaligned, 2);
     std::vector<CoreConfig> cfgs;
     for (int p = 0; p < 3; ++p) {
         CoreConfig cfg = CoreConfig::preset(p);
         cfg.model = (p % 2 == 0) ? "ooo" : "pipeline";
+        cfg.bpredLog2Entries = 10 + p;
         cfgs.push_back(cfg);
     }
     auto batch = timing::makeBatchedTimingModel(cfgs);
@@ -171,9 +174,18 @@ TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesStandaloneModels)
     auto got = batch->finalizeAll();
     ASSERT_EQ(got.size(), cfgs.size());
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        auto sim = timing::makeTimingModel(cfgs[i]);
-        sim->appendBlock(records.data(), records.size());
-        auto want = sim->finalize();
+        timing::SimResult want;
+        if (cfgs[i].model == "ooo") {
+            timing::OoOPipelineSim sim(cfgs[i]);
+            for (const auto &rec : records)
+                sim.feed(rec);
+            want = sim.finalize();
+        } else {
+            timing::PipelineSim sim(cfgs[i]);
+            for (const auto &rec : records)
+                sim.feed(rec);
+            want = sim.finalize();
+        }
         EXPECT_EQ(want.core, got[i].core);
         for (const auto &f : core::simResultFields())
             EXPECT_EQ(want.*(f.member), got[i].*(f.member))

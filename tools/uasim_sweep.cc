@@ -70,6 +70,22 @@ usage(const char *argv0, bool requested)
     return requested ? 0 : 2;
 }
 
+/// Parse a whole decimal operand in [0, INT_MAX].
+bool
+parseCount(const char *text, int &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
+        v > INT_MAX)
+        return false;
+    out = int(v);
+    return true;
+}
+
+/// Parse a --shard operand "I/N": two digit-only halves, each a
+/// parseCount() value (range against the grid is checked later).
 bool
 parseShard(const std::string &spec, int &shard, int &count)
 {
@@ -80,24 +96,8 @@ parseShard(const std::string &spec, int &shard, int &count)
     for (std::size_t i = 0; i < spec.size(); ++i)
         if (i != slash && !std::isdigit(static_cast<unsigned char>(spec[i])))
             return false;
-    shard = std::atoi(spec.substr(0, slash).c_str());
-    count = std::atoi(spec.substr(slash + 1).c_str());
-    return true;
-}
-
-/// Parse a --threads operand: the whole string must be a decimal
-/// integer in [0, INT_MAX] (0 = hardware concurrency).
-bool
-parseThreads(const char *text, int &threads)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
-        v > INT_MAX)
-        return false;
-    threads = int(v);
-    return true;
+    return parseCount(spec.substr(0, slash).c_str(), shard) &&
+           parseCount(spec.substr(slash + 1).c_str(), count);
 }
 
 /// Operand of flag argv[i]; exits 2 when missing or another flag.
@@ -210,7 +210,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--json") == 0) {
             opt.jsonDir = operand(argc, argv, i);
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            if (!parseThreads(operand(argc, argv, i), opt.threads)) {
+            // A whole decimal int operand (0 = hardware concurrency).
+            if (!parseCount(operand(argc, argv, i), opt.threads)) {
                 std::fprintf(stderr, "%s: bad --threads value '%s'\n",
                              argv[0], argv[i]);
                 return 2;
