@@ -26,9 +26,11 @@ namespace uasim::bench {
 
 /// Parse "--execs N" / "--frames N" style flags with a default.
 /// Like stringFlag below, a missing or non-numeric operand is fatal:
-/// atoi's silent 0 would turn a typo into a wrong-but-exit-0 run.
+/// atoi's silent 0 would turn a typo into a wrong-but-exit-0 run. So
+/// is an operand below @p min, before any work is done.
 inline int
-intFlag(int argc, char **argv, const char *name, int def)
+intFlag(int argc, char **argv, const char *name, int def,
+        int min = INT_MIN)
 {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], name) == 0) {
@@ -43,6 +45,11 @@ intFlag(int argc, char **argv, const char *name, int def)
                 errno == ERANGE || v < INT_MIN || v > INT_MAX) {
                 std::fprintf(stderr, "%s: invalid number \"%s\"\n",
                              name, argv[i + 1]);
+                std::exit(2);
+            }
+            if (v < min) {
+                std::fprintf(stderr, "%s: %ld out of range (minimum %d)\n",
+                             name, v, min);
                 std::exit(2);
             }
             return int(v);
@@ -91,14 +98,15 @@ quickFlag(int argc, char **argv)
 }
 
 /**
- * Sweep worker count ("--threads N"). The default 0 lets SweepRunner
- * pick the hardware concurrency; results are byte-identical at any
- * value (the runner's cell-ordered results are deterministic).
+ * Sweep worker count ("--threads N", N >= 0). The default 0 lets
+ * SweepRunner pick the hardware concurrency; results are
+ * byte-identical at any value (the runner's cell-ordered results are
+ * deterministic).
  */
 inline int
 threadsFlag(int argc, char **argv)
 {
-    return intFlag(argc, argv, "--threads", 0);
+    return intFlag(argc, argv, "--threads", 0, 0);
 }
 
 /**
@@ -266,14 +274,15 @@ finishArtifact(int argc, char **argv, core::BenchResult &artifact,
 
 /**
  * Workload-size flag with a --quick override: an explicit "--execs N"
- * wins, otherwise --quick selects @p quickDef (a tiny smoke-test
- * input), otherwise @p def (the paper-scale default).
+ * (N >= 1; an empty workload has no per-execution averages) wins,
+ * otherwise --quick selects @p quickDef (a tiny smoke-test input),
+ * otherwise @p def (the paper-scale default).
  */
 inline int
 sizeFlag(int argc, char **argv, const char *name, int def, int quickDef)
 {
     return intFlag(argc, argv, name,
-                   quickFlag(argc, argv) ? quickDef : def);
+                   quickFlag(argc, argv) ? quickDef : def, 1);
 }
 
 /// Smoke-path geometry shared by the scenario programs: QCIF under

@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <iterator>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_util.hh"
@@ -42,6 +43,16 @@ main(int argc, char **argv)
     // bench finishes quickly, switchable to the paper's 576p.
     video::Resolution res = full ? video::resolutions[0]
                                  : video::Resolution{352, 288, "cif"};
+
+    dec::CodecConfig codec;
+    codec.qp = qp;
+    codec.frames = frames;
+    try {
+        dec::validate(codec);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "--qp: %s\n", e.what());
+        return 2;
+    }
 
     std::printf("== Fig 10: profiling of scalar, altivec and altivec+"
                 "unaligned H.264 decoder ==\n(%dx%d, %d frames/seq, "
@@ -84,10 +95,8 @@ main(int argc, char **argv)
             {std::string("decode/") +
                  std::string(video::contentName(content)),
              [&, i, content](trace::TraceSink &) {
-                 dec::CodecConfig cfg;
+                 dec::CodecConfig cfg = codec;
                  cfg.seq = video::makeParams(content, res);
-                 cfg.qp = qp;
-                 cfg.frames = frames;
                  dec::MiniEncoder enc(cfg);
                  dec::MiniDecoder decd(cfg);
                  for (int f = 0; f < frames; ++f)

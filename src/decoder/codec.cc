@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "decoder/transform.hh"
 #include "h264/chroma_ref.hh"
@@ -11,6 +13,16 @@
 #include "h264/luma_ref.hh"
 
 namespace uasim::dec {
+
+void
+validate(const CodecConfig &cfg)
+{
+    if (cfg.qp < 0 || cfg.qp > maxQp) {
+        throw std::invalid_argument("qp " + std::to_string(cfg.qp) +
+                                    " out of range [0, " +
+                                    std::to_string(maxQp) + "]");
+    }
+}
 
 StageCounts &
 StageCounts::operator+=(const StageCounts &o)
@@ -145,8 +157,9 @@ struct MiniEncoder::Impl {
 };
 
 MiniEncoder::MiniEncoder(const CodecConfig &cfg)
-    : impl_(std::make_unique<Impl>(cfg))
 {
+    validate(cfg);
+    impl_ = std::make_unique<Impl>(cfg);
 }
 
 MiniEncoder::~MiniEncoder() = default;
@@ -312,8 +325,9 @@ struct MiniDecoder::Impl {
 };
 
 MiniDecoder::MiniDecoder(const CodecConfig &cfg)
-    : impl_(std::make_unique<Impl>(cfg))
 {
+    validate(cfg);
+    impl_ = std::make_unique<Impl>(cfg);
 }
 
 MiniDecoder::~MiniDecoder() = default;

@@ -32,12 +32,23 @@
 
 namespace uasim::dec {
 
+/// Highest quantization parameter: the quantization and deblocking
+/// tables cover QP 0..maxQp, as in H.264.
+constexpr int maxQp = 51;
+
 /// Codec run configuration.
 struct CodecConfig {
     video::SequenceParams seq;
-    int qp = 28;
+    int qp = 28;  //!< 0..maxQp
     int frames = 3;
 };
+
+/**
+ * Reject a configuration the codec cannot run. MiniEncoder and
+ * MiniDecoder call this on construction.
+ * @throws std::invalid_argument if qp is outside [0, maxQp].
+ */
+void validate(const CodecConfig &cfg);
 
 /// One coded frame.
 struct EncodedFrame {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Binary trace serialization: the UATRACE2 on-disk format.
+ * Binary trace serialization: the UATRACE3 on-disk format.
  *
  * Layout:
  *
  *   header (56 bytes, little-endian):
- *     [ 0..7 ]  magic "UATRACE2"
+ *     [ 0..7 ]  magic "UATRACE3"
  *     [ 8..11]  u32 format version (wire::formatVersion)
  *     [12..15]  u32 key length in bytes
  *     [16..23]  u64 record count          (patched on close)
  *     [24..31]  u64 payload length        (patched on close)
- *     [32..39]  u64 payload FNV-1a hash   (patched on close)
+ *     [32..39]  u64 payload hash, wire::payloadHash (patched on close)
  *     [40..47]  u64 key FNV-1a hash
  *     [48..55]  u64 mix-section FNV-1a hash (patched on close)
  *   key bytes (the trace job's cache key, for exact-match validation)
@@ -27,6 +27,11 @@
  * canonicalized to zero, which every consumer (the timing backends,
  * InstrMix) already treats as "absent".
  *
+ * The payload is the bulk of every file, so its checksum works a
+ * 64-bit word at a time (wire::payloadHash) rather than FNV-1a's one
+ * multiply per byte; FileSink encodes straight into a fixed raw
+ * buffer. Format 3 differs from format 2 only in that checksum.
+ *
  * Every error path is checked: FileSink::close() throws on any failed
  * write/flush/seek/close (the destructor reports to stderr instead),
  * and TraceReader validates magic, version, file size against the
@@ -40,6 +45,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,10 +64,10 @@ namespace wire {
 
 /// Current on-disk format version; bumping it invalidates every
 /// stored trace (the TraceStore embeds it in entry file names).
-constexpr std::uint32_t formatVersion = 2;
+constexpr std::uint32_t formatVersion = 3;
 
 /// File magic; the trailing character tracks the major format.
-constexpr char magic[8] = {'U', 'A', 'T', 'R', 'A', 'C', 'E', '2'};
+constexpr char magic[8] = {'U', 'A', 'T', 'R', 'A', 'C', 'E', '3'};
 
 /// Serialized header size in bytes.
 constexpr std::size_t headerBytes = 56;
@@ -76,12 +82,26 @@ constexpr std::size_t minRecordBytes = 6;
 /// rejected as corrupt before any allocation).
 constexpr std::uint32_t maxKeyBytes = 4096;
 
+/// 64-bit FNV-1a offset basis: the initial hash state.
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ull;
+
 /// 64-bit FNV-1a over @p n bytes, continuing from @p state.
 std::uint64_t fnv1a(const void *data, std::size_t n,
-                    std::uint64_t state = 0xcbf29ce484222325ull);
+                    std::uint64_t state = fnvBasis);
 
-/// Append @p v to @p out as a LEB128 varint (at most 10 bytes).
-void putVarint(std::string &out, std::uint64_t v);
+/**
+ * The payload checksum: each little-endian 64-bit word w of the first
+ * n & ~7 bytes steps h = (h ^ w) * FNV prime, h ^= h >> 29; the last
+ * n & 7 bytes take byte-wise FNV-1a steps. Every step is a bijection
+ * of h, so a change confined to one word (or one tail byte) always
+ * changes the result.
+ *
+ * Continuing from @p state equals hashing the concatenation when every
+ * earlier piece was a multiple of 8 bytes long, which is how FileSink
+ * streams it.
+ */
+std::uint64_t payloadHash(const void *data, std::size_t n,
+                          std::uint64_t state = fnvBasis);
 
 /**
  * Decode one varint from [@p p, @p end), advancing @p p.
@@ -105,7 +125,7 @@ unzigzag(std::uint64_t v)
     return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-/// Parsed/serializable UATRACE2 header.
+/// Parsed/serializable UATRACE3 header.
 struct Header {
     std::uint32_t version = formatVersion;
     std::uint32_t keyBytes = 0;
@@ -129,8 +149,15 @@ std::string serializeMix(const InstrMix &mix);
 class RecordEncoder
 {
   public:
-    /// Append the encoding of @p rec to @p out.
-    void encode(const InstrRecord &rec, std::string &out);
+    /// Largest encoding of one record: the tag byte, six varints of
+    /// at most 10 bytes (id, pc, addr, three deps) and the size byte.
+    static constexpr std::size_t maxRecordBytes = 62;
+
+    /**
+     * Write the encoding of @p rec at @p out, which must have room for
+     * maxRecordBytes. @return one past the last byte written.
+     */
+    std::uint8_t *encode(const InstrRecord &rec, std::uint8_t *out);
 
   private:
     std::uint64_t prevId_ = 0;
@@ -174,12 +201,14 @@ class RecordDecoder
 } // namespace wire
 
 /**
- * Sink that writes records to a UATRACE2 trace file.
+ * Sink that writes records to a UATRACE3 trace file.
  *
- * The file is finalized (count/length/checksum patched) by close(),
- * which throws on any I/O failure - a full disk can no longer yield a
- * truncated trace with a valid-looking header. The destructor closes
- * as a fallback but reports failures to stderr instead of throwing.
+ * Records are encoded straight into one fixed buffer that is written
+ * out once it holds writeBufferBytes. The file is finalized
+ * (count/length/checksum patched) by close(), which throws on any I/O
+ * failure - a full disk can no longer yield a truncated trace with a
+ * valid-looking header. The destructor closes as a fallback but
+ * reports failures to stderr instead of throwing.
  */
 class FileSink : public TraceSink
 {
@@ -209,19 +238,25 @@ class FileSink : public TraceSink
     /// False once any I/O on the file has failed.
     bool ok() const { return !failed_; }
 
+    /// Buffered payload bytes that trigger a write.
+    static constexpr std::size_t writeBufferBytes = std::size_t{1} << 20;
+
   private:
-    void flushBuffer();
+    void flushBuffer(bool last);
     void fail(const std::string &what);
 
     std::FILE *file_ = nullptr;
     std::string path_;
     std::string key_;
-    std::string buffer_;
+    /// writeBufferBytes + maxRecordBytes: a record encoded below the
+    /// write threshold always fits.
+    std::unique_ptr<std::uint8_t[]> buffer_;
+    std::size_t fill_ = 0;  //!< bytes of buffer_ in use
     wire::RecordEncoder encoder_;
     InstrMix mix_;
     std::uint64_t written_ = 0;
     std::uint64_t payloadBytes_ = 0;
-    std::uint64_t payloadHash_ = 0xcbf29ce484222325ull;  //!< FNV basis
+    std::uint64_t payloadHash_ = wire::fnvBasis;
     bool failed_ = false;
 };
 
@@ -282,7 +317,7 @@ class TraceCursor
 };
 
 /**
- * Reader for UATRACE2 files produced by FileSink.
+ * Reader for UATRACE3 files produced by FileSink.
  *
  * Construction validates the front matter, reads the whole payload
  * into one buffer with a single checked read, and verifies the payload

@@ -2,7 +2,7 @@
  * @file
  * Persistent, content-addressed store of recorded kernel traces.
  *
- * The store maps a TraceJob key (core/sweep.hh) to a UATRACE2 file
+ * The store maps a TraceJob key (core/sweep.hh) to a UATRACE3 file
  * under a cache directory, so sweep grids can warm-start across
  * processes: a job whose trace is already on disk replays it instead
  * of re-emulating the kernel. Entries are addressed by

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "decoder/codec.hh"
 #include "decoder/profile.hh"
 #include "decoder/transform.hh"
@@ -139,6 +141,29 @@ TEST(Codec, HigherQpMeansFewerBits)
         return total;
     };
     EXPECT_GT(bits_at(22), bits_at(38));
+}
+
+TEST(Codec, QpOutsideTableRangeRejected)
+{
+    // The quantization tables index qp % 6 and the deblocking tables
+    // have one row per QP 0..51: anything else would read out of
+    // bounds, so both ends refuse it up front.
+    for (int qp : {-5, -1, dec::maxQp + 1, 99, 1000000}) {
+        CodecConfig cfg = smallConfig(video::Content::BlueSky, qp, 1);
+        EXPECT_THROW(dec::validate(cfg), std::invalid_argument) << qp;
+        EXPECT_THROW(MiniEncoder enc(cfg), std::invalid_argument) << qp;
+        EXPECT_THROW(MiniDecoder decoder(cfg), std::invalid_argument)
+            << qp;
+    }
+    for (int qp : {0, dec::maxQp}) {
+        CodecConfig cfg = smallConfig(video::Content::BlueSky, qp, 1);
+        EXPECT_NO_THROW(dec::validate(cfg)) << qp;
+        MiniEncoder enc(cfg);
+        MiniDecoder decoder(cfg);
+        StageCounts counts;
+        decoder.decodeFrame(enc.encodeFrame(0), counts);
+        EXPECT_EQ(counts.frames, 1u) << qp;
+    }
 }
 
 TEST(Codec, StageCountsConsistent)

@@ -15,7 +15,9 @@
  *  - with a persistent store attached, a warm run replays every
  *    cacheable trace from disk with zero re-emulation and results
  *    bit-identical to the in-memory path, corrupt entries fall back
- *    to re-recording, and non-cacheable jobs bypass the store.
+ *    to re-recording, and non-cacheable jobs bypass the store;
+ *  - the benches' shared size and --threads flags (bench_util.hh)
+ *    exit 2 on out-of-range operands before any work is done.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
@@ -576,4 +579,61 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     ASSERT_NE(reader, nullptr);
     EXPECT_GT(reader->payloadBytes(), 0u);
     EXPECT_EQ(ws.decodeBytes, ws.replayPasses * reader->payloadBytes());
+}
+
+// ---- shared bench flags (bench/bench_util.hh) ----
+
+namespace {
+
+/// argv for a bench invocation "bench args...".
+struct Argv {
+    explicit Argv(std::vector<std::string> args) : strings(std::move(args))
+    {
+        strings.insert(strings.begin(), "bench");
+        for (auto &a : strings)
+            ptrs.push_back(a.data());
+    }
+    int argc() const { return int(ptrs.size()); }
+    char **argv() { return ptrs.data(); }
+
+    std::vector<std::string> strings;
+    std::vector<char *> ptrs;
+};
+
+} // namespace
+
+TEST(BenchFlags, SizeBelowOneExits2)
+{
+    // An empty workload prints -nan% tables (and fails JSON output
+    // only after the whole grid ran), so it is refused up front.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *name : {"--execs", "--frames"}) {
+        for (const char *bad : {"0", "-3"}) {
+            Argv a({"--quick", name, bad});
+            EXPECT_EXIT(bench::sizeFlag(a.argc(), a.argv(), name, 300, 8),
+                        ::testing::ExitedWithCode(2), "out of range")
+                << name << " " << bad;
+        }
+        Argv one({name, "1"});
+        EXPECT_EQ(bench::sizeFlag(one.argc(), one.argv(), name, 300, 8), 1);
+    }
+    Argv quick({"--quick"});
+    EXPECT_EQ(bench::sizeFlag(quick.argc(), quick.argv(), "--execs", 300, 8),
+              8);
+}
+
+TEST(BenchFlags, NegativeThreadsExits2)
+{
+    // -1 used to fall through to SweepRunner's "0 = auto".
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"-1", "-8"}) {
+        Argv a({"--threads", bad});
+        EXPECT_EXIT(bench::threadsFlag(a.argc(), a.argv()),
+                    ::testing::ExitedWithCode(2), "out of range")
+            << bad;
+    }
+    Argv zero({"--threads", "0"});
+    EXPECT_EQ(bench::threadsFlag(zero.argc(), zero.argv()), 0);
+    Argv absent({});
+    EXPECT_EQ(bench::threadsFlag(absent.argc(), absent.argv()), 0);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Locks the UATRACE2 serialization layer and the persistent trace
+ * Locks the UATRACE3 serialization layer and the persistent trace
  * store (trace/trace_io.hh, trace/trace_store.hh):
  *  - record -> file -> replay round trips are bit-identical to the
  *    in-memory stream, for synthetic and real kernel traces;
@@ -94,6 +94,17 @@ expectRecordEqual(const ut::InstrRecord &want,
     EXPECT_EQ(want.taken, got.taken);
 }
 
+/// Append @p enc's encoding of @p rec to @p out.
+void
+encodeTo(ut::wire::RecordEncoder &enc, const ut::InstrRecord &rec,
+         std::string &out)
+{
+    std::uint8_t buf[ut::wire::RecordEncoder::maxRecordBytes];
+    const std::uint8_t *end = enc.encode(rec, buf);
+    out.append(reinterpret_cast<const char *>(buf),
+               std::size_t(end - buf));
+}
+
 void
 writeTrace(const std::string &path, const std::string &key,
            const std::vector<ut::InstrRecord> &records)
@@ -129,7 +140,7 @@ buildRaw(const std::string &key, std::uint64_t count,
     h.keyBytes = std::uint32_t(key.size());
     h.recordCount = count;
     h.payloadBytes = payload.size();
-    h.payloadHash = ut::wire::fnv1a(payload.data(), payload.size());
+    h.payloadHash = ut::wire::payloadHash(payload.data(), payload.size());
     h.keyHash = ut::wire::fnv1a(key.data(), key.size());
     std::string mix_section = ut::wire::serializeMix(mix);
     h.mixHash =
@@ -148,7 +159,7 @@ buildRawFromRecords(const std::string &key,
     ut::InstrMix mix;
     ut::wire::RecordEncoder enc;
     for (const auto &rec : records) {
-        enc.encode(rec, payload);
+        encodeTo(enc, rec, payload);
         mix.add(rec);
     }
     // Keep mix.total() == claimCount so the count-vs-mix check does
@@ -313,9 +324,14 @@ TEST_F(TraceIoCorruption, BadMagicRejected)
 
 TEST_F(TraceIoCorruption, OldFormatRevisionRejected)
 {
-    std::string b = bytes_;
-    b[7] = '1';  // the UATRACE1 magic
-    expectRejected(b, "unsupported trace format revision");
+    // UATRACE1 and UATRACE2 (FNV-1a payload checksum) files left in a
+    // store are rejected by name, never checked against format 3.
+    for (char revision : {'1', '2'}) {
+        std::string b = bytes_;
+        b[7] = revision;
+        expectRejected(b, "unsupported trace format revision '" +
+                              std::string(1, revision) + "'");
+    }
 }
 
 TEST_F(TraceIoCorruption, BadVersionFieldRejected)
@@ -339,6 +355,28 @@ TEST_F(TraceIoCorruption, PayloadChecksumMismatchRejected)
         std::string b = bytes_;
         b[at] = char(b[at] ^ 0x40);
         expectRejected(b, "payload checksum mismatch");
+    }
+}
+
+TEST_F(TraceIoCorruption, EveryPayloadBitFlipRejected)
+{
+    // Each word step of the payload hash is a bijection of the hash
+    // state, so no single flipped bit can go unnoticed. Five records
+    // give a payload of whole words plus a byte-wise tail.
+    auto recs = syntheticRecords();
+    recs.resize(5);
+    writeTrace(path_, "k", recs);
+    const std::string small = readAll(path_);
+    const std::size_t payloadAt =
+        ut::wire::headerBytes + 1 + ut::wire::mixBytes;
+    ASSERT_GT(small.size(), payloadAt + 8);
+    ASSERT_NE((small.size() - payloadAt) % 8, 0u);
+    for (std::size_t at = payloadAt; at < small.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string b = small;
+            b[at] = char(b[at] ^ (1 << bit));
+            expectRejected(b, "payload checksum mismatch");
+        }
     }
 }
 
@@ -389,8 +427,7 @@ TEST_F(TraceIoCorruption, InvalidClassByteRejected)
     // caught by next(), not the checksum.
     std::string payload;
     payload += char(0x3f);  // cls 63
-    for (int i = 0; i < 5; ++i)
-        ut::wire::putVarint(payload, 0);
+    payload.append(5, '\0');  // five zero varints
     ut::InstrMix mix;
     mix.add(ut::InstrClass::IntAlu, 1);
     writeAll(path_, buildRaw("k", 1, mix, payload));
@@ -403,8 +440,7 @@ TEST_F(TraceIoCorruption, TakenFlagOnNonBranchRejected)
 {
     std::string payload;
     payload += char(std::uint8_t(ut::InstrClass::IntAlu) | 0x80);
-    for (int i = 0; i < 5; ++i)
-        ut::wire::putVarint(payload, 0);
+    payload.append(5, '\0');  // five zero varints
     ut::InstrMix mix;
     mix.add(ut::InstrClass::IntAlu, 1);
     writeAll(path_, buildRaw("k", 1, mix, payload));
@@ -453,6 +489,155 @@ TEST(TraceIoV2, MissingFileThrows)
 {
     EXPECT_THROW(ut::TraceReader reader("/nonexistent/trace.bin"),
                  std::runtime_error);
+}
+
+// ---- write path: raw-buffer encoder and streamed payload hash ----
+
+namespace {
+
+/// Records whose every varint takes 10 bytes (maxRecordBytes each):
+/// id, pc and addr alternate between 2^63 and 0, and each dep sits
+/// 2^62 below its record's id.
+std::vector<ut::InstrRecord>
+worstCaseRecords(std::size_t n)
+{
+    std::vector<ut::InstrRecord> recs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        ut::InstrRecord &rec = recs[i];
+        const std::uint64_t v = i % 2 == 0 ? std::uint64_t{1} << 63 : 0;
+        rec.id = rec.pc = rec.addr = v;
+        rec.cls = ut::InstrClass::VecLoadU;
+        rec.size = 16;
+        rec.deps.fill(v - (std::uint64_t{1} << 62));
+    }
+    return recs;
+}
+
+/// The payload hash spelled out from its definition: little-endian
+/// words composed byte by byte, then byte-wise FNV-1a on the tail.
+std::uint64_t
+referencePayloadHash(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8) {
+        std::uint64_t w = 0;
+        for (int b = 0; b < 8; ++b)
+            w |= std::uint64_t(std::uint8_t(bytes[i + b])) << (8 * b);
+        h = (h ^ w) * 0x100000001b3ull;
+        h ^= h >> 29;
+    }
+    for (; i < bytes.size(); ++i)
+        h = (h ^ std::uint8_t(bytes[i])) * 0x100000001b3ull;
+    return h;
+}
+
+/// Records a FileSink writes before its first flush, at the worst case.
+constexpr std::size_t recordsPerFlush =
+    ut::FileSink::writeBufferBytes / ut::wire::RecordEncoder::maxRecordBytes +
+    1;
+
+} // namespace
+
+TEST(TraceIoWrite, PayloadHashMatchesItsDefinition)
+{
+    std::mt19937_64 rng(0x5eed);
+    std::string bytes;
+    for (std::size_t n = 0; n <= 40; ++n) {
+        EXPECT_EQ(ut::wire::payloadHash(bytes.data(), bytes.size()),
+                  referencePayloadHash(bytes))
+            << n << " bytes";
+        bytes += char(rng());
+    }
+    // Under 8 bytes there is no word: the hash is plain FNV-1a.
+    EXPECT_EQ(ut::wire::payloadHash("abcdefg", 7),
+              ut::wire::fnv1a("abcdefg", 7));
+}
+
+TEST(TraceIoWrite, WorstCaseRecordsRoundTripAcrossFlushes)
+{
+    // maxRecordBytes is a tight bound, and records of exactly that
+    // size streamed across three flushes land in the fixed write
+    // buffer without overrunning it (ASan guards the bound). Small
+    // leading records put the first flush at the worst phase: a
+    // maximal record encoded with the buffer one byte short of
+    // writeBufferBytes.
+    constexpr std::size_t maxBytes = ut::wire::RecordEncoder::maxRecordBytes;
+    const std::size_t phase =
+        (ut::FileSink::writeBufferBytes - 1) % maxBytes;
+    const std::size_t worst = 3 * recordsPerFlush + 101;
+    std::vector<ut::InstrRecord> want;
+    std::size_t lead = 0;
+    ut::wire::RecordEncoder enc;
+    std::uint8_t buf[maxBytes];
+    for (ut::InstrRecord rec{}; lead < phase;) {
+        ++rec.id;
+        // 7 bytes (a two-byte pc delta) until 6-byte records fit.
+        rec.pc += (phase - lead) % 6 ? 64 : 4;
+        want.push_back(rec);
+        lead += std::size_t(enc.encode(rec, buf) - buf);
+    }
+    ASSERT_EQ(lead, phase);
+    for (const auto &rec : worstCaseRecords(worst)) {
+        want.push_back(rec);
+        ASSERT_EQ(std::size_t(enc.encode(rec, buf) - buf), maxBytes);
+    }
+    const std::string path = tempPath("worst_case.uatrace");
+    writeTrace(path, "worst", want);
+
+    ut::TraceReader reader(path, "worst");
+    EXPECT_EQ(reader.payloadBytes(), phase + worst * maxBytes);
+    EXPECT_GT(reader.payloadBytes(), 3 * ut::FileSink::writeBufferBytes);
+    ut::InstrRecord rec;
+    for (const auto &w : want) {
+        ASSERT_TRUE(reader.next(rec));
+        expectRecordEqual(w, rec);
+    }
+    EXPECT_FALSE(reader.next(rec));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoWrite, StreamedChecksumEqualsOneShotForEveryTailLength)
+{
+    // A flush writes whole words and carries up to 7 bytes over; the
+    // header's checksum must still be one payloadHash() over the
+    // payload, whatever the payload length mod 8, with or without an
+    // intermediate flush.
+    const std::string path = tempPath("tail_lengths.uatrace");
+    for (std::size_t prefix : {std::size_t(0), recordsPerFlush}) {
+        for (std::size_t residue = 0; residue < 8; ++residue) {
+            auto recs = worstCaseRecords(prefix);
+            std::string want;
+            ut::wire::RecordEncoder shadow;
+            for (const auto &rec : recs)
+                encodeTo(shadow, rec, want);
+            // 7-byte records step the length through every residue.
+            ut::InstrRecord filler{};
+            filler.id = recs.empty() ? 0 : recs.back().id;
+            filler.pc = recs.empty() ? 0 : recs.back().pc;
+            while (want.size() < 16 || want.size() % 8 != residue) {
+                ++filler.id;
+                filler.pc += 64;  // a two-byte pc delta
+                recs.push_back(filler);
+                encodeTo(shadow, filler, want);
+            }
+            writeTrace(path, "tail", recs);
+
+            const std::string file = readAll(path);
+            const std::size_t payloadAt =
+                ut::wire::headerBytes + 4 + ut::wire::mixBytes;
+            ASSERT_EQ(file.substr(payloadAt), want)
+                << "prefix " << prefix << ", residue " << residue;
+            std::uint64_t stored = 0;
+            for (int b = 0; b < 8; ++b)
+                stored |= std::uint64_t(std::uint8_t(file[32 + b]))
+                          << (8 * b);
+            EXPECT_EQ(stored, ut::wire::payloadHash(want.data(), want.size()))
+                << "prefix " << prefix << ", residue " << residue;
+            EXPECT_NO_THROW(ut::TraceReader reader(path, "tail"));
+        }
+    }
+    std::remove(path.c_str());
 }
 
 // ---- FileSink error paths ----
@@ -763,7 +948,7 @@ encodeAll(const std::vector<ut::InstrRecord> &recs)
     std::string payload;
     ut::wire::RecordEncoder enc;
     for (const auto &rec : recs)
-        enc.encode(rec, payload);
+        encodeTo(enc, rec, payload);
     return payload;
 }
 
@@ -946,7 +1131,7 @@ TEST(TraceBlockDecode, TruncationAtEveryOffsetThrowsScalarMessage)
         ut::wire::RecordEncoder enc;
         for (const auto &rec : recs) {
             starts.push_back(payload.size());
-            enc.encode(rec, payload);
+            encodeTo(enc, rec, payload);
         }
         starts.push_back(payload.size());
     }
