@@ -1,13 +1,15 @@
 # Campaign shard/merge parity: the acceptance gate for the campaign
-# layer (see ISSUE 10 / ROADMAP item 2).
+# layer.
 #
 #   1. Unsharded run -> WORK/full/BENCH_<name>.json
-#   2. Shards 0..2 of 3 -> WORK/shards/BENCH_<name>.shard<i>of3.json
+#   2. Shards 0..2 of 3 -> WORK/shards/BENCH_<name>.shard<i>of3.json,
+#      each executing exactly one chunk.
 #   3. `uasim-report merge` -> WORK/merged/BENCH_<name>.json, which
 #      must be a uasim-report Match against both the unsharded
 #      artifact (shard/merge bit-identity) and the committed baseline.
-#   4. Resume: re-invoking shard 0 executes nothing; deleting one
-#      published chunk artifact re-executes exactly that chunk.
+#   4. Resume: re-invoking shard 0 executes nothing and skips its one
+#      published chunk; deleting that chunk artifact re-executes
+#      exactly it and republishes a bit-identical shard artifact.
 #   5. An out-of-range --shard must be rejected (exit 2).
 #
 # Usage: cmake -DSWEEP=<uasim-sweep> -DREPORT=<uasim-report>
@@ -49,6 +51,11 @@ foreach(i RANGE 2)
         message(FATAL_ERROR
             "shard ${i}/3 wrote no BENCH_${NAME}.shard${i}of3.json")
     endif()
+    if(NOT out_shard${i} MATCHES "executed 1 chunk")
+        message(FATAL_ERROR
+            "shard ${i}/3 did not execute exactly one chunk:\n"
+            "${out_shard${i}}")
+    endif()
 endforeach()
 
 # 3. Merge and gate: vs the unsharded run, then vs the committed
@@ -75,9 +82,11 @@ endforeach()
 
 # 4a. Resume: everything already published, nothing may re-execute.
 run_sweep(out_resume ${WORK}/shards --shard 0/3)
-if(NOT out_resume MATCHES "executed 0 chunk")
+if(NOT out_resume MATCHES "executed 0 chunk" OR
+   NOT out_resume MATCHES "skipped 1 published chunk")
     message(FATAL_ERROR
-        "re-invoked shard 0 re-executed published chunks:\n${out_resume}")
+        "re-invoked shard 0 did not skip its one published chunk:\n"
+        "${out_resume}")
 endif()
 
 # 4b. Delete one published chunk artifact; exactly it must re-execute.
@@ -93,6 +102,8 @@ if(NOT n_chunk_dirs EQUAL 1)
         "expected one ${NAME}-<hash>.chunks dir, found: ${chunk_dirs}")
 endif()
 list(GET chunk_dirs 0 chunk_dir)
+set(shard0 ${WORK}/shards/BENCH_${NAME}.shard0of3.json)
+configure_file(${shard0} ${WORK}/shard0.before.json COPYONLY)
 file(REMOVE ${chunk_dir}/${chunk_file})
 run_sweep(out_redo ${WORK}/shards --shard 0/3)
 if(NOT out_redo MATCHES "executed 1 chunk")
@@ -103,11 +114,13 @@ endif()
 
 # The re-run must republish the shard artifact bit-identically.
 execute_process(
-    COMMAND ${REPORT} ${WORK}/shards/BENCH_${NAME}.shard0of3.json
-            ${WORK}/shards/BENCH_${NAME}.shard0of3.json
-    RESULT_VARIABLE rc_self)
-if(NOT rc_self EQUAL 0)
-    message(FATAL_ERROR "republished shard artifact does not parse")
+    COMMAND ${REPORT} ${WORK}/shard0.before.json ${shard0}
+    OUTPUT_VARIABLE out_republish
+    RESULT_VARIABLE rc_republish)
+if(NOT rc_republish EQUAL 0)
+    message(FATAL_ERROR
+        "republished shard artifact differs from the original "
+        "(exit ${rc_republish})\n${out_republish}")
 endif()
 
 # 5. Out-of-range shard spec is a usage error.

@@ -41,63 +41,22 @@ string(REPLACE "," ";" CAMPAIGNS "${CAMPAIGNS}")
 
 file(REMOVE_RECURSE ${WORK})
 
-# Run one bench, writing its artifact into ${WORK}/${outdir}/.
-function(run_bench bench outdir)
+# Run ${bench} --quick ${ARGN}, writing its artifact to
+# ${WORK}/${outdir}/BENCH_${artifact}.json. A run on a non-default
+# timing model passes "--timing-model <model>" and the model-suffixed
+# artifact name (BENCH_<bench>.<model>), so it pairs with its own
+# committed baseline instead of the pipeline one.
+function(run_bench bench artifact outdir)
     file(MAKE_DIRECTORY ${WORK}/${outdir})
     execute_process(
         COMMAND ${BENCH_DIR}/${bench} --quick ${ARGN}
-                --json ${WORK}/${outdir}/BENCH_${bench}.json
+                --json ${WORK}/${outdir}/BENCH_${artifact}.json
         OUTPUT_QUIET
         ERROR_VARIABLE err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
             "${bench} --quick ${ARGN} exited ${rc}\n${err}")
-    endif()
-endfunction()
-
-# Same, on a non-default timing model (-DOOO_BENCHES): the artifact
-# takes the model-suffixed canonical name, so it pairs with its own
-# committed baseline instead of the pipeline one.
-function(run_bench_model bench model outdir)
-    file(MAKE_DIRECTORY ${WORK}/${outdir})
-    execute_process(
-        COMMAND ${BENCH_DIR}/${bench} --quick ${ARGN}
-                --timing-model ${model}
-                --json ${WORK}/${outdir}/BENCH_${bench}.${model}.json
-        OUTPUT_QUIET
-        ERROR_VARIABLE err
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-            "${bench} --quick --timing-model ${model} ${ARGN} "
-            "exited ${rc}\n${err}")
-    endif()
-endfunction()
-
-# Run one "bench/artifact/--flag" variant on the given model (empty
-# model = default pipeline, unsuffixed artifact name).
-function(run_variant variant model outdir)
-    string(REPLACE "/" ";" parts "${variant}")
-    list(GET parts 0 bench)
-    list(GET parts 1 artifact)
-    list(GET parts 2 flag)
-    set(name BENCH_${artifact})
-    set(margs "")
-    if(model)
-        set(name ${name}.${model})
-        set(margs --timing-model ${model})
-    endif()
-    file(MAKE_DIRECTORY ${WORK}/${outdir})
-    execute_process(
-        COMMAND ${BENCH_DIR}/${bench} --quick ${flag} ${margs} ${ARGN}
-                --json ${WORK}/${outdir}/${name}.json
-        OUTPUT_QUIET
-        ERROR_VARIABLE err
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-            "${bench} --quick ${flag} ${margs} ${ARGN} exited ${rc}\n${err}")
     endif()
 endfunction()
 
@@ -132,22 +91,47 @@ function(check_report what base current)
     message(STATUS "uasim-report: ${what}: match")
 endfunction()
 
+# The refresh regenerates the --threads 1 set only; the gate also
+# reruns everything at --threads 4.
 if(UPDATE)
-    foreach(bench IN LISTS BENCHES)
-        run_bench(${bench} t1 --threads 1)
+    set(threads 1)
+else()
+    set(threads 1 4)
+endif()
+
+foreach(bench IN LISTS BENCHES)
+    foreach(n IN LISTS threads)
+        run_bench(${bench} ${bench} t${n} --threads ${n})
     endforeach()
-    # Model-suffixed artifacts land in the same set so the --prune
-    # refresh below keeps (rather than retires) their baselines.
-    foreach(bench IN LISTS OOO_BENCHES)
-        run_bench_model(${bench} ooo t1 --threads 1)
+endforeach()
+foreach(bench IN LISTS OOO_BENCHES)
+    foreach(n IN LISTS threads)
+        run_bench(${bench} ${bench}.ooo t${n}
+                  --threads ${n} --timing-model ooo)
     endforeach()
-    foreach(variant IN LISTS VARIANTS)
-        run_variant(${variant} "" t1 --threads 1)
-        run_variant(${variant} ooo t1 --threads 1)
+endforeach()
+foreach(variant IN LISTS VARIANTS)
+    string(REPLACE "/" ";" parts "${variant}")
+    list(GET parts 0 bench)
+    list(GET parts 1 artifact)
+    list(GET parts 2 flag)
+    foreach(n IN LISTS threads)
+        run_bench(${bench} ${artifact} t${n} ${flag} --threads ${n})
     endforeach()
-    foreach(conf IN LISTS CAMPAIGNS)
-        run_campaign(${conf} t1 --threads 1)
+    foreach(n IN LISTS threads)
+        run_bench(${bench} ${artifact}.ooo t${n}
+                  ${flag} --timing-model ooo --threads ${n})
     endforeach()
+endforeach()
+foreach(conf IN LISTS CAMPAIGNS)
+    foreach(n IN LISTS threads)
+        run_campaign(${conf} t${n} --threads ${n})
+    endforeach()
+endforeach()
+
+if(UPDATE)
+    # Model-suffixed artifacts are in the same set, so the --prune
+    # refresh keeps (rather than retires) their baselines.
     execute_process(
         COMMAND ${REPORT} --update-baselines --prune ${BASELINES}
                 ${WORK}/t1
@@ -159,37 +143,21 @@ if(UPDATE)
     return()
 endif()
 
-foreach(bench IN LISTS BENCHES)
-    run_bench(${bench} t1 --threads 1)
-    run_bench(${bench} t4 --threads 4)
-endforeach()
-foreach(bench IN LISTS OOO_BENCHES)
-    run_bench_model(${bench} ooo t1 --threads 1)
-    run_bench_model(${bench} ooo t4 --threads 4)
-endforeach()
-foreach(variant IN LISTS VARIANTS)
-    run_variant(${variant} "" t1 --threads 1)
-    run_variant(${variant} "" t4 --threads 4)
-    run_variant(${variant} ooo t1 --threads 1)
-    run_variant(${variant} ooo t4 --threads 4)
-endforeach()
-foreach(conf IN LISTS CAMPAIGNS)
-    run_campaign(${conf} t1 --threads 1)
-    run_campaign(${conf} t4 --threads 4)
-endforeach()
-
 check_report("baselines vs --threads 1" ${BASELINES} ${WORK}/t1)
 check_report("baselines vs --threads 4" ${BASELINES} ${WORK}/t4)
 
 foreach(bench IN LISTS CACHE_BENCHES)
-    run_bench(${bench} cachecold --threads 1 --trace-cache ${WORK}/store)
+    run_bench(${bench} ${bench} cachecold
+              --threads 1 --trace-cache ${WORK}/store)
     file(GLOB entries ${WORK}/store/*.uatrace)
     if(NOT entries)
         message(FATAL_ERROR
             "${bench}: cold run left no *.uatrace entries in ${WORK}/store")
     endif()
-    run_bench(${bench} cachewarm --threads 1 --trace-cache ${WORK}/store)
-    run_bench(${bench} cachewarm4 --threads 4 --trace-cache ${WORK}/store)
+    run_bench(${bench} ${bench} cachewarm
+              --threads 1 --trace-cache ${WORK}/store)
+    run_bench(${bench} ${bench} cachewarm4
+              --threads 4 --trace-cache ${WORK}/store)
     # Each cache bench against its committed baseline (file pair), so
     # the store path is gated against the same truth as the plain runs.
     check_report("baseline vs cold-store ${bench}"

@@ -101,15 +101,23 @@ hex16(std::uint64_t v)
 // ---------------------------------------------------------------------------
 
 struct ExprParser {
+    /// Nesting cap for '(' and unary '-': real expressions are a few
+    /// levels deep, and unbounded recursion would overflow the stack.
+    static constexpr int maxDepth = 128;
+
     std::string_view text;
     std::size_t pos = 0;
     const std::map<std::string, long long> &values;
+    int depth = 0;
 
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw CampaignError("bad expression '" + std::string(text) +
-                            "': " + msg);
+        // Quote at most a line's worth of a (possibly hostile) input.
+        const std::size_t shown = 64;
+        throw CampaignError("bad expression '" +
+                            std::string(text.substr(0, shown)) +
+                            (text.size() > shown ? "...': " : "': ") + msg);
     }
 
     void
@@ -131,6 +139,19 @@ struct ExprParser {
         return false;
     }
 
+    [[noreturn]] void
+    overflow() const
+    {
+        fail("integer overflow");
+    }
+
+    void
+    enter()
+    {
+        if (++depth > maxDepth)
+            fail("nesting deeper than " + std::to_string(maxDepth));
+    }
+
     long long
     parseFactor()
     {
@@ -140,11 +161,19 @@ struct ExprParser {
         char c = text[pos];
         if (c == '-') {
             ++pos;
-            return -parseFactor();
+            enter();
+            const long long v = parseFactor();
+            --depth;
+            long long r = 0;
+            if (__builtin_sub_overflow(0LL, v, &r))
+                overflow();
+            return r;
         }
         if (c == '(') {
             ++pos;
-            long long v = parseExpr();
+            enter();
+            const long long v = parseExpr();
+            --depth;
             if (!eat(')'))
                 fail("missing ')'");
             return v;
@@ -198,10 +227,13 @@ struct ExprParser {
             ++pos;
             long long rhs = parseFactor();
             if (op == '*') {
-                v *= rhs;
+                if (__builtin_mul_overflow(v, rhs, &v))
+                    overflow();
             } else {
                 if (rhs == 0)
                     fail("division by zero");
+                if (v == LLONG_MIN && rhs == -1)
+                    overflow();
                 v /= rhs;
             }
         }
@@ -220,7 +252,9 @@ struct ExprParser {
                 return v;
             ++pos;
             long long rhs = parseTerm();
-            v = op == '+' ? v + rhs : v - rhs;
+            if (op == '+' ? __builtin_add_overflow(v, rhs, &v)
+                          : __builtin_sub_overflow(v, rhs, &v))
+                overflow();
         }
     }
 };
@@ -328,6 +362,18 @@ parseFail(int line, const std::string &msg)
     throw CampaignError("campaign line " + std::to_string(line) + ": " + msg);
 }
 
+/// evalCampaignExpr(), with any error prefixed by its campaign line.
+long long
+evalAtLine(int line, const std::string &expr,
+           const std::map<std::string, long long> &values)
+{
+    try {
+        return evalCampaignExpr(expr, values);
+    } catch (const CampaignError &err) {
+        parseFail(line, err.what());
+    }
+}
+
 /// Evaluate the value expression of core field @p field; every field
 /// is an int, so a value outside int range is a parse error rather
 /// than a silent narrowing.
@@ -335,12 +381,7 @@ long long
 evalCoreValue(int line, const std::string &field, const std::string &expr,
               const std::map<std::string, long long> &values)
 {
-    long long v = 0;
-    try {
-        v = evalCampaignExpr(expr, values);
-    } catch (const CampaignError &err) {
-        parseFail(line, err.what());
-    }
+    const long long v = evalAtLine(line, expr, values);
     if (v < INT_MIN || v > INT_MAX)
         parseFail(line, "value " + std::to_string(v) + " for '" + field +
                             "' is out of int range");
@@ -403,7 +444,7 @@ long long
 evalCampaignExpr(std::string_view expr,
                  const std::map<std::string, long long> &values)
 {
-    ExprParser p{expr, 0, values};
+    ExprParser p{expr, 0, values, 0};
     p.skipWs();
     if (p.pos == expr.size())
         p.fail("empty expression");
@@ -518,13 +559,13 @@ Campaign::parse(std::string_view text)
                                           "' (want [A-Za-z_][A-Za-z0-9_-]*)");
                 c.name_ = e.value;
             } else if (e.key == "execs") {
-                long long v = evalCampaignExpr(e.value, values);
+                long long v = evalAtLine(e.line, e.value, values);
                 if (v < 1 || v > 1000000000)
                     parseFail(e.line, "execs out of range: " +
                                           std::to_string(v));
                 c.execs_ = int(v);
             } else if (e.key == "seed") {
-                long long v = evalCampaignExpr(e.value, values);
+                long long v = evalAtLine(e.line, e.value, values);
                 if (v < 0)
                     parseFail(e.line, "seed must be non-negative");
                 c.seed_ = std::uint64_t(v);
@@ -546,11 +587,7 @@ Campaign::parse(std::string_view text)
                 parseFail(e.line, "invalid value name '" + e.key + "'");
             if (values.count(e.key))
                 parseFail(e.line, "duplicate value '" + e.key + "'");
-            try {
-                values[e.key] = evalCampaignExpr(e.value, values);
-            } catch (const CampaignError &err) {
-                parseFail(e.line, err.what());
-            }
+            values[e.key] = evalAtLine(e.line, e.value, values);
         }
     }
 

@@ -164,7 +164,7 @@ struct SweepStats {
      */
     std::uint64_t replayPasses = 0;
     /**
-     * Encoded UATRACE2 payload bytes run through the block decoder,
+     * Encoded UATRACE3 payload bytes run through the block decoder,
      * summed over every decode pass (a trace decoded by S shards
      * counts S times - the honest amount of decode work done).
      * Informational; zero without a store (in-memory replay feeds

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -120,6 +121,16 @@ TEST(CampaignExpr, ArithmeticAndPrecedence)
     EXPECT_EQ(evalCampaignExpr("10-4-3", none), 3);
     EXPECT_EQ(evalCampaignExpr("-3+5", none), 2);
     EXPECT_EQ(evalCampaignExpr(" 1 + 2 ", none), 3);
+    // The whole long long range, and nesting below the depth cap.
+    EXPECT_EQ(evalCampaignExpr("-9223372036854775807 - 1", none),
+              LLONG_MIN);
+    EXPECT_EQ(evalCampaignExpr("-(-9223372036854775807)", none),
+              LLONG_MAX);
+    EXPECT_EQ(evalCampaignExpr(std::string(100, '(') + "1" +
+                                   std::string(100, ')'),
+                               none),
+              1);
+    EXPECT_EQ(evalCampaignExpr(std::string(100, '-') + "1", none), 1);
 }
 
 TEST(CampaignExpr, ReferencesAndDivision)
@@ -135,7 +146,8 @@ TEST(CampaignExpr, ReferencesAndDivision)
 
 TEST(CampaignExpr, Errors)
 {
-    const std::map<std::string, long long> vals{{"iw", 32}};
+    const std::map<std::string, long long> vals{
+        {"iw", 32}, {"min", LLONG_MIN}, {"max", LLONG_MAX}};
     EXPECT_THROW(evalCampaignExpr("", vals), CampaignError);
     EXPECT_THROW(evalCampaignExpr("$(nope)", vals), CampaignError);
     EXPECT_THROW(evalCampaignExpr("1/0", vals), CampaignError);
@@ -145,6 +157,29 @@ TEST(CampaignExpr, Errors)
     EXPECT_THROW(evalCampaignExpr("(1+2", vals), CampaignError);
     EXPECT_THROW(evalCampaignExpr("$(iw", vals), CampaignError);
     EXPECT_THROW(evalCampaignExpr("2 + x", vals), CampaignError);
+    // Overflow is an error, never a trap or a wrapped value.
+    for (const char *overflow :
+         {"9223372036854775807 + 1", "9223372036854775807 * 3",
+          "$(min) - 1", "$(max) + $(max)", "$(min) * -1", "-$(min)",
+          "$(min) / -1"}) {
+        try {
+            evalCampaignExpr(overflow, vals);
+            ADD_FAILURE() << overflow << " did not throw";
+        } catch (const CampaignError &e) {
+            EXPECT_NE(std::string(e.what()).find("integer overflow"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(evalCampaignExpr("99999999999999999999", vals),
+                 CampaignError);
+    // Nesting is capped, not left to the stack.
+    EXPECT_THROW(evalCampaignExpr(std::string(500000, '(') + "1" +
+                                      std::string(500000, ')'),
+                                  vals),
+                 CampaignError);
+    EXPECT_THROW(evalCampaignExpr(std::string(500000, '-') + "1", vals),
+                 CampaignError);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,9 +330,44 @@ TEST(CampaignParse, MalformedFileTable)
         // malformed lines
         "[campaign\nname = x\nexecs = 1\n",
         "[campaign]\nname = x\nexecs = 1\njust words\n",
+        // hostile expressions: overflow and LLONG_MIN / -1
+        "[campaign]\nname = x\nexecs = 1\n[values]\n"
+        "a = -9223372036854775807 - 1\nb = $(a) / -1\n"
+        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
+        "[campaign]\nname = x\nexecs = 1\n[values]\n"
+        "a = 9223372036854775807 + 1\n"
+        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
+        "[campaign]\nname = x\nexecs = 1\n[values]\n"
+        "a = 9223372036854775807 * 3\n"
+        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
+        "[campaign]\nname = x\nexecs = 9223372036854775807 + 1\n"
+        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
     };
     for (const char *text : bad)
         EXPECT_THROW(Campaign::parse(text), CampaignError) << text;
+
+    // ...and nesting deep enough to overflow an uncapped parser's stack
+    const std::string deep = "[campaign]\nname = x\nexecs = 1\n[values]\n"
+                             "a = " + std::string(500000, '(') + "1" +
+                             std::string(500000, ')') +
+                             "\n[workload]\nkernels = sad4x4\n"
+                             "variants = scalar\n";
+    EXPECT_THROW(Campaign::parse(deep), CampaignError);
+
+    // A [campaign] literal out of range carries its line, like every
+    // other parse error.
+    for (const char *key : {"execs", "seed"}) {
+        const std::string text = std::string("[campaign]\nname = x\n") +
+                                 key + " = 99999999999999999999\n";
+        try {
+            Campaign::parse(text);
+            ADD_FAILURE() << key << " literal out of range did not throw";
+        } catch (const CampaignError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("campaign line 3: ", 0),
+                      0u)
+                << e.what();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -517,6 +587,29 @@ TEST(CampaignCli, SweepDriver)
     }
     EXPECT_EQ(
         run(sweep + " expand " + badConf.string()).exit, 2);
+
+    // Hostile expressions exit 2 with a diagnostic, never a signal.
+    const fs::path fpeConf = badConf.parent_path() / "fpe.conf";
+    {
+        std::ofstream f(fpeConf);
+        f << "[campaign]\nname = x\nexecs = 1\n[values]\n"
+             "a = -9223372036854775807 - 1\nb = $(a) / -1\n"
+             "[workload]\nkernels = sad4x4\nvariants = scalar\n";
+    }
+    const RunResult fpe = run(sweep + " expand " + fpeConf.string());
+    EXPECT_EQ(fpe.exit, 2);
+    EXPECT_NE(fpe.out.find("integer overflow"), std::string::npos)
+        << fpe.out;
+
+    // An empty --trace-cache DIR (unset shell variable) must not
+    // silently run uncached; the benches reject it the same way.
+    const RunResult emptyCache =
+        run(sweep + " run " + conf + " --trace-cache '' --json " +
+            freshDir("cli_cache").string());
+    EXPECT_EQ(emptyCache.exit, 2);
+    EXPECT_NE(emptyCache.out.find("--trace-cache: empty DIR operand"),
+              std::string::npos)
+        << emptyCache.out;
 }
 
 TEST(CampaignCli, ReportMerge)

@@ -11,7 +11,8 @@
  * without --shard - the canonical BENCH_<name>.json. Chunks already
  * published under DIR/<id>.chunks/ are skipped, not re-run: that is
  * the resume property, and the "executed E chunk(s), skipped S
- * published chunk(s)" summary line is what CI greps to prove it.
+ * published chunk(s)" summary line is what the campaign_merge_parity
+ * test greps to prove it.
  *
  * `expand` is the dry run: identity, grid shape, and the chunk ->
  * shard table, without simulating anything.
@@ -218,6 +219,13 @@ main(int argc, char **argv)
             }
         } else if (std::strcmp(argv[i], "--trace-cache") == 0) {
             opt.traceCache = operand(argc, argv, i);
+            if (opt.traceCache.empty()) {
+                // Same rule as the benches: an empty DIR (unset shell
+                // variable) must not silently run uncached.
+                std::fprintf(stderr, "%s: --trace-cache: empty DIR operand\n",
+                             argv[0]);
+                return 2;
+            }
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
                          argv[i]);
