@@ -15,12 +15,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -48,26 +48,16 @@ trimmed(std::string_view s)
     return std::string(s.substr(b, e - b));
 }
 
-bool
-isIdentStart(char c)
-{
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool
-isIdentChar(char c)
-{
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-/// [values] names and [campaign] name: identifier, '-' allowed inside.
+/// [campaign] name: [A-Za-z_][A-Za-z0-9_-]*.
 bool
 isCampaignIdent(const std::string &s)
 {
-    if (s.empty() || !isIdentStart(s[0]))
+    if (s.empty() ||
+        !(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_'))
         return false;
     for (char c : s)
-        if (!isIdentChar(c) && c != '-')
+        if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
+            c != '-')
             return false;
     return true;
 }
@@ -95,169 +85,6 @@ hex16(std::uint64_t v)
                   static_cast<unsigned long long>(v));
     return std::string(buf);
 }
-
-// ---------------------------------------------------------------------------
-// expression evaluator
-// ---------------------------------------------------------------------------
-
-struct ExprParser {
-    /// Nesting cap for '(' and unary '-': real expressions are a few
-    /// levels deep, and unbounded recursion would overflow the stack.
-    static constexpr int maxDepth = 128;
-
-    std::string_view text;
-    std::size_t pos = 0;
-    const std::map<std::string, long long> &values;
-    int depth = 0;
-
-    [[noreturn]] void
-    fail(const std::string &msg) const
-    {
-        // Quote at most a line's worth of a (possibly hostile) input.
-        const std::size_t shown = 64;
-        throw CampaignError("bad expression '" +
-                            std::string(text.substr(0, shown)) +
-                            (text.size() > shown ? "...': " : "': ") + msg);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    eat(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    [[noreturn]] void
-    overflow() const
-    {
-        fail("integer overflow");
-    }
-
-    void
-    enter()
-    {
-        if (++depth > maxDepth)
-            fail("nesting deeper than " + std::to_string(maxDepth));
-    }
-
-    long long
-    parseFactor()
-    {
-        skipWs();
-        if (pos >= text.size())
-            fail("expected a value");
-        char c = text[pos];
-        if (c == '-') {
-            ++pos;
-            enter();
-            const long long v = parseFactor();
-            --depth;
-            long long r = 0;
-            if (__builtin_sub_overflow(0LL, v, &r))
-                overflow();
-            return r;
-        }
-        if (c == '(') {
-            ++pos;
-            enter();
-            const long long v = parseExpr();
-            --depth;
-            if (!eat(')'))
-                fail("missing ')'");
-            return v;
-        }
-        if (c == '$') {
-            ++pos;
-            if (!eat('('))
-                fail("expected '(' after '$'");
-            skipWs();
-            std::size_t b = pos;
-            while (pos < text.size() &&
-                   (isIdentChar(text[pos]) || text[pos] == '-'))
-                ++pos;
-            if (pos == b)
-                fail("empty $() reference");
-            std::string name(text.substr(b, pos - b));
-            if (!eat(')'))
-                fail("missing ')' after $(" + name);
-            auto it = values.find(name);
-            if (it == values.end())
-                fail("undefined value '" + name + "'");
-            return it->second;
-        }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            std::size_t b = pos;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos])))
-                ++pos;
-            errno = 0;
-            long long v =
-                std::strtoll(std::string(text.substr(b, pos - b)).c_str(),
-                             nullptr, 10);
-            if (errno != 0)
-                fail("integer literal out of range");
-            return v;
-        }
-        fail(std::string("unexpected character '") + c + "'");
-    }
-
-    long long
-    parseTerm()
-    {
-        long long v = parseFactor();
-        for (;;) {
-            skipWs();
-            if (pos >= text.size())
-                return v;
-            char op = text[pos];
-            if (op != '*' && op != '/')
-                return v;
-            ++pos;
-            long long rhs = parseFactor();
-            if (op == '*') {
-                if (__builtin_mul_overflow(v, rhs, &v))
-                    overflow();
-            } else {
-                if (rhs == 0)
-                    fail("division by zero");
-                if (v == LLONG_MIN && rhs == -1)
-                    overflow();
-                v /= rhs;
-            }
-        }
-    }
-
-    long long
-    parseExpr()
-    {
-        long long v = parseTerm();
-        for (;;) {
-            skipWs();
-            if (pos >= text.size())
-                return v;
-            char op = text[pos];
-            if (op != '+' && op != '-')
-                return v;
-            ++pos;
-            long long rhs = parseTerm();
-            if (op == '+' ? __builtin_add_overflow(v, rhs, &v)
-                          : __builtin_sub_overflow(v, rhs, &v))
-                overflow();
-        }
-    }
-};
 
 // ---------------------------------------------------------------------------
 // CoreConfig field table
@@ -362,26 +189,28 @@ parseFail(int line, const std::string &msg)
     throw CampaignError("campaign line " + std::to_string(line) + ": " + msg);
 }
 
-/// evalCampaignExpr(), with any error prefixed by its campaign line.
+/// Parse a campaign integer: an optional '-' followed by decimal
+/// digits, nothing else, within long long range.
 long long
-evalAtLine(int line, const std::string &expr,
-           const std::map<std::string, long long> &values)
+parseInt(int line, const std::string &text)
 {
-    try {
-        return evalCampaignExpr(expr, values);
-    } catch (const CampaignError &err) {
-        parseFail(line, err.what());
-    }
+    long long v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        parseFail(line, "integer literal '" + text + "' is out of range");
+    if (ec != std::errc() || ptr != end)
+        parseFail(line, "expected a decimal integer, got '" + text + "'");
+    return v;
 }
 
-/// Evaluate the value expression of core field @p field; every field
-/// is an int, so a value outside int range is a parse error rather
-/// than a silent narrowing.
+/// parseInt() for core field @p field; every field is an int, so a
+/// value outside int range is a parse error rather than a silent
+/// narrowing.
 long long
-evalCoreValue(int line, const std::string &field, const std::string &expr,
-              const std::map<std::string, long long> &values)
+evalCoreValue(int line, const std::string &field, const std::string &text)
 {
-    const long long v = evalAtLine(line, expr, values);
+    const long long v = parseInt(line, text);
     if (v < INT_MIN || v > INT_MAX)
         parseFail(line, "value " + std::to_string(v) + " for '" + field +
                             "' is out of int range");
@@ -437,24 +266,8 @@ lookupPreset(const std::string &name, timing::CoreConfig &out)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// public expression / field-table API
+// public field-table API
 // ---------------------------------------------------------------------------
-
-long long
-evalCampaignExpr(std::string_view expr,
-                 const std::map<std::string, long long> &values)
-{
-    ExprParser p{expr, 0, values, 0};
-    p.skipWs();
-    if (p.pos == expr.size())
-        p.fail("empty expression");
-    long long v = p.parseExpr();
-    p.skipWs();
-    if (p.pos != expr.size())
-        p.fail("trailing garbage at '" +
-               std::string(expr.substr(p.pos)) + "'");
-    return v;
-}
 
 const std::vector<std::string> &
 campaignCoreFields()
@@ -491,8 +304,8 @@ Campaign::parse(std::string_view text)
 {
     // Pass 1: split into sections (any file order), reject unknown or
     // duplicate sections and junk lines.
-    static const char *const sectionNames[] = {"campaign", "values",
-                                               "workload", "core", "axes"};
+    static const char *const sectionNames[] = {"campaign", "workload",
+                                               "core", "axes"};
     std::map<std::string, std::vector<Entry>> sections;
     std::string current;
     int lineNo = 0;
@@ -543,7 +356,6 @@ Campaign::parse(std::string_view text)
     }
 
     Campaign c;
-    std::map<std::string, long long> values;
 
     // [campaign]
     if (!sections.count("campaign"))
@@ -559,13 +371,13 @@ Campaign::parse(std::string_view text)
                                           "' (want [A-Za-z_][A-Za-z0-9_-]*)");
                 c.name_ = e.value;
             } else if (e.key == "execs") {
-                long long v = evalAtLine(e.line, e.value, values);
+                long long v = parseInt(e.line, e.value);
                 if (v < 1 || v > 1000000000)
                     parseFail(e.line, "execs out of range: " +
                                           std::to_string(v));
                 c.execs_ = int(v);
             } else if (e.key == "seed") {
-                long long v = evalAtLine(e.line, e.value, values);
+                long long v = parseInt(e.line, e.value);
                 if (v < 0)
                     parseFail(e.line, "seed must be non-negative");
                 c.seed_ = std::uint64_t(v);
@@ -578,17 +390,6 @@ Campaign::parse(std::string_view text)
         if (c.execs_ == 0)
             throw CampaignError("campaign '" + c.name_ +
                                 "': [campaign] requires 'execs'");
-    }
-
-    // [values] - derived parameters; each may reference earlier ones.
-    if (sections.count("values")) {
-        for (const Entry &e : sections["values"]) {
-            if (!isCampaignIdent(e.key))
-                parseFail(e.line, "invalid value name '" + e.key + "'");
-            if (values.count(e.key))
-                parseFail(e.line, "duplicate value '" + e.key + "'");
-            values[e.key] = evalAtLine(e.line, e.value, values);
-        }
     }
 
     // [workload]
@@ -660,7 +461,7 @@ Campaign::parse(std::string_view text)
                     parseFail(e.line,
                               "unknown core field '" + e.key + "'");
                 c.overrides_.emplace_back(
-                    e.key, evalCoreValue(e.line, e.key, e.value, values));
+                    e.key, evalCoreValue(e.line, e.key, e.value));
                 fixedFields.insert(e.key);
             }
         }
@@ -698,8 +499,7 @@ Campaign::parse(std::string_view text)
                                           "and an axis");
                 std::set<long long> dup;
                 for (const std::string &t : splitList(e.value)) {
-                    const long long v =
-                        evalCoreValue(e.line, e.key, t, values);
+                    const long long v = evalCoreValue(e.line, e.key, t);
                     if (!dup.insert(v).second)
                         parseFail(e.line, "duplicate axis value " +
                                               std::to_string(v));

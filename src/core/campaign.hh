@@ -6,18 +6,15 @@
  * A campaign file describes a whole figure-style experiment grid as
  * data instead of a hardcoded bench loop: an INI-style sectioned
  * format (the esesc simu.conf / graphite carbon_sim.cfg family) with
- * axis value lists and `$(name)`-style derived integer expressions
- * (`mw = $(iw)/4`). Parsing expands it deterministically into the
- * same record-once/replay-many grid the benches build by hand:
+ * literal axis value lists. Every integer is a plain decimal literal
+ * (an optional '-' and digits, range-checked). Parsing expands the
+ * file deterministically into the same record-once/replay-many grid
+ * the benches build by hand:
  *
  *     [campaign]              identity + workload scale
  *     name = fig9_ci
  *     execs = 8
  *     seed = 12345
- *
- *     [values]                derived parameters ($(ref), + - * /)
- *     iw = 4
- *     mw = $(iw)/4
  *
  *     [workload]              trace axis: kernels x variants
  *     kernels = luma16x16, sad16x16      (or "paper" for the grid)
@@ -25,7 +22,7 @@
  *
  *     [core]                  base preset + fixed field overrides
  *     base = 4w
- *     lat.unalignedStoreExtra = 2*$(mw)
+ *     lat.unalignedStoreExtra = 2
  *
  *     [axes]                  swept CoreConfig fields (cross product)
  *     model = pipeline, ooo
@@ -36,10 +33,10 @@
  * parse time, so a malformed campaign fails before any simulation.
  *
  * Identity is content-addressed: canonical() renders the campaign in
- * a normalized form (fixed section order, expressions resolved, the
- * [values] scaffolding dropped - comments and derivation spelling do
- * not change identity) and contentHash() is the FNV-1a of those
- * bytes. The hash names the campaign (id()) and addresses its chunks.
+ * a normalized form (fixed section order and spacing - comments and
+ * layout do not change identity) and contentHash() is the FNV-1a of
+ * those bytes. The hash names the campaign (id()) and addresses its
+ * chunks.
  *
  * Execution model: the grid partitions into *chunks* - one chunk per
  * trace, covering that trace's full config row - and chunks partition
@@ -59,7 +56,6 @@
 #define UASIM_CORE_CAMPAIGN_HH
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -81,17 +77,6 @@ class CampaignError : public std::runtime_error
         : std::runtime_error(what)
     {}
 };
-
-/**
- * Evaluate one integer campaign expression: decimal literals,
- * `$(name)` references into @p values, `+ - * /` with the usual
- * precedence, parentheses, and unary minus. Division truncates
- * toward zero like C.
- * @throws CampaignError on syntax errors, undefined references, or
- *         division by zero.
- */
-long long evalCampaignExpr(std::string_view expr,
-                           const std::map<std::string, long long> &values);
 
 /// The CoreConfig fields a campaign [core] override or [axes] entry
 /// may set, by dotted name ("fetchWidth", "lat.unalignedLoadExtra",
@@ -134,10 +119,9 @@ class Campaign
     const std::vector<CampaignAxis> &axes() const { return axes_; }
 
     /**
-     * The normalized campaign text: fixed section order, expressions
-     * resolved, comments and the [values] section dropped. Two files
-     * that expand to the same grid canonicalize to the same bytes;
-     * parse(canonical()) round-trips.
+     * The normalized campaign text: fixed section order and spacing,
+     * comments dropped. Two files that expand to the same grid
+     * canonicalize to the same bytes; parse(canonical()) round-trips.
      */
     std::string canonical() const;
 

@@ -1,5 +1,6 @@
 #include "h264/deblock.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "h264/tables.hh"

@@ -1,18 +1,48 @@
 #include "timing/config.hh"
 
 #include <stdexcept>
+#include <string>
 
 namespace uasim::timing {
 
 namespace {
 
+/**
+ * Upper bound on every width, window, queue, port, unit and register
+ * count. Far above any modelled core (the 8w preset's largest
+ * structure is its 255-entry window; test grids reach 4096), yet
+ * small enough that the engines' per-structure rings stay bounded
+ * instead of failing allocation.
+ */
+constexpr int maxStructureSize = 1 << 16;
+
+/// Upper bound on every latency and penalty: over 4000x the 250-cycle
+/// memory latency, and low enough that sums of latencies can never
+/// overflow an int.
+constexpr int maxLatency = 1 << 20;
+
 void
-requirePositive(const char *field, int v)
+requireRange(const char *field, int v, int lo, int hi)
 {
-    if (v < 1) {
+    if (v < lo || v > hi) {
         throw std::invalid_argument(
-            std::string("CoreConfig: ") + field + " must be >= 1");
+            std::string("CoreConfig: ") + field + " out of range [" +
+            std::to_string(lo) + ", " + std::to_string(hi) + "]");
     }
+}
+
+/// A structure size: at least one entry, at most maxStructureSize.
+void
+requireSize(const char *field, int v)
+{
+    requireRange(field, v, 1, maxStructureSize);
+}
+
+/// A latency or penalty in cycles.
+void
+requireLatency(const char *field, int v)
+{
+    requireRange(field, v, 0, maxLatency);
 }
 
 } // namespace
@@ -20,40 +50,50 @@ requirePositive(const char *field, int v)
 void
 CoreConfig::validate() const
 {
-    requirePositive("fetchWidth", fetchWidth);
-    requirePositive("retireWidth", retireWidth);
-    requirePositive("inflight", inflight);
-    requirePositive("issueQ", issueQ);
-    requirePositive("branchQ", branchQ);
-    requirePositive("ibuffer", ibuffer);
-    requirePositive("storeQ", storeQ);
-    requirePositive("dReadPorts", dReadPorts);
-    requirePositive("dWritePorts", dWritePorts);
-    requirePositive("missMax", missMax);
-    requirePositive("inorderLookahead", inorderLookahead);
-    if (bpredLog2Entries < 1 || bpredLog2Entries > 28) {
-        throw std::invalid_argument(
-            "CoreConfig: bpredLog2Entries out of range [1, 28]");
-    }
-    if (storeSetLog2 < 1 || storeSetLog2 > 28) {
-        throw std::invalid_argument(
-            "CoreConfig: storeSetLog2 out of range [1, 28]");
-    }
-    if (issueWidth < 0) {
-        throw std::invalid_argument(
-            "CoreConfig: issueWidth must be >= 0 (0 = fetchWidth)");
-    }
-    if (memReplayPenalty < 0) {
-        throw std::invalid_argument(
-            "CoreConfig: memReplayPenalty must be >= 0");
-    }
+    requireSize("fetchWidth", fetchWidth);
+    requireSize("retireWidth", retireWidth);
+    requireSize("inflight", inflight);
+    requireSize("issueQ", issueQ);
+    requireSize("branchQ", branchQ);
+    requireSize("ibuffer", ibuffer);
+    requireSize("storeQ", storeQ);
+    requireSize("dReadPorts", dReadPorts);
+    requireSize("dWritePorts", dWritePorts);
+    requireSize("missMax", missMax);
+    requireSize("inorderLookahead", inorderLookahead);
+    requireSize("gprPhys", gprPhys);
+    requireSize("fprPhys", fprPhys);
+    requireSize("vprPhys", vprPhys);
+    // 0 = fetchWidth.
+    requireRange("issueWidth", issueWidth, 0, maxStructureSize);
+    requireSize("units.fx", units.fx);
+    requireSize("units.fp", units.fp);
+    requireSize("units.ls", units.ls);
+    requireSize("units.br", units.br);
+    requireSize("units.vi", units.vi);
+    requireSize("units.vperm", units.vperm);
+    requireSize("units.vcmplx", units.vcmplx);
+    requireRange("bpredLog2Entries", bpredLog2Entries, 1, 28);
+    requireRange("storeSetLog2", storeSetLog2, 1, 28);
+    requireLatency("lat.intAlu", lat.intAlu);
+    requireLatency("lat.intMul", lat.intMul);
+    requireLatency("lat.fpAlu", lat.fpAlu);
+    requireLatency("lat.branchResolve", lat.branchResolve);
+    requireLatency("lat.vecSimple", lat.vecSimple);
+    requireLatency("lat.vecComplex", lat.vecComplex);
+    requireLatency("lat.vecPerm", lat.vecPerm);
+    requireLatency("lat.load", lat.load);
+    requireLatency("lat.unalignedLoadExtra", lat.unalignedLoadExtra);
+    requireLatency("lat.unalignedStoreExtra", lat.unalignedStoreExtra);
+    requireLatency("lat.mispredictPenalty", lat.mispredictPenalty);
+    requireLatency("mem.l2Latency", mem.l2Latency);
+    requireLatency("mem.memLatency", mem.memLatency);
+    requireLatency("memReplayPenalty", memReplayPenalty);
+    // 0 = unthrottled.
+    requireRange("mem.memBWBytesPerCycle", mem.memBWBytesPerCycle, 0,
+                 maxStructureSize);
     if (model.empty())
         throw std::invalid_argument("CoreConfig: empty model name");
-    if (mem.memBWBytesPerCycle < 0) {
-        throw std::invalid_argument(
-            "CoreConfig: mem.memBWBytesPerCycle must be >= 0 "
-            "(0 = unthrottled)");
-    }
 }
 
 CoreConfig

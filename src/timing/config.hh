@@ -108,9 +108,10 @@ struct CoreConfig {
     mem::HierarchyConfig mem;
 
     /**
-     * Reject impossible configurations (non-positive widths, queue or
-     * port counts, out-of-range predictor sizes) with
-     * std::invalid_argument naming the offending field. Every timing
+     * Reject impossible configurations (widths, windows, queues,
+     * ports, units or register files below 1 or above a fixed bound,
+     * negative or oversized latencies, out-of-range predictor sizes)
+     * with std::invalid_argument naming the offending field. Every timing
      * backend calls this at construction, so a malformed sweep cell
      * fails loudly in any model instead of deadlocking or silently
      * misbehaving in one of them.

@@ -7,8 +7,6 @@
 #define UASIM_TRACE_SINK_HH
 
 #include <cstddef>
-#include <functional>
-#include <vector>
 
 #include "trace/instr.hh"
 #include "trace/mix.hh"
@@ -62,43 +60,6 @@ class CountingSink : public TraceSink
 
   private:
     InstrMix mix_;
-};
-
-/// Sink that stores all records in memory.
-class BufferSink : public TraceSink
-{
-  public:
-    void
-    append(const InstrRecord &rec) override
-    {
-        records_.push_back(rec);
-    }
-
-    void
-    appendBlock(const InstrRecord *recs, std::size_t n) override
-    {
-        records_.insert(records_.end(), recs, recs + n);
-    }
-
-    const std::vector<InstrRecord> &records() const { return records_; }
-    void clear() { records_.clear(); }
-
-  private:
-    std::vector<InstrRecord> records_;
-};
-
-/// Sink that forwards each record to a callable.
-class CallbackSink : public TraceSink
-{
-  public:
-    using Fn = std::function<void(const InstrRecord &)>;
-
-    explicit CallbackSink(Fn fn) : fn_(std::move(fn)) {}
-
-    void append(const InstrRecord &rec) override { fn_(rec); }
-
-  private:
-    Fn fn_;
 };
 
 /// Sink that duplicates the stream into two downstream sinks.

@@ -557,19 +557,4 @@ TraceCursor::nextBlock(InstrRecord *out, std::size_t maxRecords)
     return got;
 }
 
-std::uint64_t
-TraceReader::drainTo(TraceSink &sink)
-{
-    InstrRecord block[256];
-    std::uint64_t n = 0;
-    for (;;) {
-        const std::size_t got = nextBlock(block, std::size(block));
-        if (got == 0)
-            break;
-        sink.appendBlock(block, got);
-        n += got;
-    }
-    return n;
-}
-
 } // namespace uasim::trace

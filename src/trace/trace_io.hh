@@ -384,10 +384,6 @@ class TraceReader
         return cur_.nextBlock(out, maxRecords);
     }
 
-    /// Stream the remaining records into a sink in block-decoded
-    /// batches (TraceSink::appendBlock). @return records read.
-    std::uint64_t drainTo(TraceSink &sink);
-
   private:
     friend class TraceCursor;
 

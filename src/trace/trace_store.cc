@@ -85,28 +85,6 @@ TraceStore::entryPath(const std::string &key) const
     return (fs::path(dir_) / name).string();
 }
 
-std::optional<std::uint64_t>
-TraceStore::load(const std::string &key, TraceSink &sink) const
-{
-    const std::string path = entryPath(key);
-    std::error_code ec;
-    if (!fs::exists(path, ec))
-        return std::nullopt;
-    try {
-        TraceReader reader(path, key);
-        return reader.drainTo(sink);
-    } catch (const TraceKeyMismatch &e) {
-        // Hash collision: the entry belongs to another job and is
-        // valid - treat as a miss, never delete the victim.
-        std::fprintf(stderr, "trace-store: %s; treating as miss\n",
-                     e.what());
-        return std::nullopt;
-    } catch (const std::exception &e) {
-        reportAndRemove(path, "corrupt entry", e.what());
-        return std::nullopt;
-    }
-}
-
 std::optional<TraceSummary>
 TraceStore::loadSummary(const std::string &key) const
 {

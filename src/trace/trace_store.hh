@@ -20,8 +20,9 @@
  * commit, concurrent writers of the same key both produce identical
  * bytes and the later rename wins, and a corrupt or truncated entry
  * is reported, deleted, and treated as a miss (the job simply records
- * again). Only TraceStore construction throws; load()/startRecord()
- * degrade gracefully because a broken cache must not fail the run.
+ * again). Only TraceStore construction throws; the probes and
+ * startRecord() degrade gracefully because a broken cache must not
+ * fail the run.
  */
 
 #ifndef UASIM_TRACE_TRACE_STORE_HH
@@ -53,42 +54,31 @@ class TraceStore
     std::string entryPath(const std::string &key) const;
 
     /**
-     * Probe the store and stream a stored trace into @p sink.
-     *
-     * @return the record count on a hit; std::nullopt on a miss. A
-     * corrupt entry is reported to stderr, deleted, and returned as a
-     * miss - note that @p sink may then have received a partial
-     * record stream, so callers should drain into a discardable
-     * buffer (the SweepRunner does).
-     */
-    std::optional<std::uint64_t> load(const std::string &key,
-                                      TraceSink &sink) const;
-
-    /**
      * Probe for the header-only summary (count + hash-validated mix)
      * of a stored trace without reading the payload - the mix-only
-     * warm-start path. Corruption policy as load().
+     * warm-start path. Corruption policy as openReader().
      */
     std::optional<TraceSummary> loadSummary(const std::string &key) const;
 
     /**
      * Probe the store and open the entry for direct decoding: the
      * caller drains the reader - or any number of TraceCursor passes
-     * over it - itself. This is the multi-shard replay path; unlike
-     * load() nothing is streamed eagerly, so a hit costs one payload
-     * read plus checksum pass and no decode.
+     * over it - itself. Nothing is decoded eagerly, so a hit costs one
+     * payload read plus checksum pass.
      *
-     * @return nullptr on a miss; corruption policy as load() (report,
-     * delete, miss). The reader's payload decodes lazily, so a
-     * corrupt record stream with a valid checksum surfaces later as a
-     * decode throw - see discardEntry() for healing that case.
+     * @return nullptr on a miss. A corrupt entry is reported to
+     * stderr, deleted, and returned as a miss; a key collision is a
+     * miss that leaves the other key's entry in place. The reader's
+     * payload decodes lazily, so a corrupt record stream with a valid
+     * checksum surfaces later as a decode throw - see discardEntry()
+     * for healing that case.
      */
     std::unique_ptr<TraceReader> openReader(const std::string &key) const;
 
     /**
      * Report and delete the entry for @p key (mid-decode corruption
      * healing: callers that hit a decode error on an openReader()
-     * stream discard the entry and re-record, matching load()'s
+     * stream discard the entry and re-record, matching openReader()'s
      * corrupt-entry policy). Best-effort; never throws.
      */
     void discardEntry(const std::string &key,

@@ -124,7 +124,7 @@ expectBitIdentical(const std::vector<CoreConfig> &cfgs,
 std::vector<InstrRecord>
 kernelRecords(const KernelSpec &spec, Variant variant, int execs)
 {
-    trace::BufferSink sink;
+    trace::TraceBuffer sink;
     KernelBench bench(spec);
     bench.recordTrace(variant, execs, sink);
     return sink.records();
@@ -223,7 +223,7 @@ chainRecords(int n)
 std::vector<InstrRecord>
 storeSetAliasRecords(std::uint64_t base, int iters)
 {
-    trace::BufferSink sink;
+    trace::TraceBuffer sink;
     trace::Emitter em(sink);
     for (int i = 0; i < iters; ++i) {
         const std::uint64_t a = base + 64 * std::uint64_t(i % 8);

@@ -1,8 +1,7 @@
 /**
  * @file
- * Declarative sweep campaigns (core/campaign.hh): format and
- * derived-expression parsing (the esesc-style `$(a)` references and
- * `mw = $(iw)/4` division), the malformed-file table, content-hash
+ * Declarative sweep campaigns (core/campaign.hh): format parsing,
+ * plain-decimal integer literals, the malformed-file table, content-hash
  * identity, deterministic expansion order, shard-partition
  * completeness/disjointness, resumable chunk execution, merge-vs-
  * unsharded bit-identity over the full simResultFields() table, and
@@ -11,11 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -30,23 +27,16 @@ using uasim::core::Campaign;
 using uasim::core::CampaignError;
 using uasim::core::CampaignRunOptions;
 using uasim::core::CampaignRunOutcome;
-using uasim::core::evalCampaignExpr;
 using uasim::core::mergeShardResults;
 using uasim::core::runCampaignShard;
 
 namespace {
 
-/// A fast 2-trace x 2-config campaign for the execution tests, with
-/// the derived-expression machinery in the loop (axis value 2*$(mw)
-/// where mw = $(iw)/4).
+/// A fast 2-trace x 2-config campaign for the execution tests.
 constexpr const char *kSmall = R"(# unit campaign
 [campaign]
 name = unit_small
 execs = 2
-
-[values]
-iw = 4
-mw = $(iw)/4   # esesc-style derived width
 
 [workload]
 kernels = sad4x4, chroma4x4
@@ -56,8 +46,75 @@ variants = unaligned
 base = 4w
 
 [axes]
-lat.unalignedLoadExtra = 0, 2*$(mw)
+lat.unalignedLoadExtra = 0, 2
 )";
+
+/// A one-kernel campaign. Line numbers are fixed: execs is line 3,
+/// seed line 4, the [core] entry line 9 and the [axes] entry line 11.
+/// luma16x16 issues loads and permutes, so an empty load/store or
+/// permute unit pool would leave them unissuable forever.
+std::string
+oneKernelCampaign(const std::string &execs, const std::string &seed,
+                  const std::string &coreEntry,
+                  const std::string &axesEntry)
+{
+    return "[campaign]\nname = x\nexecs = " + execs + "\nseed = " + seed +
+           "\n[workload]\nkernels = luma16x16\nvariants = unaligned\n"
+           "[core]\n" +
+           (coreEntry.empty() ? "# none" : coreEntry) + "\n[axes]\n" +
+           (axesEntry.empty() ? "# none" : axesEntry) + "\n";
+}
+
+/// Core values the engines cannot simulate: an empty unit pool never
+/// issues, a negative latency wraps the cycle count, and a huge window
+/// or queue cannot be allocated.
+constexpr const char *kHostileCoreValues[] = {
+    "units.ls = 0",
+    "units.vperm = 0",
+    "mem.memLatency = -100000",
+    "lat.load = -100",
+    "mem.l2Latency = -50",
+    "lat.mispredictPenalty = -20",
+    "inflight = 2000000000",
+    "storeQ = 2000000000",
+};
+
+/// A malformed campaign and the diagnostic prefix it must produce.
+struct LineCase {
+    std::string text;
+    std::string prefix;
+};
+
+/// Every integer is a plain decimal literal in long long range:
+/// expressions, references, other bases, exponents and doubled signs
+/// fail on their line wherever an integer is read, and the retired
+/// [values] section is an unknown section.
+std::vector<LineCase>
+lineNumberedCases()
+{
+    std::vector<LineCase> out;
+    out.push_back({"[campaign]\nname = x\nexecs = 1\n[values]\na = 1\n",
+                   "campaign line 4: unknown section [values]"});
+    for (const char *lit : {"$(x)", "1+1", "2*3", "0x10", "1e3", "--5",
+                            "9223372036854775808"}) {
+        const std::string v(lit);
+        out.push_back({oneKernelCampaign(v, "1", "", ""),
+                       "campaign line 3: "});
+        out.push_back({oneKernelCampaign("1", v, "", ""),
+                       "campaign line 4: "});
+        out.push_back({oneKernelCampaign("1", "1", "fetchWidth = " + v, ""),
+                       "campaign line 9: "});
+        out.push_back(
+            {oneKernelCampaign("1", "1", "", "fetchWidth = 2, " + v),
+             "campaign line 11: "});
+    }
+    for (const char *key : {"execs", "seed"}) {
+        out.push_back({std::string("[campaign]\nname = x\n") + key +
+                           " = 99999999999999999999\n",
+                       "campaign line 3: "});
+    }
+    return out;
+}
 
 fs::path
 freshDir(const std::string &name)
@@ -108,81 +165,6 @@ run(const std::string &cmd)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// expression evaluator
-// ---------------------------------------------------------------------------
-
-TEST(CampaignExpr, ArithmeticAndPrecedence)
-{
-    const std::map<std::string, long long> none;
-    EXPECT_EQ(evalCampaignExpr("42", none), 42);
-    EXPECT_EQ(evalCampaignExpr("2+3*4", none), 14);
-    EXPECT_EQ(evalCampaignExpr("(2+3)*4", none), 20);
-    EXPECT_EQ(evalCampaignExpr("7/2", none), 3);
-    EXPECT_EQ(evalCampaignExpr("10-4-3", none), 3);
-    EXPECT_EQ(evalCampaignExpr("-3+5", none), 2);
-    EXPECT_EQ(evalCampaignExpr(" 1 + 2 ", none), 3);
-    // The whole long long range, and nesting below the depth cap.
-    EXPECT_EQ(evalCampaignExpr("-9223372036854775807 - 1", none),
-              LLONG_MIN);
-    EXPECT_EQ(evalCampaignExpr("-(-9223372036854775807)", none),
-              LLONG_MAX);
-    EXPECT_EQ(evalCampaignExpr(std::string(100, '(') + "1" +
-                                   std::string(100, ')'),
-                               none),
-              1);
-    EXPECT_EQ(evalCampaignExpr(std::string(100, '-') + "1", none), 1);
-}
-
-TEST(CampaignExpr, ReferencesAndDivision)
-{
-    // The esesc simu.conf idiom: mw = $(iw)/4, fw = 2*$(iw).
-    const std::map<std::string, long long> vals{{"iw", 32}, {"mw", 8}};
-    EXPECT_EQ(evalCampaignExpr("$(iw)/4", vals), 8);
-    EXPECT_EQ(evalCampaignExpr("2*$(iw)", vals), 64);
-    EXPECT_EQ(evalCampaignExpr("160*$(mw)", vals), 1280);
-    EXPECT_EQ(evalCampaignExpr("$(iw)-$(mw)", vals), 24);
-    EXPECT_EQ(evalCampaignExpr("($(iw)+$(mw))/5", vals), 8);
-}
-
-TEST(CampaignExpr, Errors)
-{
-    const std::map<std::string, long long> vals{
-        {"iw", 32}, {"min", LLONG_MIN}, {"max", LLONG_MAX}};
-    EXPECT_THROW(evalCampaignExpr("", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("$(nope)", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("1/0", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("$(iw)/($(iw)-32)", vals),
-                 CampaignError);
-    EXPECT_THROW(evalCampaignExpr("1 2", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("(1+2", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("$(iw", vals), CampaignError);
-    EXPECT_THROW(evalCampaignExpr("2 + x", vals), CampaignError);
-    // Overflow is an error, never a trap or a wrapped value.
-    for (const char *overflow :
-         {"9223372036854775807 + 1", "9223372036854775807 * 3",
-          "$(min) - 1", "$(max) + $(max)", "$(min) * -1", "-$(min)",
-          "$(min) / -1"}) {
-        try {
-            evalCampaignExpr(overflow, vals);
-            ADD_FAILURE() << overflow << " did not throw";
-        } catch (const CampaignError &e) {
-            EXPECT_NE(std::string(e.what()).find("integer overflow"),
-                      std::string::npos)
-                << e.what();
-        }
-    }
-    EXPECT_THROW(evalCampaignExpr("99999999999999999999", vals),
-                 CampaignError);
-    // Nesting is capped, not left to the stack.
-    EXPECT_THROW(evalCampaignExpr(std::string(500000, '(') + "1" +
-                                      std::string(500000, ')'),
-                                  vals),
-                 CampaignError);
-    EXPECT_THROW(evalCampaignExpr(std::string(500000, '-') + "1", vals),
-                 CampaignError);
-}
-
-// ---------------------------------------------------------------------------
 // parsing + deterministic expansion
 // ---------------------------------------------------------------------------
 
@@ -194,8 +176,7 @@ TEST(CampaignParse, SmallCampaignExpands)
     EXPECT_EQ(c.seed(), 12345u);  // default
     EXPECT_EQ(c.chunkCount(), 2);
     ASSERT_EQ(c.configCount(), 2);
-    // Declaration-order expansion: axis values in listed order, the
-    // derived 2*$(mw) resolved to 2.
+    // Declaration-order expansion: axis values in listed order.
     EXPECT_EQ(c.configs()[0].label, "lat.unalignedLoadExtra=0");
     EXPECT_EQ(c.configs()[1].label, "lat.unalignedLoadExtra=2");
     EXPECT_EQ(c.configs()[0].cfg.lat.unalignedLoadExtra, 0);
@@ -245,7 +226,7 @@ TEST(CampaignParse, CanonicalIdentity)
 {
     const Campaign a = Campaign::parse(kSmall);
     // Same grid, different spelling: reordered sections, extra
-    // comments/whitespace, literals instead of derived values.
+    // comments/whitespace, the default seed spelled out.
     const Campaign b = Campaign::parse(R"(
 [workload]
 kernels   =   sad4x4 ,  chroma4x4
@@ -316,11 +297,6 @@ TEST(CampaignParse, MalformedFileTable)
         "variants = scalar\n[core]\nfetchWidth = 4294967298\n",
         "[campaign]\nname = x\nexecs = 1\n[workload]\nkernels = sad4x4\n"
         "variants = scalar\n[axes]\nlat.unalignedLoadExtra = 0, 4294967297\n",
-        // undefined reference and division by zero in [values]
-        "[campaign]\nname = x\nexecs = 1\n[values]\na = $(zz)\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
-        "[campaign]\nname = x\nexecs = 1\n[values]\na = 1/0\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
         // expansion-time CoreConfig::validate() rejection
         "[campaign]\nname = x\nexecs = 1\n[workload]\nkernels = sad4x4\n"
         "variants = scalar\n[axes]\nfetchWidth = 0, 2\n",
@@ -330,44 +306,39 @@ TEST(CampaignParse, MalformedFileTable)
         // malformed lines
         "[campaign\nname = x\nexecs = 1\n",
         "[campaign]\nname = x\nexecs = 1\njust words\n",
-        // hostile expressions: overflow and LLONG_MIN / -1
-        "[campaign]\nname = x\nexecs = 1\n[values]\n"
-        "a = -9223372036854775807 - 1\nb = $(a) / -1\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
-        "[campaign]\nname = x\nexecs = 1\n[values]\n"
-        "a = 9223372036854775807 + 1\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
-        "[campaign]\nname = x\nexecs = 1\n[values]\n"
-        "a = 9223372036854775807 * 3\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
-        "[campaign]\nname = x\nexecs = 9223372036854775807 + 1\n"
-        "[workload]\nkernels = sad4x4\nvariants = scalar\n",
     };
     for (const char *text : bad)
         EXPECT_THROW(Campaign::parse(text), CampaignError) << text;
 
-    // ...and nesting deep enough to overflow an uncapped parser's stack
-    const std::string deep = "[campaign]\nname = x\nexecs = 1\n[values]\n"
-                             "a = " + std::string(500000, '(') + "1" +
-                             std::string(500000, ')') +
-                             "\n[workload]\nkernels = sad4x4\n"
-                             "variants = scalar\n";
-    EXPECT_THROW(Campaign::parse(deep), CampaignError);
+    // Core values the engines cannot simulate are rejected at expansion
+    // instead of hanging a run or writing a wrong artifact.
+    for (const char *value : kHostileCoreValues) {
+        const std::string text = oneKernelCampaign("1", "12345", value, "");
+        EXPECT_THROW(Campaign::parse(text), CampaignError) << value;
+    }
 
-    // A [campaign] literal out of range carries its line, like every
-    // other parse error.
-    for (const char *key : {"execs", "seed"}) {
-        const std::string text = std::string("[campaign]\nname = x\n") +
-                                 key + " = 99999999999999999999\n";
+    // Every other integer error names its line.
+    for (const LineCase &bad : lineNumberedCases()) {
         try {
-            Campaign::parse(text);
-            ADD_FAILURE() << key << " literal out of range did not throw";
+            Campaign::parse(bad.text);
+            ADD_FAILURE() << bad.text << "did not throw";
         } catch (const CampaignError &e) {
-            EXPECT_EQ(std::string(e.what()).rfind("campaign line 3: ", 0),
-                      0u)
-                << e.what();
+            EXPECT_EQ(std::string(e.what()).rfind(bad.prefix, 0), 0u)
+                << e.what() << "\n" << bad.text;
         }
     }
+}
+
+TEST(CampaignParse, IntegersArePlainDecimalLiterals)
+{
+    const Campaign c = Campaign::parse(oneKernelCampaign(
+        "007", "9223372036854775807", "lat.unalignedStoreExtra = 0",
+        "lat.unalignedLoadExtra = -0, 3"));
+    EXPECT_EQ(c.execs(), 7);
+    EXPECT_EQ(c.seed(), 9223372036854775807u);
+    ASSERT_EQ(c.configCount(), 2);
+    EXPECT_EQ(c.configs()[0].label, "lat.unalignedLoadExtra=0");
+    EXPECT_EQ(c.configs()[1].cfg.lat.unalignedLoadExtra, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -588,18 +559,34 @@ TEST(CampaignCli, SweepDriver)
     EXPECT_EQ(
         run(sweep + " expand " + badConf.string()).exit, 2);
 
-    // Hostile expressions exit 2 with a diagnostic, never a signal.
-    const fs::path fpeConf = badConf.parent_path() / "fpe.conf";
-    {
-        std::ofstream f(fpeConf);
-        f << "[campaign]\nname = x\nexecs = 1\n[values]\n"
-             "a = -9223372036854775807 - 1\nb = $(a) / -1\n"
-             "[workload]\nkernels = sad4x4\nvariants = scalar\n";
+    // Integers that are not plain decimal literals, and the retired
+    // [values] section, exit 2 with a line-numbered diagnostic.
+    const fs::path caseConf = badConf.parent_path() / "case.conf";
+    for (const LineCase &bad : lineNumberedCases()) {
+        {
+            std::ofstream f(caseConf);
+            f << bad.text;
+        }
+        const RunResult r = run(sweep + " expand " + caseConf.string());
+        EXPECT_EQ(r.exit, 2) << bad.text;
+        EXPECT_NE(r.out.find(bad.prefix), std::string::npos)
+            << r.out << "\n" << bad.text;
     }
-    const RunResult fpe = run(sweep + " expand " + fpeConf.string());
-    EXPECT_EQ(fpe.exit, 2);
-    EXPECT_NE(fpe.out.find("integer overflow"), std::string::npos)
-        << fpe.out;
+
+    // Hostile core values exit 2 within seconds (timeout's 124 would
+    // mean a hang) and write no artifact.
+    for (const char *value : kHostileCoreValues) {
+        {
+            std::ofstream f(caseConf);
+            f << oneKernelCampaign("1", "12345", value, "");
+        }
+        const fs::path out = freshDir("cli_hostile");
+        const RunResult r = run("timeout 5 " + sweep + " run " +
+                                caseConf.string() + " --threads 1 --json " +
+                                out.string());
+        EXPECT_EQ(r.exit, 2) << value << "\n" << r.out;
+        EXPECT_TRUE(fs::is_empty(out)) << value;
+    }
 
     // An empty --trace-cache DIR (unset shell variable) must not
     // silently run uncached; the benches reject it the same way.

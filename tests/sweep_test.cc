@@ -14,8 +14,10 @@
  *  - kernelTraceJob's warmupCalls reproduces shared-bench history;
  *  - with a persistent store attached, a warm run replays every
  *    cacheable trace from disk with zero re-emulation and results
- *    bit-identical to the in-memory path, corrupt entries fall back
- *    to re-recording, and non-cacheable jobs bypass the store;
+ *    bit-identical to the in-memory path, corrupt entries (truncated,
+ *    or checksum-valid with an undecodable record stream) fall back
+ *    to re-recording and are rewritten valid, and non-cacheable jobs
+ *    bypass the store;
  *  - the benches' shared size and --threads flags (bench_util.hh)
  *    exit 2 on out-of-range operands before any work is done.
  */
@@ -23,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "core/sweep.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_store.hh"
 
 using namespace uasim;
@@ -382,6 +387,111 @@ TEST(SweepStore, CorruptEntryFallsBackToRecordingAndHeals)
     warm.attachStore(dir.path);
     expectResultsEqual(baseline, warm.run(makeStorePlan()));
     EXPECT_EQ(warm.stats().tracesLoaded, 4u);
+}
+
+namespace {
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/**
+ * Rewrite the store entry for @p key so that its checksum is valid but
+ * its record stream is not: the first record gets the taken flag,
+ * which only a branch may carry. openReader() accepts the entry, and
+ * every decode pass over it throws.
+ */
+void
+corruptRecordStream(const trace::TraceStore &store, const std::string &key)
+{
+    namespace wire = trace::wire;
+    const std::string path = store.entryPath(key);
+    trace::TraceReader valid(path, key);
+    trace::InstrRecord first;
+    ASSERT_TRUE(valid.next(first));
+    ASSERT_NE(first.cls, trace::InstrClass::Branch);
+
+    std::string payload =
+        readFile(path).substr(wire::headerBytes + key.size() + wire::mixBytes);
+    payload[0] = char(std::uint8_t(payload[0]) | 0x80);  // tag taken bit
+    const std::string mix = wire::serializeMix(valid.mix());
+    wire::Header h;
+    h.keyBytes = std::uint32_t(key.size());
+    h.recordCount = valid.count();
+    h.payloadBytes = payload.size();
+    h.payloadHash = wire::payloadHash(payload.data(), payload.size());
+    h.keyHash = wire::fnv1a(key.data(), key.size());
+    h.mixHash = wire::fnv1a(mix.data(), mix.size());
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        << h.serialize() << key << mix << payload;
+
+    auto reader = store.openReader(key);
+    ASSERT_NE(reader, nullptr) << "crafted entry must pass open checks";
+    trace::InstrRecord rec;
+    EXPECT_THROW(reader->next(rec), std::runtime_error);
+}
+
+/// One SAD trace replayed into four configs: at 4 threads the single
+/// group spends the whole budget on four replay shards.
+SweepPlan
+makeSingleGroupPlan()
+{
+    SweepPlan plan;
+    const int t = plan.addTrace(core::kernelTraceJob(
+        {KernelId::Sad, 16, false}, Variant::Unaligned, 4));
+    for (int extra = 0; extra < 4; ++extra) {
+        timing::CoreConfig cfg = timing::CoreConfig::fourWayOoO();
+        cfg.lat.unalignedLoadExtra = extra;
+        plan.addCell(t, plan.addConfig(std::to_string(extra), cfg));
+    }
+    return plan;
+}
+
+} // namespace
+
+TEST(SweepStore, MidDecodeCorruptionFallsBackToRecordingAndHeals)
+{
+    struct Case {
+        const char *name;
+        SweepPlan (*plan)();
+        int threads;
+    };
+    for (const Case &c : {Case{"mid_decode_1", makeStorePlan, 1},
+                          Case{"mid_decode_4", makeSingleGroupPlan, 4}}) {
+        SCOPED_TRACE(c.name);
+        StoreDir dir(c.name);
+        const auto inMemory = SweepRunner(1).run(c.plan());
+        SweepRunner cold(1);
+        cold.attachStore(dir.path);
+        cold.run(c.plan());
+
+        const std::string victim = c.plan().traces()[0].key;
+        corruptRecordStream(*cold.store(), victim);
+
+        SweepRunner heal(c.threads);
+        heal.attachStore(dir.path);
+        expectResultsEqual(inMemory, heal.run(c.plan()));
+        EXPECT_EQ(heal.stats().tracesRecorded, 1u);
+        EXPECT_EQ(heal.stats().tracesStored, 1u);
+        EXPECT_EQ(heal.stats().threads, c.threads);
+
+        // The re-recorded entry decodes end to end again.
+        auto reader = cold.store()->openReader(victim);
+        ASSERT_NE(reader, nullptr);
+        trace::InstrRecord rec;
+        std::uint64_t n = 0;
+        while (reader->next(rec))
+            ++n;
+        EXPECT_EQ(n, reader->count());
+        SweepRunner warm(c.threads);
+        warm.attachStore(dir.path);
+        expectResultsEqual(inMemory, warm.run(c.plan()));
+        EXPECT_EQ(warm.stats().tracesRecorded, 0u);
+    }
 }
 
 TEST(SweepStore, NonCacheableJobsBypassTheStore)

@@ -29,7 +29,7 @@
 #include "timing/ooo_pipeline.hh"
 #include "timing/pipeline.hh"
 #include "trace/emitter.hh"
-#include "trace/sink.hh"
+#include "trace/trace_buffer.hh"
 #include "vmx/buffer.hh"
 
 using namespace uasim;
@@ -49,7 +49,7 @@ namespace {
 std::vector<InstrRecord>
 kernelRecords(const KernelSpec &spec, Variant variant, int execs)
 {
-    trace::BufferSink sink;
+    trace::TraceBuffer sink;
     KernelBench bench(spec);
     bench.recordTrace(variant, execs, sink);
     return sink.records();
@@ -374,7 +374,7 @@ TEST(OoOBackend, OverlapsLoadsBeyondInOrderPipeline)
     // the pipeline backend on the same 2-way machine.
     vmx::AlignedBuffer buf(8192, 0);
     const auto base = reinterpret_cast<std::uint64_t>(buf.data());
-    trace::BufferSink sink;
+    trace::TraceBuffer sink;
     {
         trace::Emitter em(sink);
         trace::Dep prev{};

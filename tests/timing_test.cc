@@ -399,7 +399,9 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
     }
     auto r_offline = simulate(cfg, [&](trace::TraceSink &sink) {
         trace::TraceReader reader(path);
-        reader.drainTo(sink);
+        trace::InstrRecord block[256];
+        while (const std::size_t n = reader.nextBlock(block, std::size(block)))
+            sink.appendBlock(block, n);
     });
     std::remove(path.c_str());
 
@@ -475,7 +477,8 @@ TEST(Pipeline, PredictorSizeIsSweepable)
 TEST(Pipeline, ValidateRejectsBadConfigs)
 {
     EXPECT_NO_THROW(CoreConfig{}.validate());
-    EXPECT_NO_THROW(CoreConfig::eightWayOoO().validate());
+    for (int i = 0; i < 3; ++i)
+        EXPECT_NO_THROW(CoreConfig::preset(i).validate());
     auto bad = [](auto &&poke) {
         CoreConfig cfg = CoreConfig::fourWayOoO();
         poke(cfg);
@@ -496,6 +499,27 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
     EXPECT_THROW(bad([](CoreConfig &c) { c.model.clear(); })
                      .validate(),
                  std::invalid_argument);
+    // Values the engines cannot simulate: no unit to issue on, a
+    // latency that wraps the cycle count, a ring too large to allocate.
+    for (auto poke : {+[](CoreConfig &c) { c.units.ls = 0; },
+                      +[](CoreConfig &c) { c.units.vperm = 0; },
+                      +[](CoreConfig &c) { c.mem.memLatency = -100000; },
+                      +[](CoreConfig &c) { c.lat.load = -100; },
+                      +[](CoreConfig &c) { c.mem.l2Latency = -50; },
+                      +[](CoreConfig &c) { c.lat.mispredictPenalty = -20; },
+                      +[](CoreConfig &c) { c.inflight = 2000000000; },
+                      +[](CoreConfig &c) { c.storeQ = 2000000000; },
+                      +[](CoreConfig &c) { c.gprPhys = 0; },
+                      +[](CoreConfig &c) { c.issueWidth = 2000000000; },
+                      +[](CoreConfig &c) { c.lat.intMul = 2000000000; }}) {
+        EXPECT_THROW(bad(poke).validate(), std::invalid_argument);
+    }
+    // The bounds admit the largest structures any test grid builds.
+    EXPECT_NO_THROW(bad([](CoreConfig &c) {
+                        c.inflight = 2048;
+                        c.issueQ = 4096;
+                        c.gprPhys = 4096;
+                    }).validate());
     // Both engines' constructor paths must throw before sizing
     // anything - the predictor table included.
     for (auto poke : {+[](CoreConfig &c) { c.inflight = 0; },

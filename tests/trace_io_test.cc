@@ -37,6 +37,7 @@
 #include "core/experiment.hh"
 #include "trace/emitter.hh"
 #include "trace/sink.hh"
+#include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_store.hh"
 
@@ -60,7 +61,7 @@ tempPath(const std::string &name)
 std::vector<ut::InstrRecord>
 syntheticRecords()
 {
-    ut::BufferSink buf;
+    ut::TraceBuffer buf;
     ut::Emitter em(buf);
     auto loc = std::source_location::current();
     ut::Dep d0 = em.emit(ut::InstrClass::IntAlu, loc);
@@ -196,7 +197,7 @@ TEST(TraceIoV2, KernelTraceRoundTripBitIdentity)
     const std::string path = tempPath("rt_kernel.uatrace");
     const KernelSpec spec{KernelId::Sad, 16, false};
 
-    ut::BufferSink want;
+    ut::TraceBuffer want;
     KernelBench direct(spec);
     direct.recordTrace(Variant::Unaligned, 3, want);
 
@@ -456,7 +457,7 @@ TEST_F(TraceIoCorruption, PayloadShorterThanCountRejectedAtNext)
     // return a silent end-of-trace. Wide address/pc deltas make the
     // two records exceed 4 * minRecordBytes, so the open-time length
     // heuristic cannot catch this case - only the decoder can.
-    ut::BufferSink fat;
+    ut::TraceBuffer fat;
     ut::Emitter em(fat);
     auto loc = std::source_location::current();
     em.emitMem(ut::InstrClass::VecLoadU, 0x123456789abcdefull, 16,
@@ -730,8 +731,7 @@ TEST_F(TraceStoreTest, MissThenRecordThenHitRoundTrip)
 {
     ut::TraceStore store(dir_);
     const std::string key = "job/key/1";
-    ut::NullSink null;
-    EXPECT_FALSE(store.load(key, null).has_value());
+    EXPECT_EQ(store.openReader(key), nullptr);
     EXPECT_FALSE(store.loadSummary(key).has_value());
 
     const auto want = syntheticRecords();
@@ -742,13 +742,16 @@ TEST_F(TraceStoreTest, MissThenRecordThenHitRoundTrip)
     recorder->commit();
     EXPECT_TRUE(fs::exists(store.entryPath(key)));
 
-    ut::BufferSink got;
-    auto count = store.load(key, got);
-    ASSERT_TRUE(count.has_value());
-    EXPECT_EQ(*count, want.size());
-    ASSERT_EQ(got.records().size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        expectRecordEqual(want[i], got.records()[i]);
+    auto reader = store.openReader(key);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_EQ(reader->key(), key);
+    ASSERT_EQ(reader->count(), want.size());
+    ut::InstrRecord rec;
+    for (const auto &w : want) {
+        ASSERT_TRUE(reader->next(rec));
+        expectRecordEqual(w, rec);
+    }
+    EXPECT_FALSE(reader->next(rec));
 
     auto sum = store.loadSummary(key);
     ASSERT_TRUE(sum.has_value());
@@ -782,8 +785,7 @@ TEST_F(TraceStoreTest, CorruptEntryIsReportedRemovedAndMissed)
     const auto path = store.entryPath(key);
     fs::resize_file(path, fs::file_size(path) - 3);
 
-    ut::BufferSink got;
-    EXPECT_FALSE(store.load(key, got).has_value());
+    EXPECT_EQ(store.openReader(key), nullptr);
     EXPECT_FALSE(fs::exists(path)) << "corrupt entry must be removed";
     EXPECT_FALSE(store.loadSummary(key).has_value());
 }
@@ -803,11 +805,34 @@ TEST_F(TraceStoreTest, KeyCollisionIsAMissAndNeverEvictsTheVictim)
     fs::copy_file(store.entryPath("victim/key"),
                   store.entryPath("other/key"));
 
-    ut::NullSink null;
-    EXPECT_FALSE(store.load("other/key", null).has_value());
+    EXPECT_EQ(store.openReader("other/key"), nullptr);
     EXPECT_FALSE(store.loadSummary("other/key").has_value());
     EXPECT_TRUE(fs::exists(store.entryPath("other/key")))
         << "a colliding load must not delete the victim's entry";
+}
+
+TEST_F(TraceStoreTest, DiscardEntryRemovesOnlyThatEntry)
+{
+    // The mid-decode heal path: a reader opened fine, its stream later
+    // failed to decode, and the caller discards the entry to re-record.
+    ut::TraceStore store(dir_);
+    for (const char *key : {"job/key/bad", "job/key/good"}) {
+        auto recorder = store.startRecord(key);
+        ASSERT_NE(recorder, nullptr);
+        for (const auto &rec : syntheticRecords())
+            recorder->append(rec);
+        recorder->commit();
+    }
+    ASSERT_NE(store.openReader("job/key/bad"), nullptr);
+
+    store.discardEntry("job/key/bad", "decode failed");
+    EXPECT_FALSE(fs::exists(store.entryPath("job/key/bad")));
+    EXPECT_EQ(store.openReader("job/key/bad"), nullptr);
+    EXPECT_NE(store.openReader("job/key/good"), nullptr)
+        << "discarding one entry must leave the others alone";
+
+    // Discarding a missing entry is a quiet no-op.
+    EXPECT_NO_THROW(store.discardEntry("job/key/bad", "again"));
 }
 
 TEST_F(TraceStoreTest, AbandonedRecorderPublishesNothing)
@@ -1275,23 +1300,6 @@ TEST(TraceBlockDecode, NextBlockMatchesNextAndInterleaves)
         expectRecordEqual(ref, got[i]);
     }
     EXPECT_EQ(blocked.nextBlock(buf, 97), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(TraceBlockDecode, DrainToEqualsPerRecordReplay)
-{
-    const std::string path = tempPath("block_drain.uatrace");
-    const auto want = randomRecords(0xd1a1, 1200);
-    writeTrace(path, "", want);
-
-    ut::BufferSink drained;
-    {
-        ut::TraceReader reader(path);
-        EXPECT_EQ(reader.drainTo(drained), want.size());
-    }
-    ASSERT_EQ(drained.records().size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        expectRecordEqual(want[i], drained.records()[i]);
     std::remove(path.c_str());
 }
 

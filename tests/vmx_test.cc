@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/emitter.hh"
-#include "trace/sink.hh"
+#include "trace/trace_buffer.hh"
 #include "vmx/buffer.hh"
 #include "vmx/constpool.hh"
 #include "vmx/scalarops.hh"
@@ -23,7 +23,7 @@ using vmx::Vec;
 namespace {
 
 struct VmxFixture : ::testing::Test {
-    trace::BufferSink sink;
+    trace::TraceBuffer sink;
     trace::Emitter em{sink};
     vmx::ScalarOps so{em};
     vmx::VecOps vo{em};
