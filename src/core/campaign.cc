@@ -1,12 +1,13 @@
 /**
  * @file
  * Campaign-file parsing, deterministic grid expansion, content-hash
- * identity, resumable shard execution, and shard-artifact merging.
- * See campaign.hh for the format and the execution model.
+ * identity, resumable shard execution, and campaign-artifact assembly
+ * from published chunks. See campaign.hh for the format and the
+ * execution model.
  *
  * Everything here is deliberately wall-clock-, randomness-, and
  * iteration-order-free (std::map/std::set only): expansion order,
- * chunk addressing, and merged artifacts are pure functions of the
+ * chunk addressing, and assembled artifacts are pure functions of the
  * campaign text, which is what the sim-determinism lint rule enforces
  * for this file.
  */
@@ -707,12 +708,17 @@ Campaign::buildPlan(const std::vector<int> &chunks) const
 }
 
 // ---------------------------------------------------------------------------
-// shard execution + resume
+// shard execution, resume and assembly
 // ---------------------------------------------------------------------------
 
 namespace {
 
+namespace fs = std::filesystem;
+
 using Params = std::vector<std::pair<std::string, json::Value>>;
+
+/// Chunk param carrying the FNV-1a digest of the chunk's cells.
+constexpr const char *cellsDigestParam = "cells_fnv1a";
 
 bool
 sameParams(const Params &a, const Params &b)
@@ -750,19 +756,31 @@ expectedChunkParams(const Campaign &c, int chunk)
     return tmp.params;
 }
 
+/// FNV-1a over the serialized "cells" array of @p r.
+json::Value
+cellsDigest(const BenchResult &r)
+{
+    const std::string text =
+        r.toJson(false).asObject().find("cells")->dump(0);
+    return json::Value(hex16(trace::wire::fnv1a(text.data(), text.size())));
+}
+
 /**
  * A published chunk artifact is resumable only if it provably is this
- * chunk of this campaign: identity params, cell layout, and the
- * deterministic stats subset must all match what a fresh execution
- * would publish. Anything else - partial write, stale campaign,
- * hand-edited file - re-executes the chunk instead of failing.
+ * chunk of this campaign: identity params, cell layout, the digest of
+ * its cells and the deterministic stats subset must all match what a
+ * fresh execution would publish. Anything else - partial write, stale
+ * campaign, hand-edited file - re-executes the chunk instead of
+ * failing.
  */
 bool
 chunkArtifactValid(const Campaign &c, int chunk, const BenchResult &r)
 {
     if (r.bench != c.name() || !r.metrics.empty() || !r.hasStats)
         return false;
-    if (!sameParams(r.params, expectedChunkParams(c, chunk)))
+    Params expected = expectedChunkParams(c, chunk);
+    expected.emplace_back(cellsDigestParam, cellsDigest(r));
+    if (!sameParams(r.params, expected))
         return false;
     if (int(r.cells.size()) != c.configCount())
         return false;
@@ -779,19 +797,41 @@ chunkArtifactValid(const Campaign &c, int chunk, const BenchResult &r)
            r.stats.instrsReplayed == instrs;
 }
 
+/// Build chunk @p chunk's artifact from its configCount() results at
+/// @p cells and publish it under @p chunkDir.
+BenchResult
+publishChunk(const Campaign &c, int chunk, const SweepCellResult *cells,
+             const fs::path &chunkDir)
+{
+    BenchResult cr;
+    cr.bench = c.name();
+    cr.params = expectedChunkParams(c, chunk);
+    for (int i = 0; i < c.configCount(); ++i) {
+        const SweepCellResult &cell = cells[i];
+        cr.cells.push_back(ResultCell{cell.traceKey, cell.configLabel,
+                                      cell.traceInstrs, cell.sim,
+                                      cell.mix});
+        cr.stats.instrsReplayed += cell.traceInstrs;
+    }
+    cr.params.emplace_back(cellsDigestParam, cellsDigest(cr));
+    cr.stats.cellsRun = std::uint64_t(c.configCount());
+    cr.hasStats = true;
+    // Baseline form (no informational block): re-publishing the same
+    // chunk always writes the same bytes.
+    saveResultFile(cr, (chunkDir / c.chunkFileName(chunk)).string(),
+                   false);
+    return cr;
+}
+
 } // namespace
 
 CampaignRunOutcome
 runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
 {
-    namespace fs = std::filesystem;
     if (opt.jsonDir.empty())
         throw CampaignError("campaign run requires an artifact directory");
-    const std::vector<int> chunks =
-        opt.sharded
-            ? Campaign::shardChunks(campaign.chunkCount(), opt.shard,
-                                    opt.shardCount)
-            : Campaign::shardChunks(campaign.chunkCount(), 0, 1);
+    const std::vector<int> chunks = Campaign::shardChunks(
+        campaign.chunkCount(), opt.shard, opt.shardCount);
 
     fs::create_directories(fs::path(opt.jsonDir));
     // Chunk artifacts live under a campaign-id subdirectory, outside
@@ -803,7 +843,6 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
     CampaignRunOutcome out;
     out.chunkDir = chunkDir.string();
 
-    const int C = campaign.configCount();
     std::vector<BenchResult> chunkResults(chunks.size());
     std::vector<std::size_t> toRun;
     for (std::size_t k = 0; k < chunks.size(); ++k) {
@@ -826,56 +865,39 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
         if (!published)
             toRun.push_back(k);
     }
+    out.executed = int(toRun.size());
+    out.skipped = int(chunks.size() - toRun.size());
 
     SweepStats runStats{};
-    bool ran = false;
     if (!toRun.empty()) {
         std::vector<int> runChunks;
         for (std::size_t k : toRun)
             runChunks.push_back(chunks[k]);
-        SweepPlan plan = campaign.buildPlan(runChunks);
         SweepRunner runner(opt.threads);
         if (!opt.traceCache.empty())
             runner.attachStore(opt.traceCache);
-        const std::vector<SweepCellResult> results = runner.run(plan);
+        // Trace t of the plan is runChunks[t], its cells t*C..t*C+C-1.
+        // Each chunk publishes on its worker as soon as its group
+        // completes, so a killed run keeps every finished chunk.
+        const std::size_t C = std::size_t(campaign.configCount());
+        runner.run(campaign.buildPlan(runChunks),
+                   [&](int t, const std::vector<SweepCellResult> &results) {
+                       const std::size_t k = toRun[std::size_t(t)];
+                       chunkResults[k] = publishChunk(
+                           campaign, chunks[k],
+                           &results[std::size_t(t) * C], chunkDir);
+                   });
         runStats = runner.stats();
-        ran = true;
-        for (std::size_t r = 0; r < toRun.size(); ++r) {
-            const std::size_t k = toRun[r];
-            const int j = chunks[k];
-            BenchResult cr;
-            cr.bench = campaign.name();
-            for (auto &p : expectedChunkParams(campaign, j))
-                cr.addParam(p.first, p.second);
-            SweepStats s{};
-            for (int i = 0; i < C; ++i) {
-                const SweepCellResult &cell = results[r * std::size_t(C) +
-                                                      std::size_t(i)];
-                cr.cells.push_back(ResultCell{cell.traceKey,
-                                              cell.configLabel,
-                                              cell.traceInstrs, cell.sim,
-                                              cell.mix});
-                s.instrsReplayed += cell.traceInstrs;
-            }
-            s.cellsRun = std::uint64_t(C);
-            cr.stats = s;
-            cr.hasStats = true;
-            cr.hasInformational = false;
-            // Baseline form (no informational block): re-publishing the
-            // same chunk always writes the same bytes.
-            saveResultFile(cr, (chunkDir / campaign.chunkFileName(j)).string(),
-                           false);
-            chunkResults[k] = std::move(cr);
-        }
     }
+
+    // A shard of several publishes chunks only; the run that covers
+    // every chunk assembles the campaign artifact from them.
+    if (opt.shardCount > 1)
+        return out;
 
     BenchResult art;
     art.bench = campaign.name();
     addCommonParams(campaign, art);
-    if (opt.sharded) {
-        art.addParam("shard", json::Value(opt.shard));
-        art.addParam("shard_count", json::Value(opt.shardCount));
-    }
     SweepStats total{};
     for (const BenchResult &cr : chunkResults) {
         for (const ResultCell &cell : cr.cells)
@@ -883,10 +905,10 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
         total.cellsRun += cr.stats.cellsRun;
         total.instrsReplayed += cr.stats.instrsReplayed;
     }
-    if (ran) {
+    if (!toRun.empty()) {
         // Carry the informational block of the actual pass, but keep
-        // the simulated subset resume-invariant: it covers every chunk
-        // of the shard, executed or skipped.
+        // the simulated subset resume-invariant: it covers every
+        // chunk, executed or skipped.
         SweepStats info = runStats;
         info.cellsRun = total.cellsRun;
         info.instrsReplayed = total.instrsReplayed;
@@ -898,160 +920,11 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
     }
     art.hasStats = true;
 
-    std::string artName;
-    if (opt.sharded) {
-        artName = "BENCH_" + campaign.name() + ".shard" +
-                  std::to_string(opt.shard) + "of" +
-                  std::to_string(opt.shardCount) + ".json";
-    } else {
-        artName = "BENCH_" + campaign.name() + ".json";
-    }
-    const fs::path artPath = fs::path(opt.jsonDir) / artName;
+    const fs::path artPath =
+        fs::path(opt.jsonDir) / ("BENCH_" + campaign.name() + ".json");
     saveResultFile(art, artPath.string(), art.hasInformational);
-
     out.artifact = std::move(art);
     out.artifactPath = artPath.string();
-    out.executed = int(toRun.size());
-    out.skipped = int(chunks.size() - toRun.size());
-    return out;
-}
-
-// ---------------------------------------------------------------------------
-// shard-artifact merge
-// ---------------------------------------------------------------------------
-
-BenchResult
-mergeShardResults(const std::vector<BenchResult> &shards)
-{
-    if (shards.empty())
-        throw CampaignError("merge: no shard artifacts given");
-
-    static const char *const commonNames[] = {
-        "campaign", "chunk_count", "config_count", "execs", "seed"};
-
-    // Validate each shard's shape and index it by shard number.
-    std::map<int, const BenchResult *> byShard;
-    int shardCount = -1;
-    for (const BenchResult &r : shards) {
-        auto find = [&r](const char *name) -> const json::Value * {
-            for (const auto &[k, v] : r.params)
-                if (k == name)
-                    return &v;
-            return nullptr;
-        };
-        const json::Value *shard = find("shard");
-        const json::Value *count = find("shard_count");
-        if (!shard || !count)
-            throw CampaignError(
-                "merge: '" + r.bench +
-                "' artifact is not a campaign shard (no shard/shard_count "
-                "params)");
-        for (const char *name : commonNames)
-            if (!find(name))
-                throw CampaignError("merge: shard artifact for '" + r.bench +
-                                    "' is missing param '" + name + "'");
-        if (!r.metrics.empty())
-            throw CampaignError(
-                "merge: shard artifact carries derived metrics");
-        if (!r.hasStats)
-            throw CampaignError("merge: shard artifact has no stats block");
-        int s = int(shard->asInt());
-        int n = int(count->asInt());
-        if (n < 1 || s < 0 || s >= n)
-            throw CampaignError("merge: invalid shard " + std::to_string(s) +
-                                "/" + std::to_string(n));
-        if (shardCount == -1)
-            shardCount = n;
-        else if (shardCount != n)
-            throw CampaignError("merge: shard_count mismatch (" +
-                                std::to_string(shardCount) + " vs " +
-                                std::to_string(n) + ")");
-        if (!byShard.emplace(s, &r).second)
-            throw CampaignError("merge: overlapping shards (shard " +
-                                std::to_string(s) + " appears twice)");
-    }
-    for (int s = 0; s < shardCount; ++s)
-        if (!byShard.count(s))
-            throw CampaignError("merge: missing shard " + std::to_string(s) +
-                                " of " + std::to_string(shardCount));
-
-    // Common identity params (everything but shard/shard_count) must
-    // agree bit-exactly across shards, as must the bench name.
-    const BenchResult &first = *byShard.at(0);
-    Params common;
-    for (const auto &p : first.params)
-        if (p.first != "shard" && p.first != "shard_count")
-            common.push_back(p);
-    for (const auto &[s, r] : byShard) {
-        Params mine;
-        for (const auto &p : r->params)
-            if (p.first != "shard" && p.first != "shard_count")
-                mine.push_back(p);
-        if (r->bench != first.bench || !sameParams(mine, common))
-            throw CampaignError(
-                "merge: shard " + std::to_string(s) +
-                " belongs to a different campaign than shard 0");
-    }
-
-    auto intParam = [&common](const char *name) -> long long {
-        for (const auto &[k, v] : common)
-            if (k == name)
-                return v.asInt();
-        return -1;
-    };
-    const long long chunkCount = intParam("chunk_count");
-    const long long configCount = intParam("config_count");
-    if (chunkCount < 1 || configCount < 1)
-        throw CampaignError("merge: invalid chunk_count/config_count");
-
-    // Per-shard cell count must cover exactly its round-robin chunks.
-    for (const auto &[s, r] : byShard) {
-        long long myChunks = 0;
-        for (long long j = s; j < chunkCount; j += shardCount)
-            ++myChunks;
-        if (static_cast<long long>(r->cells.size()) !=
-            myChunks * configCount)
-            throw CampaignError(
-                "merge: shard " + std::to_string(s) + " has " +
-                std::to_string(r->cells.size()) + " cells, expected " +
-                std::to_string(myChunks * configCount));
-    }
-
-    // Reassemble chunk-major: chunk j lives at rank j/N within shard
-    // j%N, so merged cell order equals the unsharded run's cell order.
-    BenchResult out;
-    out.bench = first.bench;
-    for (const auto &p : common)
-        out.addParam(p.first, p.second);
-    std::set<std::string> chunkTraces;
-    for (long long j = 0; j < chunkCount; ++j) {
-        const BenchResult &r = *byShard.at(int(j % shardCount));
-        const long long rank = j / shardCount;
-        const std::size_t begin = std::size_t(rank * configCount);
-        const std::string &traceKey = r.cells[begin].trace;
-        if (!chunkTraces.insert(traceKey).second)
-            throw CampaignError("merge: overlapping cells (trace '" +
-                                traceKey + "' appears in two chunks)");
-        for (long long i = 0; i < configCount; ++i) {
-            const ResultCell &cell = r.cells[begin + std::size_t(i)];
-            if (cell.trace != traceKey)
-                throw CampaignError(
-                    "merge: shard " + std::to_string(int(j % shardCount)) +
-                    " chunk block " + std::to_string(rank) +
-                    " mixes traces ('" + traceKey + "' vs '" + cell.trace +
-                    "')");
-            out.cells.push_back(cell);
-        }
-    }
-
-    SweepStats total{};
-    for (const auto &[s, r] : byShard) {
-        total.cellsRun += r->stats.cellsRun;
-        total.instrsReplayed += r->stats.instrsReplayed;
-    }
-    out.stats = total;
-    out.hasStats = true;
-    out.hasInformational = false;
     return out;
 }
 

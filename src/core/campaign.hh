@@ -41,15 +41,18 @@
  * Execution model: the grid partitions into *chunks* - one chunk per
  * trace, covering that trace's full config row - and chunks partition
  * round-robin across shards (chunk j belongs to shard j % N), so any
- * shard's work is a pure function of (campaign, i, N). Each executed
- * chunk publishes a content-hash-addressed chunk artifact; a
- * re-invocation skips published chunks, which is what makes an
- * interrupted campaign resume instead of restart. Shard artifacts
- * merge (mergeShardResults / `uasim-report merge`) into one canonical
- * BENCH_<name>.json whose simulated fields are bit-identical to an
- * unsharded single-process run - the load-bearing property, enforced
- * by tests/campaign_test.cc and the campaign_merge_parity ctest
- * entry.
+ * shard's work is a pure function of (campaign, i, N). Each chunk
+ * publishes a content-hash-addressed chunk artifact the moment its
+ * trace group completes; a re-invocation skips published chunks,
+ * which is what makes an interrupted campaign resume instead of
+ * restart. A shard of N > 1 only publishes chunks. The campaign
+ * artifact BENCH_<name>.json is always assembled by a run covering
+ * every chunk (shard 0 of 1), which executes whatever is not yet
+ * published - so merging shards is running that assembly over one
+ * chunk directory (shared, or the union of copied ones). Its
+ * simulated fields are bit-identical however the chunks were split
+ * or resumed - the load-bearing property, enforced by
+ * tests/campaign_test.cc and the campaign_merge_parity ctest entry.
  */
 
 #ifndef UASIM_CORE_CAMPAIGN_HH
@@ -69,7 +72,7 @@
 
 namespace uasim::core {
 
-/// Malformed campaign file, invalid expansion, or a merge rejection.
+/// Malformed campaign file, invalid expansion, or bad run options.
 class CampaignError : public std::runtime_error
 {
   public:
@@ -193,11 +196,9 @@ class Campaign
 
 /// How one invocation of the campaign driver executes.
 struct CampaignRunOptions {
-    /// When false, the run is the unsharded single-process form and
-    /// writes the canonical BENCH_<name>.json directly; when true it
-    /// runs shard/shardCount and writes
-    /// BENCH_<name>.shard<i>of<N>.json for `uasim-report merge`.
-    bool sharded = false;
+    /// Run shard @c shard of @c shardCount. Shard 0 of 1 (the
+    /// default) covers every chunk and writes BENCH_<name>.json; a
+    /// shard of more only publishes its chunk artifacts.
     int shard = 0;
     int shardCount = 1;
     std::string jsonDir;  //!< artifact directory (required)
@@ -213,8 +214,10 @@ struct CampaignChunkStatus {
 };
 
 struct CampaignRunOutcome {
-    BenchResult artifact;      //!< the shard (or final) artifact
-    std::string artifactPath;  //!< where it was written
+    /// The assembled campaign artifact and where it was written; empty
+    /// for a shard of more than one.
+    BenchResult artifact;
+    std::string artifactPath;
     std::string chunkDir;      //!< the chunk artifact directory
     std::vector<CampaignChunkStatus> chunks;  //!< ascending chunk order
     int executed = 0;
@@ -225,25 +228,15 @@ struct CampaignRunOutcome {
  * Execute one shard of @p campaign: probe the chunk directory under
  * @p opt.jsonDir for published chunk artifacts (skipping every chunk
  * whose content-hash-named artifact validates), run the remaining
- * chunks through one SweepRunner pass, publish their chunk artifacts,
- * and write the shard (or, unsharded, the canonical) BENCH artifact.
- * Simulated fields of the assembled artifact are independent of which
- * chunks were resumed vs executed.
+ * chunks through one SweepRunner pass, publishing each chunk's
+ * artifact as soon as its trace group completes. A run covering every
+ * chunk then assembles and writes BENCH_<name>.json; its simulated
+ * fields are independent of which chunks were resumed vs executed.
  * @throws CampaignError / std::runtime_error on unusable options or
  *         I/O failure.
  */
 CampaignRunOutcome runCampaignShard(const Campaign &campaign,
                                     const CampaignRunOptions &opt);
-
-/**
- * Combine the partial shard artifacts of one campaign into the
- * canonical merged BenchResult - bit-identical in every simulated
- * field to the unsharded single-process run. Rejects (CampaignError)
- * duplicate/missing shards, mismatched campaign identity or grid
- * shape, wrong per-shard cell counts, and inputs that are not shard
- * artifacts.
- */
-BenchResult mergeShardResults(const std::vector<BenchResult> &shards);
 
 } // namespace uasim::core
 

@@ -85,7 +85,7 @@ SweepRunner::attachStore(const std::string &dir)
 }
 
 std::vector<SweepCellResult>
-SweepRunner::run(const SweepPlan &plan)
+SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 {
     const auto wallStart = Clock::now();
     stats_ = SweepStats{};
@@ -370,6 +370,8 @@ SweepRunner::run(const SweepPlan &plan)
                     res.traceInstrs = mix.total();
                     ++local.cells;
                 }
+                if (onGroupDone)
+                    onGroupDone(group.trace, results);
             }
         } catch (...) {
             {

@@ -235,8 +235,21 @@ class SweepRunner
     }
     const std::string &timingModel() const { return timingModel_; }
 
-    /// Run the plan. @return per-cell results in plan cell order.
-    std::vector<SweepCellResult> run(const SweepPlan &plan);
+    /**
+     * Per-trace completion callback: invoked on the worker thread that
+     * ran trace @p trace's group, once every cell referencing it holds
+     * its final result in @p results (the run's cell-ordered result
+     * vector; slots of other groups may still be in flight and must
+     * not be read). An exception thrown here fails the run like any
+     * group failure.
+     */
+    using GroupDone = std::function<void(
+        int trace, const std::vector<SweepCellResult> &results)>;
+
+    /// Run the plan, calling @p onGroupDone (if set) as each trace
+    /// group completes. @return per-cell results in plan cell order.
+    std::vector<SweepCellResult> run(const SweepPlan &plan,
+                                     const GroupDone &onGroupDone = {});
 
     /// Statistics of the most recent run().
     const SweepStats &stats() const { return stats_; }

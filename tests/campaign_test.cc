@@ -3,20 +3,30 @@
  * Declarative sweep campaigns (core/campaign.hh): format parsing,
  * plain-decimal integer literals, the malformed-file table, content-hash
  * identity, deterministic expansion order, shard-partition
- * completeness/disjointness, resumable chunk execution, merge-vs-
- * unsharded bit-identity over the full simResultFields() table, and
- * the uasim-sweep / `uasim-report merge` CLI contracts.
+ * completeness/disjointness, resumable chunk execution (edited chunks
+ * re-execute, a SIGKILLed run keeps its published chunks), shards-
+ * then-assemble vs unsharded bit-identity over the full
+ * simResultFields() table, concurrent writers sharing one chunk
+ * directory and trace store, and the uasim-sweep / uasim-report CLI
+ * contracts.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "core/campaign.hh"
 #include "core/result.hh"
@@ -27,7 +37,6 @@ using uasim::core::Campaign;
 using uasim::core::CampaignError;
 using uasim::core::CampaignRunOptions;
 using uasim::core::CampaignRunOutcome;
-using uasim::core::mergeShardResults;
 using uasim::core::runCampaignShard;
 
 namespace {
@@ -128,15 +137,78 @@ freshDir(const std::string &name)
 
 CampaignRunOutcome
 runShard(const Campaign &c, const fs::path &dir, int shard, int count,
-         bool sharded = true)
+         const std::string &traceCache = "")
 {
     CampaignRunOptions opt;
-    opt.sharded = sharded;
     opt.shard = shard;
     opt.shardCount = count;
     opt.jsonDir = dir.string();
     opt.threads = 2;
+    opt.traceCache = traceCache;
     return runCampaignShard(c, opt);
+}
+
+/// Number of published (renamed-into-place) chunk artifacts in @p dir.
+int
+publishedChunks(const fs::path &dir)
+{
+    std::error_code ec;
+    int n = 0;
+    for (const auto &e : fs::directory_iterator(dir, ec)) {
+        const std::string name = e.path().filename().string();
+        n += name.starts_with("chunk-") && name.ends_with(".json");
+    }
+    return n;
+}
+
+/// Replace the first `"key": <digits>` in the file at @p path with
+/// @p value: a hand edit that keeps the artifact valid JSON.
+void
+editFirstNumber(const fs::path &path, const std::string &key,
+                const std::string &value)
+{
+    std::stringstream buf;
+    buf << std::ifstream(path).rdbuf();
+    std::string text = buf.str();
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = text.find(tag);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + tag.size();
+    const std::size_t end = text.find_first_not_of("0123456789", begin);
+    ASSERT_NE(text.substr(begin, end - begin), value) << key;
+    text.replace(begin, end - begin, value);
+    std::ofstream(path, std::ios::trunc) << text;
+}
+
+/// Start uasim-sweep with @p args, stdout/stderr discarded.
+pid_t
+spawnSweep(const std::vector<std::string> &args)
+{
+    std::vector<std::string> all = {UASIM_SWEEP_BIN};
+    all.insert(all.end(), args.begin(), args.end());
+    std::vector<char *> argv;
+    for (std::string &a : all)
+        argv.push_back(a.data());
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t fa;
+    posix_spawn_file_actions_init(&fa);
+    posix_spawn_file_actions_addopen(&fa, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_adddup2(&fa, 1, 2);
+    pid_t pid = -1;
+    if (posix_spawn(&pid, argv[0], &fa, nullptr, argv.data(), environ) != 0)
+        pid = -1;
+    posix_spawn_file_actions_destroy(&fa);
+    return pid;
+}
+
+/// Wait for @p pid. @return its exit code, or -1 if it did not exit.
+int
+waitExit(pid_t pid)
+{
+    int st = 0;
+    if (pid < 0 || ::waitpid(pid, &st, 0) != pid || !WIFEXITED(st))
+        return -1;
+    return WEXITSTATUS(st);
 }
 
 struct RunResult {
@@ -381,22 +453,28 @@ TEST(CampaignRun, MergeBitIdenticalToUnsharded)
     const fs::path fullDir = freshDir("full");
     const fs::path shardDir = freshDir("shards");
 
-    const CampaignRunOutcome full =
-        runShard(c, fullDir, 0, 1, /*sharded=*/false);
+    const CampaignRunOutcome full = runShard(c, fullDir, 0, 1);
     EXPECT_EQ(full.executed, 2);
     EXPECT_EQ(fs::path(full.artifactPath).filename().string(),
               "BENCH_unit_small.json");
 
-    std::vector<BenchResult> shards;
+    // Two shards into one directory publish their chunks only.
     for (int s = 0; s < 2; ++s) {
         const CampaignRunOutcome o = runShard(c, shardDir, s, 2);
-        EXPECT_EQ(fs::path(o.artifactPath).filename().string(),
-                  "BENCH_unit_small.shard" + std::to_string(s) +
-                      "of2.json");
-        shards.push_back(uasim::core::loadResultFile(o.artifactPath));
+        EXPECT_EQ(o.executed, 1);
+        EXPECT_TRUE(o.artifactPath.empty());
     }
+    for (const auto &e : fs::directory_iterator(shardDir))
+        EXPECT_FALSE(e.path().filename().string().starts_with("BENCH_"))
+            << e.path();
 
-    const BenchResult merged = mergeShardResults(shards);
+    // One unsharded run over that directory assembles the campaign
+    // artifact without executing anything.
+    const CampaignRunOutcome assembled = runShard(c, shardDir, 0, 1);
+    EXPECT_EQ(assembled.executed, 0);
+    EXPECT_EQ(assembled.skipped, 2);
+    const BenchResult merged =
+        uasim::core::loadResultFile(assembled.artifactPath);
     const BenchResult &ref = full.artifact;
     EXPECT_EQ(merged.bench, ref.bench);
     ASSERT_EQ(merged.cells.size(), ref.cells.size());
@@ -426,13 +504,13 @@ TEST(CampaignRun, ResumeSkipsPublishedChunks)
     const Campaign c = Campaign::parse(kSmall);
     const fs::path dir = freshDir("resume");
 
-    const CampaignRunOutcome first = runShard(c, dir, 0, 1, false);
+    const CampaignRunOutcome first = runShard(c, dir, 0, 1);
     EXPECT_EQ(first.executed, 2);
     EXPECT_EQ(first.skipped, 0);
 
     // Everything published: the re-invocation executes nothing, and
     // the artifact's simulated content is unchanged.
-    const CampaignRunOutcome again = runShard(c, dir, 0, 1, false);
+    const CampaignRunOutcome again = runShard(c, dir, 0, 1);
     EXPECT_EQ(again.executed, 0);
     EXPECT_EQ(again.skipped, 2);
     EXPECT_EQ(
@@ -442,7 +520,7 @@ TEST(CampaignRun, ResumeSkipsPublishedChunks)
     // Delete one chunk artifact: exactly that chunk re-executes.
     ASSERT_EQ(again.chunks.size(), 2u);
     fs::remove(fs::path(again.chunkDir) / again.chunks[1].file);
-    const CampaignRunOutcome redo = runShard(c, dir, 0, 1, false);
+    const CampaignRunOutcome redo = runShard(c, dir, 0, 1);
     EXPECT_EQ(redo.executed, 1);
     EXPECT_EQ(redo.skipped, 1);
     EXPECT_TRUE(redo.chunks[0].skipped);
@@ -457,47 +535,91 @@ TEST(CampaignRun, ResumeSkipsPublishedChunks)
                           redo.chunks[0].file);
         bad << "not json";
     }
-    const CampaignRunOutcome healed = runShard(c, dir, 0, 1, false);
+    const CampaignRunOutcome healed = runShard(c, dir, 0, 1);
     EXPECT_EQ(healed.executed, 1);
     EXPECT_EQ(
         uasim::core::diffResults(first.artifact, healed.artifact).status,
         uasim::core::DiffStatus::Match);
+
+    // A hand-edited chunk that is still valid JSON no longer matches
+    // the digest of its cells: exactly that chunk re-executes, and the
+    // artifact is the uninterrupted one again.
+    const fs::path edited = fs::path(healed.chunkDir) / healed.chunks[1].file;
+    const std::pair<const char *, const char *> edits[] = {
+        {"cycles", "1"}, {"int_alu", "999999"}, {"traceInstrs", "999999"}};
+    for (const auto &[key, value] : edits) {
+        editFirstNumber(edited, key, value);
+        const CampaignRunOutcome o = runShard(c, dir, 0, 1);
+        EXPECT_EQ(o.executed, 1) << key;
+        EXPECT_TRUE(o.chunks[0].skipped) << key;
+        EXPECT_FALSE(o.chunks[1].skipped) << key;
+        EXPECT_EQ(
+            uasim::core::diffResults(first.artifact, o.artifact).status,
+            uasim::core::DiffStatus::Match)
+            << key;
+    }
+
+    // Another chunk's intact artifact under this chunk's name (a bad
+    // union copy) is not this chunk: it re-executes too.
+    fs::copy_file(fs::path(healed.chunkDir) / healed.chunks[0].file, edited,
+                  fs::copy_options::overwrite_existing);
+    const CampaignRunOutcome foreign = runShard(c, dir, 0, 1);
+    EXPECT_EQ(foreign.executed, 1);
+    EXPECT_FALSE(foreign.chunks[1].skipped);
+    EXPECT_EQ(
+        uasim::core::diffResults(first.artifact, foreign.artifact).status,
+        uasim::core::DiffStatus::Match);
 }
 
-TEST(CampaignRun, MergeRejections)
+TEST(CampaignRun, SigkillKeepsPublishedChunks)
 {
-    const Campaign c = Campaign::parse(kSmall);
-    const fs::path dir = freshDir("reject");
-    std::vector<BenchResult> shards;
-    for (int s = 0; s < 2; ++s)
-        shards.push_back(uasim::core::loadResultFile(
-            runShard(c, dir, s, 2).artifactPath));
+    // SIGKILL a single-threaded run as soon as its first chunk is
+    // published. Chunks publish as their groups complete, so that is
+    // long before the last trace is even recorded into the store; every
+    // chunk finished before the kill survives, and the re-run executes
+    // only the missing ones.
+    const std::string conf =
+        std::string(UASIM_CAMPAIGN_EXAMPLES) + "/nightly_mid.conf";
+    const Campaign c = Campaign::load(conf);
+    const fs::path dir = freshDir("sigkill");
+    const fs::path store = freshDir("sigkill_store");
+    const fs::path chunkDir = dir / (c.id() + ".chunks");
 
-    // Overlap: the same shard twice.
-    EXPECT_THROW(mergeShardResults({shards[0], shards[0]}),
-                 CampaignError);
-    // Missing shard 1.
-    EXPECT_THROW(mergeShardResults({shards[0]}), CampaignError);
-    // Not a shard artifact (the unsharded final form).
-    const CampaignRunOutcome full =
-        runShard(c, freshDir("reject_full"), 0, 1, false);
-    EXPECT_THROW(mergeShardResults({full.artifact, shards[1]}),
-                 CampaignError);
-    // Mismatched campaign identity: a different-execs sibling.
-    std::string bumped(kSmall);
-    bumped.replace(bumped.find("execs = 2"), 9, "execs = 3");
-    std::string renamed(bumped);  // same name, different hash
-    const Campaign c2 = Campaign::parse(renamed);
-    const BenchResult other = uasim::core::loadResultFile(
-        runShard(c2, freshDir("reject_other"), 0, 2).artifactPath);
-    EXPECT_THROW(mergeShardResults({other, shards[1]}), CampaignError);
-    // Wrong per-shard cell count.
-    BenchResult truncated = shards[0];
-    truncated.cells.pop_back();
-    EXPECT_THROW(mergeShardResults({truncated, shards[1]}),
-                 CampaignError);
-    // The intact pair still merges.
-    EXPECT_NO_THROW(mergeShardResults({shards[1], shards[0]}));
+    const pid_t pid =
+        spawnSweep({"run", conf, "--threads", "1", "--json", dir.string(),
+                    "--trace-cache", store.string()});
+    ASSERT_GT(pid, 0);
+    int st = 0;
+    bool exited = false;
+    while (publishedChunks(chunkDir) == 0) {
+        if (::waitpid(pid, &st, WNOHANG) == pid) {
+            exited = true;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    if (!exited) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, &st, 0);
+    }
+    ASSERT_TRUE(WIFSIGNALED(st)) << "the run ended before the kill";
+
+    int recorded = 0;
+    for (const auto &e : fs::directory_iterator(store))
+        recorded += e.path().extension() == ".uatrace";
+    EXPECT_LT(recorded, c.chunkCount())
+        << "no chunk was published until every trace was recorded";
+    const int published = publishedChunks(chunkDir);
+    EXPECT_GE(published, 1);
+    const CampaignRunOutcome resumed =
+        runShard(c, dir, 0, 1, store.string());
+    EXPECT_EQ(resumed.executed, c.chunkCount() - published);
+    EXPECT_EQ(resumed.skipped, published);
+
+    const CampaignRunOutcome whole = runShard(c, freshDir("sigkill_ref"), 0, 1);
+    EXPECT_EQ(
+        uasim::core::diffResults(whole.artifact, resumed.artifact).status,
+        uasim::core::DiffStatus::Match);
 }
 
 // ---------------------------------------------------------------------------
@@ -599,19 +721,70 @@ TEST(CampaignCli, SweepDriver)
         << emptyCache.out;
 }
 
-TEST(CampaignCli, ReportMerge)
+TEST(CampaignCli, ReportHasNoMergeVerb)
 {
+    // Shards are assembled by an unsharded `uasim-sweep run`; the
+    // report tool only diffs and refreshes.
     const std::string report = UASIM_REPORT_BIN;
-    EXPECT_EQ(run(report + " merge").exit, 2);
-    EXPECT_EQ(run(report + " merge /tmp/out.json").exit, 2);
-    // A directory with no shard artifacts is a schema-class error.
-    const fs::path empty = freshDir("merge_empty");
-    EXPECT_EQ(run(report + " merge " + empty.string() + "/out.json " +
-                  empty.string())
+    const fs::path dir = freshDir("merge_retired");
+    EXPECT_EQ(run(report + " merge " + dir.string() + "/out " +
+                  dir.string())
                   .exit,
               2);
-    // merge is documented in --help.
     const RunResult help = run(report + " --help");
     EXPECT_EQ(help.exit, 0);
-    EXPECT_NE(help.out.find("merge"), std::string::npos);
+    EXPECT_EQ(help.out.find("merge"), std::string::npos) << help.out;
+}
+
+TEST(CampaignCli, ConcurrentWritersShareDirAndStore)
+{
+    const std::string conf =
+        std::string(UASIM_CAMPAIGN_EXAMPLES) + "/fig9_ci.conf";
+    const Campaign c = Campaign::load(conf);
+    const CampaignRunOutcome ref = runShard(c, freshDir("race_ref"), 0, 1);
+    const auto matchesRef = [&ref](const BenchResult &r) {
+        return uasim::core::diffResults(ref.artifact, r).status ==
+               uasim::core::DiffStatus::Match;
+    };
+
+    // Two shards at once into one --json DIR and one --trace-cache.
+    const fs::path shardDir = freshDir("race_shards");
+    const fs::path shardStore = freshDir("race_shards_store");
+    std::vector<pid_t> pids;
+    for (const char *spec : {"0/2", "1/2"})
+        pids.push_back(spawnSweep({"run", conf, "--shard", spec,
+                                   "--threads", "2", "--json",
+                                   shardDir.string(), "--trace-cache",
+                                   shardStore.string()}));
+    for (pid_t pid : pids)
+        EXPECT_EQ(waitExit(pid), 0);
+    const CampaignRunOutcome assembled = runShard(c, shardDir, 0, 1);
+    EXPECT_EQ(assembled.executed, 0);
+    EXPECT_TRUE(matchesRef(assembled.artifact));
+
+    // Two whole runs at once record the same keys into one store and
+    // publish the same chunks and artifact into one directory.
+    const fs::path runDir = freshDir("race_runs");
+    const fs::path runStore = freshDir("race_runs_store");
+    pids.clear();
+    for (int i = 0; i < 2; ++i)
+        pids.push_back(spawnSweep({"run", conf, "--threads", "2", "--json",
+                                   runDir.string(), "--trace-cache",
+                                   runStore.string()}));
+    for (pid_t pid : pids)
+        EXPECT_EQ(waitExit(pid), 0);
+    EXPECT_TRUE(matchesRef(uasim::core::loadResultFile(
+        (runDir / "BENCH_fig9_ci.json").string())));
+
+    // Both stores now serve every trace: a warm run records nothing.
+    for (const fs::path &store : {shardStore, runStore}) {
+        const CampaignRunOutcome warm =
+            runShard(c, freshDir("race_warm"), 0, 1, store.string());
+        EXPECT_EQ(warm.executed, c.chunkCount());
+        EXPECT_EQ(warm.artifact.stats.tracesRecorded, 0u) << store;
+        EXPECT_EQ(warm.artifact.stats.tracesLoaded,
+                  std::uint64_t(c.chunkCount()))
+            << store;
+        EXPECT_TRUE(matchesRef(warm.artifact));
+    }
 }

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign.hh"
 #include "core/result.hh"
 
 namespace fs = std::filesystem;
@@ -44,20 +43,11 @@ usage(const char *argv0, bool requested)
     std::fprintf(
         requested ? stdout : stderr,
         "usage: %s [--update-baselines] BASELINE CURRENT\n"
-        "       %s merge OUT SHARD...\n"
         "\n"
         "  BASELINE / CURRENT are BENCH_*.json files, or directories\n"
         "  of them (compared pairwise by file name, union of both\n"
         "  sides; an artifact missing on either side is a\n"
         "  regression).\n"
-        "\n"
-        "  merge combines the partial BENCH_<c>.shard<i>of<N>.json\n"
-        "  artifacts of one uasim-sweep campaign (files, or\n"
-        "  directories globbed for them) into the canonical merged\n"
-        "  artifact at OUT (a directory gets BENCH_<campaign>.json),\n"
-        "  bit-identical in simulated fields to an unsharded run.\n"
-        "  Overlapping, missing, or mismatched shards exit 1;\n"
-        "  unparsable artifacts exit 2.\n"
         "\n"
         "  --update-baselines  instead of diffing, rewrite CURRENT's\n"
         "                      artifacts into BASELINE in canonical\n"
@@ -71,7 +61,7 @@ usage(const char *argv0, bool requested)
         "                      artifact schema it gates, then exit 0\n"
         "\n"
         "exit codes: 0 match, 1 regression, 2 schema error\n",
-        argv0, argv0);
+        argv0);
     return requested ? 0
                      : uasim::core::exitCode(DiffStatus::SchemaError);
 }
@@ -211,104 +201,11 @@ updateBaselines(const fs::path &baseDir, const fs::path &curPath,
     return uasim::core::exitCode(status);
 }
 
-/**
- * `uasim-report merge OUT SHARD...`: combine one campaign's partial
- * shard artifacts into the canonical merged artifact. Directory
- * operands are globbed for BENCH_*.shard*of*.json (sorted), so CI can
- * point it at the downloaded artifact directory. The merged file is
- * written in baseline form (no informational block): its simulated
- * fields are exactly the unsharded run's, its wall-clock story is no
- * single process's.
- *
- * Exit codes: 0 merged, 1 structural conflict (overlap / missing
- * shard / mismatched campaign), 2 usage or unparsable artifact.
- */
-int
-mergeShards(int argc, char **argv)
-{
-    std::vector<fs::path> inputs;
-    for (int i = 3; i < argc; ++i) {
-        const fs::path p = argv[i];
-        if (fs::is_directory(p)) {
-            std::vector<std::string> names;
-            for (const auto &entry : fs::directory_iterator(p)) {
-                if (!entry.is_regular_file())
-                    continue;
-                const std::string name =
-                    entry.path().filename().string();
-                if (name.starts_with("BENCH_") &&
-                    name.find(".shard") != std::string::npos &&
-                    name.ends_with(".json"))
-                    names.push_back(name);
-            }
-            std::sort(names.begin(), names.end());
-            for (const std::string &name : names)
-                inputs.push_back(p / name);
-        } else {
-            inputs.push_back(p);
-        }
-    }
-    if (inputs.empty()) {
-        std::fprintf(stderr, "merge: no shard artifacts found\n");
-        return uasim::core::exitCode(DiffStatus::SchemaError);
-    }
-
-    std::vector<BenchResult> shards;
-    for (const fs::path &p : inputs) {
-        try {
-            shards.push_back(uasim::core::loadResultFile(p.string()));
-            std::printf("SHARD         %s\n", p.string().c_str());
-        } catch (const uasim::core::SchemaError &e) {
-            std::fprintf(stderr, "SCHEMA ERROR  %s: %s\n",
-                         p.string().c_str(), e.what());
-            return uasim::core::exitCode(DiffStatus::SchemaError);
-        }
-    }
-
-    BenchResult merged;
-    try {
-        merged = uasim::core::mergeShardResults(shards);
-    } catch (const uasim::core::CampaignError &e) {
-        std::fprintf(stderr, "MERGE CONFLICT  %s\n", e.what());
-        return uasim::core::exitCode(DiffStatus::Regression);
-    }
-
-    // OUT names the merged file only when it looks like one
-    // (*.json); anything else is a directory that receives the
-    // canonical BENCH_<campaign>.json.
-    fs::path out = argv[2];
-    if (fs::is_directory(out) || !out.string().ends_with(".json")) {
-        std::error_code ec;
-        fs::create_directories(out, ec);
-        out /= "BENCH_" + merged.bench + ".json";
-    }
-    try {
-        uasim::core::saveResultFile(merged, out.string(),
-                                    /*includeInformational=*/false);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "cannot write %s: %s\n",
-                     out.string().c_str(), e.what());
-        return uasim::core::exitCode(DiffStatus::SchemaError);
-    }
-    std::printf("MERGED        %s (%zu shard(s), %zu cells)\n",
-                out.string().c_str(), shards.size(),
-                merged.cells.size());
-    return uasim::core::exitCode(DiffStatus::Match);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    if (argc >= 2 && std::strcmp(argv[1], "merge") == 0) {
-        if (argc < 4) {
-            std::fprintf(stderr,
-                         "usage: %s merge OUT SHARD...\n", argv[0]);
-            return uasim::core::exitCode(DiffStatus::SchemaError);
-        }
-        return mergeShards(argc, argv);
-    }
     bool update = false;
     bool prune = false;
     std::vector<std::string> positional;

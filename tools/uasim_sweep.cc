@@ -5,14 +5,16 @@
  *   uasim-sweep run CAMPAIGN.conf [--shard I/N] --json DIR ...
  *   uasim-sweep expand CAMPAIGN.conf [--shard I/N]
  *
- * `run` expands the campaign (core/campaign.hh), executes this
- * invocation's chunks through the SweepRunner/TraceStore stack, and
- * writes the shard artifact (BENCH_<name>.shard<i>of<N>.json) or -
- * without --shard - the canonical BENCH_<name>.json. Chunks already
- * published under DIR/<id>.chunks/ are skipped, not re-run: that is
- * the resume property, and the "executed E chunk(s), skipped S
- * published chunk(s)" summary line is what the campaign_merge_parity
- * test greps to prove it.
+ * `run` expands the campaign (core/campaign.hh) and executes this
+ * invocation's chunks through the SweepRunner/TraceStore stack,
+ * publishing each under DIR/<id>.chunks/ as it completes. Chunks
+ * already published there are skipped, not re-run: that is the resume
+ * property, and the "executed E chunk(s), skipped S published
+ * chunk(s)" summary line is what the campaign_merge_parity test greps
+ * to prove it. A --shard I/N run with N > 1 stops there; a run without
+ * --shard (or with 0/1) also assembles BENCH_<name>.json from the
+ * chunk directory. Merging shards is that unsharded run over their
+ * shared (or copied-together) chunk directories.
  *
  * `expand` is the dry run: identity, grid shape, and the chunk ->
  * shard table, without simulating anything.
@@ -53,12 +55,14 @@ usage(const char *argv0, bool requested)
         "       %s expand CAMPAIGN.conf [--shard I/N]\n"
         "\n"
         "run options:\n"
-        "  --json DIR          artifact directory (required): the shard\n"
-        "                      artifact plus resumable chunk artifacts\n"
-        "                      under DIR/<campaign-id>.chunks/\n"
+        "  --json DIR          artifact directory (required): resumable\n"
+        "                      chunk artifacts under\n"
+        "                      DIR/<campaign-id>.chunks/ plus, for a\n"
+        "                      run over every chunk, BENCH_<name>.json\n"
         "  --shard I/N         run shard I of N (chunk j belongs to\n"
-        "                      shard j%%N); omit for the unsharded\n"
-        "                      single-process run\n"
+        "                      shard j%%N) and publish its chunks only;\n"
+        "                      omit to run every chunk not yet\n"
+        "                      published and assemble the artifact\n"
         "  --threads N         sweep worker threads (default: hardware)\n"
         "  --trace-cache DIR   persistent content-addressed trace store\n"
         "\n"
@@ -116,7 +120,6 @@ operand(int argc, char **argv, int &i)
 struct Options {
     std::string verb;
     std::string campaignFile;
-    bool sharded = false;
     int shard = 0;
     int shardCount = 1;
     std::string jsonDir;
@@ -139,7 +142,7 @@ runExpand(const Campaign &c, const Options &opt)
     for (const auto &cfg : c.configs())
         std::printf("config    %s\n", cfg.label.c_str());
     for (int j = 0; j < c.chunkCount(); ++j) {
-        if (opt.sharded)
+        if (opt.shardCount > 1)
             std::printf("chunk %-3d shard %d/%d  %s  %s\n", j,
                         j % opt.shardCount, opt.shardCount,
                         c.chunkFileName(j).c_str(),
@@ -156,7 +159,6 @@ int
 runRun(const Campaign &c, const Options &opt)
 {
     CampaignRunOptions ro;
-    ro.sharded = opt.sharded;
     ro.shard = opt.shard;
     ro.shardCount = opt.shardCount;
     ro.jsonDir = opt.jsonDir;
@@ -168,15 +170,20 @@ runRun(const Campaign &c, const Options &opt)
         std::printf("[%s] chunk %d %s: %s\n", c.name().c_str(), s.chunk,
                     s.file.c_str(),
                     s.skipped ? "skipped (published)" : "executed");
-    if (opt.sharded)
+    if (opt.shardCount > 1) {
         std::printf("[%s] shard %d/%d: executed %d chunk(s), skipped %d "
                     "published chunk(s)\n",
                     c.name().c_str(), opt.shard, opt.shardCount,
                     out.executed, out.skipped);
-    else
-        std::printf("[%s] run: executed %d chunk(s), skipped %d "
-                    "published chunk(s)\n",
-                    c.name().c_str(), out.executed, out.skipped);
+        std::printf("[%s] chunks in %s; a run without --shard over them "
+                    "assembles BENCH_%s.json\n",
+                    c.name().c_str(), out.chunkDir.c_str(),
+                    c.name().c_str());
+        return 0;
+    }
+    std::printf("[%s] run: executed %d chunk(s), skipped %d published "
+                "chunk(s)\n",
+                c.name().c_str(), out.executed, out.skipped);
     std::printf("[%s] wrote %s\n", c.name().c_str(),
                 out.artifactPath.c_str());
     return 0;
@@ -207,7 +214,6 @@ main(int argc, char **argv)
                              argv[0]);
                 return 2;
             }
-            opt.sharded = true;
         } else if (std::strcmp(argv[i], "--json") == 0) {
             opt.jsonDir = operand(argc, argv, i);
         } else if (std::strcmp(argv[i], "--threads") == 0) {
@@ -250,13 +256,9 @@ main(int argc, char **argv)
 
     try {
         const Campaign c = Campaign::load(opt.campaignFile);
-        if (opt.sharded) {
-            // Validate the shard spec against the expanded grid up
-            // front - an out-of-range shard is a usage error (2),
-            // not a run failure.
-            Campaign::shardChunks(c.chunkCount(), opt.shard,
-                                  opt.shardCount);
-        }
+        // Validate the shard spec against the expanded grid up front -
+        // an out-of-range shard is a usage error (2), not a run failure.
+        Campaign::shardChunks(c.chunkCount(), opt.shard, opt.shardCount);
         return opt.verb == "expand" ? runExpand(c, opt) : runRun(c, opt);
     } catch (const CampaignError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
