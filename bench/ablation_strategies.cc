@@ -79,7 +79,9 @@ runSadExecs(vmx::ScalarOps &so, vmx::VecOps &vo, RealignStrategy strat,
 int
 main(int argc, char **argv)
 {
-    const int execs = bench::sizeFlag(argc, argv, "--execs", 300, 8);
+    const auto opt = bench::parseBenchArgs(
+        argc, argv, {{"--execs", core::CliFlag::Int, "N", 1}});
+    const int execs = opt.size("--execs", 300, 8);
     std::printf("== Ablation: Table I strategies inside the SAD 16x16 "
                 "kernel ==\n(%d executions per point; cycles per "
                 "execution, +1/+2 network for\nhardware-unaligned "
@@ -143,11 +145,11 @@ main(int argc, char **argv)
             plan.addCell(simT, c);
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
     auto artifact =
-        bench::makeResult("ablation_strategies", argc, argv);
+        bench::makeResult("ablation_strategies", opt);
     artifact.addParam("execs", json::Value(execs));
     artifact.addParam("countExecs", json::Value(countExecs));
 
@@ -181,7 +183,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
     std::printf(
         "Reading: the 3-instruction Cell sequence recovers part of "
         "the lvxu win;\nthe 4-instruction Altivec idiom pays both "

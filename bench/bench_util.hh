@@ -1,22 +1,20 @@
 /**
  * @file
- * Shared helpers for the artifact benches: command-line handling and
- * the paper-reference annotations printed next to measured values.
+ * Shared helpers for the artifact benches: the shared command line,
+ * the sweep runner it configures and the BENCH_*.json artifact.
  */
 
 #ifndef UASIM_BENCH_BENCH_UTIL_HH
 #define UASIM_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
 #include "timing/model.hh"
@@ -24,155 +22,81 @@
 
 namespace uasim::bench {
 
-/// Parse "--execs N" / "--frames N" style flags with a default.
-/// Like stringFlag below, a missing or non-numeric operand is fatal:
-/// atoi's silent 0 would turn a typo into a wrong-but-exit-0 run. So
-/// is an operand below @p min, before any work is done.
-inline int
-intFlag(int argc, char **argv, const char *name, int def,
-        int min = INT_MIN)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing operand\n", name);
-                std::exit(2);
-            }
-            errno = 0;
-            char *end = nullptr;
-            const long v = std::strtol(argv[i + 1], &end, 10);
-            if (end == argv[i + 1] || *end != '\0' ||
-                errno == ERANGE || v < INT_MIN || v > INT_MAX) {
-                std::fprintf(stderr, "%s: invalid number \"%s\"\n",
-                             name, argv[i + 1]);
-                std::exit(2);
-            }
-            if (v < min) {
-                std::fprintf(stderr, "%s: %ld out of range (minimum %d)\n",
-                             name, v, min);
-                std::exit(2);
-            }
-            return int(v);
-        }
+/**
+ * A bench's parsed command line. Every bench takes the shared flags -
+ * "--quick", "--threads N", "--trace-cache DIR", "--timing-model
+ * pipeline|ooo" and "--json DIR" - so the results gate can drive them
+ * all the same way, plus its own workload flags.
+ */
+struct BenchOptions {
+    explicit BenchOptions(core::CliArgs parsed)
+        : args(std::move(parsed)), quick(args.has("--quick")),
+          timingModel(args.text("--timing-model", "pipeline")),
+          jsonDir(args.text("--json"))
+    {
     }
-    return def;
-}
 
-/// Parse a "--name STR" flag with a default. A flag given without its
-/// operand is fatal: silently falling back to the default would make
-/// e.g. "--json" (PATH forgotten) look like a passing artifact run.
-inline const char *
-stringFlag(int argc, char **argv, const char *name, const char *def)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) {
-            // A following "--flag" is a forgotten operand, not a
-            // value — "--json --quick" must not write a file named
-            // "--quick" and exit 0.
-            if (i + 1 >= argc ||
-                std::strncmp(argv[i + 1], "--", 2) == 0) {
-                std::fprintf(stderr, "%s: missing operand\n", name);
-                std::exit(2);
-            }
-            return argv[i + 1];
-        }
+    core::CliArgs args;
+    /// The smoke-test tiny-input path was requested.
+    bool quick;
+    /// The TimingModel backend every timing cell simulates on.
+    std::string timingModel;
+    /// Artifact directory; empty when "--json" is absent.
+    std::string jsonDir;
+
+    /// Workload size: an explicit "--execs N" / "--frames N" (min 1)
+    /// wins, else --quick selects @p quickDef, else @p def.
+    int size(const char *name, int def, int quickDef) const
+    {
+        return args.number(name, quick ? quickDef : def);
     }
-    return def;
-}
-
-inline bool
-boolFlag(int argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0)
-            return true;
-    }
-    return false;
-}
-
-/// True when the smoke-test tiny-input path was requested.
-inline bool
-quickFlag(int argc, char **argv)
-{
-    return boolFlag(argc, argv, "--quick");
-}
+};
 
 /**
- * Sweep worker count ("--threads N", N >= 0). The default 0 lets
- * SweepRunner pick the hardware concurrency; results are
- * byte-identical at any value (the runner's cell-ordered results are
- * deterministic).
+ * Parse a bench command line: the shared flags plus @p own. A
+ * rejected token or an unknown "--timing-model" exits 2; the "--json"
+ * DIR is created before any simulation (exit 1 if it cannot be).
  */
-inline int
-threadsFlag(int argc, char **argv)
+inline BenchOptions
+parseBenchArgs(int argc, char **argv, std::vector<core::CliFlag> own = {})
 {
-    return intFlag(argc, argv, "--threads", 0, 0);
-}
-
-/**
- * Persistent trace-cache directory ("--trace-cache DIR"); empty when
- * the flag is absent (no store).
- */
-inline std::string
-traceCacheFlag(int argc, char **argv)
-{
-    return stringFlag(argc, argv, "--trace-cache", "");
-}
-
-/**
- * Timing-backend selector ("--timing-model pipeline|ooo", default
- * pipeline). Every timing cell of the run simulates on the named
- * TimingModel backend (SweepRunner::setTimingModel overrides each
- * config's model field); results from different backends are
- * different experiments, so artifacts carry the model as a gating
- * "timing_model" param and non-default models get model-suffixed
- * canonical artifact names. An unknown name is fatal, like every
- * other malformed bench flag.
- */
-inline std::string
-timingModelFlag(int argc, char **argv)
-{
-    const std::string name =
-        stringFlag(argc, argv, "--timing-model", "pipeline");
-    if (!timing::isTimingModel(name)) {
-        std::string known;
-        for (const auto &m : timing::timingModelNames()) {
-            if (!known.empty())
-                known += ", ";
-            known += '"';
-            known += m;
-            known += '"';
-        }
-        std::fprintf(stderr,
-                     "--timing-model: unknown model \"%s\" "
-                     "(expected %s)\n",
-                     name.c_str(), known.c_str());
-        std::exit(2);
+    std::string models;
+    for (const auto &m : timing::timingModelNames())
+        models += (models.empty() ? "" : "|") + m;
+    own.insert(own.begin(),
+               {{"--quick"},
+                {"--threads", core::CliFlag::Int, "N", 0},
+                {"--trace-cache", core::CliFlag::String, "DIR"},
+                {"--timing-model", core::CliFlag::String, models},
+                {"--json", core::CliFlag::String, "DIR"}});
+    BenchOptions opt(core::parseCommandLine(argc, argv, std::move(own)));
+    if (!timing::isTimingModel(opt.timingModel))
+        opt.args.fail("--timing-model",
+                      "unknown model \"" + opt.timingModel + "\"");
+    std::error_code ec;
+    if (!opt.jsonDir.empty() &&
+        !std::filesystem::create_directories(opt.jsonDir, ec) && ec) {
+        std::fprintf(stderr, "--json: cannot create %s: %s\n",
+                     opt.jsonDir.c_str(), ec.message().c_str());
+        std::exit(1);
     }
-    return name;
+    return opt;
 }
 
 /**
  * SweepRunner configured from the shared bench flags: "--threads N"
- * workers, "--timing-model pipeline|ooo" backend selection, plus, when
- * "--trace-cache DIR" is given, a persistent content-addressed trace
- * store (trace/trace_store.hh). With the store, a second (warm) run
- * of the same grid replays every kernel trace from disk instead of
- * re-emulating it, with byte-identical output. Exits with a
- * diagnostic if DIR cannot be created.
+ * workers (0 = hardware concurrency; results are byte-identical at
+ * any value), every timing cell on the "--timing-model" backend, and,
+ * with "--trace-cache DIR", a persistent content-addressed trace store
+ * that lets a warm run replay every kernel trace from disk. Exits 1
+ * if DIR cannot be created.
  */
 inline core::SweepRunner
-makeSweepRunner(int argc, char **argv)
+makeSweepRunner(const BenchOptions &opt)
 {
-    core::SweepRunner runner(threadsFlag(argc, argv));
-    runner.setTimingModel(timingModelFlag(argc, argv));
-    const std::string dir = traceCacheFlag(argc, argv);
-    if (dir.empty() && boolFlag(argc, argv, "--trace-cache")) {
-        // Same rule as --json: an empty DIR (unset shell variable)
-        // must not silently run uncached with exit 0.
-        std::fprintf(stderr, "--trace-cache: empty DIR operand\n");
-        std::exit(2);
-    }
+    core::SweepRunner runner(opt.args.number("--threads", 0));
+    runner.setTimingModel(opt.timingModel);
+    const std::string dir = opt.args.text("--trace-cache");
     if (!dir.empty()) {
         try {
             runner.attachStore(dir);
@@ -185,69 +109,40 @@ makeSweepRunner(int argc, char **argv)
 }
 
 /**
- * Machine-readable artifact path ("--json PATH"); empty when absent.
- */
-inline std::string
-jsonFlag(int argc, char **argv)
-{
-    return stringFlag(argc, argv, "--json", "");
-}
-
-/**
  * Start a BenchResult for this bench: names it and records the shared
  * flags every bench honors ("quick" first, so artifacts lead with the
  * workload scale; then "timing_model", because a different backend is
  * a different experiment and must gate baseline comparison).
  */
 inline core::BenchResult
-makeResult(const char *bench, int argc, char **argv)
+makeResult(const char *bench, const BenchOptions &opt)
 {
     core::BenchResult r;
     r.bench = bench;
-    r.addParam("quick", json::Value(quickFlag(argc, argv)));
-    r.addParam("timing_model",
-               json::Value(timingModelFlag(argc, argv)));
+    r.addParam("quick", json::Value(opt.quick));
+    r.addParam("timing_model", json::Value(opt.timingModel));
     return r;
 }
 
 /**
- * Emit the BENCH_<name>.json artifact when "--json PATH" was given.
- * PATH naming an existing directory (or ending in '/') places the
- * canonically named artifact inside it - BENCH_<bench>.json on the
- * default backend, BENCH_<bench>.<model>.json under a non-default
- * "--timing-model" (per-model runs are separate experiments with
- * separate baselines, and the suffix keeps them paired by filename in
- * baseline diffs); otherwise the
- * artifact is written to PATH exactly. The write is atomic
- * (tmp+rename) and a failure is fatal: CI consumes these artifacts,
- * so a silently missing one must not look like a passing run.
+ * Write the artifact into the "--json DIR" directory, when given, as
+ * BENCH_<bench>.json, or BENCH_<bench>.<model>.json under a
+ * non-default "--timing-model" (a separate experiment with its own
+ * baseline). The write is atomic (tmp+rename) and a failure exits 1:
+ * a silently missing artifact must not look like a passing run.
  */
 inline void
-writeResultArtifact(int argc, char **argv,
+writeResultArtifact(const BenchOptions &opt,
                     const core::BenchResult &result)
 {
-    std::string path = jsonFlag(argc, argv);
-    if (path.empty()) {
-        // "--json ''" (e.g. an unset shell variable) is present but
-        // useless; treat it like a missing operand, not "no flag".
-        if (boolFlag(argc, argv, "--json")) {
-            std::fprintf(stderr, "--json: empty PATH operand\n");
-            std::exit(2);
-        }
+    if (opt.jsonDir.empty())
         return;
-    }
-    std::error_code ec;
-    if (path.back() == '/' ||
-        std::filesystem::is_directory(path, ec)) {
-        const std::string model = timingModelFlag(argc, argv);
-        std::string file = "BENCH_" + result.bench;
-        if (model != "pipeline") {
-            file += '.';
-            file += model;
-        }
-        file += ".json";
-        path = (std::filesystem::path(path) / file).string();
-    }
+    std::string file = "BENCH_" + result.bench;
+    if (opt.timingModel != "pipeline")
+        file += "." + opt.timingModel;
+    file += ".json";
+    const std::string path =
+        (std::filesystem::path(opt.jsonDir) / file).string();
     try {
         core::saveResultFile(result, path);
     } catch (const std::exception &e) {
@@ -263,26 +158,13 @@ writeResultArtifact(int argc, char **argv,
  * was given.
  */
 inline void
-finishArtifact(int argc, char **argv, core::BenchResult &artifact,
+finishArtifact(const BenchOptions &opt, core::BenchResult &artifact,
                const std::vector<core::SweepCellResult> &results,
                const core::SweepRunner &runner)
 {
     artifact.addCells(results);
     artifact.setStats(runner.stats());
-    writeResultArtifact(argc, argv, artifact);
-}
-
-/**
- * Workload-size flag with a --quick override: an explicit "--execs N"
- * (N >= 1; an empty workload has no per-execution averages) wins,
- * otherwise --quick selects @p quickDef (a tiny smoke-test input),
- * otherwise @p def (the paper-scale default).
- */
-inline int
-sizeFlag(int argc, char **argv, const char *name, int def, int quickDef)
-{
-    return intFlag(argc, argv, name,
-                   quickFlag(argc, argv) ? quickDef : def, 1);
+    writeResultArtifact(opt, artifact);
 }
 
 /// Smoke-path geometry shared by the scenario programs: QCIF under

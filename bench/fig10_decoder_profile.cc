@@ -34,9 +34,14 @@ using dec::StageCounts;
 int
 main(int argc, char **argv)
 {
-    const int frames = bench::sizeFlag(argc, argv, "--frames", 4, 1);
-    const int qp = bench::intFlag(argc, argv, "--qp", 34);
-    const bool full = bench::boolFlag(argc, argv, "--full-res");
+    const auto opt = bench::parseBenchArgs(
+        argc, argv,
+        {{"--frames", core::CliFlag::Int, "N", 1},
+         {"--qp", core::CliFlag::Int, "QP"},
+         {"--full-res"}});
+    const int frames = opt.size("--frames", 4, 1);
+    const int qp = opt.args.number("--qp", 34);
+    const bool full = opt.args.has("--full-res");
     const double hz = 2.0e9;
 
     // Functional decodes are cheap; default to CIF-ish size so the
@@ -50,8 +55,7 @@ main(int argc, char **argv)
     try {
         dec::validate(codec);
     } catch (const std::invalid_argument &e) {
-        std::fprintf(stderr, "--qp: %s\n", e.what());
-        return 2;
+        opt.args.fail("--qp", e.what());
     }
 
     std::printf("== Fig 10: profiling of scalar, altivec and altivec+"
@@ -107,11 +111,11 @@ main(int argc, char **argv)
         plan.addCell(t, core::SweepCell::mixOnly);
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
     auto artifact =
-        bench::makeResult("fig10_decoder_profile", argc, argv);
+        bench::makeResult("fig10_decoder_profile", opt);
     artifact.addParam("frames", json::Value(frames));
     artifact.addParam("qp", json::Value(qp));
     artifact.addParam("resolution",
@@ -185,7 +189,7 @@ main(int argc, char **argv)
 
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
     std::printf(
         "Paper reference (section V-D): Altivec is ~1.2X over scalar; "
         "unaligned\ninstructions add ~1.2X over plain Altivec (~1.49X "

@@ -52,7 +52,9 @@ printPanel(const char *title, const char *metricKey,
 int
 main(int argc, char **argv)
 {
-    const int frames = bench::sizeFlag(argc, argv, "--frames", 8, 1);
+    const auto opt = bench::parseBenchArgs(
+        argc, argv, {{"--frames", core::CliFlag::Int, "N", 1}});
+    const int frames = opt.size("--frames", 8, 1);
     std::printf("== Fig 4: alignment offsets in H.264/AVC luma and "
                 "chroma interpolation ==\n(%d frames of MC block "
                 "addresses per sequence)\n\n",
@@ -75,11 +77,11 @@ main(int argc, char **argv)
              /*cacheable=*/false});
         plan.addCell(t, core::SweepCell::mixOnly);
     }
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
     auto artifact =
-        bench::makeResult("fig4_alignment_hist", argc, argv);
+        bench::makeResult("fig4_alignment_hist", opt);
     artifact.addParam("frames", json::Value(frames));
 
     std::vector<std::pair<std::string, AlignmentHistogram>> luma_ld,
@@ -101,7 +103,7 @@ main(int argc, char **argv)
     printPanel("Fig 4(d) chroma store pointers", "chroma_store",
                chroma_st, artifact);
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
 
     std::printf(
         "Paper reference: load offsets spread over the full 0..15 "

@@ -31,7 +31,9 @@ using h264::Variant;
 int
 main(int argc, char **argv)
 {
-    const int execs = bench::sizeFlag(argc, argv, "--execs", 300, 8);
+    const auto opt = bench::parseBenchArgs(
+        argc, argv, {{"--execs", core::CliFlag::Int, "N", 1}});
+    const int execs = opt.size("--execs", 300, 8);
     std::printf("== Fig 8: speed-up in kernels with support for "
                 "unaligned load and stores ==\n(%d executions per "
                 "point; normalized to the 2-way scalar version)\n\n",
@@ -75,10 +77,10 @@ main(int argc, char **argv)
         }
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
-    auto artifact = bench::makeResult("fig8_kernel_speedup", argc, argv);
+    auto artifact = bench::makeResult("fig8_kernel_speedup", opt);
     artifact.addParam("execs", json::Value(execs));
 
     core::TextTable t;
@@ -112,7 +114,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
 
     std::printf(
         "Paper reference (section V-B): luma unaligned gains 1.9X/2.6X"

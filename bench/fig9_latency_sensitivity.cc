@@ -37,7 +37,7 @@ namespace {
 /// The --membw-sweep axis: unaligned-over-Altivec speedup per
 /// memory-bandwidth point instead of per extra-latency point.
 int
-runMembwSweep(int argc, char **argv, int execs)
+runMembwSweep(const bench::BenchOptions &opt, int execs)
 {
     const int bws[] = {0, 8, 16, 32};
     const int numBws = int(std::size(bws));
@@ -71,10 +71,10 @@ runMembwSweep(int argc, char **argv, int execs)
         }
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
-    auto artifact = bench::makeResult("fig9_membw_sweep", argc, argv);
+    auto artifact = bench::makeResult("fig9_membw_sweep", opt);
     artifact.addParam("execs", json::Value(execs));
 
     core::TextTable t;
@@ -97,7 +97,7 @@ runMembwSweep(int argc, char **argv, int execs)
     }
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
     return 0;
 }
 
@@ -106,9 +106,12 @@ runMembwSweep(int argc, char **argv, int execs)
 int
 main(int argc, char **argv)
 {
-    const int execs = bench::sizeFlag(argc, argv, "--execs", 300, 8);
-    if (bench::boolFlag(argc, argv, "--membw-sweep"))
-        return runMembwSweep(argc, argv, execs);
+    const auto opt = bench::parseBenchArgs(
+        argc, argv,
+        {{"--execs", core::CliFlag::Int, "N", 1}, {"--membw-sweep"}});
+    const int execs = opt.size("--execs", 300, 8);
+    if (opt.args.has("--membw-sweep"))
+        return runMembwSweep(opt, execs);
     const int extras[] = {0, 1, 2, 4, 6};
     const int numExtras = int(std::size(extras));
 
@@ -143,11 +146,11 @@ main(int argc, char **argv)
             plan.addCell(unal, e);
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
     auto artifact =
-        bench::makeResult("fig9_latency_sensitivity", argc, argv);
+        bench::makeResult("fig9_latency_sensitivity", opt);
     artifact.addParam("execs", json::Value(execs));
 
     core::TextTable t;
@@ -171,7 +174,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
 
     std::printf(
         "Paper reference (section V-C): most kernels keep a clear "

@@ -66,6 +66,7 @@ chainTraceJob(RealignStrategy strat)
 int
 main(int argc, char **argv)
 {
+    const auto opt = bench::parseBenchArgs(argc, argv);
     std::printf("== Table I: support for unaligned loads in different "
                 "platforms ==\n");
     std::printf("(instruction counts measured from the emitted idioms; "
@@ -88,10 +89,10 @@ main(int argc, char **argv)
             plan.addCell(t, c);
         }
     }
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
-    auto artifact = bench::makeResult("table1_isa_support", argc, argv);
+    auto artifact = bench::makeResult("table1_isa_support", opt);
     artifact.addParam("chainLen", json::Value(chainLen));
 
     core::TextTable t;
@@ -132,7 +133,7 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t.str().c_str());
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
     std::printf("Paper reference: Altivec needs lvsl+2xlvx+vperm (4), "
                 "Cell lvlx/lvrx (3),\nSSE2 movdqu is microcoded, and "
                 "only the proposed lvxu/stvxu reach 1 instruction\nfor "

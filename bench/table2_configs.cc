@@ -17,6 +17,7 @@ using namespace uasim;
 int
 main(int argc, char **argv)
 {
+    const auto opt = bench::parseBenchArgs(argc, argv);
     std::printf("== Table II: processor configurations used in the "
                 "simulation analysis ==\n\n");
     core::TextTable t;
@@ -28,7 +29,7 @@ main(int argc, char **argv)
     plan.addConfig("8-way", timing::CoreConfig::eightWayOoO());
     const auto &c = plan.configs();
 
-    auto artifact = bench::makeResult("table2_configs", argc, argv);
+    auto artifact = bench::makeResult("table2_configs", opt);
 
     auto row3 = [&](const char *name, auto get) {
         t.row({name, std::to_string(get(c[0].cfg)),
@@ -86,6 +87,6 @@ main(int argc, char **argv)
 
     std::printf("%s\n", t.str().c_str());
 
-    bench::writeResultArtifact(argc, argv, artifact);
+    bench::writeResultArtifact(opt, artifact);
     return 0;
 }

@@ -24,7 +24,9 @@ using h264::Variant;
 int
 main(int argc, char **argv)
 {
-    const int execs = bench::sizeFlag(argc, argv, "--execs", 1000, 16);
+    const auto opt = bench::parseBenchArgs(
+        argc, argv, {{"--execs", core::CliFlag::Int, "N", 1}});
+    const int execs = opt.size("--execs", 1000, 16);
     std::printf("== Table III: dynamic instruction count for %d "
                 "executions (thousands) ==\n\n",
                 execs);
@@ -70,11 +72,11 @@ main(int argc, char **argv)
         }
     }
 
-    auto runner = bench::makeSweepRunner(argc, argv);
+    auto runner = bench::makeSweepRunner(opt);
     auto results = runner.run(plan);
 
     auto artifact =
-        bench::makeResult("table3_instr_count", argc, argv);
+        bench::makeResult("table3_instr_count", opt);
     artifact.addParam("execs", json::Value(execs));
 
     core::TextTable t;
@@ -132,6 +134,6 @@ main(int argc, char **argv)
                            perm_red);
     }
 
-    bench::finishArtifact(argc, argv, artifact, results, runner);
+    bench::finishArtifact(opt, artifact, results, runner);
     return 0;
 }

@@ -10,7 +10,7 @@
 #   cmake -DBENCH_DIR=<bench bin dir> -DREPORT=<uasim-report>
 #         -DBASELINES=<repo baselines dir> -DWORK=<scratch dir>
 #         -DBENCHES=a,b,c -DCACHE_BENCHES=x,y -DOOO_BENCHES=x
-#         -DVARIANTS=bench/artifact/--flag
+#         -DVARIANTS=bench/--flag
 #         -DSWEEP=<uasim-sweep> -DCAMPAIGNS=a.conf,b.conf
 #         [-DUPDATE=1] -P ResultsBaseline.cmake
 #
@@ -19,9 +19,9 @@
 # own committed baselines.
 #
 # VARIANTS are flag-selected alternate experiments of an existing
-# bench ("bench/artifact/--flag" runs ${bench} --flag, which names its
-# own artifact BENCH_${artifact}.json). Each variant gates under BOTH
-# timing models, like an OOO_BENCHES entry.
+# bench ("bench/--flag" runs ${bench} --flag, which names its own
+# artifact, e.g. BENCH_fig9_membw_sweep.json). Each variant gates
+# under BOTH timing models, like an OOO_BENCHES entry.
 #
 # With -DUPDATE=1 the script regenerates the --threads 1 artifacts and
 # rewrites the baselines (uasim-report --update-baselines) instead of
@@ -41,39 +41,20 @@ string(REPLACE "," ";" CAMPAIGNS "${CAMPAIGNS}")
 
 file(REMOVE_RECURSE ${WORK})
 
-# Run ${bench} --quick ${ARGN}, writing its artifact to
-# ${WORK}/${outdir}/BENCH_${artifact}.json. A run on a non-default
-# timing model passes "--timing-model <model>" and the model-suffixed
-# artifact name (BENCH_<bench>.<model>), so it pairs with its own
-# committed baseline instead of the pipeline one.
-function(run_bench bench artifact outdir)
-    file(MAKE_DIRECTORY ${WORK}/${outdir})
+# Run ${ARGN} --json ${WORK}/${outdir}: a bench or a uasim-sweep
+# campaign, each writing its canonically named BENCH_*.json there. A
+# bench on a non-default timing model ("--timing-model <model>") names
+# its artifact BENCH_<bench>.<model>.json, so it pairs with its own
+# committed baseline instead of the pipeline one; a campaign's
+# BENCH_<campaign>.json gates against baselines/ like any bench's.
+function(run_json outdir)
     execute_process(
-        COMMAND ${BENCH_DIR}/${bench} --quick ${ARGN}
-                --json ${WORK}/${outdir}/BENCH_${artifact}.json
+        COMMAND ${ARGN} --json ${WORK}/${outdir}
         OUTPUT_QUIET
         ERROR_VARIABLE err
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-            "${bench} --quick ${ARGN} exited ${rc}\n${err}")
-    endif()
-endfunction()
-
-# Run one committed campaign file (-DCAMPAIGNS, -DSWEEP) through
-# uasim-sweep; its BENCH_<campaign>.json lands in the same artifact
-# set and gates against baselines/ with the bench artifacts.
-function(run_campaign conf outdir)
-    file(MAKE_DIRECTORY ${WORK}/${outdir})
-    execute_process(
-        COMMAND ${SWEEP} run ${conf} ${ARGN}
-                --json ${WORK}/${outdir}
-        OUTPUT_QUIET
-        ERROR_VARIABLE err
-        RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-            "uasim-sweep run ${conf} ${ARGN} exited ${rc}\n${err}")
+        message(FATAL_ERROR "${ARGN} exited ${rc}\n${err}")
     endif()
 endfunction()
 
@@ -101,31 +82,29 @@ endif()
 
 foreach(bench IN LISTS BENCHES)
     foreach(n IN LISTS threads)
-        run_bench(${bench} ${bench} t${n} --threads ${n})
+        run_json(t${n} ${BENCH_DIR}/${bench} --quick --threads ${n})
     endforeach()
 endforeach()
 foreach(bench IN LISTS OOO_BENCHES)
     foreach(n IN LISTS threads)
-        run_bench(${bench} ${bench}.ooo t${n}
-                  --threads ${n} --timing-model ooo)
+        run_json(t${n} ${BENCH_DIR}/${bench} --quick --threads ${n}
+                 --timing-model ooo)
     endforeach()
 endforeach()
 foreach(variant IN LISTS VARIANTS)
     string(REPLACE "/" ";" parts "${variant}")
     list(GET parts 0 bench)
-    list(GET parts 1 artifact)
-    list(GET parts 2 flag)
+    list(GET parts 1 flag)
     foreach(n IN LISTS threads)
-        run_bench(${bench} ${artifact} t${n} ${flag} --threads ${n})
-    endforeach()
-    foreach(n IN LISTS threads)
-        run_bench(${bench} ${artifact}.ooo t${n}
-                  ${flag} --timing-model ooo --threads ${n})
+        run_json(t${n} ${BENCH_DIR}/${bench} --quick ${flag}
+                 --threads ${n})
+        run_json(t${n} ${BENCH_DIR}/${bench} --quick ${flag}
+                 --timing-model ooo --threads ${n})
     endforeach()
 endforeach()
 foreach(conf IN LISTS CAMPAIGNS)
     foreach(n IN LISTS threads)
-        run_campaign(${conf} t${n} --threads ${n})
+        run_json(t${n} ${SWEEP} run ${conf} --threads ${n})
     endforeach()
 endforeach()
 
@@ -147,17 +126,17 @@ check_report("baselines vs --threads 1" ${BASELINES} ${WORK}/t1)
 check_report("baselines vs --threads 4" ${BASELINES} ${WORK}/t4)
 
 foreach(bench IN LISTS CACHE_BENCHES)
-    run_bench(${bench} ${bench} cachecold
-              --threads 1 --trace-cache ${WORK}/store)
+    run_json(cachecold ${BENCH_DIR}/${bench} --quick --threads 1
+             --trace-cache ${WORK}/store)
     file(GLOB entries ${WORK}/store/*.uatrace)
     if(NOT entries)
         message(FATAL_ERROR
             "${bench}: cold run left no *.uatrace entries in ${WORK}/store")
     endif()
-    run_bench(${bench} ${bench} cachewarm
-              --threads 1 --trace-cache ${WORK}/store)
-    run_bench(${bench} ${bench} cachewarm4
-              --threads 4 --trace-cache ${WORK}/store)
+    run_json(cachewarm ${BENCH_DIR}/${bench} --quick --threads 1
+             --trace-cache ${WORK}/store)
+    run_json(cachewarm4 ${BENCH_DIR}/${bench} --quick --threads 4
+             --trace-cache ${WORK}/store)
     # Each cache bench against its committed baseline (file pair), so
     # the store path is gated against the same truth as the plain runs.
     check_report("baseline vs cold-store ${bench}"

@@ -8,8 +8,7 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-
+#include "core/cli.hh"
 #include "core/experiment.hh"
 
 using namespace uasim;
@@ -17,7 +16,9 @@ using namespace uasim;
 int
 main(int argc, char **argv)
 {
-    const int execs = bench::sizeFlag(argc, argv, "--execs", 200, 20);
+    const auto args = core::parseCommandLine(
+        argc, argv, {{"--quick"}, {"--execs", core::CliFlag::Int, "N", 1}});
+    const int execs = args.number("--execs", args.has("--quick") ? 20 : 200);
     core::KernelSpec spec{h264::KernelId::ChromaMc, 8, false};
     core::KernelBench bench(spec);
 

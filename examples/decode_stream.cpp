@@ -10,6 +10,7 @@
 
 #include "bench_util.hh"
 
+#include "core/cli.hh"
 #include "decoder/codec.hh"
 
 using namespace uasim;
@@ -17,13 +18,15 @@ using namespace uasim;
 int
 main(int argc, char **argv)
 {
-    const bool quick = bench::quickFlag(argc, argv);
+    const auto args = core::parseCommandLine(
+        argc, argv, {{"--quick"}, {"--frames", core::CliFlag::Int, "N", 1}});
+    const bool quick = args.has("--quick");
 
     dec::CodecConfig cfg;
     cfg.seq = video::makeParams(video::Content::BlueSky,
                                 bench::quickResolution(quick));
     cfg.qp = 30;
-    cfg.frames = bench::sizeFlag(argc, argv, "--frames", 6, 2);
+    cfg.frames = args.number("--frames", quick ? 2 : 6);
 
     dec::MiniEncoder enc(cfg);
     dec::MiniDecoder decd(cfg);

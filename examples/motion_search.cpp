@@ -13,6 +13,7 @@
 
 #include "bench_util.hh"
 
+#include "core/cli.hh"
 #include "h264/sad_kernels.hh"
 #include "trace/emitter.hh"
 #include "trace/sink.hh"
@@ -64,7 +65,8 @@ diamondSearch(h264::KernelCtx &ctx, h264::Variant variant,
 int
 main(int argc, char **argv)
 {
-    const bool quick = bench::quickFlag(argc, argv);
+    const bool quick =
+        core::parseCommandLine(argc, argv, {{"--quick"}}).has("--quick");
     const video::Resolution res = bench::quickResolution(quick);
     const int w = res.width;
     const int h = res.height;

@@ -8,17 +8,18 @@
 
 #include <cstdio>
 
-#include "bench_util.hh"
-
 #include "core/api.hh"
+#include "core/cli.hh"
 
 using namespace uasim;
 
 int
 main(int argc, char **argv)
 {
+    const auto args = core::parseCommandLine(
+        argc, argv, {{"--quick"}, {"--execs", core::CliFlag::Int, "N", 1}});
     const int count_execs =
-        bench::sizeFlag(argc, argv, "--execs", 100, 10);
+        args.number("--execs", args.has("--quick") ? 10 : 100);
     const int sim_execs = 2 * count_execs;
     // 1. Pick a kernel configuration: SAD over 16x16 blocks, the
     //    motion-estimation metric with unpredictable alignments.

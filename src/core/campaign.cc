@@ -569,13 +569,13 @@ Campaign::parse(std::string_view text)
 Campaign
 Campaign::load(const std::string &path)
 {
+    // A directory opens and reads as empty; report it as unreadable.
+    std::error_code ec;
     std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw CampaignError("cannot open campaign file: " + path);
+    if (!in || std::filesystem::is_directory(path, ec))
+        throw CampaignError("cannot read campaign file: " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
-    if (in.bad())
-        throw CampaignError("error reading campaign file: " + path);
     return parse(ss.str());
 }
 

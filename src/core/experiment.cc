@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "core/sweep.hh"
 #include "h264/chroma_kernels.hh"
 #include "h264/chroma_ref.hh"
 #include "h264/idct_kernels.hh"
@@ -142,18 +141,6 @@ KernelBench::KernelBench(const KernelSpec &spec, std::uint64_t seed)
 }
 
 KernelBench::~KernelBench() = default;
-
-std::uint64_t
-KernelBench::seed() const
-{
-    return impl_->seed;
-}
-
-TraceJob
-KernelBench::traceJob(Variant variant, int execs) const
-{
-    return kernelTraceJob(spec_, variant, execs, impl_->seed);
-}
 
 void
 KernelBench::runOnce(KernelCtx &ctx, Variant variant, int iter)

@@ -29,8 +29,6 @@
 
 namespace uasim::core {
 
-struct TraceJob;  // core/sweep.hh
-
 /// One benchmarked kernel configuration (a Table III / Fig 8 row).
 struct KernelSpec {
     h264::KernelId kernel = h264::KernelId::Sad;
@@ -76,7 +74,6 @@ class KernelBench
     KernelBench &operator=(const KernelBench &) = delete;
 
     const KernelSpec &spec() const { return spec_; }
-    std::uint64_t seed() const;
 
     /// Run execution @p iter (deterministic per iter) under @p variant.
     void runOnce(h264::KernelCtx &ctx, h264::Variant variant, int iter);
@@ -106,13 +103,6 @@ class KernelBench
     /// backend selected by cfg.model via timing::makeTimingModel).
     timing::SimResult simulate(h264::Variant variant,
                                const timing::CoreConfig &cfg, int execs);
-
-    /**
-     * Sweep adapter: a self-contained TraceJob that records @p execs
-     * executions of @p variant on a fresh bench with this bench's
-     * spec and seed (equivalent to kernelTraceJob in core/sweep.hh).
-     */
-    TraceJob traceJob(h264::Variant variant, int execs) const;
 
     /**
      * Functional check: run one execution per variant on identical

@@ -50,44 +50,6 @@ TextTable::str() const
     return os.str();
 }
 
-namespace {
-
-/// RFC 4180: cells containing the separator, a quote, or a line
-/// break must be quoted, with embedded quotes doubled.
-std::string
-csvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\r\n") == std::string::npos)
-        return cell;
-    std::string out;
-    out.reserve(cell.size() + 2);
-    out += '"';
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-std::string
-TextTable::csv() const
-{
-    std::ostringstream os;
-    for (const auto &r : rows_) {
-        for (std::size_t i = 0; i < r.size(); ++i) {
-            if (i)
-                os << ',';
-            os << csvCell(r[i]);
-        }
-        os << '\n';
-    }
-    return os.str();
-}
-
 std::string
 fmt(double v, int prec)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text / CSV table formatting for the benchmark binaries.
+ * Plain-text table formatting for the benchmark binaries.
  */
 
 #ifndef UASIM_CORE_REPORT_HH
@@ -28,9 +28,6 @@ class TextTable
 
     /// Render with aligned columns (first column left, rest right).
     std::string str() const;
-
-    /// Render as CSV.
-    std::string csv() const;
 
   private:
     std::vector<std::vector<std::string>> rows_;

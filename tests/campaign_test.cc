@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -663,6 +664,29 @@ TEST(CampaignCli, SweepDriver)
     EXPECT_EQ(
         run(sweep + " expand " + conf + " --replay-mode batched").exit,
         2);
+    // The shared parser's rules: each rejection names its token.
+    for (const auto &[args, message] :
+         std::vector<std::pair<std::string, std::string>>{
+             {" --threads 4 --threads 4", "--threads: repeated flag"},
+             {" --thread 4", "--thread: unknown flag"},
+             {" --shard -1/3", "--shard: wants I/N"},
+             {" --json --threads 4", "--json: missing DIR operand"},
+             {" --json ''", "--json: empty DIR operand"},
+             {" extra", "extra: unexpected argument"}}) {
+        const RunResult r = run(sweep + " expand " + conf + args);
+        EXPECT_EQ(r.exit, 2) << args;
+        EXPECT_NE(r.out.find(message), std::string::npos) << r.out;
+    }
+    // A campaign path that is a directory cannot be read; it is not an
+    // empty campaign missing its [campaign] section.
+    for (const std::string &path :
+         {freshDir("cli_dir").string(), std::string("/nonexistent.conf")}) {
+        const RunResult r = run(sweep + " expand " + path);
+        EXPECT_EQ(r.exit, 2) << path;
+        EXPECT_NE(r.out.find("cannot read campaign file: " + path),
+                  std::string::npos)
+            << r.out;
+    }
 
     const RunResult expand = run(sweep + " expand " + conf);
     EXPECT_EQ(expand.exit, 0);

@@ -165,7 +165,7 @@ TEST(Simulation, DeterministicCycles)
     EXPECT_EQ(ra.mispredicts, rb.mispredicts);
 }
 
-TEST(Report, TextTableAndCsv)
+TEST(Report, TextTableAndFormatters)
 {
     core::TextTable t;
     t.header({"kernel", "cycles"});
@@ -174,32 +174,6 @@ TEST(Report, TextTableAndCsv)
     EXPECT_NE(s.find("kernel"), std::string::npos);
     EXPECT_NE(s.find("1234"), std::string::npos);
     EXPECT_NE(s.find("---"), std::string::npos);
-    EXPECT_EQ(t.csv(), "kernel,cycles\nsad16x16,1234\n");
     EXPECT_EQ(core::fmtCount(1234567), "1,234,567");
     EXPECT_EQ(core::fmt(1.2345, 2), "1.23");
-}
-
-TEST(Report, CsvQuotesSpecialCells)
-{
-    // RFC 4180: separator, quote, and line-break cells must be
-    // quoted, embedded quotes doubled; plain cells stay bare.
-    core::TextTable t;
-    t.header({"name", "value"});
-    t.row({"plain", "1,234"});
-    t.row({"say \"hi\"", "a\nb"});
-    t.row({"cr\rcell", "trailing "});
-    EXPECT_EQ(t.csv(),
-              "name,value\n"
-              "plain,\"1,234\"\n"
-              "\"say \"\"hi\"\"\",\"a\nb\"\n"
-              "\"cr\rcell\",trailing \n");
-}
-
-TEST(Report, CsvFmtCountRoundTrip)
-{
-    // fmtCount's thousands separators used to collide with the CSV
-    // separator unescaped; now they ride inside a quoted cell.
-    core::TextTable t;
-    t.row({"total", core::fmtCount(9876543210ull)});
-    EXPECT_EQ(t.csv(), "total,\"9,876,543,210\"\n");
 }

@@ -17,9 +17,7 @@
  *    bit-identical to the in-memory path, corrupt entries (truncated,
  *    or checksum-valid with an undecodable record stream) fall back
  *    to re-recording and are rewritten valid, and non-cacheable jobs
- *    bypass the store;
- *  - the benches' shared size and --threads flags (bench_util.hh)
- *    exit 2 on out-of-range operands before any work is done.
+ *    bypass the store.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
@@ -184,8 +181,9 @@ TEST(SweepRunner, SingleTimingCellGroupPopulatesAllCells)
     // instructions as both recorded and replayed.
     SweepPlan plan;
     int cfg = plan.addConfig("4w", timing::CoreConfig::fourWayOoO());
-    KernelBench bench({KernelId::Sad, 8, false});
-    int t = plan.addTrace(bench.traceJob(Variant::Unaligned, 4));
+    const KernelSpec sad8{KernelId::Sad, 8, false};
+    int t = plan.addTrace(
+        core::kernelTraceJob(sad8, Variant::Unaligned, 4));
     plan.addCell(t, SweepCell::mixOnly);
     plan.addCell(t, cfg);
     plan.addCell(t, SweepCell::mixOnly);
@@ -217,8 +215,8 @@ TEST(SweepRunner, SingleTimingCellGroupPopulatesAllCells)
     SweepPlan buffered;
     int c2 = buffered.addConfig("4w",
                                 timing::CoreConfig::fourWayOoO());
-    KernelBench bench2({KernelId::Sad, 8, false});
-    int t2 = buffered.addTrace(bench2.traceJob(Variant::Unaligned, 4));
+    int t2 = buffered.addTrace(
+        core::kernelTraceJob(sad8, Variant::Unaligned, 4));
     buffered.addCell(t2, c2);
     buffered.addCell(t2, c2);  // two timing cells force the buffer
     SweepRunner bufRunner(1);
@@ -599,8 +597,8 @@ TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
     EXPECT_GT(ws.decodeBytes, 0u);
 
     SweepPlan mixOnly;
-    KernelBench bench({KernelId::Sad, 8, false});
-    mixOnly.addTrace(bench.traceJob(Variant::Unaligned, 4));
+    mixOnly.addTrace(core::kernelTraceJob({KernelId::Sad, 8, false},
+                                          Variant::Unaligned, 4));
     mixOnly.addCell(0, SweepCell::mixOnly);
     SweepRunner mixRunner(1);
     mixRunner.run(mixOnly);
@@ -689,61 +687,4 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     ASSERT_NE(reader, nullptr);
     EXPECT_GT(reader->payloadBytes(), 0u);
     EXPECT_EQ(ws.decodeBytes, ws.replayPasses * reader->payloadBytes());
-}
-
-// ---- shared bench flags (bench/bench_util.hh) ----
-
-namespace {
-
-/// argv for a bench invocation "bench args...".
-struct Argv {
-    explicit Argv(std::vector<std::string> args) : strings(std::move(args))
-    {
-        strings.insert(strings.begin(), "bench");
-        for (auto &a : strings)
-            ptrs.push_back(a.data());
-    }
-    int argc() const { return int(ptrs.size()); }
-    char **argv() { return ptrs.data(); }
-
-    std::vector<std::string> strings;
-    std::vector<char *> ptrs;
-};
-
-} // namespace
-
-TEST(BenchFlags, SizeBelowOneExits2)
-{
-    // An empty workload prints -nan% tables (and fails JSON output
-    // only after the whole grid ran), so it is refused up front.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    for (const char *name : {"--execs", "--frames"}) {
-        for (const char *bad : {"0", "-3"}) {
-            Argv a({"--quick", name, bad});
-            EXPECT_EXIT(bench::sizeFlag(a.argc(), a.argv(), name, 300, 8),
-                        ::testing::ExitedWithCode(2), "out of range")
-                << name << " " << bad;
-        }
-        Argv one({name, "1"});
-        EXPECT_EQ(bench::sizeFlag(one.argc(), one.argv(), name, 300, 8), 1);
-    }
-    Argv quick({"--quick"});
-    EXPECT_EQ(bench::sizeFlag(quick.argc(), quick.argv(), "--execs", 300, 8),
-              8);
-}
-
-TEST(BenchFlags, NegativeThreadsExits2)
-{
-    // -1 used to fall through to SweepRunner's "0 = auto".
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    for (const char *bad : {"-1", "-8"}) {
-        Argv a({"--threads", bad});
-        EXPECT_EXIT(bench::threadsFlag(a.argc(), a.argv()),
-                    ::testing::ExitedWithCode(2), "out of range")
-            << bad;
-    }
-    Argv zero({"--threads", "0"});
-    EXPECT_EQ(bench::threadsFlag(zero.argc(), zero.argv()), 0);
-    Argv absent({});
-    EXPECT_EQ(bench::threadsFlag(absent.argc(), absent.argv()), 0);
 }

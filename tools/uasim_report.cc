@@ -21,12 +21,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/result.hh"
 
 namespace fs = std::filesystem;
@@ -42,7 +42,7 @@ usage(const char *argv0, bool requested)
     // on bad arguments is the schema-error exit on stderr.
     std::fprintf(
         requested ? stdout : stderr,
-        "usage: %s [--update-baselines] BASELINE CURRENT\n"
+        "usage: %s [--update-baselines [--prune]] BASELINE CURRENT\n"
         "\n"
         "  BASELINE / CURRENT are BENCH_*.json files, or directories\n"
         "  of them (compared pairwise by file name, union of both\n"
@@ -206,32 +206,27 @@ updateBaselines(const fs::path &baseDir, const fs::path &curPath,
 int
 main(int argc, char **argv)
 {
-    bool update = false;
-    bool prune = false;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--update-baselines") == 0)
-            update = true;
-        else if (std::strcmp(argv[i], "--prune") == 0)
-            prune = true;
-        else if (std::strcmp(argv[i], "--help") == 0)
-            return usage(argv[0], /*requested=*/true);
-        else if (std::strcmp(argv[i], "--version") == 0) {
-            // Self-report for CI logs and artifact consumers: which
-            // schema this differ understands and gates.
-            std::printf("uasim-report %s (schema %s v%d)\n",
-                        UASIM_REPORT_VERSION, BenchResult::schemaName,
-                        BenchResult::schemaVersion);
-            return 0;
-        }
-        else
-            positional.push_back(argv[i]);
+    const uasim::core::CliArgs args = uasim::core::parseCommandLine(
+        argc, argv,
+        {{"--update-baselines"}, {"--prune"}, {"--help"}, {"--version"}},
+        {"BASELINE", "CURRENT"});
+    if (args.has("--help"))
+        return usage(argv[0], /*requested=*/true);
+    if (args.has("--version")) {
+        // Self-report for CI logs and artifact consumers: which
+        // schema this differ understands and gates.
+        std::printf("uasim-report %s (schema %s v%d)\n",
+                    UASIM_REPORT_VERSION, BenchResult::schemaName,
+                    BenchResult::schemaVersion);
+        return 0;
     }
-    if (positional.size() != 2)
+    const bool update = args.has("--update-baselines");
+    const bool prune = args.has("--prune");
+    if (args.positional.size() != 2)
         return usage(argv[0], /*requested=*/false);
 
-    const fs::path basePath = positional[0];
-    const fs::path curPath = positional[1];
+    const fs::path basePath = args.positional[0];
+    const fs::path curPath = args.positional[1];
 
     if (!fs::exists(curPath)) {
         std::fprintf(stderr, "%s: does not exist\n",

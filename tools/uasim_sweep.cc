@@ -27,17 +27,12 @@
  * must stay wall-clock- and randomness-free.
  */
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <string>
-#include <vector>
 
 #include "core/campaign.hh"
+#include "core/cli.hh"
 
 using uasim::core::Campaign;
 using uasim::core::CampaignError;
@@ -53,17 +48,18 @@ usage(const char *argv0, bool requested)
         requested ? stdout : stderr,
         "usage: %s run CAMPAIGN.conf --json DIR [options]\n"
         "       %s expand CAMPAIGN.conf [--shard I/N]\n"
+        "       %s --help | --version\n"
         "\n"
         "run options:\n"
-        "  --json DIR          artifact directory (required): resumable\n"
-        "                      chunk artifacts under\n"
+        "  --json DIR          artifact directory (required, created if\n"
+        "                      absent): resumable chunk artifacts under\n"
         "                      DIR/<campaign-id>.chunks/ plus, for a\n"
         "                      run over every chunk, BENCH_<name>.json\n"
         "  --shard I/N         run shard I of N (chunk j belongs to\n"
         "                      shard j%%N) and publish its chunks only;\n"
         "                      omit to run every chunk not yet\n"
         "                      published and assemble the artifact\n"
-        "  --threads N         sweep worker threads (default: hardware)\n"
+        "  --threads N         sweep worker threads (default 0: hardware)\n"
         "  --trace-cache DIR   persistent content-addressed trace store\n"
         "\n"
         "expand prints the campaign identity, grid shape, and chunk ->\n"
@@ -71,64 +67,30 @@ usage(const char *argv0, bool requested)
         "\n"
         "exit codes: 0 success, 1 run failure, 2 usage/malformed "
         "campaign\n",
-        argv0, argv0);
+        argv0, argv0, argv0);
     return requested ? 0 : 2;
 }
 
-/// Parse a whole decimal operand in [0, INT_MAX].
-bool
-parseCount(const char *text, int &out)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v < 0 ||
-        v > INT_MAX)
-        return false;
-    out = int(v);
-    return true;
-}
-
-/// Parse a --shard operand "I/N": two digit-only halves, each a
-/// parseCount() value (range against the grid is checked later).
+/// Parse a --shard operand "I/N": two digit-only halves, each a whole
+/// int (range against the grid is checked later).
 bool
 parseShard(const std::string &spec, int &shard, int &count)
 {
     const std::size_t slash = spec.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= spec.size())
+    if (slash == std::string::npos ||
+        spec.find_first_not_of("0123456789/") != std::string::npos)
         return false;
-    for (std::size_t i = 0; i < spec.size(); ++i)
-        if (i != slash && !std::isdigit(static_cast<unsigned char>(spec[i])))
-            return false;
-    return parseCount(spec.substr(0, slash).c_str(), shard) &&
-           parseCount(spec.substr(slash + 1).c_str(), count);
+    const auto i = uasim::core::parseIntOperand(spec.substr(0, slash));
+    const auto n = uasim::core::parseIntOperand(spec.substr(slash + 1));
+    if (!i || !n)
+        return false;
+    shard = *i;
+    count = *n;
+    return true;
 }
-
-/// Operand of flag argv[i]; exits 2 when missing or another flag.
-const char *
-operand(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc || argv[i + 1][0] == '-') {
-        std::fprintf(stderr, "%s: missing operand for %s\n", argv[0],
-                     argv[i]);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
-struct Options {
-    std::string verb;
-    std::string campaignFile;
-    int shard = 0;
-    int shardCount = 1;
-    std::string jsonDir;
-    int threads = 0;
-    std::string traceCache;
-};
 
 int
-runExpand(const Campaign &c, const Options &opt)
+runExpand(const Campaign &c, const CampaignRunOptions &opt)
 {
     std::printf("campaign  %s\n", c.name().c_str());
     std::printf("id        %s\n", c.id().c_str());
@@ -156,16 +118,9 @@ runExpand(const Campaign &c, const Options &opt)
 }
 
 int
-runRun(const Campaign &c, const Options &opt)
+runRun(const Campaign &c, const CampaignRunOptions &opt)
 {
-    CampaignRunOptions ro;
-    ro.shard = opt.shard;
-    ro.shardCount = opt.shardCount;
-    ro.jsonDir = opt.jsonDir;
-    ro.threads = opt.threads;
-    ro.traceCache = opt.traceCache;
-
-    const CampaignRunOutcome out = uasim::core::runCampaignShard(c, ro);
+    const CampaignRunOutcome out = uasim::core::runCampaignShard(c, opt);
     for (const auto &s : out.chunks)
         std::printf("[%s] chunk %d %s: %s\n", c.name().c_str(), s.chunk,
                     s.file.c_str(),
@@ -194,72 +149,51 @@ runRun(const Campaign &c, const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0)
-            return usage(argv[0], /*requested=*/true);
-        if (std::strcmp(argv[i], "--version") == 0) {
-            std::printf("uasim-sweep %s (schema %s v%d)\n",
-                        UASIM_SWEEP_VERSION,
-                        uasim::core::BenchResult::schemaName,
-                        uasim::core::BenchResult::schemaVersion);
-            return 0;
-        }
-        if (std::strcmp(argv[i], "--shard") == 0) {
-            if (!parseShard(operand(argc, argv, i), opt.shard,
-                            opt.shardCount)) {
-                std::fprintf(stderr,
-                             "%s: --shard wants I/N (e.g. 0/3)\n",
-                             argv[0]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            opt.jsonDir = operand(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--threads") == 0) {
-            // A whole decimal int operand (0 = hardware concurrency).
-            if (!parseCount(operand(argc, argv, i), opt.threads)) {
-                std::fprintf(stderr, "%s: bad --threads value '%s'\n",
-                             argv[0], argv[i]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--trace-cache") == 0) {
-            opt.traceCache = operand(argc, argv, i);
-            if (opt.traceCache.empty()) {
-                // Same rule as the benches: an empty DIR (unset shell
-                // variable) must not silently run uncached.
-                std::fprintf(stderr, "%s: --trace-cache: empty DIR operand\n",
-                             argv[0]);
-                return 2;
-            }
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "%s: unknown flag %s\n", argv[0],
-                         argv[i]);
-            return usage(argv[0], /*requested=*/false);
-        } else {
-            positional.push_back(argv[i]);
-        }
+    const uasim::core::CliArgs args = uasim::core::parseCommandLine(
+        argc, argv,
+        {{"--help"},
+         {"--version"},
+         {"--shard", uasim::core::CliFlag::String, "I/N"},
+         {"--json", uasim::core::CliFlag::String, "DIR"},
+         {"--threads", uasim::core::CliFlag::Int, "N", 0},
+         {"--trace-cache", uasim::core::CliFlag::String, "DIR"}},
+        {"VERB", "CAMPAIGN.conf"});
+    if (args.has("--help"))
+        return usage(argv[0], /*requested=*/true);
+    if (args.has("--version")) {
+        std::printf("uasim-sweep %s (schema %s v%d)\n",
+                    UASIM_SWEEP_VERSION,
+                    uasim::core::BenchResult::schemaName,
+                    uasim::core::BenchResult::schemaVersion);
+        return 0;
     }
-    if (positional.size() != 2)
+    CampaignRunOptions opt;
+    if (args.has("--shard") &&
+        !parseShard(args.text("--shard"), opt.shard, opt.shardCount))
+        args.fail("--shard", "wants I/N (e.g. 0/3), got \"" +
+                                 args.text("--shard") + "\"");
+    opt.jsonDir = args.text("--json");
+    opt.threads = args.number("--threads", 0);
+    opt.traceCache = args.text("--trace-cache");
+    if (args.positional.size() != 2)
         return usage(argv[0], /*requested=*/false);
-    opt.verb = positional[0];
-    opt.campaignFile = positional[1];
-    if (opt.verb != "run" && opt.verb != "expand") {
+    const std::string &verb = args.positional[0];
+    if (verb != "run" && verb != "expand") {
         std::fprintf(stderr, "%s: unknown verb '%s'\n", argv[0],
-                     opt.verb.c_str());
+                     verb.c_str());
         return usage(argv[0], /*requested=*/false);
     }
-    if (opt.verb == "run" && opt.jsonDir.empty()) {
+    if (verb == "run" && opt.jsonDir.empty()) {
         std::fprintf(stderr, "%s: run requires --json DIR\n", argv[0]);
         return 2;
     }
 
     try {
-        const Campaign c = Campaign::load(opt.campaignFile);
+        const Campaign c = Campaign::load(args.positional[1]);
         // Validate the shard spec against the expanded grid up front -
         // an out-of-range shard is a usage error (2), not a run failure.
         Campaign::shardChunks(c.chunkCount(), opt.shard, opt.shardCount);
-        return opt.verb == "expand" ? runExpand(c, opt) : runRun(c, opt);
+        return verb == "expand" ? runExpand(c, opt) : runRun(c, opt);
     } catch (const CampaignError &e) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;
