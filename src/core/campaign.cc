@@ -88,93 +88,6 @@ hex16(std::uint64_t v)
 }
 
 // ---------------------------------------------------------------------------
-// CoreConfig field table
-// ---------------------------------------------------------------------------
-
-struct CoreField {
-    const char *name;
-    void (*set)(timing::CoreConfig &, long long);
-};
-
-/// Sorted by name; campaignCoreFields() and the docs mirror this list.
-const CoreField coreFieldTable[] = {
-    {"branchQ", [](timing::CoreConfig &c, long long v) { c.branchQ = int(v); }},
-    {"bpredLog2Entries",
-     [](timing::CoreConfig &c, long long v) { c.bpredLog2Entries = int(v); }},
-    {"dReadPorts",
-     [](timing::CoreConfig &c, long long v) { c.dReadPorts = int(v); }},
-    {"dWritePorts",
-     [](timing::CoreConfig &c, long long v) { c.dWritePorts = int(v); }},
-    {"fetchWidth",
-     [](timing::CoreConfig &c, long long v) { c.fetchWidth = int(v); }},
-    {"fprPhys", [](timing::CoreConfig &c, long long v) { c.fprPhys = int(v); }},
-    {"gprPhys", [](timing::CoreConfig &c, long long v) { c.gprPhys = int(v); }},
-    {"ibuffer", [](timing::CoreConfig &c, long long v) { c.ibuffer = int(v); }},
-    {"inflight",
-     [](timing::CoreConfig &c, long long v) { c.inflight = int(v); }},
-    {"inorderLookahead",
-     [](timing::CoreConfig &c, long long v) { c.inorderLookahead = int(v); }},
-    {"issueQ", [](timing::CoreConfig &c, long long v) { c.issueQ = int(v); }},
-    {"issueWidth",
-     [](timing::CoreConfig &c, long long v) { c.issueWidth = int(v); }},
-    {"lat.branchResolve",
-     [](timing::CoreConfig &c, long long v) { c.lat.branchResolve = int(v); }},
-    {"lat.fpAlu",
-     [](timing::CoreConfig &c, long long v) { c.lat.fpAlu = int(v); }},
-    {"lat.intAlu",
-     [](timing::CoreConfig &c, long long v) { c.lat.intAlu = int(v); }},
-    {"lat.intMul",
-     [](timing::CoreConfig &c, long long v) { c.lat.intMul = int(v); }},
-    {"lat.load",
-     [](timing::CoreConfig &c, long long v) { c.lat.load = int(v); }},
-    {"lat.mispredictPenalty",
-     [](timing::CoreConfig &c, long long v) {
-         c.lat.mispredictPenalty = int(v);
-     }},
-    {"lat.unalignedLoadExtra",
-     [](timing::CoreConfig &c, long long v) {
-         c.lat.unalignedLoadExtra = int(v);
-     }},
-    {"lat.unalignedStoreExtra",
-     [](timing::CoreConfig &c, long long v) {
-         c.lat.unalignedStoreExtra = int(v);
-     }},
-    {"lat.vecComplex",
-     [](timing::CoreConfig &c, long long v) { c.lat.vecComplex = int(v); }},
-    {"lat.vecPerm",
-     [](timing::CoreConfig &c, long long v) { c.lat.vecPerm = int(v); }},
-    {"lat.vecSimple",
-     [](timing::CoreConfig &c, long long v) { c.lat.vecSimple = int(v); }},
-    {"mem.l2Latency",
-     [](timing::CoreConfig &c, long long v) { c.mem.l2Latency = int(v); }},
-    {"mem.memBWBytesPerCycle",
-     [](timing::CoreConfig &c, long long v) {
-         c.mem.memBWBytesPerCycle = int(v);
-     }},
-    {"mem.memLatency",
-     [](timing::CoreConfig &c, long long v) { c.mem.memLatency = int(v); }},
-    {"mem.parallelBanks",
-     [](timing::CoreConfig &c, long long v) { c.mem.parallelBanks = v != 0; }},
-    {"memReplayPenalty",
-     [](timing::CoreConfig &c, long long v) { c.memReplayPenalty = int(v); }},
-    {"missMax", [](timing::CoreConfig &c, long long v) { c.missMax = int(v); }},
-    {"retireWidth",
-     [](timing::CoreConfig &c, long long v) { c.retireWidth = int(v); }},
-    {"storeQ", [](timing::CoreConfig &c, long long v) { c.storeQ = int(v); }},
-    {"storeSetLog2",
-     [](timing::CoreConfig &c, long long v) { c.storeSetLog2 = int(v); }},
-    {"units.br", [](timing::CoreConfig &c, long long v) { c.units.br = int(v); }},
-    {"units.fp", [](timing::CoreConfig &c, long long v) { c.units.fp = int(v); }},
-    {"units.fx", [](timing::CoreConfig &c, long long v) { c.units.fx = int(v); }},
-    {"units.ls", [](timing::CoreConfig &c, long long v) { c.units.ls = int(v); }},
-    {"units.vcmplx",
-     [](timing::CoreConfig &c, long long v) { c.units.vcmplx = int(v); }},
-    {"units.vi", [](timing::CoreConfig &c, long long v) { c.units.vi = int(v); }},
-    {"units.vperm",
-     [](timing::CoreConfig &c, long long v) { c.units.vperm = int(v); }},
-};
-
-// ---------------------------------------------------------------------------
 // parse scaffolding
 // ---------------------------------------------------------------------------
 
@@ -275,7 +188,7 @@ campaignCoreFields()
 {
     static const std::vector<std::string> names = [] {
         std::vector<std::string> out;
-        for (const CoreField &f : coreFieldTable)
+        for (const timing::CoreConfigField &f : timing::coreConfigFields())
             out.push_back(f.name);
         std::sort(out.begin(), out.end());
         return out;
@@ -287,7 +200,7 @@ bool
 setCampaignCoreField(timing::CoreConfig &cfg, const std::string &field,
                      long long value)
 {
-    for (const CoreField &f : coreFieldTable) {
+    for (const timing::CoreConfigField &f : timing::coreConfigFields()) {
         if (field == f.name) {
             f.set(cfg, value);
             return true;

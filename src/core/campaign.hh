@@ -83,7 +83,8 @@ class CampaignError : public std::runtime_error
 
 /// The CoreConfig fields a campaign [core] override or [axes] entry
 /// may set, by dotted name ("fetchWidth", "lat.unalignedLoadExtra",
-/// "mem.memBWBytesPerCycle", ...). Sorted for stable docs/tests.
+/// "mem.memBWBytesPerCycle", ...): every timing::coreConfigFields()
+/// entry, sorted for stable docs/tests.
 const std::vector<std::string> &campaignCoreFields();
 
 /// Set @p field on @p cfg. @return false for an unknown field name.

@@ -266,6 +266,7 @@ BenchResult::toJson(bool includeInformational) const
             info.set("tracesStored", stats.tracesStored);
             info.set("instrsRecorded", stats.instrsRecorded);
             info.set("instrsLoaded", stats.instrsLoaded);
+            info.set("cellsSimulated", stats.cellsSimulated);
             info.set("replayPasses", stats.replayPasses);
             info.set("decodeBytes", stats.decodeBytes);
             info.set("recordSeconds", stats.recordSeconds);
@@ -348,6 +349,8 @@ BenchResult::fromJson(const json::Value &v)
                 // existed; optional so old informational blocks
                 // (informational additions don't bump the schema)
                 // still parse.
+                if (const json::Value *cs = io.find("cellsSimulated"))
+                    r.stats.cellsSimulated = cs->asUint();
                 if (const json::Value *rp = io.find("replayPasses"))
                     r.stats.replayPasses = rp->asUint();
                 if (const json::Value *db = io.find("decodeBytes"))
@@ -521,7 +524,8 @@ diffResults(const BenchResult &base, const BenchResult &cur)
                << json::formatDouble(cur.stats.wallSeconds)
                << "s (threads " << cur.stats.threads << ", recorded "
                << cur.stats.tracesRecorded << ", loaded "
-               << cur.stats.tracesLoaded << ", replay passes "
+               << cur.stats.tracesLoaded << ", simulated cells "
+               << cur.stats.cellsSimulated << ", replay passes "
                << cur.stats.replayPasses << ", decoded "
                << cur.stats.decodeBytes << " B)";
             report.notes.push_back(os.str());

@@ -5,6 +5,7 @@
 #include <chrono>  // uasim-lint: allow(sim-determinism)
 #include <cstdio>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -106,7 +107,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     struct WorkerTotals {
         std::uint64_t recorded = 0, loaded = 0, replayed = 0,
                       traces = 0, tracesLoaded = 0, tracesStored = 0,
-                      cells = 0, replayPasses = 0, decodeBytes = 0;
+                      cells = 0, cellsSimulated = 0, replayPasses = 0,
+                      decodeBytes = 0;
         double recordSec = 0, replaySec = 0, loadSec = 0,
                decodeSec = 0;
         int maxShards = 1;  //!< widest intra-group shard fan-out used
@@ -121,6 +123,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
             tracesLoaded += o.tracesLoaded;
             tracesStored += o.tracesStored;
             cells += o.cells;
+            cellsSimulated += o.cellsSimulated;
             replayPasses += o.replayPasses;
             decodeBytes += o.decodeBytes;
             recordSec += o.recordSec;
@@ -204,8 +207,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 const TraceJob &job = plan.traces()[group.trace];
 
                 // The group's timing cells, in plan order (the shard
-                // split below partitions these contiguously, so the
-                // result layout never depends on shard count).
+                // split below partitions their distinct configs
+                // contiguously, so the result layout never depends on
+                // shard count).
                 std::vector<int> timingCis;
                 std::vector<timing::CoreConfig> timingCfgs;
                 for (int ci : group.cellIndices) {
@@ -220,41 +224,94 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     // the runner decides which model simulates it.
                     if (!timingModel_.empty())
                         cfg.model = timingModel_;
+                    // Before canonicalization can reset (and so hide)
+                    // an out-of-range field the trace never reads.
+                    cfg.validate();
                     timingCfgs.push_back(std::move(cfg));
                 }
                 const int timingCells = int(timingCis.size());
+                // replayCells' dedup state, sized here, before any trace
+                // buffer exists: an allocation of its own that lived
+                // across the replay could pin freed trace memory in
+                // the heap and raise peak RSS. The canonical configs
+                // are a copy: a store replay that fails falls back to
+                // recording and canonicalizes the cells' own configs
+                // again against the recorded mix.
+                std::vector<timing::CoreConfig> canonical(timingCfgs);
+                std::vector<std::size_t> distinctOf(timingCis.size());
+                std::vector<std::size_t> firstCellOf;
+                firstCellOf.reserve(timingCis.size());
 
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
 
-                // Replay the group's records into every timing cell:
-                // spare thread budget splits the cells contiguously
-                // across shards, each running one batched model pass
-                // that feed(model, shardTotals) fills with the whole
-                // stream. Cells are mutually independent, so any split
-                // fills identical results (tests/sweep_test.cc); only
-                // pass count and wall time differ.
-                auto replayCells = [&](std::uint64_t records, auto &&feed) {
+                // Replay the group's records into every timing cell.
+                // Cells whose configs canonicalize equal for this
+                // trace's mix produce the same SimResult, so only the
+                // distinct canonical configs are simulated and each
+                // cell gets a copy under its own core name. Spare
+                // thread budget splits the distinct configs
+                // contiguously across shards, each running one batched
+                // model pass that feed(model, shardTotals) fills with
+                // the whole stream. Cells are mutually independent, so
+                // any split fills identical results
+                // (tests/sweep_test.cc); only pass count and wall time
+                // differ.
+                auto replayCells = [&](const trace::InstrMix &traceMix,
+                                       std::uint64_t records,
+                                       auto &&feed) {
+                    firstCellOf.clear();
+                    {
+                        auto less = [](const timing::CoreConfig *a,
+                                       const timing::CoreConfig *b) {
+                            return *a < *b;
+                        };
+                        std::map<const timing::CoreConfig *, std::size_t,
+                                 decltype(less)>
+                            index(less);
+                        for (std::size_t i = 0; i < timingCfgs.size(); ++i) {
+                            canonical[i] = timing::canonicalConfig(
+                                timingCfgs[i], traceMix);
+                            auto [it, inserted] = index.try_emplace(
+                                &canonical[i], firstCellOf.size());
+                            if (inserted)
+                                firstCellOf.push_back(i);
+                            distinctOf[i] = it->second;
+                        }
+                    }
+                    const std::size_t cellsN = firstCellOf.size();
                     const int nShards =
-                        std::min<int>(shardBudget, timingCells);
-                    const std::size_t cellsN = timingCis.size();
+                        std::min<int>(shardBudget, int(cellsN));
+                    // A temporary, freed before the replay (see above).
+                    auto configsOf = [&](std::size_t lo, std::size_t hi) {
+                        std::vector<timing::CoreConfig> cfgs;
+                        cfgs.reserve(hi - lo);
+                        for (std::size_t d = lo; d < hi; ++d)
+                            cfgs.push_back(canonical[firstCellOf[d]]);
+                        return cfgs;
+                    };
                     runShards(nShards, [&](int k, WorkerTotals &lt) {
                         const std::size_t lo =
                             cellsN * std::size_t(k) / nShards;
                         const std::size_t hi =
                             cellsN * std::size_t(k + 1) / nShards;
                         auto t0 = Clock::now();
-                        auto batch = timing::makeBatchedTimingModel(
-                            {timingCfgs.begin() + lo,
-                             timingCfgs.begin() + hi});
+                        auto batch =
+                            timing::makeBatchedTimingModel(configsOf(lo, hi));
                         feed(*batch, lt);
                         auto sims = batch->finalizeAll();
-                        for (std::size_t i = lo; i < hi; ++i)
-                            results[timingCis[i]].sim = std::move(sims[i - lo]);
+                        for (std::size_t i = 0; i < distinctOf.size(); ++i) {
+                            if (distinctOf[i] < lo || distinctOf[i] >= hi)
+                                continue;
+                            timing::SimResult &sim = results[timingCis[i]].sim;
+                            sim = sims[distinctOf[i] - lo];
+                            sim.core = timingCfgs[i].name;
+                        }
                         lt.replaySec += secondsSince(t0);
-                        lt.replayed += records * (hi - lo);
+                        lt.cellsSimulated += hi - lo;
                         ++lt.replayPasses;
                     });
+                    local.replayed += records * timingCfgs.size();
                 };
 
                 trace::InstrMix mix;
@@ -300,8 +357,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                             lt.decodeBytes += reader->payloadBytes();
                         };
                         try {
-                            replayCells(reader->count(), decode);
                             mix = reader->mix();
+                            replayCells(mix, reader->count(), decode);
                             local.loaded += reader->count();
                             ++local.tracesLoaded;
                             fromStore = true;
@@ -350,7 +407,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         recorder.reset();
                     }
                     if (timingCells > 0) {
-                        replayCells(buffer.size(),
+                        replayCells(mix, buffer.size(),
                                     [&](trace::TraceSink &model,
                                         WorkerTotals &) {
                                         buffer.replayInto(model);
@@ -403,6 +460,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     stats_.tracesLoaded = totals.tracesLoaded;
     stats_.tracesStored = totals.tracesStored;
     stats_.cellsRun = totals.cells;
+    stats_.cellsSimulated = totals.cellsSimulated;
     stats_.instrsRecorded = totals.recorded;
     stats_.instrsLoaded = totals.loaded;
     stats_.instrsReplayed = totals.replayed;

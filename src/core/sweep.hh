@@ -164,6 +164,16 @@ struct SweepStats {
      */
     std::uint64_t replayPasses = 0;
     /**
+     * Timing cells the engine actually simulated. A group's cells whose
+     * configs canonicalize equal for its trace (timing::canonicalConfig:
+     * exact duplicates, or configs that differ only in fields the
+     * trace or the cell's model never reads) run once and the result is
+     * copied to each of them, so this is at most the group's timing
+     * cell count. Informational; cellsRun and instrsReplayed keep
+     * counting logical cells.
+     */
+    std::uint64_t cellsSimulated = 0;
+    /**
      * Encoded UATRACE3 payload bytes run through the block decoder,
      * summed over every decode pass (a trace decoded by S shards
      * counts S times - the honest amount of decode work done).
@@ -190,11 +200,18 @@ struct SweepStats {
  * into preallocated cell slots, so output order is deterministic and
  * thread-count independent.
  *
+ * Before replay, each timing cell's config is validated and then
+ * canonicalized against the group's instruction mix
+ * (timing::canonicalConfig); cells with equal canonical configs are
+ * simulated once and share the result, each keeping its own
+ * SimResult::core.
+ *
  * When the plan has fewer groups than threads, the spare budget is
  * spent *inside* multi-cell groups: a group's timing cells split
  * across up to min(threads, cells) replay shards, each running its
  * own decode/replay pass (cells are mutually independent, so the
  * split is bit-identical to one pass - tests/sweep_test.cc locks it).
+ * The split covers the distinct canonical configs only.
  * A single-big-group sweep therefore uses the full --threads
  * allowance instead of one thread.
  */

@@ -6,6 +6,7 @@
 #ifndef UASIM_MEM_CACHE_HH
 #define UASIM_MEM_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@ struct CacheConfig {
     std::uint64_t size = 32 * 1024;   //!< total bytes
     unsigned lineSize = 128;          //!< bytes per line (power of two)
     unsigned assoc = 2;               //!< ways per set
+
+    auto operator<=>(const CacheConfig &) const = default;
 };
 
 /// Hit/miss/writeback counters.

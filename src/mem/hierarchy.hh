@@ -38,6 +38,8 @@ struct HierarchyConfig {
      * model; SCOORE derives ~11 B/cycle from DDR2-800 at 4.5 GHz).
      */
     int memBWBytesPerCycle = 0;
+
+    auto operator<=>(const HierarchyConfig &) const = default;
 };
 
 /// Outcome of one data-side access.

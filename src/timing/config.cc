@@ -1,5 +1,6 @@
 #include "timing/config.hh"
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -21,77 +22,140 @@ constexpr int maxStructureSize = 1 << 16;
 /// overflow an int.
 constexpr int maxLatency = 1 << 20;
 
-void
-requireRange(const char *field, int v, int lo, int hi)
+using trace::InstrClass;
+
+constexpr std::uint32_t
+classBit(InstrClass cls)
 {
-    if (v < lo || v > hi) {
-        throw std::invalid_argument(
-            std::string("CoreConfig: ") + field + " out of range [" +
-            std::to_string(lo) + ", " + std::to_string(hi) + "]");
-    }
+    return std::uint32_t(1) << unsigned(cls);
 }
 
-/// A structure size: at least one entry, at most maxStructureSize.
-void
-requireSize(const char *field, int v)
+/// Read only by "ooo" cells (the store-set predictor, the decoupled
+/// issue width).
+bool
+oooCell(const CoreConfig &c)
 {
-    requireRange(field, v, 1, maxStructureSize);
+    return c.model == "ooo";
 }
 
-/// A latency or penalty in cycles.
-void
-requireLatency(const char *field, int v)
+/// Read only by in-order "pipeline" cells: the static-scheduling
+/// lookahead window.
+bool
+inOrderPipelineCell(const CoreConfig &c)
 {
-    requireRange(field, v, 0, maxLatency);
+    return c.model != "ooo" && !c.outOfOrder;
 }
+
+// One table row. The member path is both the dotted name and the
+// accessor, so the two cannot drift apart; a bool field reads as 0/1
+// and is set by v != 0.
+#define UASIM_CORE_FIELD(path, lo, hi, relevance)                          \
+    CoreConfigField{                                                       \
+        #path, [](const CoreConfig &c) -> long long { return c.path; },    \
+        [](CoreConfig &c, long long v) { c.path = decltype(c.path)(v); }, \
+        lo, hi, relevance}
+
+// Sizes lie in [1, maxStructureSize], latencies in [0, maxLatency].
+constexpr CoreConfigField fieldTable[] = {
+    UASIM_CORE_FIELD(fetchWidth, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(retireWidth, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(inflight, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(issueQ, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(branchQ, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(ibuffer, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(storeQ, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(dReadPorts, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(dWritePorts, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(missMax, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(inorderLookahead, 1, maxStructureSize,
+                     (FieldRelevance{0, inOrderPipelineCell})),
+    UASIM_CORE_FIELD(gprPhys, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(fprPhys, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(vprPhys, 1, maxStructureSize, {}),
+    // 0 = fetchWidth.
+    UASIM_CORE_FIELD(issueWidth, 0, maxStructureSize,
+                     (FieldRelevance{0, oooCell})),
+    UASIM_CORE_FIELD(units.fx, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.fp, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.ls, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.br, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.vi, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.vperm, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(units.vcmplx, 1, maxStructureSize, {}),
+    UASIM_CORE_FIELD(bpredLog2Entries, 1, 28, {}),
+    UASIM_CORE_FIELD(storeSetLog2, 1, 28, (FieldRelevance{0, oooCell})),
+    UASIM_CORE_FIELD(lat.intAlu, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.intMul, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.fpAlu, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.branchResolve, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.vecSimple, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.vecComplex, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.vecPerm, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.load, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(lat.unalignedLoadExtra, 0, maxLatency,
+                     (FieldRelevance{classBit(InstrClass::VecLoadU)})),
+    UASIM_CORE_FIELD(lat.unalignedStoreExtra, 0, maxLatency,
+                     (FieldRelevance{classBit(InstrClass::VecStoreU)})),
+    UASIM_CORE_FIELD(lat.mispredictPenalty, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(mem.l2Latency, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(mem.memLatency, 0, maxLatency, {}),
+    UASIM_CORE_FIELD(memReplayPenalty, 0, maxLatency,
+                     (FieldRelevance{0, oooCell})),
+    // 0 = unthrottled.
+    UASIM_CORE_FIELD(mem.memBWBytesPerCycle, 0, maxStructureSize, {}),
+    UASIM_CORE_FIELD(mem.parallelBanks, 0, 1, {}),
+};
+
+#undef UASIM_CORE_FIELD
 
 } // namespace
+
+bool
+FieldRelevance::readBy(const CoreConfig &cfg,
+                       const trace::InstrMix &mix) const
+{
+    if (cells && !cells(cfg))
+        return false;
+    if (classes == 0)
+        return true;
+    for (int k = 0; k < trace::numInstrClasses; ++k) {
+        if ((classes >> k & 1u) && mix.count(InstrClass(k)) != 0)
+            return true;
+    }
+    return false;
+}
+
+std::span<const CoreConfigField>
+coreConfigFields()
+{
+    return fieldTable;
+}
+
+CoreConfig
+canonicalConfig(CoreConfig cfg, const trace::InstrMix &mix)
+{
+    static const CoreConfig defaults;
+    cfg.name.clear();
+    // No relevance predicate reads a table field, so resetting one
+    // field never changes whether another is read.
+    for (const CoreConfigField &f : fieldTable) {
+        if (!f.relevance.readBy(cfg, mix))
+            f.set(cfg, f.get(defaults));
+    }
+    return cfg;
+}
 
 void
 CoreConfig::validate() const
 {
-    requireSize("fetchWidth", fetchWidth);
-    requireSize("retireWidth", retireWidth);
-    requireSize("inflight", inflight);
-    requireSize("issueQ", issueQ);
-    requireSize("branchQ", branchQ);
-    requireSize("ibuffer", ibuffer);
-    requireSize("storeQ", storeQ);
-    requireSize("dReadPorts", dReadPorts);
-    requireSize("dWritePorts", dWritePorts);
-    requireSize("missMax", missMax);
-    requireSize("inorderLookahead", inorderLookahead);
-    requireSize("gprPhys", gprPhys);
-    requireSize("fprPhys", fprPhys);
-    requireSize("vprPhys", vprPhys);
-    // 0 = fetchWidth.
-    requireRange("issueWidth", issueWidth, 0, maxStructureSize);
-    requireSize("units.fx", units.fx);
-    requireSize("units.fp", units.fp);
-    requireSize("units.ls", units.ls);
-    requireSize("units.br", units.br);
-    requireSize("units.vi", units.vi);
-    requireSize("units.vperm", units.vperm);
-    requireSize("units.vcmplx", units.vcmplx);
-    requireRange("bpredLog2Entries", bpredLog2Entries, 1, 28);
-    requireRange("storeSetLog2", storeSetLog2, 1, 28);
-    requireLatency("lat.intAlu", lat.intAlu);
-    requireLatency("lat.intMul", lat.intMul);
-    requireLatency("lat.fpAlu", lat.fpAlu);
-    requireLatency("lat.branchResolve", lat.branchResolve);
-    requireLatency("lat.vecSimple", lat.vecSimple);
-    requireLatency("lat.vecComplex", lat.vecComplex);
-    requireLatency("lat.vecPerm", lat.vecPerm);
-    requireLatency("lat.load", lat.load);
-    requireLatency("lat.unalignedLoadExtra", lat.unalignedLoadExtra);
-    requireLatency("lat.unalignedStoreExtra", lat.unalignedStoreExtra);
-    requireLatency("lat.mispredictPenalty", lat.mispredictPenalty);
-    requireLatency("mem.l2Latency", mem.l2Latency);
-    requireLatency("mem.memLatency", mem.memLatency);
-    requireLatency("memReplayPenalty", memReplayPenalty);
-    // 0 = unthrottled.
-    requireRange("mem.memBWBytesPerCycle", mem.memBWBytesPerCycle, 0,
-                 maxStructureSize);
+    for (const CoreConfigField &f : fieldTable) {
+        const long long v = f.get(*this);
+        if (v < f.lo || v > f.hi) {
+            throw std::invalid_argument(
+                std::string("CoreConfig: ") + f.name + " out of range [" +
+                std::to_string(f.lo) + ", " + std::to_string(f.hi) + "]");
+        }
+    }
     if (model.empty())
         throw std::invalid_argument("CoreConfig: empty model name");
 }

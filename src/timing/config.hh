@@ -7,10 +7,14 @@
 #ifndef UASIM_TIMING_CONFIG_HH
 #define UASIM_TIMING_CONFIG_HH
 
+#include <compare>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "mem/hierarchy.hh"
 #include "trace/instr.hh"
+#include "trace/mix.hh"
 
 namespace uasim::timing {
 
@@ -36,6 +40,8 @@ struct LatencyConfig {
     int unalignedStoreExtra = 0;
     /// Front-end refill after a mispredicted branch.
     int mispredictPenalty = 12;
+
+    auto operator<=>(const LatencyConfig &) const = default;
 };
 
 /// Functional-unit pools (Table II "Units" rows).
@@ -47,6 +53,8 @@ struct UnitConfig {
     int vi = 1;      //!< vector simple integer
     int vperm = 1;   //!< vector permute
     int vcmplx = 1;  //!< vector complex
+
+    auto operator<=>(const UnitConfig &) const = default;
 };
 
 /// One simulated core (one column of Table II).
@@ -107,14 +115,18 @@ struct CoreConfig {
     LatencyConfig lat;
     mem::HierarchyConfig mem;
 
+    /// Member-wise comparison (and ==), so configs can key a std::map.
+    auto operator<=>(const CoreConfig &) const = default;
+
     /**
-     * Reject impossible configurations (widths, windows, queues,
-     * ports, units or register files below 1 or above a fixed bound,
-     * negative or oversized latencies, out-of-range predictor sizes)
-     * with std::invalid_argument naming the offending field. Every timing
-     * backend calls this at construction, so a malformed sweep cell
-     * fails loudly in any model instead of deadlocking or silently
-     * misbehaving in one of them.
+     * Reject impossible configurations with std::invalid_argument
+     * naming the offending field: any coreConfigFields() value outside
+     * its [lo, hi] (widths, windows, queues, ports, units or register
+     * files below 1 or above a fixed bound, negative or oversized
+     * latencies, out-of-range predictor sizes), or an empty model.
+     * Every timing backend calls this at construction, so a malformed
+     * sweep cell fails loudly in any model instead of deadlocking or
+     * silently misbehaving in one of them.
      */
     void validate() const;
 
@@ -144,6 +156,51 @@ struct CoreConfig {
     static const char *const presetNames[3];
     static CoreConfig preset(int idx);
 };
+
+/**
+ * When the timing backends read a CoreConfig field. A field is read by
+ * a cell only if the trace holds a record of one of @p classes (0 = of
+ * any class) and the cell satisfies @p cells (nullptr = every cell).
+ * Every relevance set here is proven by a property test
+ * (tests/batched_replay_test.cc): perturbing the field where it is not
+ * read leaves every simulated counter bit-identical.
+ */
+struct FieldRelevance {
+    std::uint32_t classes = 0;  //!< bitmask over trace::InstrClass
+    bool (*cells)(const CoreConfig &) = nullptr;
+
+    /// Whether a @p cfg cell replaying a trace of mix @p mix reads it.
+    bool readBy(const CoreConfig &cfg, const trace::InstrMix &mix) const;
+};
+
+/// One settable CoreConfig field: its dotted member path, an accessor,
+/// the range validate() enforces and when the backends read it.
+struct CoreConfigField {
+    const char *name;  //!< "fetchWidth", "lat.load", "mem.memLatency", ...
+    long long (*get)(const CoreConfig &);
+    void (*set)(CoreConfig &, long long);
+    int lo;
+    int hi;
+    FieldRelevance relevance;
+};
+
+/**
+ * The one table of settable CoreConfig fields, in validate() order:
+ * validate(), the campaign [core]/[axes] keys (core/campaign.hh) and
+ * canonicalConfig() all derive from it.
+ */
+std::span<const CoreConfigField> coreConfigFields();
+
+/**
+ * @p cfg with everything a cell replaying a trace of mix @p mix cannot
+ * observe reset: the name is cleared, and each field whose relevance
+ * excludes this trace or this cell takes its default-constructed
+ * value. Two cells with equal canonical configs produce the same
+ * SimResult apart from SimResult::core (the config name), so a sweep
+ * simulates them once. Validate the original config first: the reset
+ * would hide an out-of-range value of an unread field.
+ */
+CoreConfig canonicalConfig(CoreConfig cfg, const trace::InstrMix &mix);
 
 /// Functional-unit index for an instruction class.
 enum class Unit { FX, FP, LS, BR, VI, VPERM, VCMPLX, NumUnits };

@@ -18,7 +18,13 @@
  *    fed record by record as emulation feeds it;
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
- *    empty stream.
+ *    empty stream;
+ *  - the relevance sets of timing::coreConfigFields(): a field
+ *    perturbed over its whole range where its relevance says no
+ *    backend reads it (the trace lacks its classes, or the cell is of
+ *    the other model) leaves every counter bit-identical to the oracle
+ *    of the canonical config, the proof SweepRunner's per-trace
+ *    config deduplication rests on.
  * Every comparison iterates core::simResultFields(), so a counter
  * added to SimResult is automatically diffed here — modeling it in
  * one engine but not the other fails the harness by construction.
@@ -28,6 +34,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -36,7 +43,9 @@
 #include "timing/model.hh"
 #include "timing/ooo_pipeline.hh"
 #include "timing/pipeline.hh"
+#include "timing/config.hh"
 #include "trace/emitter.hh"
+#include "trace/mix.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
 
@@ -497,4 +506,96 @@ TEST(BatchedReplay, FinalizeAllIsIdempotent)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         expectFieldsIdentical(first[i], second[i], "idempotent");
+}
+
+TEST(FieldRelevance, UnreadFieldsNeverChangeResults)
+{
+    // Streams with different class coverage: no unaligned vector
+    // records at all (Altivec, scalar), unaligned loads without
+    // unaligned stores (SAD), and both, plus store-set speculation.
+    struct Stream {
+        std::string name;
+        std::vector<InstrRecord> records;
+        trace::InstrMix mix;
+    };
+    std::vector<Stream> streams;
+    auto addStream = [&streams](std::string name,
+                                std::vector<InstrRecord> records) {
+        trace::InstrMix mix;
+        for (const auto &rec : records)
+            mix.add(rec);
+        streams.push_back({std::move(name), std::move(records), mix});
+    };
+    addStream("sad16/altivec",
+              kernelRecords({KernelId::Sad, 16, false}, Variant::Altivec, 3));
+    addStream("luma8/altivec", kernelRecords({KernelId::LumaMc, 8, false},
+                                             Variant::Altivec, 2));
+    addStream("idct4/scalar",
+              kernelRecords({KernelId::Idct, 4, false}, Variant::Scalar, 3));
+    addStream("sad16/unaligned", kernelRecords({KernelId::Sad, 16, false},
+                                               Variant::Unaligned, 3));
+    addStream("store-set", storeSetAliasRecords(0x40000000ull, 120));
+    ASSERT_EQ(streams[0].mix.count(InstrClass::VecLoadU), 0u);
+    ASSERT_GT(streams[0].mix.count(InstrClass::VecLoad), 0u);
+    ASSERT_EQ(streams[1].mix.count(InstrClass::VecStoreU), 0u);
+    ASSERT_GT(streams[1].mix.count(InstrClass::VecStore), 0u);
+    ASSERT_GT(streams[3].mix.count(InstrClass::VecLoadU), 0u);
+    ASSERT_EQ(streams[3].mix.count(InstrClass::VecStoreU), 0u);
+
+    int withRelevance = 0;
+    for (const timing::CoreConfigField &f : timing::coreConfigFields()) {
+        if (f.relevance.classes == 0 && f.relevance.cells == nullptr)
+            continue;
+        ++withRelevance;
+        int cases = 0;
+        for (const Stream &st : streams) {
+            for (std::uint64_t seed : {7u, 20261017u}) {
+                std::mt19937_64 rng(seed + std::uint64_t(withRelevance));
+                // Up to three random cells that do not read the field,
+                // each at the field's bounds and one value in between,
+                // against the oracle of the cell's canonical config.
+                std::vector<CoreConfig> canonical;
+                std::vector<CoreConfig> perturbed;
+                std::vector<std::size_t> canonicalOf;
+                for (int tries = 0; tries < 64 && canonical.size() < 3;
+                     ++tries) {
+                    const CoreConfig base = randomConfig(rng, tries);
+                    if (f.relevance.readBy(base, st.mix))
+                        continue;
+                    canonical.push_back(timing::canonicalConfig(base, st.mix));
+                    const long long lo = f.lo;
+                    const long long hi = f.hi;
+                    const long long mid =
+                        lo + std::int64_t(rng() % std::uint64_t(hi - lo + 1));
+                    for (long long v : {lo, hi, mid}) {
+                        CoreConfig cell = base;
+                        f.set(cell, v);
+                        cell.name += "/" + std::string(f.name) + "=" +
+                            std::to_string(v);
+                        ASSERT_NO_THROW(cell.validate()) << cell.name;
+                        ASSERT_EQ(timing::canonicalConfig(cell, st.mix),
+                                  canonical.back())
+                            << cell.name;
+                        perturbed.push_back(cell);
+                        canonicalOf.push_back(canonical.size() - 1);
+                    }
+                }
+                if (canonical.empty())
+                    continue;
+                ++cases;
+                const auto want = perCellResults(canonical, st.records);
+                const auto got = batchedResults(perturbed, st.records);
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    timing::SimResult w = want[canonicalOf[i]];
+                    w.core = perturbed[i].name;
+                    expectFieldsIdentical(w, got[i],
+                                          st.name + " " + perturbed[i].name +
+                                              " (" + perturbed[i].model + ")");
+                }
+            }
+        }
+        EXPECT_GT(cases, 0) << f.name << ": relevance set never exercised";
+    }
+    // The two unaligned-latency fields and the four model-only ones.
+    EXPECT_EQ(withRelevance, 6);
 }

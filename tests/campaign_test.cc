@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -31,6 +32,7 @@
 
 #include "core/campaign.hh"
 #include "core/result.hh"
+#include "timing/config.hh"
 
 namespace fs = std::filesystem;
 using uasim::core::BenchResult;
@@ -293,6 +295,47 @@ fetchWidth = 2, 4
         EXPECT_EQ(cfg.cfg.storeQ, 32);
     EXPECT_EQ(c.chunkTraceKey(0), "sad4x4/scalar/2/7");
     EXPECT_EQ(c.chunkTraceKey(1), "sad4x4/altivec/2/7");
+}
+
+TEST(CampaignParse, CoreFieldsAreTheConfigTable)
+{
+    // The campaign keys are exactly timing::coreConfigFields(), so a
+    // field validate() checks is always settable (vprPhys once was not).
+    std::vector<std::string> table;
+    for (const auto &f : uasim::timing::coreConfigFields())
+        table.push_back(f.name);
+    std::sort(table.begin(), table.end());
+    EXPECT_EQ(uasim::core::campaignCoreFields(), table);
+
+    // docs/CAMPAIGNS.md's [core] section names every one of them.
+    std::ifstream in(UASIM_CAMPAIGNS_DOC);
+    ASSERT_TRUE(in) << UASIM_CAMPAIGNS_DOC;
+    std::stringstream doc;
+    doc << in.rdbuf();
+    const std::string text = doc.str();
+    const std::size_t begin = text.find("### `[core]`");
+    ASSERT_NE(begin, std::string::npos);
+    const std::size_t end = text.find("\n### ", begin + 1);
+    const std::string section = text.substr(begin, end - begin);
+    for (const std::string &name : table)
+        EXPECT_NE(section.find("`" + name + "`"), std::string::npos)
+            << name << " is missing from the [core] section";
+
+    const Campaign c = Campaign::parse(
+        oneKernelCampaign("1", "1", "vprPhys = 70", "gprPhys = 40, 50"));
+    ASSERT_EQ(c.configCount(), 2);
+    for (const auto &cfg : c.configs())
+        EXPECT_EQ(cfg.cfg.vprPhys, 70);
+    EXPECT_EQ(c.configs()[1].cfg.gprPhys, 50);
+    try {
+        Campaign::parse(oneKernelCampaign("1", "1", "vprPhys = 0", ""));
+        ADD_FAILURE() << "vprPhys = 0 expanded";
+    } catch (const CampaignError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "CoreConfig: vprPhys out of range [1, 65536]"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CampaignParse, CanonicalIdentity)
@@ -692,7 +735,9 @@ TEST(CampaignCli, SweepDriver)
     EXPECT_EQ(expand.exit, 0);
     EXPECT_NE(expand.out.find("fig9_ci"), std::string::npos);
     EXPECT_NE(expand.out.find("chunk 0"), std::string::npos);
-    // The committed CI campaign keeps its advertised shape.
+    // The committed CI campaign keeps its advertised shape and identity.
+    EXPECT_NE(expand.out.find("hash      524a472fba7b5694"),
+              std::string::npos);
     EXPECT_NE(expand.out.find("chunks    3"), std::string::npos);
     EXPECT_NE(expand.out.find("configs   6"), std::string::npos);
 
@@ -743,6 +788,31 @@ TEST(CampaignCli, SweepDriver)
     EXPECT_NE(emptyCache.out.find("--trace-cache: empty DIR operand"),
               std::string::npos)
         << emptyCache.out;
+}
+
+TEST(CampaignCli, RunSummaryCountsSimulatedCells)
+{
+    // An Altivec trace on an unaligned-latency axis: three logical
+    // cells, one simulation. The artifact keeps counting the three
+    // (gated) and reports the one in its informational block.
+    const fs::path dir = freshDir("cli_dedup");
+    const fs::path conf = dir / "altivec.conf";
+    {
+        std::ofstream f(conf);
+        f << "[campaign]\nname = dedup\nexecs = 2\n"
+             "[workload]\nkernels = sad16x16\nvariants = altivec\n"
+             "[axes]\nlat.unalignedLoadExtra = 0, 1, 2\n";
+    }
+    const RunResult r = run(std::string(UASIM_SWEEP_BIN) + " run " +
+                            conf.string() + " --json " +
+                            (dir / "out").string());
+    ASSERT_EQ(r.exit, 0) << r.out;
+    EXPECT_NE(r.out.find("3 cells, 1 simulated"), std::string::npos)
+        << r.out;
+    const BenchResult art = uasim::core::loadResultFile(
+        (dir / "out" / "BENCH_dedup.json").string());
+    EXPECT_EQ(art.stats.cellsRun, 3u);
+    EXPECT_EQ(art.stats.cellsSimulated, 1u);
 }
 
 TEST(CampaignCli, ReportHasNoMergeVerb)

@@ -17,7 +17,11 @@
  *    bit-identical to the in-memory path, corrupt entries (truncated,
  *    or checksum-valid with an undecodable record stream) fall back
  *    to re-recording and are rewritten valid, and non-cacheable jobs
- *    bypass the store.
+ *    bypass the store;
+ *  - cells whose configs canonicalize equal (exact duplicates, fields
+ *    the trace or the model never reads) are simulated once, still
+ *    match their own oracle and keep their own core name, and every
+ *    cell's own config is validated before canonicalization.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +29,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -612,7 +618,9 @@ namespace {
 
 /// One trace group, 16 timing cells: the worst case for group-level
 /// parallelism (pool collapses to one worker) and the best case for
-/// intra-group cell sharding.
+/// intra-group cell sharding. The 16 configs are pairwise distinct
+/// (each preset at eight load latencies), so none of them collapse
+/// into another and every shard has cells to simulate.
 SweepPlan
 makeSingleBigGroupPlan()
 {
@@ -622,7 +630,12 @@ makeSingleBigGroupPlan()
     for (int i = 0; i < 16; ++i) {
         auto cfg = (i % 2) ? timing::CoreConfig::fourWayOoO()
                            : timing::CoreConfig::twoWayInOrder();
-        plan.addCell(t, plan.addConfig("c" + std::to_string(i), cfg));
+        cfg.lat.load = 4 + i / 2;
+        // Appended, not "c" + to_string(i): gcc 12's -Wrestrict
+        // misreports the latter under -O2.
+        std::string label = "c";
+        label += std::to_string(i);
+        plan.addCell(t, plan.addConfig(label, cfg));
     }
     return plan;
 }
@@ -649,6 +662,8 @@ TEST(SweepSharding, SingleBigGroupUsesFullThreadBudget)
     EXPECT_EQ(one.stats().threads, 1);
     EXPECT_EQ(eight.stats().replayPasses, 8u);
     EXPECT_EQ(eight.stats().threads, 8);
+    EXPECT_EQ(one.stats().cellsSimulated, 16u);
+    EXPECT_EQ(eight.stats().cellsSimulated, 16u);
 
     // The simulated accounting is shard-invariant (it gates).
     EXPECT_EQ(one.stats().instrsReplayed, eight.stats().instrsReplayed);
@@ -687,4 +702,110 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     ASSERT_NE(reader, nullptr);
     EXPECT_GT(reader->payloadBytes(), 0u);
     EXPECT_EQ(ws.decodeBytes, ws.replayPasses * reader->payloadBytes());
+}
+
+// ---- simulating each distinct canonical config once ----
+
+namespace {
+
+/**
+ * Two traces over one config list: an Altivec trace (no unaligned
+ * vector records) and an unaligned one, each crossed with a Fig 9
+ * unaligned-latency axis on the 4w preset, an exact duplicate of its
+ * +0 config under another label, and two 2w ("pipeline") configs that
+ * differ only in the "ooo"-only store-set size. Every config carries
+ * its own label as its name, so each cell's SimResult::core is
+ * distinct.
+ */
+SweepPlan
+makeDedupPlan()
+{
+    SweepPlan plan;
+    const KernelSpec sad{KernelId::Sad, 16, false};
+    plan.addTrace(core::kernelTraceJob(sad, Variant::Altivec, 4));
+    plan.addTrace(core::kernelTraceJob(sad, Variant::Unaligned, 4));
+    auto add = [&plan](std::string label, timing::CoreConfig cfg) {
+        cfg.name = label;
+        plan.addConfig(std::move(label), std::move(cfg));
+    };
+    for (int extra : {0, 1, 2, 4, 6}) {
+        auto cfg = timing::CoreConfig::fourWayOoO();
+        cfg.lat.unalignedLoadExtra = extra;
+        std::string label = "x";
+        label += std::to_string(extra);
+        add(label, cfg);
+    }
+    add("x0-again", timing::CoreConfig::fourWayOoO());
+    add("2w", timing::CoreConfig::twoWayInOrder());
+    auto ss = timing::CoreConfig::twoWayInOrder();
+    ss.storeSetLog2 = 3;
+    add("2w-ss3", ss);
+    plan.crossProduct();
+    return plan;
+}
+
+} // namespace
+
+TEST(SweepDedup, DuplicateAndIrrelevantConfigsMatchPerCellOracle)
+{
+    // Altivec group: the six 4w cells collapse into one and the two 2w
+    // cells into another. Unaligned group: x0 and x0-again collapse,
+    // the other latencies stay distinct, and the 2w pair collapses.
+    const std::uint64_t distinct = 2 + (5 + 1);
+    StoreDir dir("dedup");
+    const SweepPlan plan = makeDedupPlan();
+    const auto want = oracleResults(plan);
+
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        SweepRunner plain(threads);
+        SweepRunner cold(threads);
+        SweepRunner warm(threads);
+        cold.attachStore(dir.path);
+        warm.attachStore(dir.path);
+        for (SweepRunner *r : {&plain, &cold, &warm}) {
+            const auto got = r->run(plan);
+            expectMatchesOracle(want, got);
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(got[i].sim.core, got[i].configLabel);
+            const auto &st = r->stats();
+            EXPECT_EQ(st.cellsRun, plan.cells().size());
+            EXPECT_EQ(st.cellsSimulated, distinct);
+            EXPECT_LT(st.cellsSimulated, st.cellsRun);
+            EXPECT_LE(st.replayPasses, distinct);
+            EXPECT_EQ(st.instrsReplayed,
+                      8 * (got.front().traceInstrs +
+                           got.back().traceInstrs));
+        }
+        EXPECT_GT(warm.stats().tracesLoaded, 0u);
+    }
+}
+
+TEST(SweepDedup, CellsAreValidatedBeforeCanonicalization)
+{
+    // Neither field is read here (an Altivec trace; a "pipeline"
+    // cell), so canonicalization would reset it - the run must still
+    // reject the cell's own out-of-range value.
+    const KernelSpec sad{KernelId::Sad, 16, false};
+    auto badLatency = timing::CoreConfig::fourWayOoO();
+    badLatency.lat.unalignedLoadExtra = -1;
+    auto badStoreSet = timing::CoreConfig::twoWayInOrder();
+    badStoreSet.storeSetLog2 = 0;
+    const std::pair<timing::CoreConfig, const char *> cases[] = {
+        {badLatency, "lat.unalignedLoadExtra"},
+        {badStoreSet, "storeSetLog2"},
+    };
+    for (const auto &[cfg, field] : cases) {
+        SweepPlan plan;
+        plan.addTrace(core::kernelTraceJob(sad, Variant::Altivec, 2));
+        plan.addConfig("bad", cfg);
+        plan.crossProduct();
+        try {
+            SweepRunner(1).run(plan);
+            ADD_FAILURE() << field << ": run() did not throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
 }

@@ -11,7 +11,10 @@
  * already published there are skipped, not re-run: that is the resume
  * property, and the "executed E chunk(s), skipped S published
  * chunk(s)" summary line is what the campaign_merge_parity test greps
- * to prove it. A --shard I/N run with N > 1 stops there; a run without
+ * to prove it. The same line gives the campaign's cell count and how
+ * many cells this invocation simulated (SweepStats::cellsSimulated:
+ * cells that differ only in fields their trace never reads run once).
+ * A --shard I/N run with N > 1 stops there; a run without
  * --shard (or with 0/1) also assembles BENCH_<name>.json from the
  * chunk directory. Merging shards is that unsharded run over their
  * shared (or copied-together) chunk directories.
@@ -137,8 +140,11 @@ runRun(const Campaign &c, const CampaignRunOptions &opt)
         return 0;
     }
     std::printf("[%s] run: executed %d chunk(s), skipped %d published "
-                "chunk(s)\n",
-                c.name().c_str(), out.executed, out.skipped);
+                "chunk(s); %llu cells, %llu simulated\n",
+                c.name().c_str(), out.executed, out.skipped,
+                static_cast<unsigned long long>(out.artifact.stats.cellsRun),
+                static_cast<unsigned long long>(
+                    out.artifact.stats.cellsSimulated));
     std::printf("[%s] wrote %s\n", c.name().c_str(),
                 out.artifactPath.c_str());
     return 0;
