@@ -267,6 +267,10 @@ BenchResult::toJson(bool includeInformational) const
             info.set("instrsRecorded", stats.instrsRecorded);
             info.set("instrsLoaded", stats.instrsLoaded);
             info.set("cellsSimulated", stats.cellsSimulated);
+            info.set("twinCopies", stats.twinCopies);
+            info.set("blockedLoads", stats.blockedLoads);
+            info.set("executedCycles", stats.executedCycles);
+            info.set("idleJumpedCycles", stats.idleJumpedCycles);
             info.set("replayPasses", stats.replayPasses);
             info.set("decodeBytes", stats.decodeBytes);
             info.set("recordSeconds", stats.recordSeconds);
@@ -351,6 +355,14 @@ BenchResult::fromJson(const json::Value &v)
                 // still parse.
                 if (const json::Value *cs = io.find("cellsSimulated"))
                     r.stats.cellsSimulated = cs->asUint();
+                if (const json::Value *tc = io.find("twinCopies"))
+                    r.stats.twinCopies = tc->asUint();
+                if (const json::Value *bl = io.find("blockedLoads"))
+                    r.stats.blockedLoads = bl->asUint();
+                if (const json::Value *ec = io.find("executedCycles"))
+                    r.stats.executedCycles = ec->asUint();
+                if (const json::Value *ij = io.find("idleJumpedCycles"))
+                    r.stats.idleJumpedCycles = ij->asUint();
                 if (const json::Value *rp = io.find("replayPasses"))
                     r.stats.replayPasses = rp->asUint();
                 if (const json::Value *db = io.find("decodeBytes"))
@@ -525,7 +537,8 @@ diffResults(const BenchResult &base, const BenchResult &cur)
                << "s (threads " << cur.stats.threads << ", recorded "
                << cur.stats.tracesRecorded << ", loaded "
                << cur.stats.tracesLoaded << ", simulated cells "
-               << cur.stats.cellsSimulated << ", replay passes "
+               << cur.stats.cellsSimulated << ", twin copies "
+               << cur.stats.twinCopies << ", replay passes "
                << cur.stats.replayPasses << ", decoded "
                << cur.stats.decodeBytes << " B)";
             report.notes.push_back(os.str());

@@ -35,6 +35,10 @@ struct TraceGroup {
     std::vector<int> cellIndices;
 };
 
+/// twinOf entry of a distinct config without a pipeline twin in its
+/// group.
+constexpr std::size_t noTwin = ~std::size_t{0};
+
 } // namespace
 
 int
@@ -107,8 +111,10 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     struct WorkerTotals {
         std::uint64_t recorded = 0, loaded = 0, replayed = 0,
                       traces = 0, tracesLoaded = 0, tracesStored = 0,
-                      cells = 0, cellsSimulated = 0, replayPasses = 0,
-                      decodeBytes = 0;
+                      cells = 0, cellsSimulated = 0, twinCopies = 0,
+                      replayPasses = 0, decodeBytes = 0,
+                      blockedLoads = 0, executedCycles = 0,
+                      idleJumpedCycles = 0;
         double recordSec = 0, replaySec = 0, loadSec = 0,
                decodeSec = 0;
         int maxShards = 1;  //!< widest intra-group shard fan-out used
@@ -124,8 +130,12 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
             tracesStored += o.tracesStored;
             cells += o.cells;
             cellsSimulated += o.cellsSimulated;
+            twinCopies += o.twinCopies;
             replayPasses += o.replayPasses;
             decodeBytes += o.decodeBytes;
+            blockedLoads += o.blockedLoads;
+            executedCycles += o.executedCycles;
+            idleJumpedCycles += o.idleJumpedCycles;
             recordSec += o.recordSec;
             replaySec += o.replaySec;
             loadSec += o.loadSec;
@@ -155,13 +165,12 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 
         // Run fn(shard, shardTotals) on nShards shards: shard 0 on
         // this thread, the rest on short-lived threads. Shard totals
-        // merge into the worker's only when every shard succeeded;
-        // the first shard exception rethrows here with no partial
-        // accounting, so a caller that falls back to re-recording
-        // starts from a clean slate.
-        auto runShards = [&local](int nShards, auto &&fn) {
+        // merge into @p into only when every shard succeeded; the
+        // first shard exception rethrows here with no partial
+        // accounting.
+        auto runShards = [](WorkerTotals &into, int nShards, auto &&fn) {
             if (nShards <= 1) {
-                fn(0, local);
+                fn(0, into);
                 return;
             }
             std::vector<WorkerTotals> shardTotals(nShards);
@@ -189,8 +198,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     std::rethrow_exception(e);
             }
             for (const auto &st : shardTotals)
-                local.merge(st);
-            local.maxShards = std::max(local.maxShards, nShards);
+                into.merge(st);
+            into.maxShards = std::max(into.maxShards, nShards);
         };
 
         try {
@@ -236,11 +245,18 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // the heap and raise peak RSS. The canonical configs
                 // are a copy: a store replay that fails falls back to
                 // recording and canonicalizes the cells' own configs
-                // again against the recorded mix.
+                // again against the recorded mix. Per distinct config:
+                // the distinct index of its pipeline twin (noTwin if
+                // the group has none), the blocked-load count of a
+                // simulated one, and one replay pass's worklist.
                 std::vector<timing::CoreConfig> canonical(timingCfgs);
                 std::vector<std::size_t> distinctOf(timingCis.size());
                 std::vector<std::size_t> firstCellOf;
                 firstCellOf.reserve(timingCis.size());
+                std::vector<std::size_t> twinOf(timingCis.size());
+                std::vector<std::uint64_t> blockedOf(timingCis.size());
+                std::vector<std::size_t> passList;
+                passList.reserve(timingCis.size());
 
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
@@ -249,14 +265,20 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // Cells whose configs canonicalize equal for this
                 // trace's mix produce the same SimResult, so only the
                 // distinct canonical configs are simulated and each
-                // cell gets a copy under its own core name. Spare
-                // thread budget splits the distinct configs
+                // cell gets a copy under its own core name. An "ooo"
+                // config whose pipeline twin (timing::pipelineTwin) is
+                // among them waits for a second pass: it copies the
+                // twin's result when no load blocked on an older store
+                // in the twin, and is simulated otherwise. Spare
+                // thread budget splits each pass's configs
                 // contiguously across shards, each running one batched
                 // model pass that feed(model, shardTotals) fills with
                 // the whole stream. Cells are mutually independent, so
                 // any split fills identical results
                 // (tests/sweep_test.cc); only pass count and wall time
-                // differ.
+                // differ. Totals reach the worker's only once every
+                // pass succeeded, so a caller that falls back to
+                // re-recording starts from a clean slate.
                 auto replayCells = [&](const trace::InstrMix &traceMix,
                                        std::uint64_t records,
                                        auto &&feed) {
@@ -278,40 +300,94 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                                 firstCellOf.push_back(i);
                             distinctOf[i] = it->second;
                         }
+                        // Pass 1: every distinct config but the "ooo"
+                        // ones whose pipeline twin is in the group.
+                        passList.clear();
+                        for (std::size_t d = 0; d < firstCellOf.size(); ++d) {
+                            twinOf[d] = noTwin;
+                            const auto twin = timing::pipelineTwin(
+                                canonical[firstCellOf[d]], traceMix);
+                            if (twin) {
+                                auto it = index.find(&*twin);
+                                if (it != index.end())
+                                    twinOf[d] = it->second;
+                            }
+                            if (twinOf[d] == noTwin)
+                                passList.push_back(d);
+                        }
                     }
-                    const std::size_t cellsN = firstCellOf.size();
-                    const int nShards =
-                        std::min<int>(shardBudget, int(cellsN));
+                    // The result slot of distinct config d: its first
+                    // cell's.
+                    auto simOf = [&](std::size_t d) -> timing::SimResult & {
+                        return results[timingCis[firstCellOf[d]]].sim;
+                    };
+                    WorkerTotals groupTotals;
                     // A temporary, freed before the replay (see above).
                     auto configsOf = [&](std::size_t lo, std::size_t hi) {
                         std::vector<timing::CoreConfig> cfgs;
                         cfgs.reserve(hi - lo);
-                        for (std::size_t d = lo; d < hi; ++d)
-                            cfgs.push_back(canonical[firstCellOf[d]]);
+                        for (std::size_t p = lo; p < hi; ++p) {
+                            cfgs.push_back(
+                                canonical[firstCellOf[passList[p]]]);
+                        }
                         return cfgs;
                     };
-                    runShards(nShards, [&](int k, WorkerTotals &lt) {
-                        const std::size_t lo =
-                            cellsN * std::size_t(k) / nShards;
-                        const std::size_t hi =
-                            cellsN * std::size_t(k + 1) / nShards;
-                        auto t0 = Clock::now();
-                        auto batch =
-                            timing::makeBatchedTimingModel(configsOf(lo, hi));
-                        feed(*batch, lt);
-                        auto sims = batch->finalizeAll();
-                        for (std::size_t i = 0; i < distinctOf.size(); ++i) {
-                            if (distinctOf[i] < lo || distinctOf[i] >= hi)
-                                continue;
-                            timing::SimResult &sim = results[timingCis[i]].sim;
-                            sim = sims[distinctOf[i] - lo];
-                            sim.core = timingCfgs[i].name;
+                    // One replay pass over passList's distinct configs.
+                    auto simulatePass = [&] {
+                        const std::size_t n = passList.size();
+                        const int nShards =
+                            std::min<int>(shardBudget, int(n));
+                        runShards(groupTotals, nShards, [&](int k,
+                                                            WorkerTotals &lt) {
+                            const std::size_t lo =
+                                n * std::size_t(k) / nShards;
+                            const std::size_t hi =
+                                n * std::size_t(k + 1) / nShards;
+                            auto t0 = Clock::now();
+                            auto batch = timing::makeBatchedTimingModel(
+                                configsOf(lo, hi));
+                            feed(*batch, lt);
+                            auto sims = batch->finalizeAll();
+                            for (std::size_t p = lo; p < hi; ++p) {
+                                const std::size_t d = passList[p];
+                                const auto &work = batch->work(int(p - lo));
+                                blockedOf[d] = work.blockedLoads;
+                                lt.blockedLoads += work.blockedLoads;
+                                lt.executedCycles += work.executedCycles;
+                                lt.idleJumpedCycles += work.idleJumpedCycles;
+                                simOf(d) = std::move(sims[p - lo]);
+                            }
+                            lt.replaySec += secondsSince(t0);
+                            lt.cellsSimulated += hi - lo;
+                            ++lt.replayPasses;
+                        });
+                    };
+                    simulatePass();
+                    // Pass 2: the "ooo" configs whose twin saw a load
+                    // block; the others copy their twin.
+                    passList.clear();
+                    for (std::size_t d = 0; d < firstCellOf.size(); ++d) {
+                        if (twinOf[d] == noTwin)
+                            continue;
+                        if (blockedOf[twinOf[d]] == 0) {
+                            simOf(d) = simOf(twinOf[d]);
+                            ++groupTotals.twinCopies;
+                        } else {
+                            passList.push_back(d);
                         }
-                        lt.replaySec += secondsSince(t0);
-                        lt.cellsSimulated += hi - lo;
-                        ++lt.replayPasses;
-                    });
-                    local.replayed += records * timingCfgs.size();
+                    }
+                    if (!passList.empty())
+                        simulatePass();
+                    // Every cell: its distinct config's result under
+                    // its own core name.
+                    for (std::size_t i = 0; i < timingCis.size(); ++i) {
+                        timing::SimResult &sim = results[timingCis[i]].sim;
+                        if (i != firstCellOf[distinctOf[i]])
+                            sim = simOf(distinctOf[i]);
+                        sim.core = timingCfgs[i].name;
+                    }
+                    groupTotals.replayed += records * timingCfgs.size();
+                    local.merge(groupTotals);
                 };
 
                 trace::InstrMix mix;
@@ -461,6 +537,10 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     stats_.tracesStored = totals.tracesStored;
     stats_.cellsRun = totals.cells;
     stats_.cellsSimulated = totals.cellsSimulated;
+    stats_.twinCopies = totals.twinCopies;
+    stats_.blockedLoads = totals.blockedLoads;
+    stats_.executedCycles = totals.executedCycles;
+    stats_.idleJumpedCycles = totals.idleJumpedCycles;
     stats_.instrsRecorded = totals.recorded;
     stats_.instrsLoaded = totals.loaded;
     stats_.instrsReplayed = totals.replayed;

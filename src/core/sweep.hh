@@ -153,14 +153,16 @@ struct SweepStats {
     std::uint64_t instrsLoaded = 0;    //!< records read from the store
     std::uint64_t instrsReplayed = 0;  //!< records fed to timing sims
     /**
-     * Batched replay passes that fed timing simulators: one per replay
-     * shard of each timing group (spare thread budget splits a group's
-     * cells across up to min(threads, cells) shards, each running its
-     * own pass - 1 when the sweep has at least as many groups as
-     * threads); mix-only groups contribute none. Informational (it
-     * describes how the run executed, not what was simulated):
-     * instrsReplayed stays the summed trace length over all timing
-     * cells at any shard count.
+     * Batched replay passes that fed timing simulators. Each timing
+     * group runs a first pass, and a second one when some of its
+     * "ooo" cells cannot copy their pipeline twin (see twinCopies).
+     * Each pass runs once per replay shard: spare thread budget splits
+     * a pass's cells across up to min(threads, cells) shards, each
+     * running its own pass - 1 when the sweep has at least as many
+     * groups as threads. Mix-only groups contribute none.
+     * Informational (it describes how the run executed, not what was
+     * simulated): instrsReplayed stays the summed trace length over
+     * all timing cells at any shard count.
      */
     std::uint64_t replayPasses = 0;
     /**
@@ -173,6 +175,24 @@ struct SweepStats {
      * counting logical cells.
      */
     std::uint64_t cellsSimulated = 0;
+    /**
+     * Distinct "ooo" configs not simulated because their pipeline twin
+     * (timing::pipelineTwin) in the same group ran with no load
+     * blocked on an older store: the twin's result is copied instead.
+     * Counted like cellsSimulated, per distinct canonical config.
+     * Informational.
+     */
+    std::uint64_t twinCopies = 0;
+    /**
+     * Engine work summed over the simulated cells
+     * (timing::BatchedPipelineSim::CellWork): load issue attempts that
+     * found a blocking older store, cycles stepped one by one, and
+     * cycles skipped by the idle-cycle jump. Deterministic at any
+     * thread count; informational.
+     */
+    std::uint64_t blockedLoads = 0;
+    std::uint64_t executedCycles = 0;
+    std::uint64_t idleJumpedCycles = 0;
     /**
      * Encoded UATRACE3 payload bytes run through the block decoder,
      * summed over every decode pass (a trace decoded by S shards
@@ -204,14 +224,16 @@ struct SweepStats {
  * canonicalized against the group's instruction mix
  * (timing::canonicalConfig); cells with equal canonical configs are
  * simulated once and share the result, each keeping its own
- * SimResult::core.
+ * SimResult::core. An "ooo" config whose pipeline twin is also in the
+ * group copies the twin's result when no load of the twin blocked on
+ * an older store, and is simulated in a second pass otherwise.
  *
  * When the plan has fewer groups than threads, the spare budget is
  * spent *inside* multi-cell groups: a group's timing cells split
  * across up to min(threads, cells) replay shards, each running its
  * own decode/replay pass (cells are mutually independent, so the
  * split is bit-identical to one pass - tests/sweep_test.cc locks it).
- * The split covers the distinct canonical configs only.
+ * The split covers the distinct canonical configs of each pass only.
  * A single-big-group sweep therefore uses the full --threads
  * allowance instead of one thread.
  */

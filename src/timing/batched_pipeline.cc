@@ -166,6 +166,9 @@ BatchedPipelineSim::finalizeAll()
                     break;  // report what we have rather than hang
             }
             cell.res.cycles = cell.now;
+            // The clock moves only by cycleCell's step or idleJump.
+            cell.work.executedCycles =
+                cell.now - cell.work.idleJumpedCycles;
             const auto &l1d = cell.mem.l1d().stats();
             cell.res.l1dAccesses = l1d.accesses;
             cell.res.l1dMisses = l1d.misses;
@@ -280,6 +283,7 @@ BatchedPipelineSim::idleJump(Cell &cell)
         return;
 
     const std::uint64_t delta = t - cell.now - 1;
+    cell.work.idleJumpedCycles += delta;
     if (cell.haltBranchId)
         cell.res.fetchStallCycles += delta;
     else if (cell.fetchStallUntil > cell.now + 1)
@@ -392,6 +396,8 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 forwarder = nullptr;
             }
         }
+        if (blocker)
+            ++cell.work.blockedLoads;
         if (blocker && cell.ooo) {
             // Store-set prediction instead of the unconditional wait
             // below: a trained load (the undrained aliasing store's

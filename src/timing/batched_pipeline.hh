@@ -32,6 +32,15 @@
  *  - Nothing else: fetch, dispatch, retire, the memory hierarchy and
  *    the predictor are shared code.
  *
+ * SweepRunner relies on this list (docs/INVARIANTS.md, "Pipeline
+ * twins"): an "ooo" cell whose issue width resolves to fetchWidth runs
+ * exactly like a "pipeline" cell with cfg.outOfOrder until some load
+ * finds an older overlapping store it cannot forward from, and each
+ * cell counts those loads (CellWork::blockedLoads). The runner copies
+ * an "ooo" cell's result from its pipeline twin (timing::pipelineTwin)
+ * when the twin counted none. A new difference between the backends
+ * must show in that counter, or the twin rule must go.
+ *
  * Why it is faster than one oracle per cell, while staying
  * bit-identical:
  *
@@ -134,6 +143,24 @@ class BatchedPipelineSim : public trace::TraceSink
 
     int cellCount() const { return int(cells_.size()); }
 
+    /**
+     * Deterministic work counters of one cell: how the engine reached
+     * its SimResult, not part of it (the oracles have no counterpart).
+     * executedCycles + idleJumpedCycles is the cell's cycles.
+     */
+    struct CellWork {
+        /// Load issue attempts that found an older overlapping store
+        /// the load could not forward from - the one point where a
+        /// "pipeline" and an "ooo" cell part.
+        std::uint64_t blockedLoads = 0;
+        std::uint64_t executedCycles = 0;    //!< cycles stepped one by one
+        std::uint64_t idleJumpedCycles = 0;  //!< cycles skipped by idleJump
+    };
+
+    /// Work counters of cell @p i (constructor config order); set
+    /// by finalizeAll().
+    const CellWork &work(int i) const { return cells_[std::size_t(i)].work; }
+
   private:
     enum class State : std::uint8_t { Waiting, Issued };
 
@@ -232,6 +259,7 @@ class BatchedPipelineSim : public trace::TraceSink
         int issueTokens = 0;
 
         SimResult res;
+        CellWork work;
 
         int renameLimit(RegFile rf) const;
         int *renameCounter(RegFile rf);

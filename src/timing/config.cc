@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace uasim::timing {
 
@@ -143,6 +144,19 @@ canonicalConfig(CoreConfig cfg, const trace::InstrMix &mix)
             f.set(cfg, f.get(defaults));
     }
     return cfg;
+}
+
+std::optional<CoreConfig>
+pipelineTwin(CoreConfig oooCfg, const trace::InstrMix &mix)
+{
+    if (!oooCell(oooCfg) ||
+        (oooCfg.issueWidth != 0 && oooCfg.issueWidth != oooCfg.fetchWidth))
+        return std::nullopt;
+    // Out-of-order issue at fetchWidth; canonicalization then resets
+    // the "ooo"-only fields (issue width, store sets, replay penalty).
+    oooCfg.model = "pipeline";
+    oooCfg.outOfOrder = true;
+    return canonicalConfig(std::move(oooCfg), mix);
 }
 
 void

@@ -9,6 +9,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -201,6 +202,19 @@ std::span<const CoreConfigField> coreConfigFields();
  * would hide an out-of-range value of an unread field.
  */
 CoreConfig canonicalConfig(CoreConfig cfg, const trace::InstrMix &mix);
+
+/**
+ * The canonical "pipeline" config (cfg.outOfOrder set) that the "ooo"
+ * config @p oooCfg provably equals on a trace of mix @p mix as long as
+ * no load finds an older overlapping store it cannot forward from -
+ * the only point where the backends part (timing/batched_pipeline.hh).
+ * Only an "ooo" config whose issue width resolves to fetchWidth
+ * (issueWidth 0 or equal to it) has a twin; any other config gets
+ * std::nullopt. Whether no load blocked is known only after the twin
+ * ran: BatchedPipelineSim::CellWork::blockedLoads.
+ */
+std::optional<CoreConfig> pipelineTwin(CoreConfig oooCfg,
+                                       const trace::InstrMix &mix);
 
 /// Functional-unit index for an instruction class.
 enum class Unit { FX, FP, LS, BR, VI, VPERM, VCMPLX, NumUnits };

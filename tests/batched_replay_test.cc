@@ -24,7 +24,11 @@
  *    backend reads it (the trace lacks its classes, or the cell is of
  *    the other model) leaves every counter bit-identical to the oracle
  *    of the canonical config, the proof SweepRunner's per-trace
- *    config deduplication rests on.
+ *    config deduplication rests on;
+ *  - pipeline twins (timing::pipelineTwin): whenever the twin counts
+ *    no blocked load, the "ooo" oracle of its preimage equals the
+ *    "pipeline" oracle of the twin on every counter, the proof
+ *    SweepRunner's twin copies rest on.
  * Every comparison iterates core::simResultFields(), so a counter
  * added to SimResult is automatically diffed here — modeling it in
  * one engine but not the other fails the harness by construction.
@@ -253,6 +257,45 @@ storeSetAliasRecords(std::uint64_t base, int iters)
         em.emitBranch(i % 3 != 0, std::source_location::current());
     }
     return sink.records();
+}
+
+/**
+ * Seeded random stream over every instruction class: up to three deps
+ * on the last eight records, a few dozen call sites, and accesses that
+ * land in a 256-byte hot window with probability @p hotPct percent
+ * (older stores there overlap later loads, partially or fully) and
+ * otherwise in a 1 MiB region where overlaps are rare.
+ */
+std::vector<InstrRecord>
+randomRecords(std::uint64_t seed, int n, int hotPct)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<InstrRecord> recs;
+    recs.reserve(std::size_t(n));
+    for (int i = 0; i < n; ++i) {
+        InstrRecord rec{};
+        rec.id = std::uint64_t(i) + 1;
+        rec.pc = 0x10000 + 4 * (rng() % 48);
+        rec.cls = InstrClass(rng() % std::uint64_t(trace::numInstrClasses));
+        for (auto &d : rec.deps) {
+            if (i > 0 && rng() % 2 != 0)
+                d = rec.id - 1 - rng() % std::uint64_t(std::min(i, 8));
+        }
+        if (rec.isMem()) {
+            rec.size = trace::isVectorClass(rec.cls)
+                ? 16
+                : std::uint8_t(1u << (rng() % 4));
+            rec.addr = int(rng() % 100) < hotPct
+                ? 0x5000 + rng() % 256
+                : 0x100000 + rng() % (1u << 20);
+            if (rec.cls == InstrClass::VecLoad ||
+                rec.cls == InstrClass::VecStore)
+                rec.addr &= ~std::uint64_t{15};
+        }
+        rec.taken = rec.cls == InstrClass::Branch && rng() % 3 != 0;
+        recs.push_back(rec);
+    }
+    return recs;
 }
 
 } // namespace
@@ -598,4 +641,133 @@ TEST(FieldRelevance, UnreadFieldsNeverChangeResults)
     }
     // The two unaligned-latency fields and the four model-only ones.
     EXPECT_EQ(withRelevance, 6);
+}
+
+TEST(PipelineTwin, NoBlockedLoadMeansOoOEqualsPipeline)
+{
+    // The runner copies an "ooo" cell's result from its pipeline twin
+    // when the twin counted no blocked load. That is sound only if the
+    // two backends part nowhere else: on random streams and kernel
+    // traces, every such twin's "pipeline" oracle (and engine cell)
+    // must equal the "ooo" oracle of its preimage on every counter.
+    struct Stream {
+        std::string name;
+        std::vector<InstrRecord> records;
+        trace::InstrMix mix;
+    };
+    std::vector<Stream> streams;
+    auto addStream = [&streams](std::string name,
+                                std::vector<InstrRecord> records) {
+        trace::InstrMix mix;
+        for (const auto &rec : records)
+            mix.add(rec);
+        streams.push_back({std::move(name), std::move(records), mix});
+    };
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        for (int hotPct : {0, 1, 25}) {
+            addStream("random" + std::to_string(seed) + "/hot" +
+                          std::to_string(hotPct),
+                      randomRecords(seed * 7919 + std::uint64_t(hotPct),
+                                    1500, hotPct));
+        }
+    }
+    addStream("luma16/unaligned", kernelRecords({KernelId::LumaMc, 16, false},
+                                                Variant::Unaligned, 2));
+    addStream("idct4/unaligned", kernelRecords({KernelId::Idct, 4, false},
+                                               Variant::Unaligned, 4));
+    addStream("chroma8/unaligned",
+              kernelRecords({KernelId::ChromaMc, 8, false},
+                            Variant::Unaligned, 3));
+    addStream("sad16/unaligned", kernelRecords({KernelId::Sad, 16, false},
+                                               Variant::Unaligned, 3));
+    addStream("luma8/altivec", kernelRecords({KernelId::LumaMc, 8, false},
+                                             Variant::Altivec, 2));
+
+    int unblocked = 0;
+    int blocked = 0;
+    int noTwin = 0;
+    std::uint64_t seed = 20261017;
+    for (const Stream &st : streams) {
+        std::mt19937_64 rng(seed++);
+        std::vector<CoreConfig> preimages;
+        std::vector<CoreConfig> twins;
+        for (int k = 0; k < 9; ++k) {
+            CoreConfig c = randomConfig(rng, k);
+            c.model = "ooo";
+            // issueWidth 0, = fetchWidth, and != fetchWidth (no twin).
+            c.issueWidth = k % 3 == 0   ? 0
+                : k % 3 == 1            ? c.fetchWidth
+                                        : c.fetchWidth % 8 + 1;
+            const auto twin = timing::pipelineTwin(c, st.mix);
+            if (k % 3 == 2) {
+                EXPECT_FALSE(twin) << st.name << " " << c.name;
+                ++noTwin;
+                continue;
+            }
+            ASSERT_TRUE(twin) << st.name << " " << c.name;
+            EXPECT_EQ(twin->model, "pipeline");
+            EXPECT_TRUE(twin->outOfOrder);
+            EXPECT_EQ(timing::canonicalConfig(*twin, st.mix), *twin);
+            // A "pipeline" config is nobody's preimage.
+            EXPECT_FALSE(timing::pipelineTwin(*twin, st.mix));
+            preimages.push_back(c);
+            twins.push_back(*twin);
+        }
+        BatchedPipelineSim batch(twins);
+        batch.appendBlock(st.records.data(), st.records.size());
+        const auto engine = batch.finalizeAll();
+        for (std::size_t i = 0; i < twins.size(); ++i) {
+            const std::string label = st.name + " " + preimages[i].name;
+            if (batch.work(int(i)).blockedLoads != 0) {
+                ++blocked;
+                continue;
+            }
+            ++unblocked;
+            timing::SimResult want =
+                runOracle(OoOPipelineSim(preimages[i]), st.records);
+            want.core.clear();
+            expectFieldsIdentical(want, runOracle(PipelineSim(twins[i]),
+                                                  st.records),
+                                  label + " (pipeline oracle)");
+            expectFieldsIdentical(want, engine[i], label + " (engine)");
+        }
+    }
+    // Both outcomes occur, each in many cases.
+    EXPECT_GT(unblocked, 30);
+    EXPECT_GT(blocked, 5);
+    EXPECT_EQ(noTwin, 3 * int(streams.size()));
+}
+
+TEST(PipelineTwin, AliasingStreamBlocksAndBackendsDiffer)
+{
+    // Non-vacuity: on the store-set aliasing stream every twin counts
+    // blocked loads, and the "ooo" preimage really does time
+    // differently (it speculates past the blocking stores).
+    const auto records = storeSetAliasRecords(0x40000000ull, 300);
+    trace::InstrMix mix;
+    for (const auto &rec : records)
+        mix.add(rec);
+    for (int p = 1; p < 3; ++p) {
+        for (int log2 : {2, 10}) {
+            CoreConfig c = CoreConfig::preset(p);
+            c.name += "-ssit" + std::to_string(log2);
+            c.model = "ooo";
+            c.storeSetLog2 = log2;
+            const auto twin = timing::pipelineTwin(c, mix);
+            ASSERT_TRUE(twin) << c.name;
+            BatchedPipelineSim batch({*twin});
+            batch.appendBlock(records.data(), records.size());
+            const timing::SimResult got = batch.finalizeAll().front();
+            EXPECT_GT(batch.work(0).blockedLoads, 0u) << c.name;
+            const timing::SimResult ooo =
+                runOracle(OoOPipelineSim(c), records);
+            const timing::SimResult pipe =
+                runOracle(PipelineSim(*twin), records);
+            bool differ = false;
+            for (const auto &f : core::simResultFields())
+                differ = differ || ooo.*(f.member) != pipe.*(f.member);
+            EXPECT_TRUE(differ) << c.name;
+            EXPECT_EQ(got.cycles, pipe.cycles) << c.name;
+        }
+    }
 }

@@ -807,12 +807,41 @@ TEST(CampaignCli, RunSummaryCountsSimulatedCells)
                             conf.string() + " --json " +
                             (dir / "out").string());
     ASSERT_EQ(r.exit, 0) << r.out;
-    EXPECT_NE(r.out.find("3 cells, 1 simulated"), std::string::npos)
+    EXPECT_NE(r.out.find("3 cells, 1 simulated (0 copied from a pipeline "
+                         "twin)"),
+              std::string::npos)
         << r.out;
     const BenchResult art = uasim::core::loadResultFile(
         (dir / "out" / "BENCH_dedup.json").string());
     EXPECT_EQ(art.stats.cellsRun, 3u);
     EXPECT_EQ(art.stats.cellsSimulated, 1u);
+}
+
+TEST(CampaignCli, Fig9CiCopiesOoOCellsFromPipelineTwins)
+{
+    // The committed CI campaign locks the twin shortcut: no luma16x16
+    // load ever blocks on an older store, so its three "ooo" cells copy
+    // their "pipeline" twins; chroma8x8 and sad16x16 loads do block, so
+    // their "ooo" cells take a second replay pass (3 groups, one pass
+    // each, plus 2). A change that silently stops sharing fails here.
+    const fs::path dir = freshDir("cli_twin");
+    const RunResult r =
+        run(std::string(UASIM_SWEEP_BIN) + " run " +
+            UASIM_CAMPAIGN_EXAMPLES + "/fig9_ci.conf --threads 1 --json " +
+            dir.string());
+    ASSERT_EQ(r.exit, 0) << r.out;
+    EXPECT_NE(r.out.find("18 cells, 15 simulated (3 copied from a pipeline "
+                         "twin)"),
+              std::string::npos)
+        << r.out;
+    const BenchResult art = uasim::core::loadResultFile(
+        (dir / "BENCH_fig9_ci.json").string());
+    EXPECT_EQ(art.stats.cellsRun, 18u);
+    EXPECT_EQ(art.stats.cellsSimulated, 15u);
+    EXPECT_EQ(art.stats.twinCopies, 3u);
+    EXPECT_EQ(art.stats.replayPasses, 5u);
+    EXPECT_GT(art.stats.blockedLoads, 0u);
+    EXPECT_GT(art.stats.idleJumpedCycles, 0u);
 }
 
 TEST(CampaignCli, ReportHasNoMergeVerb)

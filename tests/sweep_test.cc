@@ -21,7 +21,10 @@
  *  - cells whose configs canonicalize equal (exact duplicates, fields
  *    the trace or the model never reads) are simulated once, still
  *    match their own oracle and keep their own core name, and every
- *    cell's own config is validated before canonicalization.
+ *    cell's own config is validated before canonicalization;
+ *  - an "ooo" cell copies its pipeline twin only when no load of the
+ *    twin blocked on an older store, and is simulated in a second
+ *    pass otherwise, with exact simulated-cell and pass counts.
  */
 
 #include <gtest/gtest.h>
@@ -37,6 +40,7 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "timing/ooo_pipeline.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
@@ -285,9 +289,10 @@ expectResultsEqual(const std::vector<core::SweepCellResult> &a,
 }
 
 /**
- * The reference answer for @p plan: every timing cell simulated by its
- * own PipelineSim oracle over a fresh recording of the cell's trace
- * (mix-only cells stay zeroed, as in the runner's results).
+ * The reference answer for @p plan: every timing cell simulated by the
+ * oracle of its own model (PipelineSim or OoOPipelineSim) over a fresh
+ * recording of the cell's trace (mix-only cells stay zeroed, as in the
+ * runner's results).
  */
 std::vector<timing::SimResult>
 oracleResults(const SweepPlan &plan)
@@ -297,9 +302,15 @@ oracleResults(const SweepPlan &plan)
         const SweepCell &cell = plan.cells()[i];
         if (cell.config == SweepCell::mixOnly)
             continue;
-        timing::PipelineSim oracle(plan.configs()[cell.config].cfg);
-        plan.traces()[cell.trace].record(oracle);
-        out[i] = oracle.finalize();
+        const timing::CoreConfig &cfg = plan.configs()[cell.config].cfg;
+        auto simulate = [&](auto &&oracle) {
+            plan.traces()[cell.trace].record(oracle);
+            out[i] = oracle.finalize();
+        };
+        if (cfg.model == "ooo")
+            simulate(timing::OoOPipelineSim(cfg));
+        else
+            simulate(timing::PipelineSim(cfg));
     }
     return out;
 }
@@ -581,9 +592,10 @@ TEST(SweepOracle, SingleAndMultiCellGroupsColdAndWarmMatchPipelineSim)
 TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
 {
     // makeStorePlan groups: two 2-cell groups and one 1-cell group,
-    // each one batched pass, plus a mix-only group that replays
-    // nothing - whether the records came from emulation or the store,
-    // and at any group-pool size that leaves no spare shard budget.
+    // each one batched pass (none has an "ooo" cell, so none needs a
+    // second pass), plus a mix-only group that replays nothing -
+    // whether the records came from emulation or the store, and at any
+    // group-pool size that leaves no spare shard budget.
     StoreDir dir("passes");
     SweepRunner cold(1);
     cold.attachStore(dir.path);
@@ -808,4 +820,146 @@ TEST(SweepDedup, CellsAreValidatedBeforeCanonicalization)
                 << e.what();
         }
     }
+}
+
+// ---- copying "ooo" cells from their pipeline twins ----
+
+namespace {
+
+/// Label-named 4w config of @p model at unaligned-load latency +@p extra.
+timing::CoreConfig
+twinAxisConfig(const char *model, int extra)
+{
+    timing::CoreConfig cfg = timing::CoreConfig::fourWayOoO();
+    cfg.model = model;
+    cfg.lat.unalignedLoadExtra = extra;
+    cfg.name = model;
+    cfg.name += "+";
+    cfg.name += std::to_string(extra);
+    return cfg;
+}
+
+/**
+ * @p traces crossed with {pipeline, ooo} x unaligned-load latency
+ * +0..+(extras - 1) on the 4w preset. Every 4w "ooo" config's pipeline
+ * twin is the "pipeline" config of the same latency.
+ */
+SweepPlan
+makeTwinPlan(const std::vector<KernelSpec> &traces, int extras)
+{
+    SweepPlan plan;
+    for (const KernelSpec &spec : traces)
+        plan.addTrace(core::kernelTraceJob(spec, Variant::Unaligned, 4));
+    for (const char *model : {"pipeline", "ooo"}) {
+        for (int extra = 0; extra < extras; ++extra) {
+            timing::CoreConfig cfg = twinAxisConfig(model, extra);
+            std::string label = cfg.name;
+            plan.addConfig(std::move(label), std::move(cfg));
+        }
+    }
+    plan.crossProduct();
+    return plan;
+}
+
+const KernelSpec kIdct4{KernelId::Idct, 4, false};  // no load ever blocks
+const KernelSpec kSad16{KernelId::Sad, 16, false};  // loads block
+
+} // namespace
+
+TEST(SweepDedup, OoOCellsCopyAnUnblockedTwinAndRerunTheRest)
+{
+    // idct4x4: each "ooo" cell copies its pipeline twin. sad16x16: the
+    // twins count blocked loads, so its "ooo" cells take a second
+    // pass. Either way every cell equals the oracle of its own model.
+    StoreDir dir("twin");
+    const SweepPlan plan = makeTwinPlan({kIdct4, kSad16}, 3);
+    const auto want = oracleResults(plan);
+    // Each group: three pipeline configs in pass 1, three "ooo" ones
+    // copied (idct) or in pass 2 (sad) - one pass per shard.
+    struct Expect {
+        int threads;
+        std::uint64_t passes;
+    };
+    for (const Expect &e : {Expect{1, 1 + 2}, Expect{4, 2 + 2 * 2}}) {
+        SCOPED_TRACE("threads " + std::to_string(e.threads));
+        SweepRunner plain(e.threads);
+        SweepRunner cold(e.threads);
+        SweepRunner warm(e.threads);
+        cold.attachStore(dir.path);
+        warm.attachStore(dir.path);
+        for (SweepRunner *r : {&plain, &cold, &warm}) {
+            const auto got = r->run(plan);
+            expectMatchesOracle(want, got);
+            for (const auto &cell : got)
+                EXPECT_EQ(cell.sim.core, cell.configLabel);
+            const auto &st = r->stats();
+            EXPECT_EQ(st.cellsRun, 12u);
+            EXPECT_EQ(st.cellsSimulated, 3u + 6u);
+            EXPECT_EQ(st.twinCopies, 3u);
+            EXPECT_EQ(st.replayPasses, e.passes);
+            EXPECT_GT(st.blockedLoads, 0u);
+            EXPECT_GT(st.executedCycles, 0u);
+        }
+        EXPECT_EQ(warm.stats().tracesLoaded, 2u);
+        // The engine work counters are deterministic.
+        EXPECT_EQ(plain.stats().blockedLoads, warm.stats().blockedLoads);
+        EXPECT_EQ(plain.stats().executedCycles, cold.stats().executedCycles);
+        EXPECT_EQ(plain.stats().idleJumpedCycles,
+                  warm.stats().idleJumpedCycles);
+    }
+}
+
+TEST(SweepDedup, SingleBigGroupShardsBothPasses)
+{
+    // One blocking trace, 4 pipeline + 4 "ooo" configs: at 8 threads
+    // the group's pass 1 (the pipeline configs) and pass 2 (the "ooo"
+    // ones) each split into 4 shards.
+    StoreDir dir("twin_big");
+    const SweepPlan plan = makeTwinPlan({kSad16}, 4);
+    const auto want = oracleResults(plan);
+    for (int threads : {1, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        SweepRunner cold(threads);
+        SweepRunner warm(threads);
+        cold.attachStore(dir.path);
+        warm.attachStore(dir.path);
+        for (SweepRunner *r : {&cold, &warm}) {
+            const auto got = r->run(plan);
+            expectMatchesOracle(want, got);
+            const auto &st = r->stats();
+            EXPECT_EQ(st.cellsSimulated, 8u);
+            EXPECT_EQ(st.twinCopies, 0u);
+            EXPECT_EQ(st.replayPasses, threads == 1 ? 2u : 8u);
+            EXPECT_EQ(st.threads, threads == 1 ? 1 : 4);
+        }
+        EXPECT_EQ(warm.stats().tracesLoaded, 1u);
+        EXPECT_EQ(warm.stats().decodeBytes,
+                  warm.stats().replayPasses *
+                      trace::TraceStore(dir.path)
+                          .openReader(plan.traces().front().key)
+                          ->payloadBytes());
+    }
+}
+
+TEST(SweepDedup, TwinOutsideTheGroupOrWiderIssueIsSimulated)
+{
+    // No copy without a twin among the group's own configs: an "ooo"
+    // cell next to an in-order pipeline cell, and one whose issue
+    // width differs from its fetch width, both run in pass 1.
+    SweepPlan plan;
+    plan.addTrace(core::kernelTraceJob(kIdct4, Variant::Unaligned, 4));
+    timing::CoreConfig inOrder = timing::CoreConfig::twoWayInOrder();
+    plan.addConfig("2w", inOrder);
+    inOrder.model = "ooo";
+    plan.addConfig("2w-ooo", inOrder);
+    plan.addConfig("pipeline+0", twinAxisConfig("pipeline", 0));
+    timing::CoreConfig wide = twinAxisConfig("ooo", 0);
+    wide.issueWidth = wide.fetchWidth + 1;
+    plan.addConfig("ooo-wide", wide);
+    plan.crossProduct();
+    SweepRunner runner(1);
+    expectMatchesOracle(oracleResults(plan), runner.run(plan));
+    EXPECT_EQ(runner.stats().cellsSimulated, 4u);
+    EXPECT_EQ(runner.stats().twinCopies, 0u);
+    EXPECT_EQ(runner.stats().replayPasses, 1u);
 }

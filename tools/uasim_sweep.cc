@@ -13,7 +13,9 @@
  * chunk(s)" summary line is what the campaign_merge_parity test greps
  * to prove it. The same line gives the campaign's cell count and how
  * many cells this invocation simulated (SweepStats::cellsSimulated:
- * cells that differ only in fields their trace never reads run once).
+ * cells that differ only in fields their trace never reads run once)
+ * and how many "ooo" cells it copied from their pipeline twin instead
+ * (SweepStats::twinCopies).
  * A --shard I/N run with N > 1 stops there; a run without
  * --shard (or with 0/1) also assembles BENCH_<name>.json from the
  * chunk directory. Merging shards is that unsharded run over their
@@ -140,11 +142,14 @@ runRun(const Campaign &c, const CampaignRunOptions &opt)
         return 0;
     }
     std::printf("[%s] run: executed %d chunk(s), skipped %d published "
-                "chunk(s); %llu cells, %llu simulated\n",
+                "chunk(s); %llu cells, %llu simulated (%llu copied from a "
+                "pipeline twin)\n",
                 c.name().c_str(), out.executed, out.skipped,
                 static_cast<unsigned long long>(out.artifact.stats.cellsRun),
                 static_cast<unsigned long long>(
-                    out.artifact.stats.cellsSimulated));
+                    out.artifact.stats.cellsSimulated),
+                static_cast<unsigned long long>(
+                    out.artifact.stats.twinCopies));
     std::printf("[%s] wrote %s\n", c.name().c_str(),
                 out.artifactPath.c_str());
     return 0;
