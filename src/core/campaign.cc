@@ -25,6 +25,7 @@
 #include <set>
 #include <sstream>
 #include <utility>
+#include <variant>
 
 #include "timing/model.hh"
 #include "trace/trace_io.hh"
@@ -811,26 +812,27 @@ runCampaignShard(const Campaign &campaign, const CampaignRunOptions &opt)
     BenchResult art;
     art.bench = campaign.name();
     addCommonParams(campaign, art);
-    SweepStats total{};
     for (const BenchResult &cr : chunkResults) {
         for (const ResultCell &cell : cr.cells)
             art.cells.push_back(cell);
-        total.cellsRun += cr.stats.cellsRun;
-        total.instrsReplayed += cr.stats.instrsReplayed;
     }
-    if (!toRun.empty()) {
-        // Carry the informational block of the actual pass, but keep
-        // the simulated subset resume-invariant: it covers every
-        // chunk, executed or skipped.
-        SweepStats info = runStats;
-        info.cellsRun = total.cellsRun;
-        info.instrsReplayed = total.instrsReplayed;
-        art.stats = info;
-        art.hasInformational = true;
-    } else {
-        art.stats = total;
-        art.hasInformational = false;
+    // Carry the informational block of the actual pass (none when
+    // every chunk was already published), but keep the simulated
+    // subset resume-invariant: it covers every chunk, executed or
+    // skipped.
+    art.stats = runStats;
+    for (const SweepStatsField &f : sweepStatsFields()) {
+        if (!f.gating)
+            continue;
+        std::visit(
+            [&](auto m) {
+                art.stats.*m = {};
+                for (const BenchResult &cr : chunkResults)
+                    art.stats.*m += cr.stats.*m;
+            },
+            f.member);
     }
+    art.hasInformational = !toRun.empty();
     art.hasStats = true;
 
     const fs::path artPath =

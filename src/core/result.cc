@@ -4,17 +4,19 @@
 #include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
+#include <type_traits>
 
+#include "core/field_table.hh"
 #include "trace/instr.hh"
 
 namespace uasim::core {
 
 namespace {
 
-/// Keys of the artifact's informational (never gating) stats block,
-/// in serialization order.
+/// Key of the artifact's informational (never gating) stats block.
 constexpr const char *informationalKey = "informational";
 
 json::Value
@@ -43,17 +45,6 @@ requireUint(const json::Object &o, const char *key, const char *where)
 {
     try {
         return require(o, key, where).asUint();
-    } catch (const json::TypeError &e) {
-        throw SchemaError(std::string(where) + "." + key + ": " +
-                          e.what());
-    }
-}
-
-double
-requireDouble(const json::Object &o, const char *key, const char *where)
-{
-    try {
-        return require(o, key, where).asDouble();
     } catch (const json::TypeError &e) {
         throw SchemaError(std::string(where) + "." + key + ": " +
                           e.what());
@@ -102,6 +93,57 @@ constexpr SimResultField simFields[] = {
     {"lineCrossings", &timing::SimResult::lineCrossings},
     {"fetchStallCycles", &timing::SimResult::fetchStallCycles},
 };
+
+// `core` is the one member serialized by hand, next to each loop.
+static_assert(coversEveryMember<timing::SimResult, simFields, 1>());
+
+constexpr bool gates = true;
+constexpr bool required = true;
+
+constexpr SweepStatsField statsFields[] = {
+    {"cellsRun", &SweepStats::cellsRun, gates, required},
+    {"instrsReplayed", &SweepStats::instrsReplayed, gates, required},
+    {"threads", &SweepStats::threads, !gates, required},
+    {"tracesRecorded", &SweepStats::tracesRecorded, !gates, required},
+    {"tracesLoaded", &SweepStats::tracesLoaded, !gates, required},
+    {"tracesStored", &SweepStats::tracesStored, !gates, required},
+    {"instrsRecorded", &SweepStats::instrsRecorded, !gates, required},
+    {"instrsLoaded", &SweepStats::instrsLoaded, !gates, required},
+    // Optional: added after schemaVersion 1 artifacts already existed
+    // (informational additions don't bump the schema).
+    {"cellsSimulated", &SweepStats::cellsSimulated, !gates, !required},
+    {"twinCopies", &SweepStats::twinCopies, !gates, !required},
+    {"blockedLoads", &SweepStats::blockedLoads, !gates, !required},
+    {"executedCycles", &SweepStats::executedCycles, !gates, !required},
+    {"idleJumpedCycles", &SweepStats::idleJumpedCycles, !gates,
+     !required},
+    {"replayPasses", &SweepStats::replayPasses, !gates, !required},
+    {"decodeBytes", &SweepStats::decodeBytes, !gates, !required},
+    {"recordSeconds", &SweepStats::recordSeconds, !gates, required},
+    {"replaySeconds", &SweepStats::replaySeconds, !gates, required},
+    {"loadSeconds", &SweepStats::loadSeconds, !gates, required},
+    {"decodeSeconds", &SweepStats::decodeSeconds, !gates, !required},
+    {"wallSeconds", &SweepStats::wallSeconds, !gates, required},
+};
+
+static_assert(coversEveryMember<SweepStats, statsFields>());
+
+/// Load @p out from @p v: a double, or an unsigned integer it can hold.
+template <typename T>
+void
+readStat(const json::Value &v, T &out)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        out = v.asDouble();
+    } else {
+        const std::uint64_t u = v.asUint();
+        constexpr auto max = std::uint64_t(std::numeric_limits<T>::max());
+        if (u > max)
+            throw json::TypeError(std::to_string(u) + " exceeds " +
+                                  std::to_string(max));
+        out = T(u);
+    }
+}
 
 json::Value
 simToJson(const timing::SimResult &s)
@@ -175,6 +217,12 @@ std::span<const SimResultField>
 simResultFields()
 {
     return simFields;
+}
+
+std::span<const SweepStatsField>
+sweepStatsFields()
+{
+    return statsFields;
 }
 
 void
@@ -253,33 +301,17 @@ BenchResult::toJson(bool includeInformational) const
     root.set("cells", std::move(cs));
 
     if (hasStats) {
-        json::Object sweep;
         json::Object simulated;
-        simulated.set("cellsRun", stats.cellsRun);
-        simulated.set("instrsReplayed", stats.instrsReplayed);
-        sweep.set("simulated", std::move(simulated));
-        if (includeInformational && hasInformational) {
-            json::Object info;
-            info.set("threads", stats.threads);
-            info.set("tracesRecorded", stats.tracesRecorded);
-            info.set("tracesLoaded", stats.tracesLoaded);
-            info.set("tracesStored", stats.tracesStored);
-            info.set("instrsRecorded", stats.instrsRecorded);
-            info.set("instrsLoaded", stats.instrsLoaded);
-            info.set("cellsSimulated", stats.cellsSimulated);
-            info.set("twinCopies", stats.twinCopies);
-            info.set("blockedLoads", stats.blockedLoads);
-            info.set("executedCycles", stats.executedCycles);
-            info.set("idleJumpedCycles", stats.idleJumpedCycles);
-            info.set("replayPasses", stats.replayPasses);
-            info.set("decodeBytes", stats.decodeBytes);
-            info.set("recordSeconds", stats.recordSeconds);
-            info.set("replaySeconds", stats.replaySeconds);
-            info.set("loadSeconds", stats.loadSeconds);
-            info.set("decodeSeconds", stats.decodeSeconds);
-            info.set("wallSeconds", stats.wallSeconds);
-            sweep.set(informationalKey, std::move(info));
+        json::Object info;
+        for (const SweepStatsField &f : sweepStatsFields()) {
+            json::Object &block = f.gating ? simulated : info;
+            std::visit([&](auto m) { block.set(f.name, stats.*m); },
+                       f.member);
         }
+        json::Object sweep;
+        sweep.set("simulated", std::move(simulated));
+        if (includeInformational && hasInformational)
+            sweep.set(informationalKey, std::move(info));
         root.set("sweep", std::move(sweep));
     }
     return json::Value(std::move(root));
@@ -331,57 +363,30 @@ BenchResult::fromJson(const json::Value &v)
             const json::Object &so = sweep->asObject();
             const json::Object &sim =
                 require(so, "simulated", "sweep").asObject();
-            r.stats.cellsRun = requireUint(sim, "cellsRun", "simulated");
-            r.stats.instrsReplayed =
-                requireUint(sim, "instrsReplayed", "simulated");
-            if (const json::Value *info = so.find(informationalKey)) {
-                r.hasInformational = true;
-                const json::Object &io = info->asObject();
-                r.stats.threads =
-                    int(requireUint(io, "threads", "informational"));
-                r.stats.tracesRecorded =
-                    requireUint(io, "tracesRecorded", "informational");
-                r.stats.tracesLoaded =
-                    requireUint(io, "tracesLoaded", "informational");
-                r.stats.tracesStored =
-                    requireUint(io, "tracesStored", "informational");
-                r.stats.instrsRecorded =
-                    requireUint(io, "instrsRecorded", "informational");
-                r.stats.instrsLoaded =
-                    requireUint(io, "instrsLoaded", "informational");
-                // Added after schemaVersion 1 artifacts already
-                // existed; optional so old informational blocks
-                // (informational additions don't bump the schema)
-                // still parse.
-                if (const json::Value *cs = io.find("cellsSimulated"))
-                    r.stats.cellsSimulated = cs->asUint();
-                if (const json::Value *tc = io.find("twinCopies"))
-                    r.stats.twinCopies = tc->asUint();
-                if (const json::Value *bl = io.find("blockedLoads"))
-                    r.stats.blockedLoads = bl->asUint();
-                if (const json::Value *ec = io.find("executedCycles"))
-                    r.stats.executedCycles = ec->asUint();
-                if (const json::Value *ij = io.find("idleJumpedCycles"))
-                    r.stats.idleJumpedCycles = ij->asUint();
-                if (const json::Value *rp = io.find("replayPasses"))
-                    r.stats.replayPasses = rp->asUint();
-                if (const json::Value *db = io.find("decodeBytes"))
-                    r.stats.decodeBytes = db->asUint();
-                if (const json::Value *ds = io.find("decodeSeconds"))
-                    r.stats.decodeSeconds = ds->asDouble();
-                // Removed informational fields: older artifacts may
-                // still carry "streamSeconds" (the retired fused
-                // record+simulate pass) or the mapped-byte count of
-                // the retired mmap read path; both are accepted and
-                // ignored.
-                r.stats.recordSeconds =
-                    requireDouble(io, "recordSeconds", "informational");
-                r.stats.replaySeconds =
-                    requireDouble(io, "replaySeconds", "informational");
-                r.stats.loadSeconds =
-                    requireDouble(io, "loadSeconds", "informational");
-                r.stats.wallSeconds =
-                    requireDouble(io, "wallSeconds", "informational");
+            const json::Value *info = so.find(informationalKey);
+            r.hasInformational = info != nullptr;
+            // Keys of no row (the retired "streamSeconds" of the fused
+            // record+simulate pass, "bytesMapped" of the mmap read
+            // path) are accepted and ignored.
+            for (const SweepStatsField &f : sweepStatsFields()) {
+                if (!f.gating && !info)
+                    continue;
+                const json::Object &block =
+                    f.gating ? sim : info->asObject();
+                const char *where =
+                    f.gating ? "simulated" : informationalKey;
+                const json::Value *v = f.required
+                    ? &require(block, f.name, where)
+                    : block.find(f.name);
+                if (!v)
+                    continue;
+                try {
+                    std::visit([&](auto m) { readStat(*v, r.stats.*m); },
+                               f.member);
+                } catch (const json::TypeError &e) {
+                    throw SchemaError(std::string(where) + "." + f.name +
+                                      ": " + e.what());
+                }
             }
         }
     } catch (const json::TypeError &e) {
@@ -519,10 +524,16 @@ diffResults(const BenchResult &base, const BenchResult &cur)
 
     checkEq(gate, "has sweep stats", base.hasStats, cur.hasStats);
     if (base.hasStats && cur.hasStats) {
-        checkEq(gate, "sweep.cellsRun", base.stats.cellsRun,
-                cur.stats.cellsRun);
-        checkEq(gate, "sweep.instrsReplayed",
-                base.stats.instrsReplayed, cur.stats.instrsReplayed);
+        for (const SweepStatsField &f : sweepStatsFields()) {
+            if (!f.gating)
+                continue;
+            std::visit(
+                [&](auto m) {
+                    checkEq(gate, std::string("sweep.") + f.name,
+                            base.stats.*m, cur.stats.*m);
+                },
+                f.member);
+        }
 
         // Informational: reported, never gating.
         if (base.hasInformational && cur.hasInformational) {

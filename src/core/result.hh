@@ -34,6 +34,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/json.hh"
@@ -65,11 +66,29 @@ struct SimResultField {
  * carried by the artifact, gated by uasim-report, AND compared between
  * the production pipeline engine and its test oracle — it cannot
  * serialize yet silently never gate, nor be modeled in the PipelineSim
- * oracle but forgotten in BatchedPipelineSim.
- * (Adding one is a simulated-schema change: bump
+ * oracle but forgotten in BatchedPipelineSim. core/field_table.hh
+ * proves at compile time that it names every counter (all members
+ * but `core`). (Adding one is a simulated-schema change: bump
  * BenchResult::schemaVersion.)
  */
 std::span<const SimResultField> simResultFields();
+
+/// One row of the SweepStats table (see sweepStatsFields()).
+struct SweepStatsField {
+    const char *name;
+    std::variant<int SweepStats::*, std::uint64_t SweepStats::*,
+                 double SweepStats::*>
+        member;
+    bool gating;    //!< simulated (diffed bit-exactly), else informational
+    bool required;  //!< absent on load: SchemaError, else it loads as 0
+};
+
+/**
+ * The one SweepStats table, in serialization order (gating rows
+ * first): artifact I/O, diff gating and every merge of partial stats
+ * loop over it. core/field_table.hh proves it names each member once.
+ */
+std::span<const SweepStatsField> sweepStatsFields();
 
 /// One sweep cell of the artifact (== one SweepCellResult).
 struct ResultCell {

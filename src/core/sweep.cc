@@ -9,8 +9,10 @@
 #include <mutex>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
+#include "core/result.hh"
 #include "timing/model.hh"
 #include "trace/trace_buffer.hh"
 
@@ -38,6 +40,16 @@ struct TraceGroup {
 /// twinOf entry of a distinct config without a pipeline twin in its
 /// group.
 constexpr std::size_t noTwin = ~std::size_t{0};
+
+/// Add every field of @p from into @p into, through the one
+/// SweepStats table. Partial totals leave threads and wallSeconds 0:
+/// run() sets both once at the end.
+void
+addStats(SweepStats &into, const SweepStats &from)
+{
+    for (const SweepStatsField &f : sweepStatsFields())
+        std::visit([&](auto m) { into.*m += from.*m; }, f.member);
+}
 
 } // namespace
 
@@ -108,42 +120,6 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 
     std::vector<SweepCellResult> results(plan.cells().size());
 
-    struct WorkerTotals {
-        std::uint64_t recorded = 0, loaded = 0, replayed = 0,
-                      traces = 0, tracesLoaded = 0, tracesStored = 0,
-                      cells = 0, cellsSimulated = 0, twinCopies = 0,
-                      replayPasses = 0, decodeBytes = 0,
-                      blockedLoads = 0, executedCycles = 0,
-                      idleJumpedCycles = 0;
-        double recordSec = 0, replaySec = 0, loadSec = 0,
-               decodeSec = 0;
-        int maxShards = 1;  //!< widest intra-group shard fan-out used
-
-        void
-        merge(const WorkerTotals &o)
-        {
-            recorded += o.recorded;
-            loaded += o.loaded;
-            replayed += o.replayed;
-            traces += o.traces;
-            tracesLoaded += o.tracesLoaded;
-            tracesStored += o.tracesStored;
-            cells += o.cells;
-            cellsSimulated += o.cellsSimulated;
-            twinCopies += o.twinCopies;
-            replayPasses += o.replayPasses;
-            decodeBytes += o.decodeBytes;
-            blockedLoads += o.blockedLoads;
-            executedCycles += o.executedCycles;
-            idleJumpedCycles += o.idleJumpedCycles;
-            recordSec += o.recordSec;
-            replaySec += o.replaySec;
-            loadSec += o.loadSec;
-            decodeSec += o.decodeSec;
-            maxShards = std::max(maxShards, o.maxShards);
-        }
-    };
-
     // Group workers: one per trace group, capped by the group count.
     // Thread budget the group level cannot use (fewer groups than
     // threads - the single-big-group shape) is spent *inside* the
@@ -155,25 +131,31 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> abortRun{false};
+    // Shards, groups and workers each accumulate a SweepStats of
+    // their own; threads is set from the widest shard fan-out at the
+    // end.
     std::mutex totalsMutex;
-    WorkerTotals totals;
+    SweepStats totals;
+    int widestShards = 1;
     std::exception_ptr firstError;
     std::mutex errorMutex;
 
     auto worker = [&]() {
-        WorkerTotals local;
+        SweepStats local;
+        int widest = 1;
 
         // Run fn(shard, shardTotals) on nShards shards: shard 0 on
         // this thread, the rest on short-lived threads. Shard totals
         // merge into @p into only when every shard succeeded; the
         // first shard exception rethrows here with no partial
         // accounting.
-        auto runShards = [](WorkerTotals &into, int nShards, auto &&fn) {
+        auto runShards = [&widest](SweepStats &into, int nShards,
+                                   auto &&fn) {
             if (nShards <= 1) {
                 fn(0, into);
                 return;
             }
-            std::vector<WorkerTotals> shardTotals(nShards);
+            std::vector<SweepStats> shardTotals(nShards);
             std::vector<std::exception_ptr> shardErrors(nShards);
             std::vector<std::thread> shardPool;
             shardPool.reserve(nShards - 1);
@@ -197,9 +179,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 if (e)
                     std::rethrow_exception(e);
             }
-            for (const auto &st : shardTotals)
-                into.merge(st);
-            into.maxShards = std::max(into.maxShards, nShards);
+            for (const SweepStats &st : shardTotals)
+                addStats(into, st);
+            widest = std::max(widest, nShards);
         };
 
         try {
@@ -321,7 +303,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     auto simOf = [&](std::size_t d) -> timing::SimResult & {
                         return results[timingCis[firstCellOf[d]]].sim;
                     };
-                    WorkerTotals groupTotals;
+                    SweepStats groupTotals;
                     // A temporary, freed before the replay (see above).
                     auto configsOf = [&](std::size_t lo, std::size_t hi) {
                         std::vector<timing::CoreConfig> cfgs;
@@ -338,7 +320,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         const int nShards =
                             std::min<int>(shardBudget, int(n));
                         runShards(groupTotals, nShards, [&](int k,
-                                                            WorkerTotals &lt) {
+                                                            SweepStats &lt) {
                             const std::size_t lo =
                                 n * std::size_t(k) / nShards;
                             const std::size_t hi =
@@ -357,7 +339,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                                 lt.idleJumpedCycles += work.idleJumpedCycles;
                                 simOf(d) = std::move(sims[p - lo]);
                             }
-                            lt.replaySec += secondsSince(t0);
+                            lt.replaySeconds += secondsSince(t0);
                             lt.cellsSimulated += hi - lo;
                             ++lt.replayPasses;
                         });
@@ -386,8 +368,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                             sim = simOf(distinctOf[i]);
                         sim.core = timingCfgs[i].name;
                     }
-                    groupTotals.replayed += records * timingCfgs.size();
-                    local.merge(groupTotals);
+                    groupTotals.instrsReplayed +=
+                        records * timingCfgs.size();
+                    addStats(local, groupTotals);
                 };
 
                 trace::InstrMix mix;
@@ -409,8 +392,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     auto t0 = Clock::now();
                     if (auto sum = store->loadSummary(job.key)) {
                         mix = sum->mix;
-                        local.loadSec += secondsSince(t0);
-                        local.loaded += sum->count;
+                        local.loadSeconds += secondsSince(t0);
+                        local.instrsLoaded += sum->count;
                         ++local.tracesLoaded;
                         fromStore = true;
                     }
@@ -418,14 +401,14 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     if (auto reader = store->openReader(job.key)) {
                         // One independent decode pass per shard.
                         auto decode = [&](trace::TraceSink &model,
-                                          WorkerTotals &lt) {
+                                          SweepStats &lt) {
                             trace::TraceCursor cur = reader->cursor();
                             trace::InstrRecord block[1024];
                             for (;;) {
                                 auto d0 = Clock::now();
                                 const std::size_t got =
                                     cur.nextBlock(block, std::size(block));
-                                lt.decodeSec += secondsSince(d0);
+                                lt.decodeSeconds += secondsSince(d0);
                                 if (got == 0)
                                     break;
                                 model.appendBlock(block, got);
@@ -435,7 +418,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         try {
                             mix = reader->mix();
                             replayCells(mix, reader->count(), decode);
-                            local.loaded += reader->count();
+                            local.instrsLoaded += reader->count();
                             ++local.tracesLoaded;
                             fromStore = true;
                         } catch (const std::exception &e) {
@@ -467,9 +450,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         job.record(sink);
                     }
                     mix = timingCells == 0 ? counter.mix() : buffer.mix();
-                    local.recordSec += secondsSince(t0);
-                    local.recorded += mix.total();
-                    ++local.traces;
+                    local.recordSeconds += secondsSince(t0);
+                    local.instrsRecorded += mix.total();
+                    ++local.tracesRecorded;
                     if (recorder) {
                         try {
                             recorder->commit();
@@ -485,7 +468,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     if (timingCells > 0) {
                         replayCells(mix, buffer.size(),
                                     [&](trace::TraceSink &model,
-                                        WorkerTotals &) {
+                                        SweepStats &) {
                                         buffer.replayInto(model);
                                     });
                     }
@@ -501,7 +484,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     }
                     res.mix = mix;
                     res.traceInstrs = mix.total();
-                    ++local.cells;
+                    ++local.cellsRun;
                 }
                 if (onGroupDone)
                     onGroupDone(group.trace, results);
@@ -515,7 +498,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
             abortRun.store(true, std::memory_order_relaxed);
         }
         std::lock_guard<std::mutex> lock(totalsMutex);
-        totals.merge(local);
+        addStats(totals, local);
+        widestShards = std::max(widestShards, widest);
     };
 
     if (poolSize <= 1) {
@@ -531,25 +515,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     if (firstError)
         std::rethrow_exception(firstError);
 
-    stats_.threads = poolSize * std::max(1, totals.maxShards);
-    stats_.tracesRecorded = totals.traces;
-    stats_.tracesLoaded = totals.tracesLoaded;
-    stats_.tracesStored = totals.tracesStored;
-    stats_.cellsRun = totals.cells;
-    stats_.cellsSimulated = totals.cellsSimulated;
-    stats_.twinCopies = totals.twinCopies;
-    stats_.blockedLoads = totals.blockedLoads;
-    stats_.executedCycles = totals.executedCycles;
-    stats_.idleJumpedCycles = totals.idleJumpedCycles;
-    stats_.instrsRecorded = totals.recorded;
-    stats_.instrsLoaded = totals.loaded;
-    stats_.instrsReplayed = totals.replayed;
-    stats_.replayPasses = totals.replayPasses;
-    stats_.decodeBytes = totals.decodeBytes;
-    stats_.recordSeconds = totals.recordSec;
-    stats_.replaySeconds = totals.replaySec;
-    stats_.loadSeconds = totals.loadSec;
-    stats_.decodeSeconds = totals.decodeSec;
+    stats_ = totals;
+    stats_.threads = poolSize * widestShards;
     stats_.wallSeconds = secondsSince(wallStart);
     return results;
 }

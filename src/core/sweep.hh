@@ -140,6 +140,10 @@ struct SweepCellResult {
  * (recordSeconds), replay passes - from the in-memory buffer or
  * decoded straight from a store entry (replaySeconds) - and mix-only
  * summary reads from the store (loadSeconds).
+ *
+ * Every member has one row in core::sweepStatsFields()
+ * (core/result.hh), which serializes, parses, gates and merges it; a
+ * member without a row does not compile.
  */
 struct SweepStats {
     /// Maximum worker concurrency of the run: group workers times the

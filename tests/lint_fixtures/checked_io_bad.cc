@@ -1,15 +1,13 @@
-// Known-bad [checked-io]: discarded fwrite/fclose returns, plus an
-// unbraced if-body munmap (a statement-position discard the rule must
-// still see).
+// Known-bad [checked-io]: discarded fwrite/fclose returns, the
+// second in an unbraced if-body (a statement-position discard the
+// rule must still see).
 
 #include <cstdio>
-#include <sys/mman.h>
 
 inline void
-teardown(std::FILE *f, void *base, unsigned long len)
+teardown(std::FILE *f)
 {
     std::fwrite("x", 1, 1, f);
-    std::fclose(f);
-    if (base)
-        munmap(base, len);
+    if (f)
+        std::fclose(f);
 }

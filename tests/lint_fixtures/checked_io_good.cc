@@ -2,16 +2,13 @@
 // or explicitly discarded with (void).
 
 #include <cstdio>
-#include <sys/mman.h>
 
 inline bool
-teardown(std::FILE *f, void *base, unsigned long len)
+teardown(std::FILE *f)
 {
     if (std::fwrite("x", 1, 1, f) != 1)
         return false;
     (void)std::fflush(f);
     const int rc = std::fclose(f);
-    if (base && munmap(base, len) != 0)
-        return false;
     return rc == 0;
 }

@@ -10,7 +10,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "core/result.hh"
 #include "trace/instr.hh"
@@ -214,6 +217,115 @@ TEST(ReportTool, LoadsArtifactCarryingRetiredBytesMapped)
     // the mapped-byte count.
     expectRetiredFieldIgnored(
         withRetiredField("\"bytesMapped\": 4096,"));
+}
+
+namespace {
+
+/// @p text with the line carrying key @p key replaced by @p line, or
+/// removed (with the comma before it when it closed its object) when
+/// @p line is empty.
+std::string
+withKeyLine(std::string text, const std::string &key,
+            const std::string &line)
+{
+    const std::size_t at = text.find("\"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t begin = text.rfind('\n', at) + 1;
+    const std::size_t end = text.find('\n', at) + 1;
+    text.replace(begin, end - begin, line.empty() ? "" : line + "\n");
+    if (line.empty() && text[text.find_first_not_of(' ', begin)] == '}')
+        text.erase(begin - 2, 1);
+    return text;
+}
+
+} // namespace
+
+TEST(ReportTool, EverySweepStatsFieldRoundTrips)
+{
+    // Every field of the table set to a distinct non-zero value.
+    BenchResult full = makeResult();
+    const auto fields = core::sweepStatsFields();
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        std::visit(
+            [&](auto m) {
+                auto &field = full.stats.*m;
+                using T = std::remove_reference_t<decltype(field)>;
+                if constexpr (std::is_floating_point_v<T>)
+                    field = T(i) + 0.25;
+                else
+                    field = T((i + 1) * 1000 + i);
+            },
+            fields[i].member);
+    }
+    auto equal = [](const core::SweepStats &a, const core::SweepStats &b,
+                    const core::SweepStatsField &f) {
+        return std::visit([&](auto m) { return a.*m == b.*m; },
+                          f.member);
+    };
+    const core::SweepStats zero{};
+
+    // The full form round-trips every field exactly.
+    const BenchResult loaded = BenchResult::parse(full.serialize());
+    for (const core::SweepStatsField &f : fields)
+        EXPECT_TRUE(equal(loaded.stats, full.stats, f)) << f.name;
+    EXPECT_EQ(loaded.serialize(), full.serialize());
+
+    // The baseline form keeps only the gating fields.
+    const BenchResult baseline =
+        BenchResult::parse(full.serialize(false));
+    int gating = 0;
+    for (const core::SweepStatsField &f : fields) {
+        gating += f.gating;
+        EXPECT_TRUE(equal(baseline.stats, f.gating ? full.stats : zero, f))
+            << f.name;
+    }
+    EXPECT_EQ(gating, 2);
+    EXPECT_EQ(fields[0].name, std::string("cellsRun"));
+    EXPECT_EQ(fields[1].name, std::string("instrsReplayed"));
+
+    // Removing a required key is a SchemaError; an optional key
+    // (added after schemaVersion 1 artifacts existed) loads as 0.
+    const std::string text = full.serialize();
+    const std::set<std::string> required = {
+        "cellsRun",       "instrsReplayed", "threads",
+        "tracesRecorded", "tracesLoaded",   "tracesStored",
+        "instrsRecorded", "instrsLoaded",   "recordSeconds",
+        "replaySeconds",  "loadSeconds",    "wallSeconds"};
+    for (const core::SweepStatsField &f : fields) {
+        const std::string without = withKeyLine(text, f.name, "");
+        if (required.count(f.name)) {
+            try {
+                BenchResult::parse(without);
+                ADD_FAILURE() << f.name << " removed: loaded";
+            } catch (const core::SchemaError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              std::string("missing field \"") + f.name),
+                          std::string::npos)
+                    << e.what();
+            }
+            continue;
+        }
+        const BenchResult partial = BenchResult::parse(without);
+        for (const core::SweepStatsField &g : fields) {
+            EXPECT_TRUE(equal(partial.stats, &g == &f ? zero : full.stats,
+                              g))
+                << f.name << " removed, " << g.name;
+        }
+    }
+
+    // threads is an int: a value above INT_MAX is a SchemaError, not
+    // a truncated int.
+    EXPECT_EQ(BenchResult::parse(withKeyLine(text, "threads",
+                                             "\"threads\": 2147483647,"))
+                  .stats.threads,
+              2147483647);
+    for (const char *big : {"2147483648", "4294967297"}) {
+        EXPECT_THROW(BenchResult::parse(withKeyLine(
+                         text, "threads",
+                         std::string("\"threads\": ") + big + ",")),
+                     core::SchemaError)
+            << big;
+    }
 }
 
 TEST(ReportTool, SchemaErrors)

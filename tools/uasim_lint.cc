@@ -8,14 +8,6 @@
  * and bench/, which have no compile-db entry of their own), and each
  * rule applies to the repo paths it governs:
  *
- *   field-table      every counter member of timing::SimResult must
- *                    appear in the one simResultFields() table, and
- *                    every counter member of core::SweepStats must
- *                    appear as a serialized field name. A counter
- *                    that exists but is absent from the table would
- *                    serialize (or not) without ever gating - the
- *                    silent-corruption bug the PR 4 field-table
- *                    design rule exists to prevent.
  *   sim-determinism  no wall-clock, randomness, or unordered-
  *                    container use inside simulated paths
  *                    (src/timing, src/core/sweep.*,
@@ -24,11 +16,14 @@
  *                    exceptions - wall-clock feeding the *Seconds
  *                    informational stats - carry a visible
  *                    suppression comment.
- *   checked-io       no discarded fwrite/fread/fseek/fflush/fclose/
- *                    mmap/munmap/madvise return values in src/trace
+ *   checked-io       no discarded fwrite/fread/fseek/fflush/fclose
+ *                    return values in src/trace
  *                    (the PR 3 checked-I/O-only rule). An explicit
  *                    `(void)` cast is accepted: it is a visible,
  *                    reviewable decision, not a silent one.
+ *
+ * Field-table completeness is a compile error, not a rule here: see
+ * src/core/field_table.hh.
  *
  * Suppression syntax: a comment containing
  *
@@ -65,7 +60,7 @@ const std::vector<std::string> &
 ruleNames()
 {
     static const std::vector<std::string> rules = {
-        "checked-io", "field-table", "sim-determinism"};
+        "checked-io", "sim-determinism"};
     return rules;
 }
 
@@ -115,8 +110,8 @@ struct Finding {
 
 /// One scanned source file: raw text, a same-length "stripped" copy
 /// with comments and string/char literals blanked (so patterns never
-/// match inside them), the per-line suppression sets parsed from the
-/// comments, and the collected string-literal contents.
+/// match inside them), and the per-line suppression sets parsed from
+/// the comments.
 struct Source {
     std::string vpath;       //!< repo-relative path (rule scoping key)
     std::string raw;
@@ -124,7 +119,6 @@ struct Source {
     std::vector<std::size_t> lineStart;  //!< offset of each line
     /// line -> rules suppressed on that line (self or line-above).
     std::map<int, std::set<std::string>> allow;
-    std::vector<std::string> literals;   //!< string-literal contents
 
     int
     lineOf(std::size_t off) const
@@ -175,7 +169,7 @@ parseAllows(const std::string &comment, int firstLine, int lastLine,
     }
 }
 
-/// Build .stripped/.allow/.literals from .raw.
+/// Build .stripped/.allow from .raw.
 void
 stripSource(Source &src)
 {
@@ -189,7 +183,7 @@ stripSource(Source &src)
 
     enum class St { Code, Line, Block, Str, Chr };
     St st = St::Code;
-    std::size_t tokStart = 0;  //!< start of current comment/literal
+    std::size_t tokStart = 0;  //!< start of current comment
     std::string tok;
     for (std::size_t i = 0; i < in.size(); ++i) {
         const char c = in[i];
@@ -208,7 +202,6 @@ stripSource(Source &src)
                 ++i;
             } else if (c == '"') {
                 st = St::Str;
-                tok.clear();
                 out[i] = '"';
             } else if (c == '\'') {
                 st = St::Chr;
@@ -241,17 +234,12 @@ stripSource(Source &src)
             break;
         case St::Str:
             if (c == '\\' && n != '\0') {
-                tok += c;
-                tok += n;
                 ++i;
             } else if (c == '"') {
                 out[i] = '"';
-                src.literals.push_back(tok);
                 st = St::Code;
-            } else {
-                if (c == '\n')
-                    out[i] = '\n';
-                tok += c;
+            } else if (c == '\n') {
+                out[i] = '\n';
             }
             break;
         case St::Chr:
@@ -331,7 +319,6 @@ class Linter
 
     void checkSimDeterminism(const Source &src);
     void checkCheckedIo(const Source &src);
-    void checkFieldTable(const std::vector<Source> &sources);
 
     void
     run(std::vector<Source> &sources)
@@ -341,7 +328,6 @@ class Linter
             checkSimDeterminism(src);
             checkCheckedIo(src);
         }
-        checkFieldTable(sources);
     }
 
     int
@@ -462,9 +448,8 @@ Linter::checkCheckedIo(const Source &src)
         src.vpath.rfind("src/trace/", 0) != 0)
         return;
 
-    static const char *fns[] = {"fwrite", "fread",  "fseek",
-                                "fflush", "fclose", "mmap",
-                                "munmap", "madvise"};
+    static const char *fns[] = {"fwrite", "fread", "fseek", "fflush",
+                                "fclose"};
     const std::string &text = src.stripped;
     for (const char *fn : fns) {
         for (std::size_t at : findIdent(text, fn)) {
@@ -535,174 +520,6 @@ Linter::checkCheckedIo(const Source &src)
     // `(void)` casts never reach here: the significant char before
     // the call is then ')' whose paren group is preceded by no
     // keyword, which the consume test above accepts.
-}
-
-// ---------------------------------------------------------------------------
-// field-table
-// ---------------------------------------------------------------------------
-
-struct Member {
-    std::string name;
-    std::string vpath;
-    int line = 0;
-};
-
-/// Counter members (integral/double, non-function) declared at depth
-/// 1 of `struct <structName> { ... }` in @p src.
-std::vector<Member>
-structCounters(const Source &src, const std::string &structName)
-{
-    std::vector<Member> members;
-    const std::string &text = src.stripped;
-    const std::string key = "struct " + structName;
-    for (std::size_t at : findIdent(text, key)) {
-        std::size_t open = text.find('{', at + key.size());
-        // Reject forward declarations and pointers-to-member like
-        // `&SimResult::x` (no brace before the next ';').
-        const std::size_t semi = text.find(';', at + key.size());
-        if (open == std::string::npos ||
-            (semi != std::string::npos && semi < open))
-            continue;
-        int depth = 1;
-        std::size_t stmt = open + 1;
-        for (std::size_t i = open + 1; i < text.size() && depth > 0;
-             ++i) {
-            const char c = text[i];
-            if (c == '{') {
-                ++depth;
-            } else if (c == '}') {
-                --depth;
-                stmt = i + 1;
-            } else if (c == ';' && depth == 1) {
-                const std::string decl =
-                    text.substr(stmt, i - stmt);
-                const std::size_t declOff = stmt;
-                stmt = i + 1;
-                if (decl.find('(') != std::string::npos)
-                    continue;  // method or function pointer
-                const bool counter =
-                    decl.find("int") != std::string::npos ||
-                    decl.find("double") != std::string::npos;
-                if (!counter)
-                    continue;
-                // Member name: the identifier before '=' (or the
-                // trailing identifier when there is no initializer).
-                std::string d = decl;
-                const std::size_t eq = d.find('=');
-                if (eq != std::string::npos)
-                    d = d.substr(0, eq);
-                std::size_t e = d.find_last_not_of(" \t\n");
-                if (e == std::string::npos)
-                    continue;
-                std::size_t b = e;
-                while (b > 0 && identChar(d[b - 1]))
-                    --b;
-                if (!identChar(d[e]))
-                    continue;
-                std::string name = d.substr(b, e - b + 1);
-                if (name.empty() ||
-                    std::isdigit(static_cast<unsigned char>(name[0])))
-                    continue;
-                members.push_back(
-                    {std::move(name), src.vpath,
-                     src.lineOf(declOff + decl.find_first_not_of(
-                                              " \t\n"))});
-            }
-        }
-    }
-    return members;
-}
-
-void
-Linter::checkFieldTable(const std::vector<Source> &sources)
-{
-    if (!ruleEnabled("field-table"))
-        return;
-
-    // SimResult: every counter must be listed as
-    // &[timing::]SimResult::<name> (the simResultFields() table).
-    std::vector<Member> simMembers;
-    std::set<std::string> tabled;
-    std::vector<Member> statMembers;
-    std::set<std::string> literals;
-    for (const Source &src : sources) {
-        for (Member &m : structCounters(src, "SimResult"))
-            simMembers.push_back(std::move(m));
-        for (Member &m : structCounters(src, "SweepStats"))
-            statMembers.push_back(std::move(m));
-        const std::string &text = src.stripped;
-        static const std::string ptr = "SimResult::";
-        std::size_t at = 0;
-        while ((at = text.find(ptr, at)) != std::string::npos) {
-            // Must be a pointer-to-member expression: an '&' starts
-            // the qualified name ("&timing::SimResult::x" or
-            // "&SimResult::x").
-            std::size_t b = at;
-            while (b > 0 && (identChar(text[b - 1]) ||
-                             text[b - 1] == ':'))
-                --b;
-            while (b > 0 && std::isspace(
-                                static_cast<unsigned char>(text[b - 1])))
-                --b;
-            if (b > 0 && text[b - 1] == '&') {
-                std::size_t e = at + ptr.size();
-                std::size_t i = e;
-                while (i < text.size() && identChar(text[i]))
-                    ++i;
-                if (i > e)
-                    tabled.insert(text.substr(e, i - e));
-            }
-            at += ptr.size();
-        }
-        for (const std::string &lit : src.literals)
-            literals.insert(lit);
-    }
-
-    if (!simMembers.empty()) {
-        if (tabled.empty()) {
-            addFinding(*std::find_if(sources.begin(), sources.end(),
-                                     [&](const Source &s) {
-                                         return s.vpath ==
-                                                simMembers[0].vpath;
-                                     }),
-                       simMembers[0].line, "field-table",
-                       "struct SimResult found but no "
-                       "simResultFields() table entries "
-                       "(&SimResult::<member>) in the scanned set");
-        } else {
-            for (const Member &m : simMembers) {
-                if (tabled.count(m.name))
-                    continue;
-                auto it = std::find_if(sources.begin(), sources.end(),
-                                       [&](const Source &s) {
-                                           return s.vpath == m.vpath;
-                                       });
-                addFinding(*it, m.line, "field-table",
-                           "SimResult counter '" + m.name +
-                               "' missing from the simResultFields() "
-                               "table: it would never gate in "
-                               "uasim-report or the cross-engine "
-                               "differential tests");
-            }
-        }
-    }
-
-    // SweepStats: every counter must appear as a serialized field
-    // name (a string literal) somewhere in the scanned set - a stat
-    // that never reaches the artifact is invisible to the baselines.
-    for (const Member &m : statMembers) {
-        if (literals.count(m.name))
-            continue;
-        auto it = std::find_if(sources.begin(), sources.end(),
-                               [&](const Source &s) {
-                                   return s.vpath == m.vpath;
-                               });
-        addFinding(*it, m.line, "field-table",
-                   "SweepStats counter '" + m.name +
-                       "' is never serialized (no \"" + m.name +
-                       "\" field name in the scanned set): add it to "
-                       "the BenchResult stats block");
-    }
 }
 
 // ---------------------------------------------------------------------------
