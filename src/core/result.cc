@@ -117,6 +117,14 @@ constexpr SweepStatsField statsFields[] = {
     {"executedCycles", &SweepStats::executedCycles, !gates, !required},
     {"idleJumpedCycles", &SweepStats::idleJumpedCycles, !gates,
      !required},
+    {"issueAttempts", &SweepStats::issueAttempts, !gates, !required},
+    {"producerWaits", &SweepStats::producerWaits, !gates, !required},
+    {"tokenWaits", &SweepStats::tokenWaits, !gates, !required},
+    {"portWaits", &SweepStats::portWaits, !gates, !required},
+    {"storeWaits", &SweepStats::storeWaits, !gates, !required},
+    {"mshrWaits", &SweepStats::mshrWaits, !gates, !required},
+    {"wakeSkips", &SweepStats::wakeSkips, !gates, !required},
+    {"watcherFlushes", &SweepStats::watcherFlushes, !gates, !required},
     {"replayPasses", &SweepStats::replayPasses, !gates, !required},
     {"decodeBytes", &SweepStats::decodeBytes, !gates, !required},
     {"recordSeconds", &SweepStats::recordSeconds, !gates, required},

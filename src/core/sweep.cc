@@ -14,7 +14,7 @@
 
 #include "core/result.hh"
 #include "timing/model.hh"
-#include "trace/trace_buffer.hh"
+#include "trace/trace_io.hh"
 
 namespace uasim::core {
 
@@ -221,10 +221,10 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     timingCfgs.push_back(std::move(cfg));
                 }
                 const int timingCells = int(timingCis.size());
-                // replayCells' dedup state, sized here, before any trace
-                // buffer exists: an allocation of its own that lived
-                // across the replay could pin freed trace memory in
-                // the heap and raise peak RSS. The canonical configs
+                // replayCells' dedup state, sized here, before any
+                // encoded trace exists: an allocation of its own that
+                // lived across the replay could pin freed trace memory
+                // in the heap and raise peak RSS. The canonical configs
                 // are a copy: a store replay that fails falls back to
                 // recording and canonicalizes the cells' own configs
                 // again against the recorded mix. Per distinct config:
@@ -243,7 +243,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 trace::TraceStore *store =
                     (store_ && job.cacheable) ? store_.get() : nullptr;
 
-                // Replay the group's records into every timing cell.
+                // Replay the group's encoded trace, from the store or
+                // just recorded, into every timing cell.
                 // Cells whose configs canonicalize equal for this
                 // trace's mix produce the same SimResult, so only the
                 // distinct canonical configs are simulated and each
@@ -254,16 +255,15 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // in the twin, and is simulated otherwise. Spare
                 // thread budget splits each pass's configs
                 // contiguously across shards, each running one batched
-                // model pass that feed(model, shardTotals) fills with
-                // the whole stream. Cells are mutually independent, so
-                // any split fills identical results
+                // model pass that decodes the whole stream through its
+                // own copy of @p start. Cells are mutually independent,
+                // so any split fills identical results
                 // (tests/sweep_test.cc); only pass count and wall time
                 // differ. Totals reach the worker's only once every
                 // pass succeeded, so a caller that falls back to
                 // re-recording starts from a clean slate.
                 auto replayCells = [&](const trace::InstrMix &traceMix,
-                                       std::uint64_t records,
-                                       auto &&feed) {
+                                       const trace::TraceCursor &start) {
                     firstCellOf.clear();
                     {
                         auto less = [](const timing::CoreConfig *a,
@@ -328,7 +328,18 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                             auto t0 = Clock::now();
                             auto batch = timing::makeBatchedTimingModel(
                                 configsOf(lo, hi));
-                            feed(*batch, lt);
+                            trace::TraceCursor cur = start;
+                            trace::InstrRecord block[1024];
+                            for (;;) {
+                                auto d0 = Clock::now();
+                                const std::size_t got =
+                                    cur.nextBlock(block, std::size(block));
+                                lt.decodeSeconds += secondsSince(d0);
+                                if (got == 0)
+                                    break;
+                                batch->appendBlock(block, got);
+                            }
+                            lt.decodeBytes += start.payloadBytes();
                             auto sims = batch->finalizeAll();
                             for (std::size_t p = lo; p < hi; ++p) {
                                 const std::size_t d = passList[p];
@@ -337,6 +348,14 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                                 lt.blockedLoads += work.blockedLoads;
                                 lt.executedCycles += work.executedCycles;
                                 lt.idleJumpedCycles += work.idleJumpedCycles;
+                                lt.issueAttempts += work.issueAttempts;
+                                lt.producerWaits += work.producerWaits;
+                                lt.tokenWaits += work.tokenWaits;
+                                lt.portWaits += work.portWaits;
+                                lt.storeWaits += work.storeWaits;
+                                lt.mshrWaits += work.mshrWaits;
+                                lt.wakeSkips += work.wakeSkips;
+                                lt.watcherFlushes += work.watcherFlushes;
                                 simOf(d) = std::move(sims[p - lo]);
                             }
                             lt.replaySeconds += secondsSince(t0);
@@ -369,7 +388,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         sim.core = timingCfgs[i].name;
                     }
                     groupTotals.instrsReplayed +=
-                        records * timingCfgs.size();
+                        start.count() * timingCfgs.size();
                     addStats(local, groupTotals);
                 };
 
@@ -380,10 +399,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // materializes state the cells don't need: a mix-only
                 // group reads just the header's validated mix section
                 // (no payload decode at all); a timing group reads the
-                // entry's payload once and every replay shard decodes
-                // that shared buffer through its own TraceCursor.
-                // Replay equivalence keeps every hit bit-identical to
-                // recording in-process. A payload that fails
+                // entry's payload once and replays it like a recorded
+                // one. Replay equivalence keeps every hit bit-identical
+                // to recording in-process. A payload that fails
                 // mid-decode (valid checksum, corrupt stream) is
                 // discarded like any corrupt entry and the group falls
                 // through to re-recording, which overwrites any
@@ -399,25 +417,9 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     }
                 } else if (store) {
                     if (auto reader = store->openReader(job.key)) {
-                        // One independent decode pass per shard.
-                        auto decode = [&](trace::TraceSink &model,
-                                          SweepStats &lt) {
-                            trace::TraceCursor cur = reader->cursor();
-                            trace::InstrRecord block[1024];
-                            for (;;) {
-                                auto d0 = Clock::now();
-                                const std::size_t got =
-                                    cur.nextBlock(block, std::size(block));
-                                lt.decodeSeconds += secondsSince(d0);
-                                if (got == 0)
-                                    break;
-                                model.appendBlock(block, got);
-                            }
-                            lt.decodeBytes += reader->payloadBytes();
-                        };
                         try {
                             mix = reader->mix();
-                            replayCells(mix, reader->count(), decode);
+                            replayCells(mix, reader->cursor());
                             local.instrsLoaded += reader->count();
                             ++local.tracesLoaded;
                             fromStore = true;
@@ -429,19 +431,19 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 
                 if (!fromStore) {
                     // Record once: a mix-only group just counts, a
-                    // timing group buffers the stream for its replay
-                    // shards. On a store miss the recording tees into
-                    // a write-through recorder; a failed store write
-                    // degrades to an uncached run, never a failed
-                    // sweep.
+                    // timing group encodes the stream in memory for
+                    // its replay shards. On a store miss the recording
+                    // tees into a write-through recorder; a failed
+                    // store write degrades to an uncached run, never a
+                    // failed sweep.
                     std::unique_ptr<trace::TraceStore::Recorder> recorder;
                     if (store)
                         recorder = store->startRecord(job.key);
                     trace::CountingSink counter;
-                    trace::TraceBuffer buffer;
+                    trace::EncodedTrace encoded;
                     trace::TraceSink &sink = timingCells == 0
                         ? static_cast<trace::TraceSink &>(counter)
-                        : buffer;
+                        : encoded;
                     auto t0 = Clock::now();
                     if (recorder) {
                         trace::TeeSink tee(sink, *recorder);
@@ -449,7 +451,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     } else {
                         job.record(sink);
                     }
-                    mix = timingCells == 0 ? counter.mix() : buffer.mix();
+                    mix = timingCells == 0 ? counter.mix() : encoded.mix();
                     local.recordSeconds += secondsSince(t0);
                     local.instrsRecorded += mix.total();
                     ++local.tracesRecorded;
@@ -465,13 +467,8 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         }
                         recorder.reset();
                     }
-                    if (timingCells > 0) {
-                        replayCells(mix, buffer.size(),
-                                    [&](trace::TraceSink &model,
-                                        SweepStats &) {
-                                        buffer.replayInto(model);
-                                    });
-                    }
+                    if (timingCells > 0)
+                        replayCells(mix, encoded.cursor());
                 }
 
                 for (int ci : group.cellIndices) {

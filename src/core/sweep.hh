@@ -19,6 +19,7 @@
  * across processes: each cacheable trace job probes the store first,
  * replays from disk on a hit, and records through to disk on a miss,
  * so repeated grid invocations warm-start instead of re-emulating.
+ * Either way the replay decodes the same UATRACE3 payload bytes.
  *
  * Exactness: replaying a recorded trace into a timing model is
  * bit-identical to streaming the emulation straight into the model
@@ -137,9 +138,9 @@ struct SweepCellResult {
  * is the summed trace length over all timing cells. Without a store,
  * tracesLoaded and tracesStored are zero and tracesRecorded covers
  * every trace. Time is split by pass kind: record passes
- * (recordSeconds), replay passes - from the in-memory buffer or
- * decoded straight from a store entry (replaySeconds) - and mix-only
- * summary reads from the store (loadSeconds).
+ * (recordSeconds), replay passes - each decoding the group's encoded
+ * payload, just recorded or read from a store entry (replaySeconds) -
+ * and mix-only summary reads from the store (loadSeconds).
  *
  * Every member has one row in core::sweepStatsFields()
  * (core/result.hh), which serializes, parses, gates and merges it; a
@@ -198,18 +199,33 @@ struct SweepStats {
     std::uint64_t executedCycles = 0;
     std::uint64_t idleJumpedCycles = 0;
     /**
+     * Issue-stage work summed over the simulated cells, one field per
+     * CellWork counter: tryIssue attempts, the check that failed each
+     * failed one (issueAttempts = simulated instrs + the five *Waits),
+     * waiting-list visits skipped on a cached wake bound, and
+     * watcher-overflow flushes. Deterministic; informational.
+     */
+    std::uint64_t issueAttempts = 0;
+    std::uint64_t producerWaits = 0;
+    std::uint64_t tokenWaits = 0;
+    std::uint64_t portWaits = 0;
+    std::uint64_t storeWaits = 0;
+    std::uint64_t mshrWaits = 0;
+    std::uint64_t wakeSkips = 0;
+    std::uint64_t watcherFlushes = 0;
+    /**
      * Encoded UATRACE3 payload bytes run through the block decoder,
      * summed over every decode pass (a trace decoded by S shards
-     * counts S times - the honest amount of decode work done).
-     * Informational; zero without a store (in-memory replay feeds
-     * already-decoded records).
+     * counts S times - the honest amount of decode work done). Every
+     * replay pass decodes, whether its payload came from the store or
+     * was just recorded, with or without a store. Informational.
      */
     std::uint64_t decodeBytes = 0;
     double recordSeconds = 0;  //!< pure record passes, summed across workers
     double replaySeconds = 0;  //!< replay passes, summed across shards
     double loadSeconds = 0;    //!< mix-only store reads, summed across workers
-    /// Time inside TraceCursor::nextBlock during store-hit replay,
-    /// summed across all shards (a subset of replaySeconds).
+    /// Time inside TraceCursor::nextBlock during replay, summed
+    /// across all shards (a subset of replaySeconds).
     double decodeSeconds = 0;
     double wallSeconds = 0;
 };
@@ -218,8 +234,11 @@ struct SweepStats {
  * Executes a SweepPlan.
  *
  * Work unit = one trace group (a trace plus all cells that reference
- * it): the worker records the trace once, replays it into every
- * cell's simulator, frees the buffer, and moves on. Groups are
+ * it): the worker obtains the trace's encoded payload once - a store
+ * entry on a hit, else a recording into a trace::EncodedTrace (tee'd
+ * into the store on a miss) - replays it into every cell's simulator
+ * through one TraceCursor per pass and shard, frees it, and moves on.
+ * Store hits, misses and storeless runs share that one replay path. Groups are
  * sharded over the pool with an atomic cursor; results are written
  * into preallocated cell slots, so output order is deterministic and
  * thread-count independent.

@@ -346,6 +346,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
 {
     Slot &slot = cell.slots[seq & cell.slotMask];
     const InstrRecord &rec = winRec(seq);
+    ++cell.work.issueAttempts;
     // Default retry bound: transient resource shortage, recheck next
     // cycle (tokens and ports refresh, queues can drain).
     slot.wake = cell.now + 1;
@@ -367,15 +368,20 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 cell.watchDep(d, seq);
         }
         slot.wake = depWake;
+        ++cell.work.producerWaits;
         return false;
     }
     int unit = int(unitFor(rec.cls));
-    if (cell.unitTokens[unit] <= 0)
+    if (cell.unitTokens[unit] <= 0) {
+        ++cell.work.tokenWaits;
         return false;
+    }
 
     if (rec.isLoad()) {
-        if (cell.readPorts <= 0)
+        if (cell.readPorts <= 0) {
+            ++cell.work.portWaits;
             return false;
+        }
         // Store-to-load aliasing against older, undrained stores.
         const StoreEntry *blocker = nullptr;
         const StoreEntry *forwarder = nullptr;
@@ -407,8 +413,10 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             // to go ahead this cycle. The SSIT can change whenever
             // another load issues, so a wait keeps the now + 1 bound.
             const std::uint32_t lset = cell.ssit[cell.ssitIndex(rec.pc)];
-            if (lset && cell.ssit[cell.ssitIndex(blocker->pc)] == lset)
+            if (lset && cell.ssit[cell.ssitIndex(blocker->pc)] == lset) {
+                ++cell.work.storeWaits;
                 return false;
+            }
         } else if (blocker) {
             // The classification of this load is decided by the last
             // overlapping older store, and drains (front-first) never
@@ -428,6 +436,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                        blocker->fwdReady > cell.now) {
                 slot.wake = blocker->fwdReady;
             }
+            ++cell.work.storeWaits;
             return false;
         }
 
@@ -447,6 +456,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 l1d.lineAddr(rec.addr + rec.size - 1);
             if (crosses && cell.cfg.crossingLoadNeedsSecondPort() &&
                 cell.readPorts < 2) {
+                ++cell.work.portWaits;
                 return false;
             }
             bool would_miss =
@@ -463,6 +473,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 // so that load keeps the now + 1 bound.
                 if (!blocker)
                     slot.wake = wakeMshrFull;
+                ++cell.work.mshrWaits;
                 return false;
             }
             auto acc = cell.mem.dataAccess(rec.addr, rec.size, false,
@@ -541,6 +552,7 @@ BatchedPipelineSim::issueStage(Cell &cell)
     // an "ooo" cell the list is OoOPipelineSim's issue queue.
     auto &waiting = cell.waiting;
     const std::size_t n = waiting.size();
+    const std::uint64_t attempts = cell.work.issueAttempts;
     std::size_t keep = 0;
     std::size_t i = 0;
     if (cell.outOfOrder) {
@@ -576,6 +588,9 @@ BatchedPipelineSim::issueStage(Cell &cell)
             }
         }
     }
+    // Each of the i visits either skipped on its wake bound or called
+    // tryIssue.
+    cell.work.wakeSkips += i - (cell.work.issueAttempts - attempts);
     if (keep != i) {
         for (; i < n; ++i)
             waiting[keep++] = waiting[i];

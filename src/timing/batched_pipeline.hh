@@ -155,6 +155,24 @@ class BatchedPipelineSim : public trace::TraceSink
         std::uint64_t blockedLoads = 0;
         std::uint64_t executedCycles = 0;    //!< cycles stepped one by one
         std::uint64_t idleJumpedCycles = 0;  //!< cycles skipped by idleJump
+        /// tryIssue calls. Each one issues or fails on exactly one of
+        /// the five checks below, so issueAttempts is the cell's
+        /// instrs plus the five *Waits.
+        std::uint64_t issueAttempts = 0;
+        std::uint64_t producerWaits = 0;  //!< a producer not yet ready
+        std::uint64_t tokenWaits = 0;     //!< no token left on the unit
+        /// No read port, or no second one for a line-crossing load.
+        std::uint64_t portWaits = 0;
+        /// An older overlapping store: the "pipeline" wait, or an
+        /// "ooo" load waiting on its trained store set.
+        std::uint64_t storeWaits = 0;
+        std::uint64_t mshrWaits = 0;  //!< a missing load, MSHR file full
+        /// Waiting-list scan visits skipped on a cached wake bound
+        /// (issueStage visits = issueAttempts + wakeSkips).
+        std::uint64_t wakeSkips = 0;
+        /// setReady calls that dropped every cached wake bound of the
+        /// cell after a watcher-list overflow.
+        std::uint64_t watcherFlushes = 0;
     };
 
     /// Work counters of cell @p i (constructor config order); set
@@ -297,6 +315,7 @@ class BatchedPipelineSim : public trace::TraceSink
                 // A past registration did not fit: conservatively
                 // drop every cached bound (a zero wake only forces a
                 // re-run of the real checks, never a wrong skip).
+                ++work.watcherFlushes;
                 for (auto s : waiting)
                     slots[s & slotMask].wake = 0;
                 wt.overflow = false;

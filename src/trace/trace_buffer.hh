@@ -1,14 +1,14 @@
 /**
  * @file
- * In-memory recorded trace for record-once/replay-many experiments.
+ * In-memory record stream, decoded: one 56-byte InstrRecord per
+ * record.
  *
- * A TraceBuffer is the capture side of the sweep engine
- * (core/sweep.hh): a worker records a workload's normalized record
- * stream once, then replays the buffer into any number of timing
- * simulators. Replay feeds the exact records that were appended, in
- * order, so a replayed timing model is bit-identical to one that
- * consumed the emulation stream directly (tests/sweep_test.cc locks
- * this equivalence).
+ * Tests and tools capture a stream here to inspect it or to replay
+ * the exact appended records, in order, into a timing model
+ * (replayInto), which is bit-identical to feeding the emulation stream
+ * directly (tests/sweep_test.cc locks this equivalence). The sweep
+ * engine does not use it: it keeps recorded traces encoded, about
+ * 7 bytes per record, in a trace::EncodedTrace (trace/trace_io.hh).
  */
 
 #ifndef UASIM_TRACE_TRACE_BUFFER_HH

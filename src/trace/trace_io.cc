@@ -368,6 +368,24 @@ badTrace(const std::string &path, const std::string &what)
     throw std::runtime_error("TraceReader: " + what + " in " + path);
 }
 
+/// Throw for an I/O failure of @p what on @p path: the file could not
+/// be reached, which says nothing about its content.
+[[noreturn]] void
+ioFail(const std::string &path, const std::string &what)
+{
+    throw TraceIoError("TraceReader: " + what + " in " + path);
+}
+
+/// Throw for a short read of @p what from @p file: an I/O failure when
+/// the stream reports an error, else a file shorter than it claims.
+[[noreturn]] void
+shortRead(std::FILE *file, const std::string &path, const std::string &what)
+{
+    if (std::ferror(file))
+        ioFail(path, what + ": " + errnoText());
+    badTrace(path, what);
+}
+
 /**
  * Open @p path and validate everything up to (but excluding) the
  * payload bytes: magic, version, key hash and match, mix-section
@@ -384,13 +402,16 @@ openTrace(const std::string &path, const std::string &expectKey)
     OpenedTrace ot;
     ot.file = FileHandle(std::fopen(path.c_str(), "rb"), &std::fclose);
     if (!ot.file)
-        throw std::runtime_error("TraceReader: cannot open " + path +
-                                 ": " + errnoText());
+        throw TraceIoError("TraceReader: cannot open " + path + ": " +
+                           errnoText());
+    auto readFailed = [&](const std::string &what) {
+        shortRead(ot.file.get(), path, what);
+    };
 
     std::uint8_t head[wire::headerBytes];
     if (std::fread(head, 1, sizeof(head), ot.file.get()) !=
         sizeof(head))
-        bad("truncated header");
+        readFailed("truncated header");
     if (std::memcmp(head, wire::magic, sizeof(wire::magic)) != 0) {
         if (std::memcmp(head, wire::magic, sizeof(wire::magic) - 1) ==
             0) {
@@ -414,7 +435,7 @@ openTrace(const std::string &path, const std::string &expectKey)
     ot.key.resize(key_bytes);
     if (key_bytes && std::fread(ot.key.data(), 1, key_bytes,
                                 ot.file.get()) != key_bytes)
-        bad("truncated key");
+        readFailed("truncated key");
     if (wire::fnv1a(ot.key.data(), ot.key.size()) != key_hash)
         bad("key hash mismatch");
     if (!expectKey.empty() && ot.key != expectKey) {
@@ -426,7 +447,7 @@ openTrace(const std::string &path, const std::string &expectKey)
     std::uint8_t mix_raw[wire::mixBytes];
     if (std::fread(mix_raw, 1, sizeof(mix_raw), ot.file.get()) !=
         sizeof(mix_raw))
-        bad("truncated mix section");
+        readFailed("truncated mix section");
     if (wire::fnv1a(mix_raw, sizeof(mix_raw)) != mix_hash)
         bad("mix-section hash mismatch");
     for (int c = 0; c < numInstrClasses; ++c) {
@@ -451,11 +472,11 @@ openTrace(const std::string &path, const std::string &expectKey)
     const long payload_at = std::ftell(ot.file.get());
     if (payload_at < 0 ||
         std::fseek(ot.file.get(), 0, SEEK_END) != 0) {
-        bad("size check seek failed: " + errnoText());
+        ioFail(path, "size check seek failed: " + errnoText());
     }
     const long end_at = std::ftell(ot.file.get());
     if (end_at < 0)
-        bad("size check tell failed: " + errnoText());
+        ioFail(path, "size check tell failed: " + errnoText());
     const std::uint64_t actual =
         std::uint64_t(end_at) - std::uint64_t(payload_at);
     if (actual != ot.payloadBytes) {
@@ -464,7 +485,7 @@ openTrace(const std::string &path, const std::string &expectKey)
             std::to_string(ot.payloadBytes));
     }
     if (std::fseek(ot.file.get(), payload_at, SEEK_SET) != 0)
-        bad("payload seek failed: " + errnoText());
+        ioFail(path, "payload seek failed: " + errnoText());
     return ot;
 }
 
@@ -482,12 +503,12 @@ TraceReader::TraceReader(const std::string &path,
     if (ot.payloadBytes &&
         std::fread(payload_.data(), 1, payload_.size(), ot.file.get()) !=
             payload_.size()) {
-        badTrace(path, "payload read failed");
+        shortRead(ot.file.get(), path, "payload read failed");
     }
     if (wire::payloadHash(payload_.data(), payload_.size()) !=
         ot.payloadHash)
         badTrace(path, "payload checksum mismatch");
-    cur_ = TraceCursor(this);
+    cur_ = cursor();
 }
 
 TraceSummary
@@ -501,28 +522,33 @@ readTraceSummary(const std::string &path, const std::string &expectKey)
     return s;
 }
 
-TraceCursor::TraceCursor(const TraceReader *reader)
-    : reader_(reader), pos_(reader->payload_.data())
+TraceCursor::TraceCursor(const std::uint8_t *payload, std::size_t bytes,
+                         std::uint64_t count, std::string_view source)
+    : begin_(payload), pos_(payload), end_(payload + bytes), count_(count),
+      source_(source)
 {
+}
+
+bool
+TraceCursor::atEnd() const
+{
+    if (read_ < count_)
+        return false;
+    if (pos_ != end_)
+        throw std::runtime_error(
+            "TraceReader: payload continues past the " +
+            std::to_string(count_) +
+            " records promised by the "
+            "header in " + std::string(source_));
+    return true;
 }
 
 bool
 TraceCursor::next(InstrRecord &rec)
 {
-    if (!reader_)
+    if (atEnd())
         return false;
-    const std::uint8_t *end =
-        reader_->payload_.data() + reader_->payload_.size();
-    if (read_ >= reader_->count_) {
-        if (pos_ != end)
-            throw std::runtime_error(
-                "TraceReader: payload continues past the " +
-                std::to_string(reader_->count_) +
-                " records promised by the "
-                "header in " + reader_->path_);
-        return false;
-    }
-    decoder_.decode(pos_, end, rec);
+    decoder_.decode(pos_, end_, rec);
     ++read_;
     return true;
 }
@@ -530,31 +556,40 @@ TraceCursor::next(InstrRecord &rec)
 std::size_t
 TraceCursor::nextBlock(InstrRecord *out, std::size_t maxRecords)
 {
-    if (!reader_)
+    if (atEnd())
         return 0;
-    const std::uint8_t *end =
-        reader_->payload_.data() + reader_->payload_.size();
-    if (read_ >= reader_->count_) {
-        if (pos_ != end)
-            throw std::runtime_error(
-                "TraceReader: payload continues past the " +
-                std::to_string(reader_->count_) +
-                " records promised by the "
-                "header in " + reader_->path_);
-        return 0;
-    }
-    const std::size_t want = std::size_t(std::min<std::uint64_t>(
-        reader_->count_ - read_, maxRecords));
-    const std::size_t got = decoder_.decodeBlock(pos_, end, out, want);
+    const std::size_t want =
+        std::size_t(std::min<std::uint64_t>(count_ - read_, maxRecords));
+    const std::size_t got = decoder_.decodeBlock(pos_, end_, out, want);
     read_ += got;
     if (got < want) {
-        // The payload ended on a record boundary before the count
-        // promised by the header - the same truncation next() would
-        // hit one record later.
+        // The payload ended on a record boundary before the promised
+        // count - the same truncation next() would hit one record
+        // later.
         throw std::runtime_error(
             "trace payload truncated mid-record");
     }
     return got;
+}
+
+void
+EncodedTrace::append(const InstrRecord &rec)
+{
+    appendBlock(&rec, 1);
+}
+
+void
+EncodedTrace::appendBlock(const InstrRecord *recs, std::size_t n)
+{
+    constexpr std::size_t maxBytes = wire::RecordEncoder::maxRecordBytes;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (bytes_.size() - fill_ < maxBytes)
+            bytes_.resize(std::max(2 * bytes_.size(), std::size_t{4096}));
+        fill_ = std::size_t(encoder_.encode(recs[i], bytes_.data() + fill_) -
+                            bytes_.data());
+        mix_.add(recs[i]);
+    }
+    count_ += n;
 }
 
 } // namespace uasim::trace

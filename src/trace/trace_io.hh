@@ -37,17 +37,21 @@
  * and TraceReader validates magic, version, file size against the
  * header, the payload checksum, and per-record class/flag sanity, so a
  * truncated or corrupted file is rejected instead of silently read as
- * data.
+ * data. A file TraceReader cannot open or read at all throws
+ * TraceIoError instead, so a caller can tell "unreachable" from
+ * "invalid".
  */
 
 #ifndef UASIM_TRACE_TRACE_IO_HH
 #define UASIM_TRACE_TRACE_IO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/instr.hh"
@@ -270,17 +274,29 @@ struct TraceKeyMismatch : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-class TraceReader;
+/**
+ * Thrown when a trace file cannot be opened or read at all (an errno
+ * failure such as EMFILE or EIO), as opposed to read and found
+ * invalid. Kept distinct from plain corruption so the TraceStore can
+ * treat it as a miss without deleting an entry it merely could not
+ * reach.
+ */
+struct TraceIoError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
 
 /**
- * One independent decode pass over a TraceReader's validated payload.
+ * One independent decode pass over an encoded record payload: a view
+ * of the payload bytes, the record count they must hold, and a source
+ * name for error text.
  *
  * A cursor owns its own decoder state and position, so any number of
- * cursors (e.g. one per replay shard) can walk the same reader - and
- * the same payload buffer - concurrently without re-opening or copying
- * the file. Decoding is read-only on the shared payload; the only
- * mutable state is inside the cursor itself. The reader must outlive
- * every cursor obtained from it.
+ * cursors (e.g. one per replay shard) can walk the same payload
+ * concurrently without copying it, and copying a cursor forks an
+ * independent pass from its position. Decoding is read-only on the
+ * shared bytes; the only mutable state is inside the cursor itself.
+ * The bytes (a TraceReader's or an EncodedTrace's) must outlive every
+ * cursor over them and stay unmodified while it is in use.
  */
 class TraceCursor
 {
@@ -289,9 +305,18 @@ class TraceCursor
     TraceCursor() = default;
 
     /**
+     * A pass over the @p bytes encoded bytes at @p payload, which
+     * must hold exactly @p count records (from the start of a
+     * RecordEncoder stream). @p source names the payload in error
+     * text and must outlive the cursor.
+     */
+    TraceCursor(const std::uint8_t *payload, std::size_t bytes,
+                std::uint64_t count, std::string_view source);
+
+    /**
      * Read the next record. @return false at end of trace.
      * @throws std::runtime_error if the payload is malformed or does
-     * not contain exactly the record count promised by the header.
+     * not contain exactly count() records.
      */
     bool next(InstrRecord &rec);
 
@@ -306,14 +331,68 @@ class TraceCursor
     /// Records decoded by this cursor so far.
     std::uint64_t read() const { return read_; }
 
-  private:
-    friend class TraceReader;
-    explicit TraceCursor(const TraceReader *reader);
+    /// Records the payload holds.
+    std::uint64_t count() const { return count_; }
 
-    const TraceReader *reader_ = nullptr;
+    /// Length of the whole payload in bytes.
+    std::uint64_t payloadBytes() const { return std::uint64_t(end_ - begin_); }
+
+  private:
+    /// Whether all count() records were read; throws if payload
+    /// bytes remain past them.
+    bool atEnd() const;
+
+    const std::uint8_t *begin_ = nullptr;
     const std::uint8_t *pos_ = nullptr;
+    const std::uint8_t *end_ = nullptr;
+    std::uint64_t count_ = 0;
+    std::string_view source_;
     wire::RecordDecoder decoder_;
     std::uint64_t read_ = 0;
+};
+
+/**
+ * Sink that encodes records into a growing in-memory UATRACE3
+ * payload: the bytes FileSink writes after the front matter, about
+ * 7 bytes per record instead of an InstrRecord's 56. The sweep engine
+ * records a timing group into one and replays every pass through a
+ * cursor(), exactly as it replays a TraceReader from the store.
+ */
+class EncodedTrace : public TraceSink
+{
+  public:
+    void append(const InstrRecord &rec) override;
+    void appendBlock(const InstrRecord *recs, std::size_t n) override;
+
+    /// Records appended so far.
+    std::uint64_t count() const { return count_; }
+
+    /// Instruction mix of the appended stream.
+    const InstrMix &mix() const { return mix_; }
+
+    /// Encoded payload length in bytes.
+    std::uint64_t payloadBytes() const { return fill_; }
+
+    /// The encoded payload, payloadBytes() long.
+    const std::uint8_t *payload() const { return bytes_.data(); }
+
+    /**
+     * A fresh decode pass positioned at the first record. The cursor
+     * is invalidated by a later append(): take cursors once the
+     * recording is complete.
+     */
+    TraceCursor
+    cursor() const
+    {
+        return TraceCursor(bytes_.data(), fill_, count_, "encoded trace");
+    }
+
+  private:
+    std::vector<std::uint8_t> bytes_;  //!< capacity; fill_ bytes used
+    std::size_t fill_ = 0;
+    wire::RecordEncoder encoder_;
+    InstrMix mix_;
+    std::uint64_t count_ = 0;
 };
 
 /**
@@ -335,7 +414,8 @@ class TraceReader
      * exactly (the TraceStore's hash-collision guard).
      * @throws std::runtime_error on a missing file, bad magic,
      * unsupported version, size/header mismatch, checksum mismatch,
-     * or key mismatch.
+     * or key mismatch; a TraceIoError when the file cannot be opened
+     * or read (a missing file included).
      */
     explicit TraceReader(const std::string &path,
                          const std::string &expectKey = {});
@@ -363,7 +443,10 @@ class TraceReader
      * concurrently (and concurrently with the reader's own
      * next()/nextBlock() stream).
      */
-    TraceCursor cursor() const { return TraceCursor(this); }
+    TraceCursor cursor() const
+    {
+        return TraceCursor(payload_.data(), payload_.size(), count_, path_);
+    }
 
     /**
      * Read the next record. @return false at end of trace.
@@ -385,8 +468,6 @@ class TraceReader
     }
 
   private:
-    friend class TraceCursor;
-
     std::string path_;
     std::string key_;
     InstrMix mix_;

@@ -43,6 +43,34 @@ reportAndRemove(const std::string &path, const char *what,
     fs::remove(path, ec);  // best effort; a re-record overwrites it
 }
 
+/**
+ * Run @p load on the entry at @p path under the store's corruption
+ * policy. A missing entry, a key collision and a file that cannot be
+ * opened or read (TraceIoError: EMFILE, EIO) are misses that keep the
+ * file; any other failure is a content check that failed, so the
+ * entry is reported and deleted. @return T{} on every miss.
+ */
+template <typename T, typename Load>
+T
+probeEntry(const std::string &path, Load &&load)
+{
+    std::error_code ec;
+    if (!fs::exists(path, ec))
+        return T{};
+    try {
+        return load(path);
+    } catch (const TraceKeyMismatch &e) {
+        std::fprintf(stderr, "trace-store: %s; treating as miss\n",
+                     e.what());
+    } catch (const TraceIoError &e) {
+        std::fprintf(stderr, "trace-store: %s; treating as miss\n",
+                     e.what());
+    } catch (const std::exception &e) {
+        reportAndRemove(path, "corrupt entry", e.what());
+    }
+    return T{};
+}
+
 } // namespace
 
 TraceStore::TraceStore(std::string dir) : dir_(std::move(dir))
@@ -88,39 +116,18 @@ TraceStore::entryPath(const std::string &key) const
 std::optional<TraceSummary>
 TraceStore::loadSummary(const std::string &key) const
 {
-    const std::string path = entryPath(key);
-    std::error_code ec;
-    if (!fs::exists(path, ec))
-        return std::nullopt;
-    try {
-        return readTraceSummary(path, key);
-    } catch (const TraceKeyMismatch &e) {
-        std::fprintf(stderr, "trace-store: %s; treating as miss\n",
-                     e.what());
-        return std::nullopt;
-    } catch (const std::exception &e) {
-        reportAndRemove(path, "corrupt entry", e.what());
-        return std::nullopt;
-    }
+    return probeEntry<std::optional<TraceSummary>>(
+        entryPath(key),
+        [&](const std::string &path) { return readTraceSummary(path, key); });
 }
 
 std::unique_ptr<TraceReader>
 TraceStore::openReader(const std::string &key) const
 {
-    const std::string path = entryPath(key);
-    std::error_code ec;
-    if (!fs::exists(path, ec))
-        return nullptr;
-    try {
-        return std::make_unique<TraceReader>(path, key);
-    } catch (const TraceKeyMismatch &e) {
-        std::fprintf(stderr, "trace-store: %s; treating as miss\n",
-                     e.what());
-        return nullptr;
-    } catch (const std::exception &e) {
-        reportAndRemove(path, "corrupt entry", e.what());
-        return nullptr;
-    }
+    return probeEntry<std::unique_ptr<TraceReader>>(
+        entryPath(key), [&](const std::string &path) {
+            return std::make_unique<TraceReader>(path, key);
+        });
 }
 
 void

@@ -20,7 +20,10 @@
  * commit, concurrent writers of the same key both produce identical
  * bytes and the later rename wins, and a corrupt or truncated entry
  * is reported, deleted, and treated as a miss (the job simply records
- * again). Only TraceStore construction throws; the probes and
+ * again). An entry the process cannot open or read at all (out of
+ * file descriptors, an I/O error) is a miss that keeps the file: only
+ * a failed content check (magic, version, size, key, mix or payload
+ * hash) discards. Only TraceStore construction throws; the probes and
  * startRecord() degrade gracefully because a broken cache must not
  * fail the run.
  */
@@ -67,8 +70,9 @@ class TraceStore
      * payload read plus checksum pass.
      *
      * @return nullptr on a miss. A corrupt entry is reported to
-     * stderr, deleted, and returned as a miss; a key collision is a
-     * miss that leaves the other key's entry in place. The reader's
+     * stderr, deleted, and returned as a miss; a key collision or an
+     * entry that cannot be opened or read is a miss that leaves the
+     * file in place. The reader's
      * payload decodes lazily, so a corrupt record stream with a valid
      * checksum surfaces later as a decode throw - see discardEntry()
      * for healing that case.

@@ -19,6 +19,9 @@
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
  *    empty stream;
+ *  - the issue-stage work counters (CellWork): per cell of the
+ *    randomized grids, tryIssue attempts are the issued instructions
+ *    plus one failure per failed check;
  *  - the relevance sets of timing::coreConfigFields(): a field
  *    perturbed over its whole range where its relevance says no
  *    backend reads it (the trace lacks its classes, or the cell is of
@@ -343,6 +346,51 @@ TEST(BatchedReplay, RandomizedConfigGrids)
         expectBitIdentical(cfgs, records,
                            "seed " + std::to_string(seed));
     }
+}
+
+TEST(BatchedReplay, IssueCountersAccountForEveryAttempt)
+{
+    // Over the randomized grids, per cell: every tryIssue either
+    // issues (once per simulated instruction) or fails on exactly one
+    // check, so attempts are instrs plus the five failure counts.
+    auto records =
+        kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4);
+    ASSERT_FALSE(records.empty());
+    BatchedPipelineSim::CellWork total;
+    for (std::uint64_t seed : {1u, 20260807u, 0xdecafu}) {
+        std::mt19937_64 rng(seed);
+        std::vector<CoreConfig> cfgs;
+        for (int i = 0; i < 8; ++i)
+            cfgs.push_back(randomConfig(rng, i));
+        BatchedPipelineSim batch(cfgs);
+        batch.appendBlock(records.data(), records.size());
+        const auto sims = batch.finalizeAll();
+        for (std::size_t i = 0; i < sims.size(); ++i) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " cell " +
+                         std::to_string(i));
+            const auto &w = batch.work(int(i));
+            EXPECT_EQ(sims[i].instrs, records.size());
+            EXPECT_EQ(w.issueAttempts,
+                      sims[i].instrs + w.producerWaits + w.tokenWaits +
+                          w.portWaits + w.storeWaits + w.mshrWaits);
+            total.producerWaits += w.producerWaits;
+            total.tokenWaits += w.tokenWaits;
+            total.portWaits += w.portWaits;
+            total.storeWaits += w.storeWaits;
+            total.mshrWaits += w.mshrWaits;
+            total.wakeSkips += w.wakeSkips;
+            total.watcherFlushes += w.watcherFlushes;
+        }
+    }
+    // The grids reach every check, the wake-bound skip and the
+    // watcher-overflow flush.
+    EXPECT_GT(total.producerWaits, 0u);
+    EXPECT_GT(total.tokenWaits, 0u);
+    EXPECT_GT(total.portWaits, 0u);
+    EXPECT_GT(total.storeWaits, 0u);
+    EXPECT_GT(total.mshrWaits, 0u);
+    EXPECT_GT(total.wakeSkips, 0u);
+    EXPECT_GT(total.watcherFlushes, 0u);
 }
 
 TEST(BatchedReplay, MixedModelsAndPredictorSizesInOneGroup)

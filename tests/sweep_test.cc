@@ -24,7 +24,11 @@
  *    cell's own config is validated before canonicalization;
  *  - an "ooo" cell copies its pipeline twin only when no load of the
  *    twin blocked on an older store, and is simulated in a second
- *    pass otherwise, with exact simulated-cell and pass counts.
+ *    pass otherwise, with exact simulated-cell and pass counts;
+ *  - every replay pass decodes the group's encoded trace, whether it
+ *    was just recorded (with or without a store) or loaded: decodeBytes
+ *    is exactly passes x payload, and the engine's work counters are
+ *    the same storeless, cold and warm, at 1 and 4 threads.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -228,7 +233,7 @@ TEST(SweepRunner, SingleTimingCellGroupPopulatesAllCells)
     int t2 = buffered.addTrace(
         core::kernelTraceJob(sad8, Variant::Unaligned, 4));
     buffered.addCell(t2, c2);
-    buffered.addCell(t2, c2);  // two timing cells force the buffer
+    buffered.addCell(t2, c2);  // two timing cells, one config
     SweepRunner bufRunner(1);
     auto bufResults = bufRunner.run(buffered);
     ASSERT_EQ(bufResults.size(), 2u);
@@ -324,6 +329,16 @@ expectMatchesOracle(const std::vector<timing::SimResult> &want,
         SCOPED_TRACE("cell " + std::to_string(i));
         expectSimEqual(want[i], got[i].sim);
     }
+}
+
+/// Encoded payload length of @p job's trace: the bytes each replay
+/// pass decodes, whether they come from the store or a recording.
+std::uint64_t
+payloadBytesOf(const core::TraceJob &job)
+{
+    trace::EncodedTrace encoded;
+    job.record(encoded);
+    return encoded.payloadBytes();
 }
 
 /// Fresh per-test store directory (removed on destruction).
@@ -597,12 +612,18 @@ TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
     // whether the records came from emulation or the store, and at any
     // group-pool size that leaves no spare shard budget.
     StoreDir dir("passes");
+    const SweepPlan plan = makeStorePlan();
     SweepRunner cold(1);
     cold.attachStore(dir.path);
-    cold.run(makeStorePlan());
+    cold.run(plan);
     const auto &cs = cold.stats();
     EXPECT_EQ(cs.replayPasses, 3u);
-    EXPECT_EQ(cs.decodeBytes, 0u);
+    // Each timing group's one pass decodes its whole encoded trace,
+    // recorded or loaded alike; the mix-only group decodes nothing.
+    std::uint64_t timingPayload = 0;
+    for (int t : {0, 1, 3})
+        timingPayload += payloadBytesOf(plan.traces()[t]);
+    EXPECT_EQ(cs.decodeBytes, timingPayload);
 
     SweepRunner warm(4);
     warm.attachStore(dir.path);
@@ -612,7 +633,7 @@ TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
     EXPECT_EQ(ws.replayPasses, cs.replayPasses);
     EXPECT_EQ(ws.instrsReplayed, cs.instrsReplayed);
     EXPECT_EQ(ws.cellsRun, cs.cellsRun);
-    EXPECT_GT(ws.decodeBytes, 0u);
+    EXPECT_EQ(ws.decodeBytes, timingPayload);
 
     SweepPlan mixOnly;
     mixOnly.addTrace(core::kernelTraceJob({KernelId::Sad, 8, false},
@@ -694,9 +715,12 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     expectResultsEqual(baseline, cold.run(makeSingleBigGroupPlan()));
     EXPECT_EQ(cold.stats().tracesRecorded, 1u);
     EXPECT_EQ(cold.stats().tracesLoaded, 0u);
-    // Cold replay feeds already-decoded records from the in-memory
-    // buffer; no payload bytes go through the block decoder.
-    EXPECT_EQ(cold.stats().decodeBytes, 0u);
+    // Cold replay decodes the just-recorded payload once per shard,
+    // exactly as a store hit does.
+    const std::uint64_t payload =
+        payloadBytesOf(makeSingleBigGroupPlan().traces().front());
+    EXPECT_EQ(cold.stats().replayPasses, 8u);
+    EXPECT_EQ(cold.stats().decodeBytes, 8 * payload);
 
     SweepRunner warm(8);
     warm.attachStore(dir.path);
@@ -712,8 +736,8 @@ TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
     const auto reader = trace::TraceStore(dir.path).openReader(
         makeSingleBigGroupPlan().traces().front().key);
     ASSERT_NE(reader, nullptr);
-    EXPECT_GT(reader->payloadBytes(), 0u);
-    EXPECT_EQ(ws.decodeBytes, ws.replayPasses * reader->payloadBytes());
+    EXPECT_EQ(reader->payloadBytes(), payload);
+    EXPECT_EQ(ws.decodeBytes, ws.replayPasses * payload);
 }
 
 // ---- simulating each distinct canonical config once ----
@@ -938,6 +962,65 @@ TEST(SweepDedup, SingleBigGroupShardsBothPasses)
                       trace::TraceStore(dir.path)
                           .openReader(plan.traces().front().key)
                           ->payloadBytes());
+    }
+}
+
+TEST(SweepOneReplayPath, StorelessColdAndWarmDecodeEveryPass)
+{
+    // One two-pass group (sad16x16's pipeline twins block, so its
+    // "ooo" cells run a second pass): without a store, recording into
+    // an empty one, and replaying from it, every pass and shard decodes
+    // the same encoded payload through its own cursor. Results match
+    // the oracles, decodeBytes is exactly passes x payload, and the
+    // engine's work counters are the same in every run.
+    const SweepPlan plan = makeTwinPlan({kSad16}, 3);
+    const auto want = oracleResults(plan);
+    const std::uint64_t payload = payloadBytesOf(plan.traces().front());
+    ASSERT_GT(payload, 0u);
+    std::optional<core::SweepStats> first;
+    for (int threads : {1, 4}) {
+        StoreDir dir(threads == 1 ? "one_path_1" : "one_path_4");
+        SweepRunner plain(threads);
+        SweepRunner cold(threads);
+        SweepRunner warm(threads);
+        cold.attachStore(dir.path);
+        warm.attachStore(dir.path);
+        for (SweepRunner *r : {&plain, &cold, &warm}) {
+            SCOPED_TRACE("threads " + std::to_string(threads) + " " +
+                         (r == &plain ? "storeless"
+                                      : r == &cold ? "cold" : "warm"));
+            expectMatchesOracle(want, r->run(plan));
+            const auto &st = r->stats();
+            // Pass 1 and pass 2 run 3 configs each: one shard per
+            // config at 4 threads.
+            EXPECT_EQ(st.replayPasses, threads == 1 ? 2u : 6u);
+            EXPECT_EQ(st.decodeBytes, st.replayPasses * payload);
+            EXPECT_EQ(st.tracesLoaded, r == &warm ? 1u : 0u);
+            EXPECT_EQ(st.tracesStored, r == &cold ? 1u : 0u);
+            EXPECT_GT(st.issueAttempts, 0u);
+            if (!first) {
+                first = st;
+                continue;
+            }
+            for (std::uint64_t core::SweepStats::*m :
+                 {&core::SweepStats::blockedLoads,
+                  &core::SweepStats::executedCycles,
+                  &core::SweepStats::idleJumpedCycles,
+                  &core::SweepStats::issueAttempts,
+                  &core::SweepStats::producerWaits,
+                  &core::SweepStats::tokenWaits,
+                  &core::SweepStats::portWaits,
+                  &core::SweepStats::storeWaits,
+                  &core::SweepStats::mshrWaits,
+                  &core::SweepStats::wakeSkips,
+                  &core::SweepStats::watcherFlushes})
+                EXPECT_EQ(st.*m, (*first).*m);
+        }
+        // The store entry's payload is the in-memory one.
+        const auto reader = trace::TraceStore(dir.path).openReader(
+            plan.traces().front().key);
+        ASSERT_NE(reader, nullptr);
+        EXPECT_EQ(reader->payloadBytes(), payload);
     }
 }
 

@@ -5,7 +5,8 @@
  *  - record -> file -> replay round trips are bit-identical to the
  *    in-memory stream, for synthetic and real kernel traces;
  *  - the store hits/misses correctly, self-heals corrupt entries,
- *    and never publishes an uncommitted recording;
+ *    keeps an entry it merely cannot open (out of descriptors), and
+ *    never publishes an uncommitted recording;
  *  - every corruption mode in the table (truncation, bad magic, bad
  *    version, wrong checksum, lying header counts, invalid class
  *    bytes) is rejected with a clear error instead of being read as
@@ -19,15 +20,26 @@
  *    every block size, including final partial blocks, truncation at
  *    every byte offset of a record, max-length and over-long varints
  *    and invalid tag bytes (same error message as decode()), and
- *    independent cursors over one reader.
+ *    independent cursors over one reader;
+ *  - EncodedTrace's in-memory payload is FileSink's payload byte for
+ *    byte, and a cursor over it yields TraceReader's records and, over
+ *    every cut of the bytes, TraceReader's errors.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <random>
 #include <source_location>
 #include <stdexcept>
@@ -877,6 +889,93 @@ TEST_F(TraceStoreTest, UncreatableDirectoryThrows)
     EXPECT_THROW(ut::TraceStore store(""), std::runtime_error);
 }
 
+namespace {
+
+/// Fills this process's descriptor table under a soft RLIMIT_NOFILE
+/// of at most 64, so every open() fails with EMFILE; the destructor
+/// closes the descriptors and restores the limit.
+class ExhaustedDescriptors
+{
+  public:
+    ExhaustedDescriptors()
+    {
+        if (::getrlimit(RLIMIT_NOFILE, &saved_) != 0)
+            return;
+        rlimit low = saved_;
+        low.rlim_cur = std::min<rlim_t>(saved_.rlim_cur, 64);
+        if (::setrlimit(RLIMIT_NOFILE, &low) != 0)
+            return;
+        lowered_ = true;
+        // Bounded by the lowered limit; the cap is a safety net.
+        while (fds_.size() < 1024) {
+            const int fd = ::open("/dev/null", O_RDONLY);
+            if (fd < 0) {
+                exhausted_ = errno == EMFILE;
+                break;
+            }
+            fds_.push_back(fd);
+        }
+    }
+
+    ~ExhaustedDescriptors()
+    {
+        for (int fd : fds_)
+            ::close(fd);
+        if (lowered_)
+            ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+
+    ExhaustedDescriptors(const ExhaustedDescriptors &) = delete;
+    ExhaustedDescriptors &operator=(const ExhaustedDescriptors &) = delete;
+
+    /// True when the next open() fails with EMFILE.
+    bool exhausted() const { return exhausted_; }
+
+  private:
+    rlimit saved_{};
+    bool lowered_ = false;
+    bool exhausted_ = false;
+    std::vector<int> fds_;
+};
+
+} // namespace
+
+TEST_F(TraceStoreTest, EntryThatCannotBeOpenedIsAMissAndKept)
+{
+    // Running out of file descriptors says nothing about an entry's
+    // content: both probes miss, and the valid entry survives to be
+    // read once descriptors are free again.
+    ut::TraceStore store(dir_);
+    const std::string key = "job/key/emfile";
+    auto recorder = store.startRecord(key);
+    ASSERT_NE(recorder, nullptr);
+    for (const auto &rec : syntheticRecords())
+        recorder->append(rec);
+    recorder->commit();
+    recorder.reset();
+    const auto path = store.entryPath(key);
+
+    std::unique_ptr<ut::TraceReader> reader;
+    std::optional<ut::TraceSummary> summary;
+    bool exhausted = false;
+    {
+        ExhaustedDescriptors full;
+        exhausted = full.exhausted();
+        if (exhausted) {
+            reader = store.openReader(key);
+            summary = store.loadSummary(key);
+        }
+    }
+    ASSERT_TRUE(exhausted) << "could not fill the descriptor table";
+    EXPECT_EQ(reader, nullptr);
+    EXPECT_FALSE(summary.has_value());
+    EXPECT_TRUE(fs::exists(path))
+        << "an entry that merely cannot be opened must be kept";
+    reader = store.openReader(key);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_EQ(reader->count(), syntheticRecords().size());
+}
+
 // ---- block decoder (RecordDecoder::decodeBlock / nextBlock) ----
 
 namespace {
@@ -1368,5 +1467,135 @@ TEST(TraceBlockDecode, CursorsAreIndependent)
     ut::TraceCursor empty;
     EXPECT_FALSE(empty.next(one));
     EXPECT_EQ(empty.nextBlock(block, 97), 0u);
+    std::remove(path.c_str());
+}
+
+// ---- EncodedTrace: the in-memory payload every replay pass decodes ----
+
+namespace {
+
+/// The payload section of the trace file at @p path, stored under
+/// @p key.
+std::string
+filePayload(const std::string &path, const std::string &key)
+{
+    return readAll(path).substr(ut::wire::headerBytes + key.size() +
+                                ut::wire::mixBytes);
+}
+
+std::string
+payloadOf(const ut::EncodedTrace &encoded)
+{
+    return {reinterpret_cast<const char *>(encoded.payload()),
+            std::size_t(encoded.payloadBytes())};
+}
+
+/// Drain @p cur in 7-record blocks, then through next(); @return the
+/// error thrown, or empty when it ends cleanly.
+std::string
+drainError(ut::TraceCursor cur)
+{
+    return errorOf([&cur] {
+        ut::InstrRecord block[7];
+        while (cur.nextBlock(block, 7) == 7) {
+        }
+        ut::InstrRecord rec;
+        while (cur.next(rec)) {
+        }
+    });
+}
+
+} // namespace
+
+TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
+{
+    // A synthetic stream, a real kernel trace and worst-case records
+    // spanning several FileSink flushes, appended one by one and as
+    // blocks.
+    ut::TraceBuffer kernel;
+    KernelBench({KernelId::Sad, 16, false}).recordTrace(Variant::Unaligned,
+                                                        3, kernel);
+    const std::vector<std::vector<ut::InstrRecord>> streams = {
+        syntheticRecords(), kernel.records(),
+        worstCaseRecords(recordsPerFlush + 17), {}};
+    const std::string path = tempPath("encoded_vs_file.uatrace");
+    for (const auto &recs : streams) {
+        SCOPED_TRACE(std::to_string(recs.size()) + " records");
+        writeTrace(path, "k", recs);
+        const std::string want = filePayload(path, "k");
+        ut::EncodedTrace one, block;
+        ut::InstrMix mix;
+        for (const auto &rec : recs) {
+            one.append(rec);
+            mix.add(rec);
+        }
+        block.appendBlock(recs.data(), recs.size());
+        for (const ut::EncodedTrace *e : {&one, &block}) {
+            EXPECT_EQ(e->count(), recs.size());
+            EXPECT_EQ(ut::wire::serializeMix(e->mix()),
+                      ut::wire::serializeMix(mix));
+            EXPECT_TRUE(payloadOf(*e) == want);
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(EncodedTrace, CursorMatchesTraceReader)
+{
+    const auto want = syntheticRecords();
+    ut::EncodedTrace encoded;
+    encoded.appendBlock(want.data(), want.size());
+    const std::string path = tempPath("encoded_cursor.uatrace");
+    writeTrace(path, "", want);
+    ut::TraceReader reader(path);
+
+    // Same records, block by block, from two forks of one cursor.
+    const ut::TraceCursor start = encoded.cursor();
+    EXPECT_EQ(start.count(), reader.count());
+    EXPECT_EQ(start.payloadBytes(), reader.payloadBytes());
+    for (ut::TraceCursor cur : {start, start}) {
+        ut::TraceCursor ref = reader.cursor();
+        ut::InstrRecord got[5], exp[5];
+        for (;;) {
+            const std::size_t n = cur.nextBlock(got, 5);
+            ASSERT_EQ(n, ref.nextBlock(exp, 5));
+            if (n == 0)
+                break;
+            for (std::size_t i = 0; i < n; ++i)
+                expectRecordEqual(exp[i], got[i]);
+        }
+        EXPECT_EQ(cur.read(), want.size());
+    }
+
+    // Same errors over every cut of the payload and a record count
+    // below, at and above the truth: a view over the cut bytes, named
+    // after the file, against a reader of a file holding them. Cases
+    // the reader rejects at open never reach a cursor.
+    const std::string payload = payloadOf(encoded);
+    int compared = 0, failing = 0;
+    for (std::size_t cut = 0; cut <= payload.size(); ++cut) {
+        const std::string bytes = payload.substr(0, cut);
+        for (std::uint64_t count : {want.size() - 1, want.size(),
+                                    want.size() + 1}) {
+            ut::InstrMix claim;
+            claim.add(ut::InstrClass::IntAlu, count);
+            writeAll(path, buildRaw("", count, claim, bytes));
+            std::unique_ptr<ut::TraceReader> fileReader;
+            try {
+                fileReader = std::make_unique<ut::TraceReader>(path);
+            } catch (const std::runtime_error &) {
+                continue;
+            }
+            const std::string fromFile = drainError(fileReader->cursor());
+            EXPECT_EQ(drainError(ut::TraceCursor(bytesOf(bytes),
+                                                 bytes.size(), count, path)),
+                      fromFile)
+                << "cut " << cut << " count " << count;
+            ++compared;
+            failing += !fromFile.empty();
+        }
+    }
+    EXPECT_GT(compared, failing);
+    EXPECT_GT(failing, 0);
     std::remove(path.c_str());
 }
