@@ -20,14 +20,13 @@
 #include <climits>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <variant>
 
 #include "timing/model.hh"
+#include "trace/file_io.hh"
 #include "trace/trace_io.hh"
 
 namespace uasim::core {
@@ -483,14 +482,15 @@ Campaign::parse(std::string_view text)
 Campaign
 Campaign::load(const std::string &path)
 {
-    // A directory opens and reads as empty; report it as unreadable.
-    std::error_code ec;
-    std::ifstream in(path, std::ios::binary);
-    if (!in || std::filesystem::is_directory(path, ec))
+    // A directory opens but fails to read, so it is unreadable too,
+    // not an empty campaign.
+    std::string text;
+    try {
+        text = trace::readFile(path);
+    } catch (const trace::IoError &) {
         throw CampaignError("cannot read campaign file: " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parse(ss.str());
+    }
+    return parse(text);
 }
 
 // ---------------------------------------------------------------------------

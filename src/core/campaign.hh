@@ -52,7 +52,7 @@
  * chunk directory (shared, or the union of copied ones). Its
  * simulated fields are bit-identical however the chunks were split
  * or resumed - the load-bearing property, enforced by
- * tests/campaign_test.cc and the campaign_merge_parity ctest entry.
+ * tests/campaign_test.cc.
  */
 
 #ifndef UASIM_CORE_CAMPAIGN_HH

@@ -1,15 +1,12 @@
 #include "core/result.hh"
 
-#include <atomic>
 #include <bit>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <random>
 #include <sstream>
 #include <type_traits>
 
 #include "core/field_table.hh"
+#include "trace/file_io.hh"
 #include "trace/instr.hh"
 
 namespace uasim::core {
@@ -418,15 +415,14 @@ BenchResult::parse(std::string_view text)
 BenchResult
 loadResultFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw SchemaError("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        throw SchemaError("cannot read " + path);
+    std::string text;
     try {
-        return BenchResult::parse(buf.str());
+        text = trace::readFile(path);
+    } catch (const trace::IoError &e) {
+        throw SchemaError(e.what());
+    }
+    try {
+        return BenchResult::parse(text);
     } catch (const SchemaError &e) {
         throw SchemaError(path + ": " + e.what());
     }
@@ -437,37 +433,13 @@ saveResultFile(const BenchResult &result, const std::string &path,
                bool includeInformational)
 {
     const std::string text = result.serialize(includeInformational);
-    // Per-process/per-call tmp name (same scheme as the trace store):
-    // concurrent writers of the same artifact must not interleave into
-    // one tmp file, or the rename would publish corrupt bytes.
-    static const std::uint64_t processTag = [] {
-        std::random_device rd;
-        return (std::uint64_t{rd()} << 32) ^ rd();
-    }();
-    static std::atomic<std::uint64_t> counter{0};
-    char suffix[48];
-    std::snprintf(suffix, sizeof(suffix), ".tmp-%016llx-%llu",
-                  static_cast<unsigned long long>(processTag),
-                  static_cast<unsigned long long>(
-                      counter.fetch_add(1, std::memory_order_relaxed)));
-    const std::string tmp = path + suffix;
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("cannot open " + tmp +
-                                     " for writing");
-        out.write(text.data(), std::streamsize(text.size()));
-        out.flush();
-        if (!out) {
-            out.close();
-            std::remove(tmp.c_str());
-            throw std::runtime_error("cannot write " + tmp);
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        throw std::runtime_error("cannot rename " + tmp + " to " + path);
-    }
+    // Concurrent writers of one artifact each write their own
+    // temporary, so the rename never publishes interleaved bytes.
+    trace::AtomicPublish publish(path);
+    trace::File out(publish.tempPath(), trace::File::Mode::Write);
+    out.write(text.data(), text.size());
+    out.close();
+    publish.commit();
 }
 
 DiffReport

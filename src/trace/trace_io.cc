@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
+
+#include "trace/file_io.hh"
 
 namespace uasim::trace {
 
@@ -221,16 +222,6 @@ RecordDecoder::decodeBlock(const std::uint8_t *&p,
 
 } // namespace wire
 
-namespace {
-
-std::string
-errnoText()
-{
-    return std::strerror(errno);
-}
-
-} // namespace
-
 FileSink::FileSink(const std::string &path, std::string key)
     : path_(path), key_(std::move(key)),
       buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(
@@ -238,10 +229,7 @@ FileSink::FileSink(const std::string &path, std::string key)
 {
     if (key_.size() > wire::maxKeyBytes)
         throw std::runtime_error("FileSink: key too long for " + path);
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_)
-        throw std::runtime_error("FileSink: cannot open " + path +
-                                 ": " + errnoText());
+    file_ = std::make_unique<File>(path, File::Mode::Write);
     // Header + mix placeholders (patched by close()) and the key; a
     // reader of an unfinalized file sees payloadBytes 0 != actual
     // size and rejects it.
@@ -250,8 +238,7 @@ FileSink::FileSink(const std::string &path, std::string key)
     hdr.keyHash = wire::fnv1a(key_.data(), key_.size());
     std::string head =
         hdr.serialize() + key_ + std::string(wire::mixBytes, '\0');
-    if (std::fwrite(head.data(), 1, head.size(), file_) != head.size())
-        fail("header write failed");
+    file_->write(head.data(), head.size());
 }
 
 FileSink::~FileSink()
@@ -265,18 +252,6 @@ FileSink::~FileSink()
         // silently leaving a corrupt trace behind.
         std::fprintf(stderr, "FileSink: %s\n", e.what());
     }
-}
-
-void
-FileSink::fail(const std::string &what)
-{
-    failed_ = true;
-    if (file_) {
-        // Already failing; a close error cannot add information.
-        (void)std::fclose(file_);
-        file_ = nullptr;
-    }
-    throw std::runtime_error("FileSink: " + what + " for " + path_);
 }
 
 void
@@ -305,8 +280,14 @@ FileSink::flushBuffer(bool last)
     if (n == 0)
         return;
     payloadHash_ = wire::payloadHash(buffer_.get(), n, payloadHash_);
-    if (std::fwrite(buffer_.get(), 1, n, file_) != n)
-        fail("payload write failed: " + errnoText());
+    try {
+        file_->write(buffer_.get(), n);
+    } catch (...) {
+        // The sink is failed: later appends throw, close() is a no-op.
+        failed_ = true;
+        file_.reset();
+        throw;
+    }
     payloadBytes_ += n;
     fill_ -= n;
     std::memmove(buffer_.get(), buffer_.get() + n, fill_);
@@ -318,10 +299,6 @@ FileSink::close()
     if (!file_)
         return;
     flushBuffer(true);
-    // Flush data before patching the header so a failure cannot leave
-    // a valid-looking header over a truncated payload.
-    if (std::fflush(file_) != 0)
-        fail("payload flush failed: " + errnoText());
     const std::string mix_section = wire::serializeMix(mix_);
     wire::Header hdr;
     hdr.keyBytes = std::uint32_t(key_.size());
@@ -333,28 +310,24 @@ FileSink::close()
     // Header, key and mix section are contiguous from offset 0, so
     // one seek patches them all.
     std::string head = hdr.serialize() + key_ + mix_section;
-    if (std::fseek(file_, 0, SEEK_SET) != 0)
-        fail("header seek failed: " + errnoText());
-    if (std::fwrite(head.data(), 1, head.size(), file_) != head.size())
-        fail("header patch failed: " + errnoText());
-    if (std::fflush(file_) != 0)
-        fail("header flush failed: " + errnoText());
-    std::FILE *f = file_;
-    file_ = nullptr;
-    if (std::fclose(f) != 0) {
+    std::unique_ptr<File> file = std::move(file_);
+    try {
+        // Flush data before patching the header so a failure cannot
+        // leave a valid-looking header over a truncated payload.
+        file->flush();
+        file->seek(0);
+        file->write(head.data(), head.size());
+        file->close();
+    } catch (...) {
         failed_ = true;
-        throw std::runtime_error("FileSink: close failed for " + path_ +
-                                 ": " + errnoText());
+        throw;
     }
 }
 
 namespace {
 
-using FileHandle = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
-
-/// Validated front matter of a trace file, positioned at the payload.
-struct OpenedTrace {
-    FileHandle file{nullptr, &std::fclose};
+/// Validated front matter of a trace file.
+struct FrontMatter {
     std::string key;
     InstrMix mix;
     std::uint64_t count = 0;
@@ -368,50 +341,31 @@ badTrace(const std::string &path, const std::string &what)
     throw std::runtime_error("TraceReader: " + what + " in " + path);
 }
 
-/// Throw for an I/O failure of @p what on @p path: the file could not
-/// be reached, which says nothing about its content.
-[[noreturn]] void
-ioFail(const std::string &path, const std::string &what)
-{
-    throw TraceIoError("TraceReader: " + what + " in " + path);
-}
-
-/// Throw for a short read of @p what from @p file: an I/O failure when
-/// the stream reports an error, else a file shorter than it claims.
-[[noreturn]] void
-shortRead(std::FILE *file, const std::string &path, const std::string &what)
-{
-    if (std::ferror(file))
-        ioFail(path, what + ": " + errnoText());
-    badTrace(path, what);
-}
-
 /**
- * Open @p path and validate everything up to (but excluding) the
+ * Read and validate everything in @p file up to (but excluding) the
  * payload bytes: magic, version, key hash and match, mix-section
  * hash, count-vs-mix and count-vs-payload-length consistency, and
- * the total file size against the header.
+ * the total file size against the header. Leaves @p file positioned
+ * at the payload.
  */
-OpenedTrace
-openTrace(const std::string &path, const std::string &expectKey)
+FrontMatter
+readFrontMatter(File &file, const std::string &expectKey)
 {
+    const std::string &path = file.path();
     auto bad = [&path](const std::string &what) {
         badTrace(path, what);
     };
 
-    OpenedTrace ot;
-    ot.file = FileHandle(std::fopen(path.c_str(), "rb"), &std::fclose);
-    if (!ot.file)
-        throw TraceIoError("TraceReader: cannot open " + path + ": " +
-                           errnoText());
-    auto readFailed = [&](const std::string &what) {
-        shortRead(ot.file.get(), path, what);
+    FrontMatter fm;
+    // A short read is a file shorter than it claims; a failed one
+    // throws IoError.
+    auto readAll = [&](void *out, std::size_t n, const char *what) {
+        if (file.read(out, n) != n)
+            bad(what);
     };
 
     std::uint8_t head[wire::headerBytes];
-    if (std::fread(head, 1, sizeof(head), ot.file.get()) !=
-        sizeof(head))
-        readFailed("truncated header");
+    readAll(head, sizeof(head), "truncated header");
     if (std::memcmp(head, wire::magic, sizeof(wire::magic)) != 0) {
         if (std::memcmp(head, wire::magic, sizeof(wire::magic) - 1) ==
             0) {
@@ -426,67 +380,55 @@ openTrace(const std::string &path, const std::string &expectKey)
     const std::uint32_t key_bytes = wire::getLe32(head + 12);
     if (key_bytes > wire::maxKeyBytes)
         bad("implausible key length " + std::to_string(key_bytes));
-    ot.count = wire::getLe64(head + 16);
-    ot.payloadBytes = wire::getLe64(head + 24);
-    ot.payloadHash = wire::getLe64(head + 32);
+    fm.count = wire::getLe64(head + 16);
+    fm.payloadBytes = wire::getLe64(head + 24);
+    fm.payloadHash = wire::getLe64(head + 32);
     const std::uint64_t key_hash = wire::getLe64(head + 40);
     const std::uint64_t mix_hash = wire::getLe64(head + 48);
 
-    ot.key.resize(key_bytes);
-    if (key_bytes && std::fread(ot.key.data(), 1, key_bytes,
-                                ot.file.get()) != key_bytes)
-        readFailed("truncated key");
-    if (wire::fnv1a(ot.key.data(), ot.key.size()) != key_hash)
+    fm.key.resize(key_bytes);
+    readAll(fm.key.data(), key_bytes, "truncated key");
+    if (wire::fnv1a(fm.key.data(), fm.key.size()) != key_hash)
         bad("key hash mismatch");
-    if (!expectKey.empty() && ot.key != expectKey) {
+    if (!expectKey.empty() && fm.key != expectKey) {
         throw TraceKeyMismatch(
-            "TraceReader: trace key mismatch (stored \"" + ot.key +
+            "TraceReader: trace key mismatch (stored \"" + fm.key +
             "\", expected \"" + expectKey + "\") in " + path);
     }
 
     std::uint8_t mix_raw[wire::mixBytes];
-    if (std::fread(mix_raw, 1, sizeof(mix_raw), ot.file.get()) !=
-        sizeof(mix_raw))
-        readFailed("truncated mix section");
+    readAll(mix_raw, sizeof(mix_raw), "truncated mix section");
     if (wire::fnv1a(mix_raw, sizeof(mix_raw)) != mix_hash)
         bad("mix-section hash mismatch");
     for (int c = 0; c < numInstrClasses; ++c) {
-        ot.mix.add(static_cast<InstrClass>(c),
+        fm.mix.add(static_cast<InstrClass>(c),
                    wire::getLe64(mix_raw + 8 * c));
     }
-    if (ot.mix.total() != ot.count) {
-        bad("mix total " + std::to_string(ot.mix.total()) +
-            " disagrees with record count " + std::to_string(ot.count));
+    if (fm.mix.total() != fm.count) {
+        bad("mix total " + std::to_string(fm.mix.total()) +
+            " disagrees with record count " + std::to_string(fm.count));
     }
 
     // A record needs at least minRecordBytes, so a count the payload
     // cannot possibly hold is rejected before any decoding.
-    if (ot.count > ot.payloadBytes / wire::minRecordBytes) {
-        bad("record count " + std::to_string(ot.count) +
+    if (fm.count > fm.payloadBytes / wire::minRecordBytes) {
+        bad("record count " + std::to_string(fm.count) +
             " inconsistent with payload length " +
-            std::to_string(ot.payloadBytes));
+            std::to_string(fm.payloadBytes));
     }
 
     // Validate the physical size against the header without touching
     // the payload bytes, then reposition at the payload.
-    const long payload_at = std::ftell(ot.file.get());
-    if (payload_at < 0 ||
-        std::fseek(ot.file.get(), 0, SEEK_END) != 0) {
-        ioFail(path, "size check seek failed: " + errnoText());
-    }
-    const long end_at = std::ftell(ot.file.get());
-    if (end_at < 0)
-        ioFail(path, "size check tell failed: " + errnoText());
-    const std::uint64_t actual =
-        std::uint64_t(end_at) - std::uint64_t(payload_at);
-    if (actual != ot.payloadBytes) {
+    const std::uint64_t payload_at = file.tell();
+    file.seek(0, SEEK_END);
+    const std::uint64_t actual = file.tell() - payload_at;
+    if (actual != fm.payloadBytes) {
         bad("payload is " + std::to_string(actual) +
             " bytes but the header claims " +
-            std::to_string(ot.payloadBytes));
+            std::to_string(fm.payloadBytes));
     }
-    if (std::fseek(ot.file.get(), payload_at, SEEK_SET) != 0)
-        ioFail(path, "payload seek failed: " + errnoText());
-    return ot;
+    file.seek(std::int64_t(payload_at));
+    return fm;
 }
 
 } // namespace
@@ -495,30 +437,28 @@ TraceReader::TraceReader(const std::string &path,
                          const std::string &expectKey)
     : path_(path)
 {
-    OpenedTrace ot = openTrace(path, expectKey);
-    key_ = std::move(ot.key);
-    mix_ = ot.mix;
-    count_ = ot.count;
-    payload_.resize(ot.payloadBytes);
-    if (ot.payloadBytes &&
-        std::fread(payload_.data(), 1, payload_.size(), ot.file.get()) !=
-            payload_.size()) {
-        shortRead(ot.file.get(), path, "payload read failed");
-    }
+    File file(path, File::Mode::Read);
+    FrontMatter fm = readFrontMatter(file, expectKey);
+    key_ = std::move(fm.key);
+    mix_ = fm.mix;
+    count_ = fm.count;
+    payload_.resize(fm.payloadBytes);
+    if (file.read(payload_.data(), payload_.size()) != payload_.size())
+        badTrace(path, "payload read failed");
     if (wire::payloadHash(payload_.data(), payload_.size()) !=
-        ot.payloadHash)
+        fm.payloadHash)
         badTrace(path, "payload checksum mismatch");
-    cur_ = cursor();
 }
 
 TraceSummary
 readTraceSummary(const std::string &path, const std::string &expectKey)
 {
-    OpenedTrace ot = openTrace(path, expectKey);
+    File file(path, File::Mode::Read);
+    FrontMatter fm = readFrontMatter(file, expectKey);
     TraceSummary s;
-    s.key = std::move(ot.key);
-    s.count = ot.count;
-    s.mix = ot.mix;
+    s.key = std::move(fm.key);
+    s.count = fm.count;
+    s.mix = fm.mix;
     return s;
 }
 

@@ -32,13 +32,14 @@
  * multiply per byte; FileSink encodes straight into a fixed raw
  * buffer. Format 3 differs from format 2 only in that checksum.
  *
- * Every error path is checked: FileSink::close() throws on any failed
+ * Every error path is checked: files go through the checked file
+ * module (trace/file_io.hh), so FileSink::close() throws on any failed
  * write/flush/seek/close (the destructor reports to stderr instead),
  * and TraceReader validates magic, version, file size against the
  * header, the payload checksum, and per-record class/flag sanity, so a
  * truncated or corrupted file is rejected instead of silently read as
- * data. A file TraceReader cannot open or read at all throws
- * TraceIoError instead, so a caller can tell "unreachable" from
+ * data. A file TraceReader cannot open or read at all throws that
+ * module's IoError instead, so a caller can tell "unreachable" from
  * "invalid".
  */
 
@@ -47,7 +48,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -59,6 +59,8 @@
 #include "trace/sink.hh"
 
 namespace uasim::trace {
+
+class File;
 
 /**
  * Wire-format primitives, public so tests can craft valid and
@@ -220,7 +222,8 @@ class FileSink : public TraceSink
     /**
      * @param path destination file; truncated if it exists.
      * @param key trace-job identity stored in the file (may be empty).
-     * @throws std::runtime_error if the file cannot be created.
+     * @throws std::runtime_error if the file cannot be created (an
+     * IoError) or the key is too long.
      */
     explicit FileSink(const std::string &path, std::string key = {});
     ~FileSink() override;
@@ -232,8 +235,8 @@ class FileSink : public TraceSink
 
     /**
      * Flush buffered records and patch the header. Idempotent.
-     * @throws std::runtime_error on any write/flush/seek/close
-     * failure (the file is closed and left invalid on disk).
+     * @throws IoError on any write/flush/seek/close failure (the file
+     * is closed and left invalid on disk).
      */
     void close();
 
@@ -247,9 +250,9 @@ class FileSink : public TraceSink
 
   private:
     void flushBuffer(bool last);
-    void fail(const std::string &what);
 
-    std::FILE *file_ = nullptr;
+    /// Open until close() or the first failed write; null after.
+    std::unique_ptr<File> file_;
     std::string path_;
     std::string key_;
     /// writeBufferBytes + maxRecordBytes: a record encoded below the
@@ -271,17 +274,6 @@ class FileSink : public TraceSink
  * miss without deleting the other job's valid entry.
  */
 struct TraceKeyMismatch : std::runtime_error {
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Thrown when a trace file cannot be opened or read at all (an errno
- * failure such as EMFILE or EIO), as opposed to read and found
- * invalid. Kept distinct from plain corruption so the TraceStore can
- * treat it as a miss without deleting an entry it merely could not
- * reach.
- */
-struct TraceIoError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
@@ -400,10 +392,10 @@ class EncodedTrace : public TraceSink
  *
  * Construction validates the front matter, reads the whole payload
  * into one buffer with a single checked read, and verifies the payload
- * checksum over that buffer before any record is served. next()
- * decodes incrementally and throws on any malformed record, so a short
- * read can never be mistaken for end-of-trace; cursor() hands out
- * additional independent decode passes over the same validated bytes.
+ * checksum over that buffer before any record is served. Records are
+ * decoded through cursor(), which hands out independent decode passes
+ * over the validated bytes; a cursor throws on any malformed record,
+ * so a short payload can never be mistaken for end-of-trace.
  */
 class TraceReader
 {
@@ -414,8 +406,9 @@ class TraceReader
      * exactly (the TraceStore's hash-collision guard).
      * @throws std::runtime_error on a missing file, bad magic,
      * unsupported version, size/header mismatch, checksum mismatch,
-     * or key mismatch; a TraceIoError when the file cannot be opened
-     * or read (a missing file included).
+     * or key mismatch; an IoError (trace/file_io.hh) when the file
+     * cannot be opened or read (a missing file included), so a caller
+     * can tell an unreachable file from an invalid one.
      */
     explicit TraceReader(const std::string &path,
                          const std::string &expectKey = {});
@@ -440,31 +433,11 @@ class TraceReader
      * A fresh, independent decode pass positioned at the first
      * record. Cursors share the reader's validated payload bytes and
      * nothing else, so passes may run on different threads
-     * concurrently (and concurrently with the reader's own
-     * next()/nextBlock() stream).
+     * concurrently.
      */
     TraceCursor cursor() const
     {
         return TraceCursor(payload_.data(), payload_.size(), count_, path_);
-    }
-
-    /**
-     * Read the next record. @return false at end of trace.
-     * @throws std::runtime_error if the payload is malformed or does
-     * not contain exactly count() records.
-     */
-    bool next(InstrRecord &rec) { return cur_.next(rec); }
-
-    /**
-     * Read up to @p maxRecords records into @p out via the block
-     * decoder. @return the number read; 0 only at end of trace.
-     * Interleaves freely with next() (one decode stream) and applies
-     * the same malformed-payload and record-count checks.
-     */
-    std::size_t
-    nextBlock(InstrRecord *out, std::size_t maxRecords)
-    {
-        return cur_.nextBlock(out, maxRecords);
     }
 
   private:
@@ -473,7 +446,6 @@ class TraceReader
     InstrMix mix_;
     std::vector<std::uint8_t> payload_;  //!< checksum-verified payload
     std::uint64_t count_ = 0;
-    TraceCursor cur_;  //!< backs the reader's own next()/nextBlock()
 };
 
 /**

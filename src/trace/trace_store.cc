@@ -1,37 +1,18 @@
 #include "trace/trace_store.hh"
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <random>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
+
+#include "trace/file_io.hh"
 
 namespace uasim::trace {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Process-unique suffix so concurrent writers (threads or separate
-/// processes) never share a temporary file.
-std::string
-uniqueSuffix()
-{
-    static const std::uint64_t processTag = [] {
-        std::random_device rd;
-        return (std::uint64_t{rd()} << 32) ^ rd();
-    }();
-    static std::atomic<std::uint64_t> counter{0};
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), ".tmp-%016llx-%llu",
-                  static_cast<unsigned long long>(processTag),
-                  static_cast<unsigned long long>(
-                      counter.fetch_add(1, std::memory_order_relaxed)));
-    return buf;
-}
 
 void
 reportAndRemove(const std::string &path, const char *what,
@@ -46,7 +27,7 @@ reportAndRemove(const std::string &path, const char *what,
 /**
  * Run @p load on the entry at @p path under the store's corruption
  * policy. A missing entry, a key collision and a file that cannot be
- * opened or read (TraceIoError: EMFILE, EIO) are misses that keep the
+ * opened or read (IoError: EMFILE, EIO) are misses that keep the
  * file; any other failure is a content check that failed, so the
  * entry is reported and deleted. @return T{} on every miss.
  */
@@ -62,7 +43,7 @@ probeEntry(const std::string &path, Load &&load)
     } catch (const TraceKeyMismatch &e) {
         std::fprintf(stderr, "trace-store: %s; treating as miss\n",
                      e.what());
-    } catch (const TraceIoError &e) {
+    } catch (const IoError &e) {
         std::fprintf(stderr, "trace-store: %s; treating as miss\n",
                      e.what());
     } catch (const std::exception &e) {
@@ -87,19 +68,8 @@ TraceStore::TraceStore(std::string dir) : dir_(std::move(dir))
         throw std::runtime_error("TraceStore: " + dir_ +
                                  " is not a directory");
     }
-    // Garbage-collect temporaries orphaned by killed writers. Only
-    // old ones: a live writer in another process may legitimately
-    // have an in-flight .tmp-* here right now.
-    const auto cutoff =
-        fs::file_time_type::clock::now() - std::chrono::hours(1);
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        if (entry.path().filename().string().find(".tmp-") ==
-            std::string::npos)
-            continue;
-        std::error_code tec;
-        if (fs::last_write_time(entry.path(), tec) < cutoff && !tec)
-            fs::remove(entry.path(), tec);
-    }
+    // Garbage-collect temporaries orphaned by killed writers.
+    removeStaleTemps(dir_);
 }
 
 std::string
@@ -140,11 +110,8 @@ TraceStore::discardEntry(const std::string &key,
 std::unique_ptr<TraceStore::Recorder>
 TraceStore::startRecord(const std::string &key) const
 {
-    std::string final_path = entryPath(key);
-    std::string tmp_path = final_path + uniqueSuffix();
     try {
-        return std::make_unique<Recorder>(tmp_path,
-                                          std::move(final_path), key);
+        return std::make_unique<Recorder>(entryPath(key), key);
     } catch (const std::exception &e) {
         std::fprintf(stderr,
                      "trace-store: cannot record entry for \"%s\": "
@@ -154,27 +121,14 @@ TraceStore::startRecord(const std::string &key) const
     }
 }
 
-TraceStore::Recorder::Recorder(const std::string &tmpPath,
-                               std::string finalPath,
+TraceStore::Recorder::Recorder(std::string entryPath,
                                const std::string &key)
-    : sink_(tmpPath, key), tmpPath_(tmpPath),
-      finalPath_(std::move(finalPath))
+    : publish_(std::make_unique<AtomicPublish>(std::move(entryPath))),
+      sink_(publish_->tempPath(), key)
 {
 }
 
-TraceStore::Recorder::~Recorder()
-{
-    if (committed_)
-        return;
-    try {
-        sink_.close();
-    } catch (const std::exception &) {
-        // close() already reports via its own failure text when the
-        // destructor path swallows it; the file is removed below.
-    }
-    std::error_code ec;
-    fs::remove(tmpPath_, ec);
-}
+TraceStore::Recorder::~Recorder() = default;
 
 void
 TraceStore::Recorder::append(const InstrRecord &rec)
@@ -193,20 +147,10 @@ TraceStore::Recorder::append(const InstrRecord &rec)
 void
 TraceStore::Recorder::commit()
 {
-    if (committed_)
-        return;
-    try {
-        if (!appendError_.empty())
-            throw std::runtime_error(appendError_);
-        sink_.close();
-        fs::rename(tmpPath_, finalPath_);  // atomic publish
-    } catch (const std::exception &) {
-        std::error_code ec;
-        fs::remove(tmpPath_, ec);
-        committed_ = true;  // nothing left to clean up in the dtor
-        throw;
-    }
-    committed_ = true;
+    if (!appendError_.empty())
+        throw std::runtime_error(appendError_);
+    sink_.close();
+    publish_->commit();
 }
 
 } // namespace uasim::trace

@@ -17,8 +17,9 @@
  *
  * Robustness policy: the store must never corrupt a sweep. Writes go
  * to a temporary file that is atomically renamed into place on
- * commit, concurrent writers of the same key both produce identical
- * bytes and the later rename wins, and a corrupt or truncated entry
+ * commit (trace/file_io.hh's AtomicPublish), concurrent writers of
+ * the same key both produce identical bytes and the later rename
+ * wins, and a corrupt or truncated entry
  * is reported, deleted, and treated as a miss (the job simply records
  * again). An entry the process cannot open or read at all (out of
  * file descriptors, an I/O error) is a miss that keeps the file: only
@@ -40,6 +41,8 @@
 #include "trace/trace_io.hh"
 
 namespace uasim::trace {
+
+class AtomicPublish;
 
 class TraceStore
 {
@@ -91,8 +94,8 @@ class TraceStore
     /**
      * Write-through sink for one entry: records appended to it are
      * serialized to a temporary file that commit() atomically renames
-     * to entryPath(key). Destroying an uncommitted recorder removes
-     * the temporary file.
+     * to the entry path. Destroying an uncommitted recorder - or one
+     * whose commit() failed - removes the temporary file.
      *
      * append() never throws into the record stream: a write failure
      * (e.g. a full disk) latches the recorder as failed, later
@@ -103,8 +106,10 @@ class TraceStore
     class Recorder : public TraceSink
     {
       public:
-        Recorder(const std::string &tmpPath, std::string finalPath,
-                 const std::string &key);
+        /// Record the entry for @p key at @p entryPath.
+        /// @throws std::runtime_error if the temporary file cannot be
+        /// created.
+        Recorder(std::string entryPath, const std::string &key);
         ~Recorder() override;
 
         void append(const InstrRecord &rec) override;
@@ -112,19 +117,18 @@ class TraceStore
         /**
          * Finalize the file and publish it under the entry path.
          * @throws std::runtime_error on any I/O failure, including a
-         * latched append() failure (the temporary file is removed
-         * first).
+         * latched append() failure.
          */
         void commit();
 
         std::uint64_t written() const { return sink_.written(); }
 
       private:
+        // Declared before sink_, so the file closes before its
+        // temporary is removed.
+        std::unique_ptr<AtomicPublish> publish_;
         FileSink sink_;
-        std::string tmpPath_;
-        std::string finalPath_;
         std::string appendError_;
-        bool committed_ = false;
     };
 
     /**

@@ -543,6 +543,33 @@ TEST(CampaignRun, MergeBitIdenticalToUnsharded)
         << (diff.regressions.empty() ? "" : diff.regressions[0]);
 }
 
+TEST(CampaignRun, ShardsCopiedTogetherAssembleLikeUnsharded)
+{
+    // Shards on separate machines: each publishes into its own
+    // directory, their chunk directories are copied into one, and an
+    // unsharded run there executes nothing and assembles the
+    // unsharded artifact.
+    const Campaign c = Campaign::parse(kSmall);
+    const CampaignRunOutcome full = runShard(c, freshDir("copy_full"), 0, 1);
+    const fs::path unionDir = freshDir("copy_union");
+    for (int s = 0; s < 2; ++s) {
+        const fs::path own = freshDir("copy_m" + std::to_string(s));
+        EXPECT_EQ(runShard(c, own, s, 2).executed, 1);
+        for (const auto &e : fs::directory_iterator(own)) {
+            EXPECT_TRUE(e.path().extension() == ".chunks") << e.path();
+            fs::copy(e.path(), unionDir / e.path().filename(),
+                     fs::copy_options::recursive);
+        }
+    }
+    const CampaignRunOutcome assembled = runShard(c, unionDir, 0, 1);
+    EXPECT_EQ(assembled.executed, 0);
+    EXPECT_EQ(assembled.skipped, 2);
+    const auto diff = uasim::core::diffResults(
+        full.artifact, uasim::core::loadResultFile(assembled.artifactPath));
+    EXPECT_EQ(diff.status, uasim::core::DiffStatus::Match)
+        << (diff.regressions.empty() ? "" : diff.regressions[0]);
+}
+
 TEST(CampaignRun, ResumeSkipsPublishedChunks)
 {
     const Campaign c = Campaign::parse(kSmall);
@@ -688,6 +715,13 @@ TEST(CampaignCli, SweepDriver)
                   .exit,
               2)
         << "--shard wants I/N";
+    const fs::path outOfRange = freshDir("cli_shard_range");
+    EXPECT_EQ(run(sweep + " run " + conf + " --shard 3/3 --json " +
+                  outOfRange.string())
+                  .exit,
+              2)
+        << "shard index must be below the shard count";
+    EXPECT_TRUE(fs::is_empty(outOfRange));
     // Each half of I/N is a whole decimal int; no half may wrap.
     for (const char *bad :
          {"4294967297/3", "1/4294967299", "99999999999/3"}) {

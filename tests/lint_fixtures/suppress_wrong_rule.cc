@@ -1,7 +1,7 @@
-// Suppression is per-rule: allowing checked-io does not silence the
+// Suppression is per-rule: allowing another rule does not silence the
 // sim-determinism finding on this line.
 
-#include <chrono>  // uasim-lint: allow(checked-io)
+#include <chrono>  // uasim-lint: allow(other-rule)
 
 inline double
 tick()

@@ -9,7 +9,7 @@
  * The fixtures live in tests/lint_fixtures/ and are scanned in
  * fixture mode (`--as <vpath> <file>`): the vpath decides which rules
  * are in scope, so one snippet can serve as known-bad under one path
- * (src/trace/ for checked-io) and known-good under another.
+ * (src/timing/ for sim-determinism) and known-good under another.
  */
 
 #include <gtest/gtest.h>
@@ -77,22 +77,22 @@ TEST(LintTool, VersionAndRuleList)
 
     const RunResult rules = run(lint("--list-rules"));
     EXPECT_EQ(rules.exit, 0);
-    EXPECT_EQ(rules.out, "checked-io\nsim-determinism\n");
+    EXPECT_EQ(rules.out, "sim-determinism\n");
 }
 
 TEST(LintTool, UsageErrors)
 {
     EXPECT_EQ(run(lint("")).exit, 2);
-    EXPECT_EQ(run(lint("--check bogus --as src/core/x.cc " +
-                       fixture("checked_io_good.cc")))
-                  .exit,
-              2);
     EXPECT_EQ(run(lint("--compdb /nonexistent.json")).exit, 2);
-    // The per-TU compile-flag option went with the retired ISA rule.
-    EXPECT_EQ(run(lint("--flags -O2 --as src/core/x.cc " +
-                       fixture("checked_io_good.cc")))
-                  .exit,
-              2);
+    // The per-TU compile-flag option went with the retired ISA rule,
+    // and the rule selector with the retired checked-io rule.
+    for (const char *flag : {"--flags -O2", "--check sim-determinism"}) {
+        EXPECT_EQ(run(lint(std::string(flag) + " --as src/core/x.cc " +
+                           fixture("sim_determinism_good.cc")))
+                      .exit,
+                  2)
+            << flag;
+    }
 }
 
 TEST(LintTool, SimDeterminism)
@@ -146,25 +146,6 @@ TEST(LintTool, SimDeterminismCampaignScope)
     EXPECT_EQ(outside.exit, 0) << outside.out;
 }
 
-TEST(LintTool, CheckedIo)
-{
-    const RunResult bad = run(lint("--as src/trace/fx_io.cc " +
-                                   fixture("checked_io_bad.cc")));
-    EXPECT_EQ(bad.exit, 1);
-    EXPECT_EQ(countOf(bad.out, "[checked-io]"), 2);
-    EXPECT_NE(bad.out.find("fwrite()"), std::string::npos);
-    EXPECT_NE(bad.out.find("fclose()"), std::string::npos);
-
-    const RunResult good = run(lint("--as src/trace/fx_io.cc " +
-                                    fixture("checked_io_good.cc")));
-    EXPECT_EQ(good.exit, 0) << good.out;
-
-    // The discard rule is scoped to src/trace.
-    const RunResult outside = run(
-        lint("--as src/vmx/fx_io.cc " + fixture("checked_io_bad.cc")));
-    EXPECT_EQ(outside.exit, 0) << outside.out;
-}
-
 TEST(LintTool, SuppressionSyntax)
 {
     const RunResult same = run(lint("--as src/timing/fx_s1.cc " +
@@ -180,15 +161,6 @@ TEST(LintTool, SuppressionSyntax)
         "--as src/timing/fx_s3.cc " + fixture("suppress_wrong_rule.cc")));
     EXPECT_EQ(wrong.exit, 1);
     EXPECT_EQ(countOf(wrong.out, "[sim-determinism]"), 1);
-}
-
-TEST(LintTool, CheckFilterSelectsOneRule)
-{
-    // The bad determinism fixture is clean under --check checked-io.
-    const RunResult filtered =
-        run(lint("--check checked-io --as src/timing/fx_determinism.cc " +
-                 fixture("sim_determinism_bad.cc")));
-    EXPECT_EQ(filtered.exit, 0) << filtered.out;
 }
 
 TEST(ReportTool, VersionSelfReport)

@@ -16,6 +16,7 @@
 #include <variant>
 
 #include "core/result.hh"
+#include "file_size_limit.hh"
 #include "trace/instr.hh"
 
 using namespace uasim;
@@ -351,6 +352,27 @@ TEST(ReportTool, SaveLoadRoundTrip)
               DiffStatus::Match);
     EXPECT_EQ(loaded.serialize(), original.serialize());
 
+    fs::remove_all(dir);
+}
+
+TEST(ReportTool, FailedSaveLeavesNoFile)
+{
+    // A write that fails publishes nothing: no artifact, and no
+    // temporary file beside where it would have been.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() / "uasim_report_tool_failed_save";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        EXPECT_THROW(
+            core::saveResultFile(makeResult(),
+                                 (dir / "BENCH_fig_test.json").string()),
+            std::runtime_error);
+    }
+    EXPECT_TRUE(fs::is_empty(dir));
     fs::remove_all(dir);
 }
 

@@ -45,6 +45,7 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "file_size_limit.hh"
 #include "timing/ooo_pipeline.hh"
 #include "timing/pipeline.hh"
 #include "trace/trace_buffer.hh"
@@ -442,7 +443,7 @@ corruptRecordStream(const trace::TraceStore &store, const std::string &key)
     const std::string path = store.entryPath(key);
     trace::TraceReader valid(path, key);
     trace::InstrRecord first;
-    ASSERT_TRUE(valid.next(first));
+    ASSERT_TRUE(valid.cursor().next(first));
     ASSERT_NE(first.cls, trace::InstrClass::Branch);
 
     std::string payload =
@@ -462,7 +463,7 @@ corruptRecordStream(const trace::TraceStore &store, const std::string &key)
     auto reader = store.openReader(key);
     ASSERT_NE(reader, nullptr) << "crafted entry must pass open checks";
     trace::InstrRecord rec;
-    EXPECT_THROW(reader->next(rec), std::runtime_error);
+    EXPECT_THROW(reader->cursor().next(rec), std::runtime_error);
 }
 
 /// One SAD trace replayed into four configs: at 4 threads the single
@@ -512,9 +513,10 @@ TEST(SweepStore, MidDecodeCorruptionFallsBackToRecordingAndHeals)
         // The re-recorded entry decodes end to end again.
         auto reader = cold.store()->openReader(victim);
         ASSERT_NE(reader, nullptr);
+        trace::TraceCursor cur = reader->cursor();
         trace::InstrRecord rec;
         std::uint64_t n = 0;
-        while (reader->next(rec))
+        while (cur.next(rec))
             ++n;
         EXPECT_EQ(n, reader->count());
         SweepRunner warm(c.threads);
@@ -522,6 +524,24 @@ TEST(SweepStore, MidDecodeCorruptionFallsBackToRecordingAndHeals)
         expectResultsEqual(inMemory, warm.run(c.plan()));
         EXPECT_EQ(warm.stats().tracesRecorded, 0u);
     }
+}
+
+TEST(SweepStore, FailedStoreWritesLeaveResultsAndNoFiles)
+{
+    // A store that cannot be written degrades to an uncached run:
+    // the same results, nothing stored, no entry and no temporary.
+    StoreDir dir("full");
+    auto baseline = SweepRunner(1).run(makeStorePlan());
+    SweepRunner cold(2);
+    cold.attachStore(dir.path);
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        expectResultsEqual(baseline, cold.run(makeStorePlan()));
+    }
+    EXPECT_EQ(cold.stats().tracesRecorded, 4u);
+    EXPECT_EQ(cold.stats().tracesStored, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 
 TEST(SweepStore, NonCacheableJobsBypassTheStore)

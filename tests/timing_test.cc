@@ -399,8 +399,9 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
     }
     auto r_offline = simulate(cfg, [&](trace::TraceSink &sink) {
         trace::TraceReader reader(path);
+        trace::TraceCursor cur = reader.cursor();
         trace::InstrRecord block[256];
-        while (const std::size_t n = reader.nextBlock(block, std::size(block)))
+        while (const std::size_t n = cur.nextBlock(block, std::size(block)))
             sink.appendBlock(block, n);
     });
     std::remove(path.c_str());

@@ -14,8 +14,8 @@
  *  - FileSink surfaces write failures (throw from close(), report
  *    from the destructor) instead of leaving a truncated trace with
  *    a valid-looking header - the PR 4 bug class.
- *  - the block decoder (RecordDecoder::decodeBlock, TraceReader::
- *    nextBlock, TraceCursor) is byte-for-byte equivalent to record-
+ *  - the block decoder (RecordDecoder::decodeBlock, TraceCursor::
+ *    nextBlock) is byte-for-byte equivalent to record-
  *    by-record decode() on seeded random and adversarial streams for
  *    every block size, including final partial blocks, truncation at
  *    every byte offset of a record, max-length and over-long varints
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "file_size_limit.hh"
 #include "trace/emitter.hh"
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
@@ -193,14 +194,15 @@ TEST(TraceIoV2, SyntheticRoundTripBitIdentity)
     writeTrace(path, "synth/key", want);
 
     ut::TraceReader reader(path, "synth/key");
+    ut::TraceCursor cur = reader.cursor();
     EXPECT_EQ(reader.count(), want.size());
     EXPECT_EQ(reader.key(), "synth/key");
     ut::InstrRecord rec;
     for (const auto &w : want) {
-        ASSERT_TRUE(reader.next(rec));
+        ASSERT_TRUE(cur.next(rec));
         expectRecordEqual(w, rec);
     }
-    EXPECT_FALSE(reader.next(rec));
+    EXPECT_FALSE(cur.next(rec));
     std::remove(path.c_str());
 }
 
@@ -223,13 +225,14 @@ TEST(TraceIoV2, KernelTraceRoundTripBitIdentity)
     }
 
     ut::TraceReader reader(path);
+    ut::TraceCursor cur = reader.cursor();
     ASSERT_EQ(reader.count(), want.records().size());
     ut::InstrRecord rec;
     for (const auto &w : want.records()) {
-        ASSERT_TRUE(reader.next(rec));
+        ASSERT_TRUE(cur.next(rec));
         expectRecordEqual(w, rec);
     }
-    EXPECT_FALSE(reader.next(rec));
+    EXPECT_FALSE(cur.next(rec));
 
     // The stored mix section matches the stream.
     ut::CountingSink counted;
@@ -248,9 +251,10 @@ TEST(TraceIoV2, EmptyTraceRoundTrips)
     const std::string path = tempPath("rt_empty.uatrace");
     writeTrace(path, "empty", {});
     ut::TraceReader reader(path, "empty");
+    ut::TraceCursor cur = reader.cursor();
     EXPECT_EQ(reader.count(), 0u);
     ut::InstrRecord rec;
-    EXPECT_FALSE(reader.next(rec));
+    EXPECT_FALSE(cur.next(rec));
     std::remove(path.c_str());
 }
 
@@ -445,8 +449,9 @@ TEST_F(TraceIoCorruption, InvalidClassByteRejected)
     mix.add(ut::InstrClass::IntAlu, 1);
     writeAll(path_, buildRaw("k", 1, mix, payload));
     ut::TraceReader reader(path_);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
-    EXPECT_THROW(reader.next(rec), std::runtime_error);
+    EXPECT_THROW(cur.next(rec), std::runtime_error);
 }
 
 TEST_F(TraceIoCorruption, TakenFlagOnNonBranchRejected)
@@ -458,8 +463,9 @@ TEST_F(TraceIoCorruption, TakenFlagOnNonBranchRejected)
     mix.add(ut::InstrClass::IntAlu, 1);
     writeAll(path_, buildRaw("k", 1, mix, payload));
     ut::TraceReader reader(path_);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
-    EXPECT_THROW(reader.next(rec), std::runtime_error);
+    EXPECT_THROW(cur.next(rec), std::runtime_error);
 }
 
 TEST_F(TraceIoCorruption, PayloadShorterThanCountRejectedAtNext)
@@ -478,10 +484,11 @@ TEST_F(TraceIoCorruption, PayloadShorterThanCountRejectedAtNext)
                loc);
     writeAll(path_, buildRawFromRecords("k", fat.records(), 4));
     ut::TraceReader reader(path_);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
-    EXPECT_TRUE(reader.next(rec));
-    EXPECT_TRUE(reader.next(rec));
-    EXPECT_THROW(reader.next(rec), std::runtime_error);
+    EXPECT_TRUE(cur.next(rec));
+    EXPECT_TRUE(cur.next(rec));
+    EXPECT_THROW(cur.next(rec), std::runtime_error);
 }
 
 TEST_F(TraceIoCorruption, PayloadLongerThanCountRejectedAtEnd)
@@ -492,10 +499,11 @@ TEST_F(TraceIoCorruption, PayloadLongerThanCountRejectedAtEnd)
     recs.resize(4);
     writeAll(path_, buildRawFromRecords("k", recs, 2));
     ut::TraceReader reader(path_);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
-    EXPECT_TRUE(reader.next(rec));
-    EXPECT_TRUE(reader.next(rec));
-    EXPECT_THROW(reader.next(rec), std::runtime_error);
+    EXPECT_TRUE(cur.next(rec));
+    EXPECT_TRUE(cur.next(rec));
+    EXPECT_THROW(cur.next(rec), std::runtime_error);
 }
 
 TEST(TraceIoV2, MissingFileThrows)
@@ -599,14 +607,15 @@ TEST(TraceIoWrite, WorstCaseRecordsRoundTripAcrossFlushes)
     writeTrace(path, "worst", want);
 
     ut::TraceReader reader(path, "worst");
+    ut::TraceCursor cur = reader.cursor();
     EXPECT_EQ(reader.payloadBytes(), phase + worst * maxBytes);
     EXPECT_GT(reader.payloadBytes(), 3 * ut::FileSink::writeBufferBytes);
     ut::InstrRecord rec;
     for (const auto &w : want) {
-        ASSERT_TRUE(reader.next(rec));
+        ASSERT_TRUE(cur.next(rec));
         expectRecordEqual(w, rec);
     }
-    EXPECT_FALSE(reader.next(rec));
+    EXPECT_FALSE(cur.next(rec));
     std::remove(path.c_str());
 }
 
@@ -657,27 +666,35 @@ TEST(TraceIoWrite, StreamedChecksumEqualsOneShotForEveryTailLength)
 
 TEST(FileSinkErrors, CloseThrowsOnFullDisk)
 {
-    if (!fs::exists("/dev/full"))
-        GTEST_SKIP() << "/dev/full not available";
-    ut::FileSink sink("/dev/full", "k");
-    for (const auto &rec : syntheticRecords())
-        sink.append(rec);
-    EXPECT_THROW(sink.close(), std::runtime_error);
-    EXPECT_FALSE(sink.ok());
-    // Idempotent after failure: the file is already closed.
-    EXPECT_NO_THROW(sink.close());
+    const std::string path = tempPath("full_disk.uatrace");
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        ut::FileSink sink(path, "k");
+        for (const auto &rec : syntheticRecords())
+            sink.append(rec);
+        EXPECT_THROW(sink.close(), std::runtime_error);
+        EXPECT_FALSE(sink.ok());
+        // Idempotent after failure: the file is already closed.
+        EXPECT_NO_THROW(sink.close());
+    }
+    std::remove(path.c_str());
 }
 
 TEST(FileSinkErrors, DestructorReportsInsteadOfThrowing)
 {
-    if (!fs::exists("/dev/full"))
-        GTEST_SKIP() << "/dev/full not available";
-    EXPECT_NO_THROW({
-        ut::FileSink sink("/dev/full", "k");
-        for (const auto &rec : syntheticRecords())
-            sink.append(rec);
-        // Destructor runs here with pending buffered data.
-    });
+    const std::string path = tempPath("full_disk_dtor.uatrace");
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        EXPECT_NO_THROW({
+            ut::FileSink sink(path, "k");
+            for (const auto &rec : syntheticRecords())
+                sink.append(rec);
+            // Destructor runs here with pending buffered data.
+        });
+    }
+    std::remove(path.c_str());
 }
 
 TEST(FileSinkErrors, UnwritablePathThrowsAtConstruction)
@@ -698,25 +715,32 @@ TEST(FileSinkErrors, AppendAfterCloseThrowsInsteadOfCorrupting)
 
 TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
 {
-    if (!fs::exists("/dev/full"))
-        GTEST_SKIP() << "/dev/full not available";
     // A recording pass must complete even when the write-through
     // target fills up: append() latches the failure, commit() throws
-    // instead of publishing, and no entry appears.
-    const std::string final_path = tempPath("never_published.uatrace");
-    std::remove(final_path.c_str());
-    ut::TraceStore::Recorder recorder("/dev/full", final_path, "k");
-    const auto recs = syntheticRecords();
-    // Enough records to overflow the 1 MiB write buffer and force a
-    // flush (and its ENOSPC) mid-recording.
-    EXPECT_NO_THROW({
-        for (int i = 0; i < 40000; ++i) {
-            for (const auto &rec : recs)
-                recorder.append(rec);
-        }
-    });
-    EXPECT_THROW(recorder.commit(), std::runtime_error);
-    EXPECT_FALSE(fs::exists(final_path));
+    // instead of publishing, and neither an entry nor its temporary
+    // file is left behind.
+    const std::string dir = tempPath("never_published");
+    fs::remove_all(dir);
+    ut::TraceStore store(dir);
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        auto recorder = store.startRecord("k");
+        ASSERT_NE(recorder, nullptr);
+        const auto recs = syntheticRecords();
+        // Enough records to overflow the 1 MiB write buffer and force
+        // a flush (and its EFBIG) mid-recording.
+        EXPECT_NO_THROW({
+            for (int i = 0; i < 40000; ++i) {
+                for (const auto &rec : recs)
+                    recorder->append(rec);
+            }
+        });
+        EXPECT_THROW(recorder->commit(), std::runtime_error);
+    }
+    EXPECT_FALSE(fs::exists(store.entryPath("k")));
+    EXPECT_TRUE(fs::is_empty(dir)) << "a temporary file was left behind";
+    fs::remove_all(dir);
 }
 
 // ---- TraceStore ----
@@ -758,12 +782,13 @@ TEST_F(TraceStoreTest, MissThenRecordThenHitRoundTrip)
     ASSERT_NE(reader, nullptr);
     EXPECT_EQ(reader->key(), key);
     ASSERT_EQ(reader->count(), want.size());
+    ut::TraceCursor cur = reader->cursor();
     ut::InstrRecord rec;
     for (const auto &w : want) {
-        ASSERT_TRUE(reader->next(rec));
+        ASSERT_TRUE(cur.next(rec));
         expectRecordEqual(w, rec);
     }
-    EXPECT_FALSE(reader->next(rec));
+    EXPECT_FALSE(cur.next(rec));
 
     auto sum = store.loadSummary(key);
     ASSERT_TRUE(sum.has_value());
@@ -1372,11 +1397,12 @@ TEST(TraceBlockDecode, NextBlockMatchesNextAndInterleaves)
     const auto want = randomRecords(0xfeed, 2500);
     writeTrace(path, "block-key", want);
 
-    ut::TraceReader scalar(path, "block-key");
-    ut::TraceReader blocked(path, "block-key");
+    ut::TraceReader reader(path, "block-key");
+    ut::TraceCursor scalar = reader.cursor();
+    ut::TraceCursor blocked = reader.cursor();
     std::vector<ut::InstrRecord> got;
     ut::InstrRecord buf[97];
-    // Interleave nextBlock with scalar next() on one reader: they
+    // Interleave nextBlock with scalar next() on one cursor: they
     // share a decode stream.
     int turn = 0;
     while (true) {
@@ -1413,11 +1439,12 @@ TEST(TraceBlockDecode, NextBlockRejectsPayloadShorterThanCount)
     writeAll(path,
              buildRawFromRecords("", recs, recs.size() + 3));
     ut::TraceReader reader(path);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord buf[64];
     std::size_t drained = 0;
     EXPECT_THROW(
         {
-            while (std::size_t n = reader.nextBlock(buf, 64))
+            while (std::size_t n = cur.nextBlock(buf, 64))
                 drained += n;
         },
         std::runtime_error);
@@ -1433,10 +1460,11 @@ TEST(TraceBlockDecode, CursorsAreIndependent)
     ut::TraceReader reader(path, "cursor-test");
     ASSERT_EQ(reader.count(), want.size());
 
-    // Two cursors with different block sizes, interleaved, plus the
-    // reader's own stream: three independent passes over one payload.
+    // Three cursors, two with different block sizes and one record
+    // by record, interleaved: independent passes over one payload.
     ut::TraceCursor a = reader.cursor();
     ut::TraceCursor b = reader.cursor();
+    ut::TraceCursor c = reader.cursor();
     std::vector<ut::InstrRecord> ra, rb, rc;
     ut::InstrRecord one;
     ut::InstrRecord block[97];
@@ -1450,7 +1478,7 @@ TEST(TraceBlockDecode, CursorsAreIndependent)
             rb.insert(rb.end(), block, block + got);
             more = true;
         }
-        if (reader.next(one)) {
+        if (c.next(one)) {
             rc.push_back(one);
             more = true;
         }

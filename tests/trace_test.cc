@@ -177,16 +177,17 @@ TEST(TraceIo, RoundTrip)
     }
     ut::TraceReader reader(path);
     EXPECT_EQ(reader.count(), 3u);
+    ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
-    ASSERT_TRUE(reader.next(rec));
+    ASSERT_TRUE(cur.next(rec));
     EXPECT_EQ(rec.cls, ut::InstrClass::IntAlu);
-    ASSERT_TRUE(reader.next(rec));
+    ASSERT_TRUE(cur.next(rec));
     EXPECT_EQ(rec.cls, ut::InstrClass::VecLoadU);
     EXPECT_EQ(rec.addr, 0xdeadbeefu);
     EXPECT_EQ(rec.deps[0], 1u);
-    ASSERT_TRUE(reader.next(rec));
+    ASSERT_TRUE(cur.next(rec));
     EXPECT_TRUE(rec.taken);
-    EXPECT_FALSE(reader.next(rec));
+    EXPECT_FALSE(cur.next(rec));
     std::remove(path.c_str());
 }
 

@@ -16,14 +16,10 @@
  *                    exceptions - wall-clock feeding the *Seconds
  *                    informational stats - carry a visible
  *                    suppression comment.
- *   checked-io       no discarded fwrite/fread/fseek/fflush/fclose
- *                    return values in src/trace
- *                    (the PR 3 checked-I/O-only rule). An explicit
- *                    `(void)` cast is accepted: it is a visible,
- *                    reviewable decision, not a silent one.
  *
- * Field-table completeness is a compile error, not a rule here: see
- * src/core/field_table.hh.
+ * Two invariants are compile errors instead of rules here: field-table
+ * completeness (src/core/field_table.hh) and checked file I/O
+ * (src/trace/file_io.hh).
  *
  * Suppression syntax: a comment containing
  *
@@ -41,7 +37,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -49,6 +44,7 @@
 #include <vector>
 
 #include "core/json.hh"
+#include "trace/file_io.hh"
 
 namespace fs = std::filesystem;
 
@@ -59,8 +55,7 @@ constexpr const char *lintVersion = "1.0";
 const std::vector<std::string> &
 ruleNames()
 {
-    static const std::vector<std::string> rules = {
-        "checked-io", "sim-determinism"};
+    static const std::vector<std::string> rules = {"sim-determinism"};
     return rules;
 }
 
@@ -69,8 +64,8 @@ usage(bool requested)
 {
     std::fprintf(
         requested ? stdout : stderr,
-        "usage: uasim-lint --compdb FILE [--root DIR] [--check RULE]...\n"
-        "       uasim-lint [--check RULE]... --as VPATH FILE [--as ...]\n"
+        "usage: uasim-lint --compdb FILE [--root DIR]\n"
+        "       uasim-lint --as VPATH FILE [--as ...]\n"
         "\n"
         "  --compdb FILE   scan every repo TU of a "
         "compile_commands.json\n"
@@ -81,7 +76,6 @@ usage(bool requested)
         "directory's parent)\n"
         "  --as VPATH FILE scan FILE as if it were repo path VPATH\n"
         "                  (fixture mode; rules scope by VPATH)\n"
-        "  --check RULE    run only RULE (repeatable; default: all)\n"
         "  --list-rules    print the rule ids and exit 0\n"
         "  --version       print version + rule ids and exit 0\n"
         "\n"
@@ -298,27 +292,16 @@ isCall(const std::string &text, std::size_t at, std::size_t len)
 class Linter
 {
   public:
-    std::set<std::string> checks;  //!< empty = all rules
-
     void
     addFinding(const Source &src, int line, const std::string &rule,
                const std::string &msg)
     {
-        if (!checks.empty() && !checks.count(rule))
-            return;
         if (src.allowed(line, rule))
             return;
         findings_.insert({src.vpath, line, rule, msg});
     }
 
-    bool
-    ruleEnabled(const std::string &rule) const
-    {
-        return checks.empty() || checks.count(rule);
-    }
-
     void checkSimDeterminism(const Source &src);
-    void checkCheckedIo(const Source &src);
 
     void
     run(std::vector<Source> &sources)
@@ -326,7 +309,6 @@ class Linter
         for (Source &src : sources) {
             stripSource(src);
             checkSimDeterminism(src);
-            checkCheckedIo(src);
         }
     }
 
@@ -368,7 +350,7 @@ inSimScope(const std::string &vpath)
 void
 Linter::checkSimDeterminism(const Source &src)
 {
-    if (!ruleEnabled("sim-determinism") || !inSimScope(src.vpath))
+    if (!inSimScope(src.vpath))
         return;
 
     static const char *substrings[][2] = {
@@ -438,104 +420,21 @@ Linter::checkSimDeterminism(const Source &src)
 }
 
 // ---------------------------------------------------------------------------
-// checked-io
-// ---------------------------------------------------------------------------
-
-void
-Linter::checkCheckedIo(const Source &src)
-{
-    if (!ruleEnabled("checked-io") ||
-        src.vpath.rfind("src/trace/", 0) != 0)
-        return;
-
-    static const char *fns[] = {"fwrite", "fread", "fseek", "fflush",
-                                "fclose"};
-    const std::string &text = src.stripped;
-    for (const char *fn : fns) {
-        for (std::size_t at : findIdent(text, fn)) {
-            if (!isCall(text, at, std::strlen(fn)))
-                continue;
-            // Walk back over a std:: / :: qualifier.
-            std::size_t s = at;
-            if (s >= 2 && text[s - 1] == ':' && text[s - 2] == ':') {
-                s -= 2;
-                if (s >= 3 && text.compare(s - 3, 3, "std") == 0)
-                    s -= 3;
-            }
-            // Previous significant character decides whether the
-            // return value is consumed.
-            std::size_t p = s;
-            while (p > 0 &&
-                   std::isspace(static_cast<unsigned char>(text[p - 1])))
-                --p;
-            const char prev = p == 0 ? ';' : text[p - 1];
-            bool discarded = prev == ';' || prev == '{' || prev == '}';
-            if (!discarded && identChar(prev)) {
-                // An unbraced `else fclose(f);` / `do fclose(f);`
-                // body is still a discarded statement.
-                std::size_t e = p;
-                std::size_t b = e;
-                while (b > 0 && identChar(text[b - 1]))
-                    --b;
-                const std::string word = text.substr(b, e - b);
-                discarded = word == "else" || word == "do";
-            }
-            if (!discarded && prev == ')') {
-                // Walk back over the paren group: the unbraced body
-                // of `if (...) fclose(f);` is discarded too, while a
-                // call argument or a `(void)` cast consumes it.
-                std::size_t q = p - 1;  // at ')'
-                int depth = 1;
-                while (q > 0 && depth > 0) {
-                    --q;
-                    if (text[q] == ')')
-                        ++depth;
-                    else if (text[q] == '(')
-                        --depth;
-                }
-                if (depth == 0) {
-                    std::size_t e = q;
-                    while (e > 0 &&
-                           std::isspace(static_cast<unsigned char>(
-                               text[e - 1])))
-                        --e;
-                    std::size_t b = e;
-                    while (b > 0 && identChar(text[b - 1]))
-                        --b;
-                    const std::string word = text.substr(b, e - b);
-                    discarded = word == "if" || word == "while" ||
-                                word == "for";
-                }
-            }
-            if (!discarded)
-                continue;  // value is consumed (=/!=/return/(void)/...)
-            addFinding(src, src.lineOf(at), "checked-io",
-                       std::string(fn) +
-                           "() return value discarded in src/trace "
-                           "(check it, or make the discard explicit "
-                           "with (void))");
-        }
-    }
-
-    // `(void)` casts never reach here: the significant char before
-    // the call is then ')' whose paren group is preceded by no
-    // keyword, which the consume test above accepts.
-}
-
-// ---------------------------------------------------------------------------
 // Input assembly
 // ---------------------------------------------------------------------------
 
+/// Read @p p whole into @p out, or report why not. @return false on
+/// failure.
 bool
 readFile(const fs::path &p, std::string &out)
 {
-    std::ifstream in(p, std::ios::binary);
-    if (!in)
+    try {
+        out = uasim::trace::readFile(p.string());
+        return true;
+    } catch (const uasim::trace::IoError &e) {
+        std::fprintf(stderr, "uasim-lint: %s\n", e.what());
         return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
+    }
 }
 
 /// Repo-relative forward-slash path, or "" when @p f is outside root.
@@ -559,11 +458,8 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
            std::vector<Source> &sources)
 {
     std::string text;
-    if (!readFile(compdb, text)) {
-        std::fprintf(stderr, "uasim-lint: cannot read %s\n",
-                     compdb.string().c_str());
+    if (!readFile(compdb, text))
         return false;
-    }
     std::set<std::string> tus;  // repo-relative paths
     try {
         const uasim::json::Value db = uasim::json::parse(text);
@@ -610,11 +506,8 @@ loadCompdb(const fs::path &compdb, const fs::path &root,
     for (const std::string &vpath : tus) {
         Source src;
         src.vpath = vpath;
-        if (!readFile(root / vpath, src.raw)) {
-            std::fprintf(stderr, "uasim-lint: cannot read %s\n",
-                         (root / vpath).string().c_str());
+        if (!readFile(root / vpath, src.raw))
             return false;
-        }
         sources.push_back(std::move(src));
     }
     return true;
@@ -664,27 +557,13 @@ main(int argc, char **argv)
             compdb = operand("--compdb");
         } else if (arg == "--root") {
             rootArg = operand("--root");
-        } else if (arg == "--check") {
-            const std::string rule = operand("--check");
-            if (std::find(ruleNames().begin(), ruleNames().end(),
-                          rule) == ruleNames().end()) {
-                std::fprintf(stderr,
-                             "uasim-lint: unknown rule \"%s\" (see "
-                             "--list-rules)\n",
-                             rule.c_str());
-                return 2;
-            }
-            linter.checks.insert(rule);
         } else if (arg == "--as") {
             const std::string vpath = operand("--as");
             const char *file = operand("--as");
             Source src;
             src.vpath = vpath;
-            if (!readFile(file, src.raw)) {
-                std::fprintf(stderr,
-                             "uasim-lint: cannot read %s\n", file);
+            if (!readFile(file, src.raw))
                 return 2;
-            }
             sources.push_back(std::move(src));
             fixtureMode = true;
         } else {

@@ -10,8 +10,7 @@
  * publishing each under DIR/<id>.chunks/ as it completes. Chunks
  * already published there are skipped, not re-run: that is the resume
  * property, and the "executed E chunk(s), skipped S published
- * chunk(s)" summary line is what the campaign_merge_parity test greps
- * to prove it. The same line gives the campaign's cell count and how
+ * chunk(s)" summary line reports it. The same line gives the campaign's cell count and how
  * many cells this invocation simulated (SweepStats::cellsSimulated:
  * cells that differ only in fields their trace never reads run once)
  * and how many "ooo" cells it copied from their pipeline twin instead
