@@ -37,8 +37,7 @@ endif()
 
 # Shipped-code TUs only (src/, tools/, bench/): _deps and build/ are
 # not ours, and tests/ is gtest-macro territory where check false
-# positives vary by clang-tidy version - the uasim-lint fixture suite
-# gates tests/ behavior instead.
+# positives vary by clang-tidy version.
 file(READ "${COMPDB}" _db)
 string(JSON _n LENGTH "${_db}")
 math(EXPR _last "${_n} - 1")

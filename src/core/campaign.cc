@@ -8,8 +8,8 @@
  * Everything here is deliberately wall-clock-, randomness-, and
  * iteration-order-free (std::map/std::set only): expansion order,
  * chunk addressing, and assembled artifacts are pure functions of the
- * campaign text, which is what the sim-determinism lint rule enforces
- * for this file.
+ * campaign text. The build enforces it: this file is in the
+ * determinism scope (core/determinism.hh).
  */
 
 #include "core/campaign.hh"

@@ -1,12 +1,12 @@
 /**
  * @file
- * The one command-line parser of every bench, example and tool
- * (uasim-lint aside: its --as takes two operands). A binary declares
- * its flag table; parseCommandLine() reads argv in one pass and exits
- * 2 on an unknown or repeated flag, a missing, empty or "--"-prefixed
- * operand, a malformed or out-of-range int, or a positional argument
- * beyond the named ones, printing "PROG: TOKEN: PROBLEM" and the
- * usage line that lists the binary's flags.
+ * The one command-line parser of every bench, example and tool. A
+ * binary declares its flag table; parseCommandLine() reads argv in
+ * one pass and exits 2 on an unknown or repeated flag, a missing,
+ * empty or "--"-prefixed operand, a malformed or out-of-range int, or
+ * a positional argument beyond the named ones, printing
+ * "PROG: TOKEN: PROBLEM" and the usage line that lists the binary's
+ * flags.
  */
 
 #ifndef UASIM_CORE_CLI_HH

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>  // uasim-lint: allow(sim-determinism)
 #include <cstdio>
 #include <exception>
 #include <map>
@@ -12,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/determinism.hh"
 #include "core/result.hh"
 #include "timing/model.hh"
 #include "trace/trace_io.hh"
@@ -19,17 +19,6 @@
 namespace uasim::core {
 
 namespace {
-
-// Wall-clock feeds only the *Seconds informational stats, never a
-// simulated counter: the artifact differ ignores these fields.
-using Clock = std::chrono::steady_clock;  // uasim-lint: allow(sim-determinism)
-
-double
-secondsSince(Clock::time_point start)
-{
-    // uasim-lint: allow(sim-determinism)
-    return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Cells of one trace, prepartitioned (the runner's work unit).
 struct TraceGroup {
@@ -104,7 +93,7 @@ SweepRunner::attachStore(const std::string &dir)
 std::vector<SweepCellResult>
 SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
 {
-    const auto wallStart = Clock::now();
+    const auto wallStart = WallClock::now();
     stats_ = SweepStats{};
 
     // Partition cells into per-trace groups, preserving plan order
@@ -325,13 +314,13 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                                 n * std::size_t(k) / nShards;
                             const std::size_t hi =
                                 n * std::size_t(k + 1) / nShards;
-                            auto t0 = Clock::now();
+                            auto t0 = WallClock::now();
                             auto batch = timing::makeBatchedTimingModel(
                                 configsOf(lo, hi));
                             trace::TraceCursor cur = start;
                             trace::InstrRecord block[1024];
                             for (;;) {
-                                auto d0 = Clock::now();
+                                auto d0 = WallClock::now();
                                 const std::size_t got =
                                     cur.nextBlock(block, std::size(block));
                                 lt.decodeSeconds += secondsSince(d0);
@@ -407,7 +396,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // through to re-recording, which overwrites any
                 // partially filled result slots.
                 if (store && timingCells == 0) {
-                    auto t0 = Clock::now();
+                    auto t0 = WallClock::now();
                     if (auto sum = store->loadSummary(job.key)) {
                         mix = sum->mix;
                         local.loadSeconds += secondsSince(t0);
@@ -430,34 +419,39 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 }
 
                 if (!fromStore) {
-                    // Record once: a mix-only group just counts, a
-                    // timing group encodes the stream in memory for
-                    // its replay shards. On a store miss the recording
-                    // tees into a write-through recorder; a failed
-                    // store write degrades to an uncached run, never a
-                    // failed sweep.
-                    std::unique_ptr<trace::TraceStore::Recorder> recorder;
-                    if (store)
-                        recorder = store->startRecord(job.key);
-                    trace::CountingSink counter;
+                    // Record once, encoding each record at most once:
+                    // a timing group encodes the stream in memory for
+                    // its replay passes and, on a store miss,
+                    // publishes those bytes as the entry; a mix-only
+                    // group records straight into the store's
+                    // recorder on a miss and just counts otherwise. A
+                    // failed store write degrades to an uncached run,
+                    // never a failed sweep.
                     trace::EncodedTrace encoded;
-                    trace::TraceSink &sink = timingCells == 0
-                        ? static_cast<trace::TraceSink &>(counter)
-                        : encoded;
-                    auto t0 = Clock::now();
-                    if (recorder) {
-                        trace::TeeSink tee(sink, *recorder);
-                        job.record(tee);
+                    std::unique_ptr<trace::TraceStore::Recorder> recorder;
+                    if (store && timingCells == 0)
+                        recorder = store->startRecord(job.key);
+                    auto t0 = WallClock::now();
+                    if (timingCells > 0) {
+                        job.record(encoded);
+                        mix = encoded.mix();
+                    } else if (recorder) {
+                        job.record(*recorder);
+                        mix = recorder->mix();
                     } else {
-                        job.record(sink);
+                        trace::CountingSink counter;
+                        job.record(counter);
+                        mix = counter.mix();
                     }
-                    mix = timingCells == 0 ? counter.mix() : encoded.mix();
                     local.recordSeconds += secondsSince(t0);
                     local.instrsRecorded += mix.total();
                     ++local.tracesRecorded;
-                    if (recorder) {
+                    if (recorder || (store && timingCells > 0)) {
                         try {
-                            recorder->commit();
+                            if (recorder)
+                                recorder->commit();
+                            else
+                                store->publish(job.key, encoded);
                             ++local.tracesStored;
                         } catch (const std::exception &e) {
                             std::fprintf(stderr,
@@ -465,7 +459,6 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                                          "\"%s\": %s; continuing\n",
                                          job.key.c_str(), e.what());
                         }
-                        recorder.reset();
                     }
                     if (timingCells > 0)
                         replayCells(mix, encoded.cursor());

@@ -17,15 +17,20 @@
  *
  * With a persistent store attached (attachStore), "once" extends
  * across processes: each cacheable trace job probes the store first,
- * replays from disk on a hit, and records through to disk on a miss,
- * so repeated grid invocations warm-start instead of re-emulating.
- * Either way the replay decodes the same UATRACE3 payload bytes.
+ * replays from disk on a hit, and writes its recording to disk on a
+ * miss, so repeated grid invocations warm-start instead of
+ * re-emulating. Either way the replay decodes the same UATRACE3
+ * payload bytes.
  *
  * Exactness: replaying a recorded trace into a timing model is
  * bit-identical to streaming the emulation straight into the model
  * (tests/sweep_test.cc locks this), so a sweep produces exactly the
  * simulated cycles the hand-rolled per-cell loops did - it just
- * emulates each unique trace once instead of once per cell.
+ * emulates each unique trace once instead of once per cell. The
+ * engine is in the determinism scope (core/determinism.hh): a
+ * wall-clock read, random number or unordered container in it or in
+ * this header does not compile; the *Seconds stats read
+ * core::WallClock.
  */
 
 #ifndef UASIM_CORE_SWEEP_HH
@@ -33,9 +38,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>  // uasim-lint: allow(sim-determinism)
 #include <vector>
 
 #include "core/experiment.hh"
@@ -115,8 +120,7 @@ class SweepPlan
     std::vector<TraceJob> traces_;
     std::vector<ConfigJob> configs_;
     std::vector<SweepCell> cells_;
-    // Key lookup only, never iterated: order cannot leak into results.
-    std::unordered_map<std::string, int> traceIndex_;  // uasim-lint: allow(sim-determinism)
+    std::map<std::string, int> traceIndex_;  //!< key -> trace index
 };
 
 /// Outcome of one grid point, in plan cell order.
@@ -235,10 +239,11 @@ struct SweepStats {
  *
  * Work unit = one trace group (a trace plus all cells that reference
  * it): the worker obtains the trace's encoded payload once - a store
- * entry on a hit, else a recording into a trace::EncodedTrace (tee'd
- * into the store on a miss) - replays it into every cell's simulator
- * through one TraceCursor per pass and shard, frees it, and moves on.
- * Store hits, misses and storeless runs share that one replay path. Groups are
+ * entry on a hit, else a recording into a trace::EncodedTrace (whose
+ * bytes become the store entry on a miss) - replays it into every
+ * cell's simulator through one TraceCursor per pass and shard, frees
+ * it, and moves on. Store hits, misses and storeless runs share that
+ * one replay path. Groups are
  * sharded over the pool with an atomic cursor; results are written
  * into preallocated cell slots, so output order is deterministic and
  * thread-count independent.

@@ -66,6 +66,8 @@ File::~File()
 void
 File::write(const void *data, std::size_t n)
 {
+    if (n == 0)
+        return;  // an empty buffer may have no address
     if (std::fwrite(data, 1, n, file_) != n)
         fail("write", path_);
 }

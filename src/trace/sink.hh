@@ -62,33 +62,6 @@ class CountingSink : public TraceSink
     InstrMix mix_;
 };
 
-/// Sink that duplicates the stream into two downstream sinks.
-class TeeSink : public TraceSink
-{
-  public:
-    TeeSink(TraceSink &first, TraceSink &second)
-        : first_(&first), second_(&second)
-    {}
-
-    void
-    append(const InstrRecord &rec) override
-    {
-        first_->append(rec);
-        second_->append(rec);
-    }
-
-    void
-    appendBlock(const InstrRecord *recs, std::size_t n) override
-    {
-        first_->appendBlock(recs, n);
-        second_->appendBlock(recs, n);
-    }
-
-  private:
-    TraceSink *first_;
-    TraceSink *second_;
-};
-
 } // namespace uasim::trace
 
 #endif // UASIM_TRACE_SINK_HH

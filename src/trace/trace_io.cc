@@ -133,6 +133,23 @@ serializeMix(const InstrMix &mix)
     return out;
 }
 
+std::string
+frontMatter(const std::string &key, const InstrMix &mix,
+            std::uint64_t payloadBytes, std::uint64_t payloadHash)
+{
+    if (key.size() > maxKeyBytes)
+        throw std::runtime_error("trace key too long");
+    const std::string mixSection = serializeMix(mix);
+    Header hdr;
+    hdr.keyBytes = std::uint32_t(key.size());
+    hdr.recordCount = mix.total();
+    hdr.payloadBytes = payloadBytes;
+    hdr.payloadHash = payloadHash;
+    hdr.keyHash = fnv1a(key.data(), key.size());
+    hdr.mixHash = fnv1a(mixSection.data(), mixSection.size());
+    return hdr.serialize() + key + mixSection;
+}
+
 std::uint8_t *
 RecordEncoder::encode(const InstrRecord &rec, std::uint8_t *out)
 {
@@ -299,17 +316,10 @@ FileSink::close()
     if (!file_)
         return;
     flushBuffer(true);
-    const std::string mix_section = wire::serializeMix(mix_);
-    wire::Header hdr;
-    hdr.keyBytes = std::uint32_t(key_.size());
-    hdr.recordCount = written_;
-    hdr.payloadBytes = payloadBytes_;
-    hdr.payloadHash = payloadHash_;
-    hdr.keyHash = wire::fnv1a(key_.data(), key_.size());
-    hdr.mixHash = wire::fnv1a(mix_section.data(), mix_section.size());
     // Header, key and mix section are contiguous from offset 0, so
     // one seek patches them all.
-    std::string head = hdr.serialize() + key_ + mix_section;
+    const std::string head =
+        wire::frontMatter(key_, mix_, payloadBytes_, payloadHash_);
     std::unique_ptr<File> file = std::move(file_);
     try {
         // Flush data before patching the header so a failure cannot

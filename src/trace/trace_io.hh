@@ -149,6 +149,17 @@ struct Header {
 std::string serializeMix(const InstrMix &mix);
 
 /**
+ * The front matter of a finished trace file - header, key and mix
+ * section - for a payload of @p payloadBytes bytes that holds
+ * mix.total() records and whose payloadHash() is @p payloadHash.
+ * FileSink and TraceStore::publish() both write it.
+ * @throws std::runtime_error if @p key is longer than maxKeyBytes.
+ */
+std::string frontMatter(const std::string &key, const InstrMix &mix,
+                        std::uint64_t payloadBytes,
+                        std::uint64_t payloadHash);
+
+/**
  * Stateful delta encoder for the record stream. Encoder and decoder
  * must see the same record sequence from the start of the payload.
  */
@@ -241,6 +252,9 @@ class FileSink : public TraceSink
     void close();
 
     std::uint64_t written() const { return written_; }
+
+    /// Instruction mix of the appended records.
+    const InstrMix &mix() const { return mix_; }
 
     /// False once any I/O on the file has failed.
     bool ok() const { return !failed_; }
@@ -347,8 +361,10 @@ class TraceCursor
  * Sink that encodes records into a growing in-memory UATRACE3
  * payload: the bytes FileSink writes after the front matter, about
  * 7 bytes per record instead of an InstrRecord's 56. The sweep engine
- * records a timing group into one and replays every pass through a
- * cursor(), exactly as it replays a TraceReader from the store.
+ * records a timing group into one, publishes it as the group's store
+ * entry on a miss (TraceStore::publish) and replays every pass
+ * through a cursor(), exactly as it replays a TraceReader from the
+ * store.
  */
 class EncodedTrace : public TraceSink
 {

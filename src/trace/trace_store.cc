@@ -121,6 +121,20 @@ TraceStore::startRecord(const std::string &key) const
     }
 }
 
+void
+TraceStore::publish(const std::string &key, const EncodedTrace &trace) const
+{
+    const std::string head = wire::frontMatter(
+        key, trace.mix(), trace.payloadBytes(),
+        wire::payloadHash(trace.payload(), trace.payloadBytes()));
+    AtomicPublish entry(entryPath(key));
+    File file(entry.tempPath(), File::Mode::Write);
+    file.write(head.data(), head.size());
+    file.write(trace.payload(), trace.payloadBytes());
+    file.close();
+    entry.commit();
+}
+
 TraceStore::Recorder::Recorder(std::string entryPath,
                                const std::string &key)
     : publish_(std::make_unique<AtomicPublish>(std::move(entryPath))),
@@ -133,8 +147,12 @@ TraceStore::Recorder::~Recorder() = default;
 void
 TraceStore::Recorder::append(const InstrRecord &rec)
 {
-    if (!appendError_.empty())
-        return;  // already failed; keep the record stream flowing
+    if (!appendError_.empty()) {
+        // Already failed: keep the record stream flowing and its mix
+        // whole. The record whose write failed is in sink_'s mix.
+        failedMix_.add(rec);
+        return;
+    }
     try {
         sink_.append(rec);
     } catch (const std::exception &e) {
@@ -142,6 +160,14 @@ TraceStore::Recorder::append(const InstrRecord &rec)
         // must finish uncached, not abort. commit() surfaces this.
         appendError_ = e.what();
     }
+}
+
+InstrMix
+TraceStore::Recorder::mix() const
+{
+    InstrMix mix = sink_.mix();
+    mix += failedMix_;
+    return mix;
 }
 
 void

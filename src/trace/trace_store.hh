@@ -24,9 +24,10 @@
  * again). An entry the process cannot open or read at all (out of
  * file descriptors, an I/O error) is a miss that keeps the file: only
  * a failed content check (magic, version, size, key, mix or payload
- * hash) discards. Only TraceStore construction throws; the probes and
- * startRecord() degrade gracefully because a broken cache must not
- * fail the run.
+ * hash) discards. The probes and startRecord() degrade gracefully
+ * because a broken cache must not fail the run; construction, a
+ * Recorder's commit() and publish() throw, and their callers carry
+ * on uncached.
  */
 
 #ifndef UASIM_TRACE_TRACE_STORE_HH
@@ -123,12 +124,17 @@ class TraceStore
 
         std::uint64_t written() const { return sink_.written(); }
 
+        /// Instruction mix of every record appended, including those
+        /// appended after a write failure.
+        InstrMix mix() const;
+
       private:
         // Declared before sink_, so the file closes before its
         // temporary is removed.
         std::unique_ptr<AtomicPublish> publish_;
         FileSink sink_;
         std::string appendError_;
+        InstrMix failedMix_;  //!< records appended after the failure
     };
 
     /**
@@ -137,6 +143,15 @@ class TraceStore
      * cannot be created - the caller just records uncached.
      */
     std::unique_ptr<Recorder> startRecord(const std::string &key) const;
+
+    /**
+     * Publish @p trace, recorded for @p key, as the key's entry: the
+     * bytes a Recorder fed the same records commits, written under a
+     * temporary name and renamed into place.
+     * @throws std::runtime_error on any failure, leaving no entry and
+     * no temporary behind.
+     */
+    void publish(const std::string &key, const EncodedTrace &trace) const;
 
   private:
     std::string dir_;

@@ -893,6 +893,17 @@ TEST(CampaignCli, ReportHasNoMergeVerb)
     EXPECT_EQ(help.out.find("merge"), std::string::npos) << help.out;
 }
 
+TEST(ReportTool, VersionSelfReport)
+{
+    const RunResult v =
+        run(std::string(UASIM_REPORT_BIN) + " --version");
+    EXPECT_EQ(v.exit, 0);
+    EXPECT_NE(v.out.find("uasim-report"), std::string::npos);
+    // The self-report names the artifact schema it gates.
+    EXPECT_NE(v.out.find("uasim-bench-result"), std::string::npos);
+    EXPECT_NE(v.out.find("schema"), std::string::npos);
+}
+
 TEST(CampaignCli, ConcurrentWritersShareDirAndStore)
 {
     const std::string conf =

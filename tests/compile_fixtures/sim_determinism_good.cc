@@ -1,7 +1,7 @@
-// Known-good [sim-determinism]: deterministic code in a simulated
-// path, including near-miss identifiers the rule must not trip on
-// (a `time_` prefix member, "rand" inside a word and a comment, an
-// ordered map).
+// Compiles after the determinism prelude: deterministic simulated
+// code, including near-miss identifiers the poison must not trip on
+// (a `time_` prefix member, "rand" inside a word, an ordered map) and
+// the one clock the prelude provides.
 
 #include <cstdint>
 #include <map>
@@ -10,13 +10,15 @@
 struct ReplayState {
     std::uint64_t time_budget_cycles = 0;  // not a time() call
     std::map<std::string, int> index;      // ordered: iteration is stable
+    double wallSeconds = 0;
 };
 
-// The Turandot workload name contains "rand"; comments never match.
 inline std::uint64_t
 advance(ReplayState &st, std::uint64_t cycles)
 {
+    const auto t0 = uasim::core::WallClock::now();
     const std::string strand = "operand";  // identifiers neither
     st.time_budget_cycles += cycles + strand.size();
+    st.wallSeconds += uasim::core::secondsSince(t0);
     return st.time_budget_cycles;
 }

@@ -22,7 +22,8 @@
  *    and invalid tag bytes (same error message as decode()), and
  *    independent cursors over one reader;
  *  - EncodedTrace's in-memory payload is FileSink's payload byte for
- *    byte, and a cursor over it yields TraceReader's records and, over
+ *    byte, and published as a store entry it is FileSink's whole
+ *    file; a cursor over it yields TraceReader's records and, over
  *    every cut of the bytes, TraceReader's errors.
  */
 
@@ -718,7 +719,7 @@ TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
     // A recording pass must complete even when the write-through
     // target fills up: append() latches the failure, commit() throws
     // instead of publishing, and neither an entry nor its temporary
-    // file is left behind.
+    // file is left behind - nor by a publish() that fails.
     const std::string dir = tempPath("never_published");
     fs::remove_all(dir);
     ut::TraceStore store(dir);
@@ -736,7 +737,15 @@ TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
                     recorder->append(rec);
             }
         });
+        // The mix still counts every record, before and after the
+        // failure.
+        EXPECT_EQ(recorder->mix().total(), 40000 * recs.size());
         EXPECT_THROW(recorder->commit(), std::runtime_error);
+        // A published EncodedTrace fails the same way.
+        ut::EncodedTrace encoded;
+        for (int i = 0; i < 40000; ++i)
+            encoded.appendBlock(recs.data(), recs.size());
+        EXPECT_THROW(store.publish("k", encoded), std::runtime_error);
     }
     EXPECT_FALSE(fs::exists(store.entryPath("k")));
     EXPECT_TRUE(fs::is_empty(dir)) << "a temporary file was left behind";
@@ -1539,7 +1548,8 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
 {
     // A synthetic stream, a real kernel trace and worst-case records
     // spanning several FileSink flushes, appended one by one and as
-    // blocks.
+    // blocks. Published as a store entry, the whole file is
+    // FileSink's file.
     ut::TraceBuffer kernel;
     KernelBench({KernelId::Sad, 16, false}).recordTrace(Variant::Unaligned,
                                                         3, kernel);
@@ -1547,9 +1557,13 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
         syntheticRecords(), kernel.records(),
         worstCaseRecords(recordsPerFlush + 17), {}};
     const std::string path = tempPath("encoded_vs_file.uatrace");
+    const std::string dir = tempPath("encoded_store");
+    fs::remove_all(dir);
+    ut::TraceStore store(dir);
     for (const auto &recs : streams) {
         SCOPED_TRACE(std::to_string(recs.size()) + " records");
         writeTrace(path, "k", recs);
+        const std::string file = readAll(path);
         const std::string want = filePayload(path, "k");
         ut::EncodedTrace one, block;
         ut::InstrMix mix;
@@ -1563,9 +1577,12 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
             EXPECT_EQ(ut::wire::serializeMix(e->mix()),
                       ut::wire::serializeMix(mix));
             EXPECT_TRUE(payloadOf(*e) == want);
+            store.publish("k", *e);
+            EXPECT_TRUE(readAll(store.entryPath("k")) == file);
         }
     }
     std::remove(path.c_str());
+    fs::remove_all(dir);
 }
 
 TEST(EncodedTrace, CursorMatchesTraceReader)

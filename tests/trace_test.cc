@@ -150,17 +150,6 @@ TEST(Sinks, CountingSink)
     EXPECT_EQ(sink.mix().vecLoads(), 1u);
 }
 
-TEST(Sinks, TeeDuplicates)
-{
-    ut::CountingSink a;
-    ut::TraceBuffer b;
-    ut::TeeSink tee(a, b);
-    ut::Emitter em(tee);
-    em.emit(ut::InstrClass::IntAlu, std::source_location::current());
-    EXPECT_EQ(a.mix().total(), 1u);
-    EXPECT_EQ(b.records().size(), 1u);
-}
-
 TEST(TraceIo, RoundTrip)
 {
     std::string path = ::testing::TempDir() + "/uasim_trace_test.bin";

@@ -27,8 +27,8 @@
  * malformed campaign (including an out-of-range --shard).
  *
  * Like the campaign library itself, this tool is inside the
- * sim-determinism lint scope: chunk addressing and shard assignment
- * must stay wall-clock- and randomness-free.
+ * determinism scope (core/determinism.hh): chunk addressing and shard
+ * assignment must stay wall-clock- and randomness-free.
  */
 
 #include <cstdio>
