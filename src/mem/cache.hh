@@ -17,7 +17,7 @@ namespace uasim::mem {
 struct CacheConfig {
     std::string name = "cache";
     std::uint64_t size = 32 * 1024;   //!< total bytes
-    unsigned lineSize = 128;          //!< bytes per line (power of two)
+    unsigned lineSize = 128;          //!< bytes per line (power of two, >= 4)
     unsigned assoc = 2;               //!< ways per set
 
     auto operator<=>(const CacheConfig &) const = default;
@@ -46,6 +46,11 @@ struct CacheStats {
 class Cache
 {
   public:
+    /**
+     * @throws std::invalid_argument unless lineSize is a power of two
+     * of at least 4, assoc is nonzero and size / (lineSize * assoc)
+     * is a nonzero power of two.
+     */
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -74,12 +79,17 @@ class Cache
     }
 
   private:
+    /// Valid and dirty flags live in the top two bits of the tag word.
+    /// A tag is addr >> log2(lineSize) and lineSize >= 4, so no tag
+    /// reaches either bit.
+    static constexpr std::uint64_t validBit = std::uint64_t{1} << 63;
+    static constexpr std::uint64_t dirtyBit = std::uint64_t{1} << 62;
+
     struct Line {
-        std::uint64_t tag = 0;
+        std::uint64_t tagWord = 0;  //!< tag | validBit | dirtyBit
         std::uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
     };
+    static_assert(sizeof(Line) == 16);
 
     CacheConfig cfg_;
     CacheStats stats_;

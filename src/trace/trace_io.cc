@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <stdexcept>
 
 #include "trace/file_io.hh"
@@ -452,11 +454,11 @@ TraceReader::TraceReader(const std::string &path,
     key_ = std::move(fm.key);
     mix_ = fm.mix;
     count_ = fm.count;
-    payload_.resize(fm.payloadBytes);
-    if (file.read(payload_.data(), payload_.size()) != payload_.size())
+    payloadBytes_ = std::size_t(fm.payloadBytes);
+    payload_ = std::make_unique_for_overwrite<std::uint8_t[]>(payloadBytes_);
+    if (file.read(payload_.get(), payloadBytes_) != payloadBytes_)
         badTrace(path, "payload read failed");
-    if (wire::payloadHash(payload_.data(), payload_.size()) !=
-        fm.payloadHash)
+    if (wire::payloadHash(payload_.get(), payloadBytes_) != fm.payloadHash)
         badTrace(path, "payload checksum mismatch");
 }
 
@@ -529,14 +531,32 @@ EncodedTrace::append(const InstrRecord &rec)
 }
 
 void
+EncodedTrace::Free::operator()(std::uint8_t *p) const
+{
+    std::free(p);
+}
+
+void
+EncodedTrace::grow()
+{
+    const std::size_t want = std::max(2 * capacity_, std::size_t{4096});
+    void *p = std::realloc(bytes_.get(), want);
+    if (!p)
+        throw std::bad_alloc();
+    (void)bytes_.release();  // realloc already moved or freed it
+    bytes_.reset(static_cast<std::uint8_t *>(p));
+    capacity_ = want;
+}
+
+void
 EncodedTrace::appendBlock(const InstrRecord *recs, std::size_t n)
 {
     constexpr std::size_t maxBytes = wire::RecordEncoder::maxRecordBytes;
     for (std::size_t i = 0; i < n; ++i) {
-        if (bytes_.size() - fill_ < maxBytes)
-            bytes_.resize(std::max(2 * bytes_.size(), std::size_t{4096}));
-        fill_ = std::size_t(encoder_.encode(recs[i], bytes_.data() + fill_) -
-                            bytes_.data());
+        if (capacity_ - fill_ < maxBytes)
+            grow();
+        std::uint8_t *base = bytes_.get();
+        fill_ = std::size_t(encoder_.encode(recs[i], base + fill_) - base);
         mix_.add(recs[i]);
     }
     count_ += n;

@@ -52,7 +52,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "trace/instr.hh"
 #include "trace/mix.hh"
@@ -365,10 +364,19 @@ class TraceCursor
  * entry on a miss (TraceStore::publish) and replays every pass
  * through a cursor(), exactly as it replays a TraceReader from the
  * store.
+ *
+ * The payload lives in one malloc'd block whose capacity doubles
+ * through std::realloc: no byte past the encoded ones is ever
+ * written, and a block the allocator has mmap'd grows by remapping
+ * rather than copying, so resident memory follows payloadBytes().
  */
 class EncodedTrace : public TraceSink
 {
   public:
+    EncodedTrace() = default;
+    EncodedTrace(const EncodedTrace &) = delete;
+    EncodedTrace &operator=(const EncodedTrace &) = delete;
+
     void append(const InstrRecord &rec) override;
     void appendBlock(const InstrRecord *recs, std::size_t n) override;
 
@@ -381,8 +389,8 @@ class EncodedTrace : public TraceSink
     /// Encoded payload length in bytes.
     std::uint64_t payloadBytes() const { return fill_; }
 
-    /// The encoded payload, payloadBytes() long.
-    const std::uint8_t *payload() const { return bytes_.data(); }
+    /// The encoded payload, payloadBytes() long (null while empty).
+    const std::uint8_t *payload() const { return bytes_.get(); }
 
     /**
      * A fresh decode pass positioned at the first record. The cursor
@@ -392,12 +400,21 @@ class EncodedTrace : public TraceSink
     TraceCursor
     cursor() const
     {
-        return TraceCursor(bytes_.data(), fill_, count_, "encoded trace");
+        return TraceCursor(bytes_.get(), fill_, count_, "encoded trace");
     }
 
   private:
-    std::vector<std::uint8_t> bytes_;  //!< capacity; fill_ bytes used
-    std::size_t fill_ = 0;
+    struct Free {
+        void operator()(std::uint8_t *p) const;
+    };
+
+    /// Double the capacity (at least 4 KiB) with std::realloc.
+    /// @throws std::bad_alloc when the allocator refuses.
+    void grow();
+
+    std::unique_ptr<std::uint8_t, Free> bytes_;  //!< capacity_ bytes
+    std::size_t capacity_ = 0;
+    std::size_t fill_ = 0;  //!< bytes of bytes_ in use
     wire::RecordEncoder encoder_;
     InstrMix mix_;
     std::uint64_t count_ = 0;
@@ -443,7 +460,7 @@ class TraceReader
     const InstrMix &mix() const { return mix_; }
 
     /// Payload length in bytes (the compressed record stream).
-    std::uint64_t payloadBytes() const { return payload_.size(); }
+    std::uint64_t payloadBytes() const { return payloadBytes_; }
 
     /**
      * A fresh, independent decode pass positioned at the first
@@ -453,14 +470,17 @@ class TraceReader
      */
     TraceCursor cursor() const
     {
-        return TraceCursor(payload_.data(), payload_.size(), count_, path_);
+        return TraceCursor(payload_.get(), payloadBytes_, count_, path_);
     }
 
   private:
     std::string path_;
     std::string key_;
     InstrMix mix_;
-    std::vector<std::uint8_t> payload_;  //!< checksum-verified payload
+    /// Checksum-verified payload, payloadBytes_ long; read straight
+    /// from the file into uninitialized storage.
+    std::unique_ptr<std::uint8_t[]> payload_;
+    std::size_t payloadBytes_ = 0;
     std::uint64_t count_ = 0;
 };
 

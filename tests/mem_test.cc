@@ -5,10 +5,94 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 
 using namespace uasim::mem;
+
+namespace {
+
+/**
+ * Plain true-LRU, write-back, write-allocate reference: each set is a
+ * list of (line number, dirty) pairs, least recent first. Nothing is
+ * packed, so it is the specification the packed Cache must follow.
+ */
+class ReferenceLru
+{
+  public:
+    explicit ReferenceLru(const CacheConfig &cfg)
+        : lineSize_(cfg.lineSize), assoc_(cfg.assoc),
+          sets_(cfg.size / (std::uint64_t{cfg.lineSize} * cfg.assoc))
+    {
+    }
+
+    bool
+    resident(std::uint64_t addr) const
+    {
+        const std::uint64_t line = addr / lineSize_;
+        for (const Entry &e : sets_[line % sets_.size()]) {
+            if (e.line == line)
+                return true;
+        }
+        return false;
+    }
+
+    bool
+    access(std::uint64_t addr, bool is_write)
+    {
+        ++stats.accesses;
+        const std::uint64_t line = addr / lineSize_;
+        std::vector<Entry> &set = sets_[line % sets_.size()];
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->line == line) {
+                Entry e = *it;
+                e.dirty = e.dirty || is_write;
+                set.erase(it);
+                set.push_back(e);
+                ++stats.hits;
+                return true;
+            }
+        }
+        ++stats.misses;
+        if (set.size() == assoc_) {
+            stats.writebacks += set.front().dirty;
+            set.erase(set.begin());
+        }
+        set.push_back({line, is_write});
+        return false;
+    }
+
+    CacheStats stats;
+
+  private:
+    struct Entry {
+        std::uint64_t line;
+        bool dirty;
+    };
+
+    std::uint64_t lineSize_;
+    std::size_t assoc_;
+    std::vector<std::vector<Entry>> sets_;
+};
+
+std::string
+rejection(const CacheConfig &cfg)
+{
+    try {
+        Cache c(cfg);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return {};
+}
+
+} // namespace
 
 TEST(Cache, GeometryDerivation)
 {
@@ -71,6 +155,92 @@ TEST(Cache, FlushInvalidates)
     c.access(0x2000, false);
     c.flush();
     EXPECT_FALSE(c.probe(0x2000));
+}
+
+TEST(Cache, SmallestLineSizeIsAccepted)
+{
+    Cache c({"tiny", 64, 4, 2});
+    EXPECT_EQ(c.numSets(), 8u);
+    EXPECT_EQ(c.lineAddr(0x17), 0x14u);
+}
+
+TEST(Cache, RejectsLineSizeNotPowerOfTwo)
+{
+    EXPECT_NE(rejection({"L1", 32 * 1024, 96, 2}).find("lineSize 96"),
+              std::string::npos);
+    EXPECT_NE(rejection({"L1", 32 * 1024, 0, 2}), "");
+}
+
+TEST(Cache, RejectsLineSizeBelowFour)
+{
+    EXPECT_NE(rejection({"L1", 32 * 1024, 2, 2}).find("lineSize 2"),
+              std::string::npos);
+    EXPECT_NE(rejection({"L1", 32 * 1024, 1, 2}), "");
+}
+
+TEST(Cache, RejectsZeroAssoc)
+{
+    EXPECT_NE(rejection({"L1", 32 * 1024, 128, 0}).find("assoc is 0"),
+              std::string::npos);
+}
+
+TEST(Cache, RejectsZeroSets)
+{
+    // One 2-way set of 128-byte lines needs 256 bytes.
+    EXPECT_NE(rejection({"L1", 255, 128, 2}).find("set count 0"),
+              std::string::npos);
+}
+
+TEST(Cache, RejectsSetCountNotPowerOfTwo)
+{
+    const std::string why = rejection({"L2", 3 * 1024, 128, 2});
+    EXPECT_NE(why.find("set count 12"), std::string::npos) << why;
+    EXPECT_NE(why.find("\"L2\""), std::string::npos) << why;
+}
+
+TEST(Cache, MatchesReferenceLru)
+{
+    // Seeded random streams over a pool of lines per geometry, with
+    // aliases that differ from another pool line only in address bits
+    // 60-63: a tag that lost any of them would hit where the
+    // reference misses.
+    const std::vector<CacheConfig> geometries = {
+        {"line4", 64, 4, 2},         {"direct", 256, 16, 1},
+        {"l1d", 32 * 1024, 128, 2},  {"l2", 1024 * 1024, 128, 8},
+        {"wide", 4096, 64, 4},       {"fullyAssoc", 256, 32, 8},
+        {"line8", 512, 8, 8},
+    };
+    for (const CacheConfig &cfg : geometries) {
+        SCOPED_TRACE(cfg.name);
+        Cache cache(cfg);
+        ReferenceLru ref(cfg);
+        std::mt19937_64 rng(0x5eed ^ cfg.size ^ cfg.lineSize);
+        const std::uint64_t lines = cfg.size / cfg.lineSize;
+        std::vector<std::uint64_t> pool;
+        for (std::uint64_t i = 0; i < 3 * lines; ++i) {
+            const std::uint64_t line = rng() % (8 * lines);
+            pool.push_back(line * cfg.lineSize);
+            pool.push_back(pool.back() ^ (std::uint64_t(1 + rng() % 15) << 60));
+        }
+        std::uint64_t hits = 0;
+        for (int i = 0; i < 200000; ++i) {
+            const std::uint64_t addr =
+                pool[rng() % pool.size()] + rng() % cfg.lineSize;
+            const bool is_write = rng() % 3 == 0;
+            ASSERT_EQ(cache.probe(addr), ref.resident(addr)) << "access " << i;
+            const bool hit = cache.access(addr, is_write);
+            ASSERT_EQ(hit, ref.access(addr, is_write))
+                << "access " << i << " addr " << std::hex << addr;
+            hits += hit;
+        }
+        EXPECT_GT(hits, 0u);
+        EXPECT_LT(hits, 200000u);
+        EXPECT_EQ(cache.stats().accesses, ref.stats.accesses);
+        EXPECT_EQ(cache.stats().hits, ref.stats.hits);
+        EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+        EXPECT_EQ(cache.stats().writebacks, ref.stats.writebacks);
+        EXPECT_GT(ref.stats.writebacks, 0u);
+    }
 }
 
 TEST(Hierarchy, LatencyLevels)

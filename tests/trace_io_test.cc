@@ -1546,25 +1546,33 @@ drainError(ut::TraceCursor cur)
 
 TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
 {
-    // A synthetic stream, a real kernel trace and worst-case records
-    // spanning several FileSink flushes, appended one by one and as
-    // blocks. Published as a store entry, the whole file is
-    // FileSink's file.
+    // A synthetic stream, a real kernel trace, worst-case records
+    // spanning several FileSink flushes and a worst-case stream whose
+    // payload passes 8 MiB (a dozen capacity doublings from 4 KiB),
+    // appended one by one and as blocks. Published as a store entry,
+    // the whole file is FileSink's file, and a cursor decodes every
+    // record.
+    constexpr std::size_t bigPayload = std::size_t{8} << 20;
     ut::TraceBuffer kernel;
     KernelBench({KernelId::Sad, 16, false}).recordTrace(Variant::Unaligned,
                                                         3, kernel);
     const std::vector<std::vector<ut::InstrRecord>> streams = {
         syntheticRecords(), kernel.records(),
-        worstCaseRecords(recordsPerFlush + 17), {}};
+        worstCaseRecords(recordsPerFlush + 17),
+        worstCaseRecords(bigPayload / ut::wire::RecordEncoder::maxRecordBytes +
+                         1001),
+        {}};
     const std::string path = tempPath("encoded_vs_file.uatrace");
     const std::string dir = tempPath("encoded_store");
     fs::remove_all(dir);
     ut::TraceStore store(dir);
+    std::size_t largest = 0;
     for (const auto &recs : streams) {
         SCOPED_TRACE(std::to_string(recs.size()) + " records");
         writeTrace(path, "k", recs);
         const std::string file = readAll(path);
         const std::string want = filePayload(path, "k");
+        largest = std::max(largest, want.size());
         ut::EncodedTrace one, block;
         ut::InstrMix mix;
         for (const auto &rec : recs) {
@@ -1579,8 +1587,16 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
             EXPECT_TRUE(payloadOf(*e) == want);
             store.publish("k", *e);
             EXPECT_TRUE(readAll(store.entryPath("k")) == file);
+            ut::TraceCursor cur = e->cursor();
+            ut::InstrRecord rec;
+            std::size_t i = 0;
+            while (cur.next(rec) && i < recs.size() && !HasFailure())
+                expectRecordEqual(recs[i++], rec);
+            EXPECT_EQ(i, recs.size());
+            EXPECT_EQ(cur.read(), recs.size());
         }
     }
+    EXPECT_GT(largest, bigPayload);
     std::remove(path.c_str());
     fs::remove_all(dir);
 }
