@@ -271,7 +271,6 @@ KernelBench::verifyVariants(int iters)
     for (int iter = 0; iter < iters; ++iter) {
         IterParams p = im.params(iter);
         const int stride = im.src.stride();
-        const int dstride = im.dst.stride();
 
         // Reference output region.
         video::Plane golden(planeDim, planeDim);
@@ -360,7 +359,6 @@ KernelBench::verifyVariants(int iters)
                 }
             }
         }
-        (void)dstride;
     }
     return true;
 }

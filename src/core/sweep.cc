@@ -110,69 +110,19 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     std::vector<SweepCellResult> results(plan.cells().size());
 
     // Group workers: one per trace group, capped by the group count.
-    // Thread budget the group level cannot use (fewer groups than
-    // threads - the single-big-group shape) is spent *inside* the
-    // groups as replay shards, so --threads N engages N workers
-    // either way.
     const int poolSize =
         std::max(1, std::min<int>(threads_, int(groups.size())));
-    const int shardBudget = std::max(1, threads_ / poolSize);
 
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> abortRun{false};
-    // Shards, groups and workers each accumulate a SweepStats of
-    // their own; threads is set from the widest shard fan-out at the
-    // end.
+    // Groups and workers each accumulate a SweepStats of their own.
     std::mutex totalsMutex;
     SweepStats totals;
-    int widestShards = 1;
     std::exception_ptr firstError;
     std::mutex errorMutex;
 
     auto worker = [&]() {
         SweepStats local;
-        int widest = 1;
-
-        // Run fn(shard, shardTotals) on nShards shards: shard 0 on
-        // this thread, the rest on short-lived threads. Shard totals
-        // merge into @p into only when every shard succeeded; the
-        // first shard exception rethrows here with no partial
-        // accounting.
-        auto runShards = [&widest](SweepStats &into, int nShards,
-                                   auto &&fn) {
-            if (nShards <= 1) {
-                fn(0, into);
-                return;
-            }
-            std::vector<SweepStats> shardTotals(nShards);
-            std::vector<std::exception_ptr> shardErrors(nShards);
-            std::vector<std::thread> shardPool;
-            shardPool.reserve(nShards - 1);
-            for (int k = 1; k < nShards; ++k) {
-                shardPool.emplace_back([&, k] {
-                    try {
-                        fn(k, shardTotals[k]);
-                    } catch (...) {
-                        shardErrors[k] = std::current_exception();
-                    }
-                });
-            }
-            try {
-                fn(0, shardTotals[0]);
-            } catch (...) {
-                shardErrors[0] = std::current_exception();
-            }
-            for (auto &t : shardPool)
-                t.join();
-            for (auto &e : shardErrors) {
-                if (e)
-                    std::rethrow_exception(e);
-            }
-            for (const SweepStats &st : shardTotals)
-                addStats(into, st);
-            widest = std::max(widest, nShards);
-        };
-
         try {
             for (;;) {
                 // Stop the whole pool at the first failure instead of
@@ -186,10 +136,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 const TraceGroup &group = groups[gi];
                 const TraceJob &job = plan.traces()[group.trace];
 
-                // The group's timing cells, in plan order (the shard
-                // split below partitions their distinct configs
-                // contiguously, so the result layout never depends on
-                // shard count).
+                // The group's timing cells, in plan order.
                 std::vector<int> timingCis;
                 std::vector<timing::CoreConfig> timingCfgs;
                 for (int ci : group.cellIndices) {
@@ -241,16 +188,12 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                 // config whose pipeline twin (timing::pipelineTwin) is
                 // among them waits for a second pass: it copies the
                 // twin's result when no load blocked on an older store
-                // in the twin, and is simulated otherwise. Spare
-                // thread budget splits each pass's configs
-                // contiguously across shards, each running one batched
-                // model pass that decodes the whole stream through its
-                // own copy of @p start. Cells are mutually independent,
-                // so any split fills identical results
-                // (tests/sweep_test.cc); only pass count and wall time
-                // differ. Totals reach the worker's only once every
-                // pass succeeded, so a caller that falls back to
-                // re-recording starts from a clean slate.
+                // in the twin, and is simulated otherwise. Each pass is
+                // one batched model pass that decodes the whole stream
+                // through its own copy of @p start. Totals reach the
+                // worker's only once every pass succeeded, so a caller
+                // that falls back to re-recording starts from a clean
+                // slate.
                 auto replayCells = [&](const trace::InstrMix &traceMix,
                                        const trace::TraceCursor &start) {
                     firstCellOf.clear();
@@ -293,64 +236,53 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                         return results[timingCis[firstCellOf[d]]].sim;
                     };
                     SweepStats groupTotals;
-                    // A temporary, freed before the replay (see above).
-                    auto configsOf = [&](std::size_t lo, std::size_t hi) {
-                        std::vector<timing::CoreConfig> cfgs;
-                        cfgs.reserve(hi - lo);
-                        for (std::size_t p = lo; p < hi; ++p) {
-                            cfgs.push_back(
-                                canonical[firstCellOf[passList[p]]]);
-                        }
-                        return cfgs;
-                    };
                     // One replay pass over passList's distinct configs.
                     auto simulatePass = [&] {
-                        const std::size_t n = passList.size();
-                        const int nShards =
-                            std::min<int>(shardBudget, int(n));
-                        runShards(groupTotals, nShards, [&](int k,
-                                                            SweepStats &lt) {
-                            const std::size_t lo =
-                                n * std::size_t(k) / nShards;
-                            const std::size_t hi =
-                                n * std::size_t(k + 1) / nShards;
-                            auto t0 = WallClock::now();
-                            auto batch = timing::makeBatchedTimingModel(
-                                configsOf(lo, hi));
-                            trace::TraceCursor cur = start;
-                            trace::InstrRecord block[1024];
-                            for (;;) {
-                                auto d0 = WallClock::now();
-                                const std::size_t got =
-                                    cur.nextBlock(block, std::size(block));
-                                lt.decodeSeconds += secondsSince(d0);
-                                if (got == 0)
-                                    break;
-                                batch->appendBlock(block, got);
-                            }
-                            lt.decodeBytes += start.payloadBytes();
-                            auto sims = batch->finalizeAll();
-                            for (std::size_t p = lo; p < hi; ++p) {
-                                const std::size_t d = passList[p];
-                                const auto &work = batch->work(int(p - lo));
-                                blockedOf[d] = work.blockedLoads;
-                                lt.blockedLoads += work.blockedLoads;
-                                lt.executedCycles += work.executedCycles;
-                                lt.idleJumpedCycles += work.idleJumpedCycles;
-                                lt.issueAttempts += work.issueAttempts;
-                                lt.producerWaits += work.producerWaits;
-                                lt.tokenWaits += work.tokenWaits;
-                                lt.portWaits += work.portWaits;
-                                lt.storeWaits += work.storeWaits;
-                                lt.mshrWaits += work.mshrWaits;
-                                lt.wakeSkips += work.wakeSkips;
-                                lt.watcherFlushes += work.watcherFlushes;
-                                simOf(d) = std::move(sims[p - lo]);
-                            }
-                            lt.replaySeconds += secondsSince(t0);
-                            lt.cellsSimulated += hi - lo;
-                            ++lt.replayPasses;
-                        });
+                        auto t0 = WallClock::now();
+                        std::unique_ptr<timing::BatchedPipelineSim> batch;
+                        {
+                            // A temporary, freed before the replay (see
+                            // above).
+                            std::vector<timing::CoreConfig> cfgs;
+                            cfgs.reserve(passList.size());
+                            for (std::size_t d : passList)
+                                cfgs.push_back(canonical[firstCellOf[d]]);
+                            batch = timing::makeBatchedTimingModel(cfgs);
+                        }
+                        trace::TraceCursor cur = start;
+                        trace::InstrRecord block[1024];
+                        for (;;) {
+                            auto d0 = WallClock::now();
+                            const std::size_t got =
+                                cur.nextBlock(block, std::size(block));
+                            groupTotals.decodeSeconds += secondsSince(d0);
+                            if (got == 0)
+                                break;
+                            batch->appendBlock(block, got);
+                        }
+                        groupTotals.decodeBytes += start.payloadBytes();
+                        auto sims = batch->finalizeAll();
+                        for (std::size_t p = 0; p < passList.size(); ++p) {
+                            const std::size_t d = passList[p];
+                            const auto &work = batch->work(int(p));
+                            blockedOf[d] = work.blockedLoads;
+                            groupTotals.blockedLoads += work.blockedLoads;
+                            groupTotals.executedCycles += work.executedCycles;
+                            groupTotals.idleJumpedCycles +=
+                                work.idleJumpedCycles;
+                            groupTotals.issueAttempts += work.issueAttempts;
+                            groupTotals.producerWaits += work.producerWaits;
+                            groupTotals.tokenWaits += work.tokenWaits;
+                            groupTotals.portWaits += work.portWaits;
+                            groupTotals.storeWaits += work.storeWaits;
+                            groupTotals.mshrWaits += work.mshrWaits;
+                            groupTotals.wakeSkips += work.wakeSkips;
+                            groupTotals.watcherFlushes += work.watcherFlushes;
+                            simOf(d) = std::move(sims[p]);
+                        }
+                        groupTotals.replaySeconds += secondsSince(t0);
+                        groupTotals.cellsSimulated += passList.size();
+                        ++groupTotals.replayPasses;
                     };
                     simulatePass();
                     // Pass 2: the "ooo" configs whose twin saw a load
@@ -489,7 +421,6 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
         }
         std::lock_guard<std::mutex> lock(totalsMutex);
         addStats(totals, local);
-        widestShards = std::max(widestShards, widest);
     };
 
     if (poolSize <= 1) {
@@ -506,7 +437,7 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
         std::rethrow_exception(firstError);
 
     stats_ = totals;
-    stats_.threads = poolSize * widestShards;
+    stats_.threads = poolSize;
     stats_.wallSeconds = secondsSince(wallStart);
     return results;
 }

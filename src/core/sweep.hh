@@ -8,12 +8,11 @@
  * strategy loop, a decoder-stage microbenchmark) and a set of core
  * configurations, plus the cells of the grid to evaluate. The runner
  * records each referenced trace exactly once (keyed cache), replays
- * it into all of the trace's timing cells with one batched pass per
- * cell shard (built through the timing::makeBatchedTimingModel
- * factory, so the runner never names a concrete backend), and shards
- * the work across a thread pool. Results land in
- * cell order regardless of scheduling, so reports are byte-identical
- * from 1 thread to N.
+ * it into all of the trace's timing cells with one batched pass
+ * (built through the timing::makeBatchedTimingModel factory, so the
+ * runner never names a concrete backend), and spreads the trace
+ * groups over a thread pool. Results land in cell order regardless of
+ * scheduling, so reports are byte-identical from 1 thread to N.
  *
  * With a persistent store attached (attachStore), "once" extends
  * across processes: each cacheable trace job probes the store first,
@@ -151,8 +150,8 @@ struct SweepCellResult {
  * member without a row does not compile.
  */
 struct SweepStats {
-    /// Maximum worker concurrency of the run: group workers times the
-    /// widest intra-group replay-shard fan-out used (informational).
+    /// Group workers of the run: min(threads, trace groups), at
+    /// least 1 (informational).
     int threads = 0;
     std::uint64_t tracesRecorded = 0;  //!< traces obtained by emulation
     std::uint64_t tracesLoaded = 0;    //!< traces replayed from the store
@@ -165,13 +164,8 @@ struct SweepStats {
      * Batched replay passes that fed timing simulators. Each timing
      * group runs a first pass, and a second one when some of its
      * "ooo" cells cannot copy their pipeline twin (see twinCopies).
-     * Each pass runs once per replay shard: spare thread budget splits
-     * a pass's cells across up to min(threads, cells) shards, each
-     * running its own pass - 1 when the sweep has at least as many
-     * groups as threads. Mix-only groups contribute none.
-     * Informational (it describes how the run executed, not what was
-     * simulated): instrsReplayed stays the summed trace length over
-     * all timing cells at any shard count.
+     * Mix-only groups contribute none. Independent of the thread
+     * count; informational.
      */
     std::uint64_t replayPasses = 0;
     /**
@@ -219,17 +213,17 @@ struct SweepStats {
     std::uint64_t watcherFlushes = 0;
     /**
      * Encoded UATRACE3 payload bytes run through the block decoder,
-     * summed over every decode pass (a trace decoded by S shards
-     * counts S times - the honest amount of decode work done). Every
-     * replay pass decodes, whether its payload came from the store or
-     * was just recorded, with or without a store. Informational.
+     * summed over every replay pass: each pass decodes its group's
+     * whole payload, whether it came from the store or was just
+     * recorded, with or without a store. Independent of the thread
+     * count; informational.
      */
     std::uint64_t decodeBytes = 0;
     double recordSeconds = 0;  //!< pure record passes, summed across workers
-    double replaySeconds = 0;  //!< replay passes, summed across shards
+    double replaySeconds = 0;  //!< replay passes, summed across workers
     double loadSeconds = 0;    //!< mix-only store reads, summed across workers
     /// Time inside TraceCursor::nextBlock during replay, summed
-    /// across all shards (a subset of replaySeconds).
+    /// across workers (a subset of replaySeconds).
     double decodeSeconds = 0;
     double wallSeconds = 0;
 };
@@ -241,12 +235,12 @@ struct SweepStats {
  * it): the worker obtains the trace's encoded payload once - a store
  * entry on a hit, else a recording into a trace::EncodedTrace (whose
  * bytes become the store entry on a miss) - replays it into every
- * cell's simulator through one TraceCursor per pass and shard, frees
- * it, and moves on. Store hits, misses and storeless runs share that
- * one replay path. Groups are
- * sharded over the pool with an atomic cursor; results are written
- * into preallocated cell slots, so output order is deterministic and
- * thread-count independent.
+ * cell's simulator through one TraceCursor per pass, frees it, and
+ * moves on. Store hits, misses and storeless runs share that one
+ * replay path. Groups are handed to the pool's min(threads, groups)
+ * workers through an atomic cursor, and each pass runs on its
+ * group's worker; results are written into preallocated cell slots,
+ * so output order is deterministic and thread-count independent.
  *
  * Before replay, each timing cell's config is validated and then
  * canonicalized against the group's instruction mix
@@ -255,15 +249,6 @@ struct SweepStats {
  * SimResult::core. An "ooo" config whose pipeline twin is also in the
  * group copies the twin's result when no load of the twin blocked on
  * an older store, and is simulated in a second pass otherwise.
- *
- * When the plan has fewer groups than threads, the spare budget is
- * spent *inside* multi-cell groups: a group's timing cells split
- * across up to min(threads, cells) replay shards, each running its
- * own decode/replay pass (cells are mutually independent, so the
- * split is bit-identical to one pass - tests/sweep_test.cc locks it).
- * The split covers the distinct canonical configs of each pass only.
- * A single-big-group sweep therefore uses the full --threads
- * allowance instead of one thread.
  */
 class SweepRunner
 {
@@ -300,7 +285,6 @@ class SweepRunner
     {
         timingModel_ = std::move(model);
     }
-    const std::string &timingModel() const { return timingModel_; }
 
     /**
      * Per-trace completion callback: invoked on the worker thread that

@@ -29,12 +29,6 @@ struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t writebacks = 0;
-
-    double
-    missRate() const
-    {
-        return accesses ? double(misses) / double(accesses) : 0.0;
-    }
 };
 
 /**

@@ -31,8 +31,6 @@ class Emitter
 
     explicit Emitter(TraceSink &sink) : sink_(&sink) {}
 
-    /// Redirect the stream to a different sink.
-    void setSink(TraceSink &sink) { sink_ = &sink; }
     TraceSink &sink() const { return *sink_; }
 
     /**

@@ -126,8 +126,6 @@ struct InstrRecord {
     bool isLoad() const { return isLoadClass(cls); }
     /// True if this record is a store.
     bool isStore() const { return isStoreClass(cls); }
-    /// True if this record's address is 16B-aligned.
-    bool alignedTo16() const { return (addr & 0xf) == 0; }
 };
 
 } // namespace uasim::trace

@@ -296,8 +296,8 @@ struct TraceKeyMismatch : std::runtime_error {
  * name for error text.
  *
  * A cursor owns its own decoder state and position, so any number of
- * cursors (e.g. one per replay shard) can walk the same payload
- * concurrently without copying it, and copying a cursor forks an
+ * cursors (e.g. one per replay pass) can walk the same payload, even
+ * concurrently, without copying it, and copying a cursor forks an
  * independent pass from its position. Decoding is read-only on the
  * shared bytes; the only mutable state is inside the cursor itself.
  * The bytes (a TraceReader's or an EncodedTrace's) must outlive every

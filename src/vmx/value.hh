@@ -65,7 +65,6 @@ struct Vec {
     /// @{
     std::uint8_t u8(int i) const { return b[i]; }
     std::int8_t s8(int i) const { return static_cast<std::int8_t>(b[i]); }
-    void setU8(int i, std::uint8_t x) { b[i] = x; }
 
     std::uint16_t
     u16(int i) const

@@ -6,8 +6,8 @@
  *  - the runner's single- and multi-cell groups, cold and warm store,
  *    match one PipelineSim oracle per cell over the full counter
  *    table;
- *  - results and SweepStats cell/instruction counts are identical for
- *    1 and N worker threads;
+ *  - results and every SweepStats counter are identical for 1 and N
+ *    worker threads, and the group pool is min(N, groups) workers;
  *  - duplicate addTrace keys dedupe to one recording;
  *  - a group with one timing cell still populates every mix-only cell
  *    and accounts its instructions as both recorded and replayed;
@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -40,6 +41,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -132,62 +134,6 @@ TEST(SweepPlan, AddTraceDedupesKeys)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0].traceKey, "dup");
     EXPECT_EQ(results[1].traceKey, "dup");
-}
-
-TEST(SweepRunner, ResultsAndStatsThreadCountInvariant)
-{
-    const KernelSpec specs[] = {
-        {KernelId::Sad, 16, false},
-        {KernelId::LumaMc, 8, false},
-        {KernelId::Idct, 4, false},
-    };
-    const int execs = 4;
-
-    auto makePlan = [&]() {
-        SweepPlan plan;
-        plan.addConfig("2w", timing::CoreConfig::twoWayInOrder());
-        plan.addConfig("4w", timing::CoreConfig::fourWayOoO());
-        for (const auto &spec : specs) {
-            for (auto variant : {Variant::Altivec, Variant::Unaligned}) {
-                int t = plan.addTrace(
-                    core::kernelTraceJob(spec, variant, execs));
-                plan.addCell(t, 0);
-                plan.addCell(t, 1);
-                plan.addCell(t, SweepCell::mixOnly);
-            }
-        }
-        return plan;
-    };
-
-    auto planA = makePlan();
-    auto planB = makePlan();
-    SweepRunner one(1);
-    SweepRunner four(4);
-    auto a = one.run(planA);
-    auto b = four.run(planB);
-    EXPECT_EQ(one.threads(), 1);
-    EXPECT_EQ(four.threads(), 4);
-
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].traceKey, b[i].traceKey);
-        EXPECT_EQ(a[i].configLabel, b[i].configLabel);
-        EXPECT_EQ(a[i].traceInstrs, b[i].traceInstrs);
-        expectSimEqual(a[i].sim, b[i].sim);
-        expectMixEqual(a[i].mix, b[i].mix);
-    }
-
-    const auto &sa = one.stats();
-    const auto &sb = four.stats();
-    EXPECT_EQ(sa.threads, 1);
-    EXPECT_GT(sb.threads, 1);
-    EXPECT_EQ(sa.tracesRecorded, sb.tracesRecorded);
-    EXPECT_EQ(sa.cellsRun, sb.cellsRun);
-    EXPECT_EQ(sa.instrsRecorded, sb.instrsRecorded);
-    EXPECT_EQ(sa.instrsReplayed, sb.instrsReplayed);
-    EXPECT_EQ(sa.cellsRun, std::uint64_t(planA.cells().size()));
-    EXPECT_EQ(sa.tracesRecorded,
-              std::uint64_t(planA.traces().size()));
 }
 
 TEST(SweepRunner, SingleTimingCellGroupPopulatesAllCells)
@@ -466,8 +412,8 @@ corruptRecordStream(const trace::TraceStore &store, const std::string &key)
     EXPECT_THROW(reader->cursor().next(rec), std::runtime_error);
 }
 
-/// One SAD trace replayed into four configs: at 4 threads the single
-/// group spends the whole budget on four replay shards.
+/// One SAD trace replayed into four configs: one group, so one worker
+/// at any thread count.
 SweepPlan
 makeSingleGroupPlan()
 {
@@ -508,7 +454,8 @@ TEST(SweepStore, MidDecodeCorruptionFallsBackToRecordingAndHeals)
         expectResultsEqual(inMemory, heal.run(c.plan()));
         EXPECT_EQ(heal.stats().tracesRecorded, 1u);
         EXPECT_EQ(heal.stats().tracesStored, 1u);
-        EXPECT_EQ(heal.stats().threads, c.threads);
+        EXPECT_EQ(heal.stats().threads,
+                  std::min(c.threads, int(c.plan().traces().size())));
 
         // The re-recorded entry decodes end to end again.
         auto reader = cold.store()->openReader(victim);
@@ -618,7 +565,7 @@ TEST(SweepOracle, SingleAndMultiCellGroupsColdAndWarmMatchPipelineSim)
     EXPECT_EQ(warm.stats().tracesRecorded, 0u);
     EXPECT_EQ(warm.stats().tracesLoaded, 4u);
 
-    // A group pool plus sharded warm replay agree too.
+    // A group pool agrees too.
     SweepRunner warm4(4);
     warm4.attachStore(dir.path);
     expectMatchesOracle(want, warm4.run(plan));
@@ -630,7 +577,7 @@ TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
     // each one batched pass (none has an "ooo" cell, so none needs a
     // second pass), plus a mix-only group that replays nothing -
     // whether the records came from emulation or the store, and at any
-    // group-pool size that leaves no spare shard budget.
+    // thread count.
     StoreDir dir("passes");
     const SweepPlan plan = makeStorePlan();
     SweepRunner cold(1);
@@ -665,15 +612,38 @@ TEST(SweepOracle, OneReplayPassPerTimingGroupColdAndWarm)
     EXPECT_EQ(mixRunner.stats().instrsReplayed, 0u);
 }
 
-// ---- intra-group cell sharding (single big group) ----
+// ---- thread-count invariance ----
 
 namespace {
 
-/// One trace group, 16 timing cells: the worst case for group-level
-/// parallelism (pool collapses to one worker) and the best case for
-/// intra-group cell sharding. The 16 configs are pairwise distinct
-/// (each preset at eight load latencies), so none of them collapse
-/// into another and every shard has cells to simulate.
+/// Six traces, each replayed into two configs and read for its mix:
+/// more groups than threads, so every worker of the pool has work.
+SweepPlan
+makeSixGroupPlan()
+{
+    const KernelSpec specs[] = {
+        {KernelId::Sad, 16, false},
+        {KernelId::LumaMc, 8, false},
+        {KernelId::Idct, 4, false},
+    };
+    SweepPlan plan;
+    plan.addConfig("2w", timing::CoreConfig::twoWayInOrder());
+    plan.addConfig("4w", timing::CoreConfig::fourWayOoO());
+    for (const auto &spec : specs) {
+        for (auto variant : {Variant::Altivec, Variant::Unaligned}) {
+            int t = plan.addTrace(core::kernelTraceJob(spec, variant, 4));
+            plan.addCell(t, 0);
+            plan.addCell(t, 1);
+            plan.addCell(t, SweepCell::mixOnly);
+        }
+    }
+    return plan;
+}
+
+/// One trace group, 16 timing cells: the pool collapses to one worker
+/// at any thread count. The 16 configs are pairwise distinct (each
+/// preset at eight load latencies), so none of them collapse into
+/// another.
 SweepPlan
 makeSingleBigGroupPlan()
 {
@@ -695,69 +665,44 @@ makeSingleBigGroupPlan()
 
 } // namespace
 
-TEST(SweepSharding, SingleBigGroupUsesFullThreadBudget)
+TEST(SweepRunner, ResultsAndStatsThreadCountInvariant)
 {
-    // Before sharding, a 1-group sweep at --threads 8 ran on one
-    // thread (the pool is sized by group count). Now the group's 16
-    // cells split across min(threads, cells) replay shards - more
-    // than one worker must participate, bit-identically.
-    SweepRunner one(1);
-    SweepRunner eight(8);
-    auto a = one.run(makeSingleBigGroupPlan());
-    auto b = eight.run(makeSingleBigGroupPlan());
-    expectResultsEqual(a, b);
-    expectMatchesOracle(oracleResults(makeSingleBigGroupPlan()), b);
+    // The thread count only sizes the group pool: results and every
+    // counter of the stats table match at 1 and N threads, and the
+    // pool is min(N, groups) workers.
+    struct Case {
+        const char *name;
+        SweepPlan (*plan)();
+        int threads;
+    };
+    for (const Case &c : {Case{"six groups", makeSixGroupPlan, 4},
+                          Case{"single big group", makeSingleBigGroupPlan,
+                               8}}) {
+        SCOPED_TRACE(c.name);
+        const SweepPlan plan = c.plan();
+        SweepRunner one(1);
+        SweepRunner many(c.threads);
+        const auto a = one.run(plan);
+        const auto b = many.run(plan);
+        EXPECT_EQ(one.threads(), 1);
+        EXPECT_EQ(many.threads(), c.threads);
+        expectResultsEqual(a, b);
+        expectMatchesOracle(oracleResults(plan), b);
 
-    // 1 thread: one batched pass over the group. 8 threads: 8 shards,
-    // each running its own pass - honest pass accounting - and
-    // stats().threads reports the fan-out actually used.
-    EXPECT_EQ(one.stats().replayPasses, 1u);
-    EXPECT_EQ(one.stats().threads, 1);
-    EXPECT_EQ(eight.stats().replayPasses, 8u);
-    EXPECT_EQ(eight.stats().threads, 8);
-    EXPECT_EQ(one.stats().cellsSimulated, 16u);
-    EXPECT_EQ(eight.stats().cellsSimulated, 16u);
-
-    // The simulated accounting is shard-invariant (it gates).
-    EXPECT_EQ(one.stats().instrsReplayed, eight.stats().instrsReplayed);
-    EXPECT_EQ(one.stats().cellsRun, eight.stats().cellsRun);
-    EXPECT_EQ(one.stats().instrsRecorded, eight.stats().instrsRecorded);
-}
-
-TEST(SweepSharding, WarmStoreShardedReplayBitIdenticalAndAccounted)
-{
-    StoreDir dir("sharded_warm");
-    auto baseline = SweepRunner(1).run(makeSingleBigGroupPlan());
-    expectMatchesOracle(oracleResults(makeSingleBigGroupPlan()), baseline);
-
-    SweepRunner cold(8);
-    cold.attachStore(dir.path);
-    expectResultsEqual(baseline, cold.run(makeSingleBigGroupPlan()));
-    EXPECT_EQ(cold.stats().tracesRecorded, 1u);
-    EXPECT_EQ(cold.stats().tracesLoaded, 0u);
-    // Cold replay decodes the just-recorded payload once per shard,
-    // exactly as a store hit does.
-    const std::uint64_t payload =
-        payloadBytesOf(makeSingleBigGroupPlan().traces().front());
-    EXPECT_EQ(cold.stats().replayPasses, 8u);
-    EXPECT_EQ(cold.stats().decodeBytes, 8 * payload);
-
-    SweepRunner warm(8);
-    warm.attachStore(dir.path);
-    expectResultsEqual(baseline, warm.run(makeSingleBigGroupPlan()));
-    const auto &ws = warm.stats();
-    EXPECT_EQ(ws.tracesRecorded, 0u);
-    EXPECT_EQ(ws.tracesLoaded, 1u);
-    EXPECT_EQ(ws.replayPasses, 8u);
-    EXPECT_EQ(ws.instrsReplayed, cold.stats().instrsReplayed);
-
-    // Each shard decodes the whole stored payload (decode work counts
-    // per pass).
-    const auto reader = trace::TraceStore(dir.path).openReader(
-        makeSingleBigGroupPlan().traces().front().key);
-    ASSERT_NE(reader, nullptr);
-    EXPECT_EQ(reader->payloadBytes(), payload);
-    EXPECT_EQ(ws.decodeBytes, ws.replayPasses * payload);
+        const auto &sa = one.stats();
+        const auto &sb = many.stats();
+        const int groups = int(plan.traces().size());
+        EXPECT_EQ(sa.threads, 1);
+        EXPECT_EQ(sb.threads, std::min(c.threads, groups));
+        for (const core::SweepStatsField &f : core::sweepStatsFields()) {
+            if (const auto *m =
+                    std::get_if<std::uint64_t core::SweepStats::*>(&f.member)) {
+                EXPECT_EQ(sa.*(*m), sb.*(*m)) << "stat " << f.name;
+            }
+        }
+        EXPECT_EQ(sa.cellsRun, std::uint64_t(plan.cells().size()));
+        EXPECT_EQ(sa.tracesRecorded, std::uint64_t(groups));
+    }
 }
 
 // ---- simulating each distinct canonical config once ----
@@ -919,16 +864,12 @@ TEST(SweepDedup, OoOCellsCopyAnUnblockedTwinAndRerunTheRest)
     const SweepPlan plan = makeTwinPlan({kIdct4, kSad16}, 3);
     const auto want = oracleResults(plan);
     // Each group: three pipeline configs in pass 1, three "ooo" ones
-    // copied (idct) or in pass 2 (sad) - one pass per shard.
-    struct Expect {
-        int threads;
-        std::uint64_t passes;
-    };
-    for (const Expect &e : {Expect{1, 1 + 2}, Expect{4, 2 + 2 * 2}}) {
-        SCOPED_TRACE("threads " + std::to_string(e.threads));
-        SweepRunner plain(e.threads);
-        SweepRunner cold(e.threads);
-        SweepRunner warm(e.threads);
+    // copied (idct) or in pass 2 (sad).
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        SweepRunner plain(threads);
+        SweepRunner cold(threads);
+        SweepRunner warm(threads);
         cold.attachStore(dir.path);
         warm.attachStore(dir.path);
         for (SweepRunner *r : {&plain, &cold, &warm}) {
@@ -940,7 +881,7 @@ TEST(SweepDedup, OoOCellsCopyAnUnblockedTwinAndRerunTheRest)
             EXPECT_EQ(st.cellsRun, 12u);
             EXPECT_EQ(st.cellsSimulated, 3u + 6u);
             EXPECT_EQ(st.twinCopies, 3u);
-            EXPECT_EQ(st.replayPasses, e.passes);
+            EXPECT_EQ(st.replayPasses, 1u + 2u);
             EXPECT_GT(st.blockedLoads, 0u);
             EXPECT_GT(st.executedCycles, 0u);
         }
@@ -953,44 +894,12 @@ TEST(SweepDedup, OoOCellsCopyAnUnblockedTwinAndRerunTheRest)
     }
 }
 
-TEST(SweepDedup, SingleBigGroupShardsBothPasses)
-{
-    // One blocking trace, 4 pipeline + 4 "ooo" configs: at 8 threads
-    // the group's pass 1 (the pipeline configs) and pass 2 (the "ooo"
-    // ones) each split into 4 shards.
-    StoreDir dir("twin_big");
-    const SweepPlan plan = makeTwinPlan({kSad16}, 4);
-    const auto want = oracleResults(plan);
-    for (int threads : {1, 8}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        SweepRunner cold(threads);
-        SweepRunner warm(threads);
-        cold.attachStore(dir.path);
-        warm.attachStore(dir.path);
-        for (SweepRunner *r : {&cold, &warm}) {
-            const auto got = r->run(plan);
-            expectMatchesOracle(want, got);
-            const auto &st = r->stats();
-            EXPECT_EQ(st.cellsSimulated, 8u);
-            EXPECT_EQ(st.twinCopies, 0u);
-            EXPECT_EQ(st.replayPasses, threads == 1 ? 2u : 8u);
-            EXPECT_EQ(st.threads, threads == 1 ? 1 : 4);
-        }
-        EXPECT_EQ(warm.stats().tracesLoaded, 1u);
-        EXPECT_EQ(warm.stats().decodeBytes,
-                  warm.stats().replayPasses *
-                      trace::TraceStore(dir.path)
-                          .openReader(plan.traces().front().key)
-                          ->payloadBytes());
-    }
-}
-
 TEST(SweepOneReplayPath, StorelessColdAndWarmDecodeEveryPass)
 {
     // One two-pass group (sad16x16's pipeline twins block, so its
     // "ooo" cells run a second pass): without a store, recording into
-    // an empty one, and replaying from it, every pass and shard decodes
-    // the same encoded payload through its own cursor. Results match
+    // an empty one, and replaying from it, every pass decodes the same
+    // encoded payload through its own cursor. Results match
     // the oracles, decodeBytes is exactly passes x payload, and the
     // engine's work counters are the same in every run.
     const SweepPlan plan = makeTwinPlan({kSad16}, 3);
@@ -1011,9 +920,9 @@ TEST(SweepOneReplayPath, StorelessColdAndWarmDecodeEveryPass)
                                       : r == &cold ? "cold" : "warm"));
             expectMatchesOracle(want, r->run(plan));
             const auto &st = r->stats();
-            // Pass 1 and pass 2 run 3 configs each: one shard per
-            // config at 4 threads.
-            EXPECT_EQ(st.replayPasses, threads == 1 ? 2u : 6u);
+            // Pass 1 and pass 2 run 3 configs each, at any thread
+            // count.
+            EXPECT_EQ(st.replayPasses, 2u);
             EXPECT_EQ(st.decodeBytes, st.replayPasses * payload);
             EXPECT_EQ(st.tracesLoaded, r == &warm ? 1u : 0u);
             EXPECT_EQ(st.tracesStored, r == &cold ? 1u : 0u);
