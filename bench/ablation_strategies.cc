@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hh"
 #include "core/report.hh"
@@ -131,12 +132,12 @@ main(int argc, char **argv)
         int simT = plan.addTrace(
             {"sad16/" + name + "/sim/" + std::to_string(execs),
              [strat, &cur, &ref, execs](trace::TraceSink &sink) {
-                 trace::AddrNormalizer norm(sink);
+                 trace::AddrNormalizer norm;
                  norm.addRegion(cur.paddedBase(), cur.paddedSize(),
                                 0x10000000);
                  norm.addRegion(ref.paddedBase(), ref.paddedSize(),
                                 0x12000000);
-                 trace::Emitter em(norm);
+                 trace::Emitter em(sink, std::move(norm));
                  vmx::ScalarOps so(em);
                  vmx::VecOps vo(em);
                  runSadExecs(so, vo, strat, cur, ref, execs);

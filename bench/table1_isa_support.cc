@@ -12,6 +12,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hh"
 #include "core/report.hh"
@@ -39,14 +40,14 @@ chainTraceJob(RealignStrategy strat)
     return {std::string("chain/") + std::string(vmx::strategyName(strat)) +
                 "/" + std::to_string(chainLen),
             [strat](trace::TraceSink &sink) {
-                trace::AddrNormalizer norm(sink);
+                trace::AddrNormalizer norm;
                 vmx::AlignedBuffer buf(4096, 5);
                 // Include the guard bands: forced-aligned lvx and the
                 // 32B-wide lddqu legitimately reach up to 16B outside
                 // the payload.
                 norm.addRegion(buf.data() - 16, buf.size() + 32,
                                0x10000000);
-                trace::Emitter em(norm);
+                trace::Emitter em(sink, std::move(norm));
                 vmx::VecOps vo(em);
                 vmx::ScalarOps so(em);
 

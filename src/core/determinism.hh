@@ -18,9 +18,6 @@
  *  - every standard header the scoped code includes, so the library's
  *    own uses of the banned names are lexed before the poison (a
  *    scoped file that needs a new standard header adds it here);
- *  - the two emulation-layer headers that use std::unordered_map for
- *    host-address bookkeeping that never reaches a simulated counter
- *    (trace/addrmap.hh, trace/emitter.hh);
  *  - WallClock and secondsSince(), the one clock the simulated layer
  *    may read: it feeds only the *Seconds informational stats, which
  *    no simulated counter reads and the artifact differ ignores;
@@ -67,9 +64,6 @@
 #include <utility>
 #include <variant>
 #include <vector>
-
-#include "trace/addrmap.hh"
-#include "trace/emitter.hh"
 
 namespace uasim::core {
 

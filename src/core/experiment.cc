@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "h264/chroma_kernels.hh"
 #include "h264/chroma_ref.hh"
@@ -236,7 +237,7 @@ KernelBench::recordTrace(Variant variant, int execs,
     // Rebase buffer addresses onto fixed virtual bases so cache
     // behaviour (and therefore cycle counts) cannot depend on host
     // allocator placement.
-    trace::AddrNormalizer norm(sink);
+    trace::AddrNormalizer norm;
     norm.addRegion(im.src.paddedBase(), im.src.paddedSize(),
                    0x10000000);
     norm.addRegion(im.dst.paddedBase(), im.dst.paddedSize(),
@@ -245,7 +246,7 @@ KernelBench::recordTrace(Variant variant, int execs,
                    0x14000000);
     norm.addRegion(im.coeffs.data(), im.coeffs.size() + 16,
                    0x16000000);
-    trace::Emitter em(norm);
+    trace::Emitter em(sink, std::move(norm));
     KernelCtx ctx(em);
     for (int i = 0; i < execs; ++i)
         runOnce(ctx, variant, i);

@@ -428,8 +428,21 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
     } else {
         std::vector<std::thread> pool;
         pool.reserve(poolSize);
-        for (int i = 0; i < poolSize; ++i)
-            pool.emplace_back(worker);
+        try {
+            for (int i = 0; i < poolSize; ++i) {
+                if (threadStartHook_)
+                    threadStartHook_(i);
+                pool.emplace_back(worker);
+            }
+        } catch (...) {
+            // A thread that cannot start fails the run, but the
+            // workers already started still reference this frame:
+            // stop them at their next group and join them first.
+            abortRun.store(true, std::memory_order_relaxed);
+            for (auto &t : pool)
+                t.join();
+            throw;
+        }
         for (auto &t : pool)
             t.join();
     }

@@ -40,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -53,9 +54,10 @@ namespace uasim::core {
 
 /**
  * One recordable workload. @p record must be self-contained and
- * deterministic: it builds its own emulation state (planes, emitter,
- * AddrNormalizer) and streams the normalized records into the sink,
- * so the runner can invoke it from any worker thread.
+ * deterministic: it builds its own emulation state (planes and an
+ * Emitter that maps addresses through its AddrNormalizer) and emits
+ * the normalized records straight into the sink, so the runner can
+ * invoke it from any worker thread.
  */
 struct TraceJob {
     std::string key;  //!< unique identity; the trace-cache key
@@ -307,11 +309,26 @@ class SweepRunner
 
     int threads() const { return threads_; }
 
+    /**
+     * Test-only seam: run() calls @p hook with each pool thread's
+     * index just before starting that thread, so a test can make the
+     * k-th start throw as std::thread's constructor does when the
+     * system refuses a thread. run() then stops and joins the workers
+     * already started and rethrows. A run on one worker starts no
+     * thread and never calls it.
+     */
+    void
+    setThreadStartHook(std::function<void(int)> hook)
+    {
+        threadStartHook_ = std::move(hook);
+    }
+
   private:
     int threads_;
     SweepStats stats_;
     std::unique_ptr<trace::TraceStore> store_;
     std::string timingModel_;  //!< backend override; empty = per-config
+    std::function<void(int)> threadStartHook_;  //!< test-only
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "decoder/profile.hh"
 
 #include <optional>
+#include <utility>
 
 #include "decoder/cabac_traced.hh"
 #include "h264/chroma_kernels.hh"
@@ -25,12 +26,12 @@ constexpr int reps = 24;
 /// Measurement fixture: padded planes streaming into any trace sink.
 struct Fixture {
     explicit Fixture(trace::TraceSink &sink, std::uint64_t seed)
-        : norm(sink), src(planeDim, planeDim), dst(planeDim, planeDim),
-          rng(seed)
+        : src(planeDim, planeDim), dst(planeDim, planeDim), rng(seed)
     {
+        trace::AddrNormalizer norm;
         norm.addRegion(src.paddedBase(), src.paddedSize(), 0x10000000);
         norm.addRegion(dst.paddedBase(), dst.paddedSize(), 0x12000000);
-        em.emplace(norm);
+        em.emplace(sink, std::move(norm));
         ctx.emplace(*em);
         for (int y = 0; y < planeDim; ++y) {
             for (int x = 0; x < planeDim; ++x) {
@@ -41,7 +42,6 @@ struct Fixture {
         src.extendEdges();
     }
 
-    trace::AddrNormalizer norm;
     std::optional<trace::Emitter> em;
     std::optional<KernelCtx> ctx;
     video::Plane src;
@@ -195,13 +195,12 @@ stageCostJobs(Variant variant)
              // Register every buffer the traced decoder touches so
              // the measured cost is identical across variants and
              // runs.
-             f.norm.addRegion(bits.data(), bits.size(), 0x18000000);
+             trace::AddrNormalizer &map = f.em->addrMap();
+             map.addRegion(bits.data(), bits.size(), 0x18000000);
              TracedCabacDecoder dec(*f.ctx, bits.data(), bits.size(),
                                     8);
-             f.norm.addRegion(dec.tableData(), dec.tableSize(),
-                              0x18100000);
-             f.norm.addRegion(dec.ctxData(), dec.ctxSize(),
-                              0x18200000);
+             map.addRegion(dec.tableData(), dec.tableSize(), 0x18100000);
+             map.addRegion(dec.ctxData(), dec.ctxSize(), 0x18200000);
              for (int i = 0; i < nbins; ++i)
                  dec.decodeBin(ref_bins[i]);
          },

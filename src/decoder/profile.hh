@@ -44,10 +44,10 @@ struct StageCosts {
  * One independently recordable stage microbenchmark.
  *
  * @p record is self-contained and deterministic: it builds its own
- * fixture (planes, AddrNormalizer, emitter) and streams the stage's
- * normalized trace into the sink, so it can run from any sweep worker
- * thread. The stage cost is `simulated cycles / divisor`, stored into
- * a StageCosts by @p assign.
+ * fixture (planes and an Emitter with its AddrNormalizer) and emits
+ * the stage's normalized trace into the sink, so it can run from any
+ * sweep worker thread. The stage cost is `simulated cycles /
+ * divisor`, stored into a StageCosts by @p assign.
  */
 struct StageCostJob {
     std::string key;  //!< unique per stage within one variant

@@ -1,39 +1,93 @@
 /**
  * @file
- * Address normalization filter for deterministic simulation.
+ * Address map for deterministic simulation.
  *
  * Trace records carry host addresses; cache behaviour must not depend
- * on where the host allocator happened to place buffers. This sink
- * filter rebases each registered buffer onto a fixed virtual base
- * (preserving internal layout exactly) and maps each unregistered
- * 16-byte granule (constant pool, clip tables, spill slots) onto a
- * stable virtual granule in order of first appearance, preserving
- * the in-granule offset. Fallback traffic is at most 16 bytes wide
- * and at least naturally aligned (vector slots are alignas(16)), so
- * (addr & 15) is host-independent, no access straddles a granule,
- * and the whole translated stream - and with it the simulated cycle
- * count - is identical across hosts, allocators and sanitizer
- * builds. The cost is that side-table walks lose host spatial
- * adjacency across granules: the fallback region models working-set
- * size, not the tables' exact line packing.
+ * on where the host allocator happened to place buffers. An Emitter
+ * built with an AddrNormalizer maps each memory record's address
+ * through it before the record reaches its sink. The map rebases each
+ * registered buffer onto a fixed virtual base (preserving internal
+ * layout exactly) and maps each unregistered 16-byte granule
+ * (constant pool, clip tables, spill slots) onto a stable virtual
+ * granule in order of first appearance, preserving the in-granule
+ * offset. Fallback traffic is at most 16 bytes wide and at least
+ * naturally aligned (vector slots are alignas(16)), so (addr & 15) is
+ * host-independent, no access straddles a granule, and the whole
+ * translated stream - and with it the simulated cycle count - is
+ * identical across hosts, allocators and sanitizer builds. The cost
+ * is that side-table walks lose host spatial adjacency across
+ * granules: the fallback region models working-set size, not the
+ * tables' exact line packing.
  */
 
 #ifndef UASIM_TRACE_ADDRMAP_HH
 #define UASIM_TRACE_ADDRMAP_HH
 
 #include <cassert>
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
-
-#include "trace/sink.hh"
 
 namespace uasim::trace {
 
-class AddrNormalizer : public TraceSink
+/**
+ * Open-addressed map from a 64-bit key to its rank: the number of
+ * distinct keys seen before it. Power-of-two capacity, multiplicative
+ * hash, linear probing, doubling at half load. A rank depends only on
+ * the order keys arrive in, never on the hash or the capacity.
+ */
+class RankTable
 {
   public:
-    explicit AddrNormalizer(TraceSink &down) : down_(&down) {}
+    /// Rank of @p key, assigning the next one on first sight.
+    std::uint64_t
+    rank(std::uint64_t key)
+    {
+        for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+            const Slot &s = slots_[i];
+            if (s.rankPlus1 == 0)
+                return insert(key);
+            if (s.key == key)
+                return s.rankPlus1 - 1;
+        }
+    }
 
+    /// Distinct keys seen so far.
+    std::size_t size() const { return size_; }
+
+  private:
+    static constexpr unsigned initialBits = 6;
+
+    struct Slot {
+        std::uint64_t key = 0;
+        std::uint64_t rankPlus1 = 0;  //!< 0 = empty
+    };
+
+    /// Home slot: the top bits of a Fibonacci multiply.
+    std::size_t
+    home(std::uint64_t key) const
+    {
+        return std::size_t((key * 0x9e3779b97f4a7c15ull) >> (64 - bits_));
+    }
+
+    /// Add @p key (not present) with the next rank, growing first
+    /// when the table would pass half load. @return its rank.
+    std::uint64_t insert(std::uint64_t key);
+
+    /// Place @p s in its first free slot from its home.
+    void place(const Slot &s);
+
+    unsigned bits_ = initialBits;
+    std::size_t mask_ = (std::size_t{1} << initialBits) - 1;
+    std::vector<Slot> slots_ = std::vector<Slot>(mask_ + 1);
+    std::size_t size_ = 0;
+};
+
+/// Host-to-virtual address map of one recording (see the file
+/// comment); an Emitter built with one applies it.
+class AddrNormalizer
+{
+  public:
     /**
      * Rebase [base, base+size) onto @p vbase. The timing model reads
      * (addr & 15) and line crossings off translated addresses, so the
@@ -51,15 +105,7 @@ class AddrNormalizer : public TraceSink
     /// Region of unregistered (fallback) addresses.
     static constexpr std::uint64_t fallbackBase = 0x7f000000;
 
-    void
-    append(const InstrRecord &rec) override
-    {
-        InstrRecord out = rec;
-        if (out.isMem())
-            out.addr = translate(out.addr, out.size);
-        down_->append(out);
-    }
-
+    /// The virtual address of the @p size byte access at host @p addr.
     std::uint64_t
     translate(std::uint64_t addr, [[maybe_unused]] unsigned size = 0)
     {
@@ -73,12 +119,10 @@ class AddrNormalizer : public TraceSink
         assert((addr & granuleMask) + size <= (1u << granuleShift) &&
                "fallback access straddles a 16B granule; register the "
                "buffer with addRegion()");
-        std::uint64_t granule = addr >> granuleShift;
-        auto [it, inserted] =
-            fallbackGranules_.try_emplace(granule, nextFallbackGranule_);
-        if (inserted)
-            ++nextFallbackGranule_;
-        return (it->second << granuleShift) | (addr & granuleMask);
+        const std::uint64_t granule =
+            (fallbackBase >> granuleShift) +
+            fallbackGranules_.rank(addr >> granuleShift);
+        return (granule << granuleShift) | (addr & granuleMask);
     }
 
   private:
@@ -92,10 +136,8 @@ class AddrNormalizer : public TraceSink
         std::uint64_t vbase;
     };
 
-    TraceSink *down_;
     std::vector<Region> regions_;
-    std::unordered_map<std::uint64_t, std::uint64_t> fallbackGranules_;
-    std::uint64_t nextFallbackGranule_ = fallbackBase >> granuleShift;
+    RankTable fallbackGranules_;
 };
 
 } // namespace uasim::trace

@@ -1,15 +1,20 @@
 /**
  * @file
- * The Emitter: assigns dynamic ids and synthetic PCs to instructions.
+ * The Emitter: assigns dynamic ids, synthetic PCs and (optionally)
+ * normalized addresses to instructions, and hands each record to its
+ * sink in one call.
  */
 
 #ifndef UASIM_TRACE_EMITTER_HH
 #define UASIM_TRACE_EMITTER_HH
 
+#include <cassert>
 #include <cstdint>
+#include <optional>
 #include <source_location>
-#include <unordered_map>
+#include <utility>
 
+#include "trace/addrmap.hh"
 #include "trace/instr.hh"
 #include "trace/sink.hh"
 
@@ -22,6 +27,10 @@ namespace uasim::trace {
  * std::source_location) maps to one synthetic PC, allocated 4 bytes
  * apart from a fixed code base. This gives the branch predictor and the
  * I-cache a realistic static-instruction view without a real binary.
+ *
+ * An Emitter built with an AddrNormalizer translates every memory
+ * record's address through it before the record reaches the sink; one
+ * built without passes host addresses through.
  */
 class Emitter
 {
@@ -31,7 +40,21 @@ class Emitter
 
     explicit Emitter(TraceSink &sink) : sink_(&sink) {}
 
+    /// Emitter whose memory records carry addresses mapped by @p map.
+    Emitter(TraceSink &sink, AddrNormalizer map)
+        : sink_(&sink), map_(std::move(map))
+    {}
+
     TraceSink &sink() const { return *sink_; }
+
+    /// The address map of an Emitter built with one. Regions added
+    /// to it apply from the next record on.
+    AddrNormalizer &
+    addrMap()
+    {
+        assert(map_);
+        return *map_;
+    }
 
     /**
      * Emit a non-memory, non-branch instruction.
@@ -61,7 +84,8 @@ class Emitter
         rec.id = nextId_++;
         rec.pc = pcFor(loc);
         rec.cls = cls;
-        rec.addr = addr;
+        rec.addr = map_ && isMemClass(cls) ? map_->translate(addr, size)
+                                           : addr;
         rec.size = size;
         rec.deps = {d0.id, d1.id, d2.id};
         sink_->append(rec);
@@ -87,7 +111,7 @@ class Emitter
     std::uint64_t count() const { return nextId_ - 1; }
 
     /// Distinct static call sites seen so far.
-    std::size_t staticSites() const { return pcMap_.size(); }
+    std::size_t staticSites() const { return pcRanks_.size(); }
 
   private:
     /// Map a source location to its synthetic PC.
@@ -100,15 +124,13 @@ class Emitter
             reinterpret_cast<std::uint64_t>(loc.file_name()) ^
             (std::uint64_t{loc.line()} << 20) ^
             (std::uint64_t{loc.column()} << 44);
-        auto [it, inserted] = pcMap_.try_emplace(key, 0);
-        if (inserted)
-            it->second = codeBase + 4 * (pcMap_.size() - 1);
-        return it->second;
+        return codeBase + 4 * pcRanks_.rank(key);
     }
 
     TraceSink *sink_;
+    std::optional<AddrNormalizer> map_;
     std::uint64_t nextId_ = 1;
-    std::unordered_map<std::uint64_t, std::uint64_t> pcMap_;
+    RankTable pcRanks_;  //!< call-site key -> first-seen rank
 };
 
 } // namespace uasim::trace

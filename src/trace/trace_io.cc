@@ -51,18 +51,6 @@ getLe64(const std::uint8_t *p)
 
 constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
 
-/// Write @p v at @p out as a LEB128 varint (at most 10 bytes).
-inline std::uint8_t *
-putVarint(std::uint8_t *out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        *out++ = static_cast<std::uint8_t>(v | 0x80);
-        v >>= 7;
-    }
-    *out++ = static_cast<std::uint8_t>(v);
-    return out;
-}
-
 } // namespace
 
 std::uint64_t
@@ -150,30 +138,6 @@ frontMatter(const std::string &key, const InstrMix &mix,
     hdr.keyHash = fnv1a(key.data(), key.size());
     hdr.mixHash = fnv1a(mixSection.data(), mixSection.size());
     return hdr.serialize() + key + mixSection;
-}
-
-std::uint8_t *
-RecordEncoder::encode(const InstrRecord &rec, std::uint8_t *out)
-{
-    const bool taken = rec.cls == InstrClass::Branch && rec.taken;
-    *out++ = static_cast<std::uint8_t>(
-        static_cast<std::uint8_t>(rec.cls) | (taken ? 0x80 : 0));
-    out = putVarint(out, zigzag(std::int64_t(rec.id - prevId_)));
-    prevId_ = rec.id;
-    out = putVarint(out, zigzag(std::int64_t(rec.pc - prevPc_)));
-    prevPc_ = rec.pc;
-    if (rec.isMem()) {
-        out = putVarint(out, zigzag(std::int64_t(rec.addr - prevAddr_)));
-        prevAddr_ = rec.addr;
-        *out++ = rec.size;
-    }
-    for (auto dep : rec.deps) {
-        // 0 = no dependence; otherwise bias the producer delta by one
-        // so it cannot collide with the no-dependence encoding.
-        out = putVarint(out, dep ? zigzag(std::int64_t(rec.id - dep)) + 1
-                                 : 0);
-    }
-    return out;
 }
 
 void
@@ -274,19 +238,10 @@ FileSink::~FileSink()
 }
 
 void
-FileSink::append(const InstrRecord &rec)
+FileSink::appendAfterClose() const
 {
-    if (!file_) {
-        throw std::runtime_error(
-            "FileSink: append on a closed or failed sink for " +
-            path_);
-    }
-    fill_ = std::size_t(encoder_.encode(rec, buffer_.get() + fill_) -
-                        buffer_.get());
-    mix_.add(rec);
-    ++written_;
-    if (fill_ >= writeBufferBytes)
-        flushBuffer(false);
+    throw std::runtime_error(
+        "FileSink: append on a closed or failed sink for " + path_);
 }
 
 void
@@ -525,12 +480,6 @@ TraceCursor::nextBlock(InstrRecord *out, std::size_t maxRecords)
 }
 
 void
-EncodedTrace::append(const InstrRecord &rec)
-{
-    appendBlock(&rec, 1);
-}
-
-void
 EncodedTrace::Free::operator()(std::uint8_t *p) const
 {
     std::free(p);
@@ -546,20 +495,6 @@ EncodedTrace::grow()
     (void)bytes_.release();  // realloc already moved or freed it
     bytes_.reset(static_cast<std::uint8_t *>(p));
     capacity_ = want;
-}
-
-void
-EncodedTrace::appendBlock(const InstrRecord *recs, std::size_t n)
-{
-    constexpr std::size_t maxBytes = wire::RecordEncoder::maxRecordBytes;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (capacity_ - fill_ < maxBytes)
-            grow();
-        std::uint8_t *base = bytes_.get();
-        fill_ = std::size_t(encoder_.encode(recs[i], base + fill_) - base);
-        mix_.add(recs[i]);
-    }
-    count_ += n;
 }
 
 } // namespace uasim::trace

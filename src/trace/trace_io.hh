@@ -130,6 +130,19 @@ unzigzag(std::uint64_t v)
     return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// Write @p v at @p out as a LEB128 varint (at most 10 bytes).
+/// @return one past the last byte written.
+inline std::uint8_t *
+putVarint(std::uint8_t *out, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *out++ = static_cast<std::uint8_t>(v | 0x80);
+        v >>= 7;
+    }
+    *out++ = static_cast<std::uint8_t>(v);
+    return out;
+}
+
 /// Parsed/serializable UATRACE3 header.
 struct Header {
     std::uint32_t version = formatVersion;
@@ -173,7 +186,30 @@ class RecordEncoder
      * Write the encoding of @p rec at @p out, which must have room for
      * maxRecordBytes. @return one past the last byte written.
      */
-    std::uint8_t *encode(const InstrRecord &rec, std::uint8_t *out);
+    std::uint8_t *
+    encode(const InstrRecord &rec, std::uint8_t *out)
+    {
+        const bool taken = rec.cls == InstrClass::Branch && rec.taken;
+        *out++ = static_cast<std::uint8_t>(
+            static_cast<std::uint8_t>(rec.cls) | (taken ? 0x80 : 0));
+        out = putVarint(out, zigzag(std::int64_t(rec.id - prevId_)));
+        prevId_ = rec.id;
+        out = putVarint(out, zigzag(std::int64_t(rec.pc - prevPc_)));
+        prevPc_ = rec.pc;
+        if (rec.isMem()) {
+            out = putVarint(out,
+                            zigzag(std::int64_t(rec.addr - prevAddr_)));
+            prevAddr_ = rec.addr;
+            *out++ = rec.size;
+        }
+        for (auto dep : rec.deps) {
+            // 0 = no dependence; otherwise bias the producer delta by
+            // one so it cannot collide with the no-dependence encoding.
+            out = putVarint(
+                out, dep ? zigzag(std::int64_t(rec.id - dep)) + 1 : 0);
+        }
+        return out;
+    }
 
   private:
     std::uint64_t prevId_ = 0;
@@ -241,7 +277,18 @@ class FileSink : public TraceSink
     FileSink(const FileSink &) = delete;
     FileSink &operator=(const FileSink &) = delete;
 
-    void append(const InstrRecord &rec) override;
+    void
+    append(const InstrRecord &rec) override
+    {
+        if (!file_)
+            appendAfterClose();
+        fill_ = std::size_t(encoder_.encode(rec, buffer_.get() + fill_) -
+                            buffer_.get());
+        mix_.add(rec);
+        ++written_;
+        if (fill_ >= writeBufferBytes)
+            flushBuffer(false);
+    }
 
     /**
      * Flush buffered records and patch the header. Idempotent.
@@ -263,6 +310,9 @@ class FileSink : public TraceSink
 
   private:
     void flushBuffer(bool last);
+
+    /// @throws std::runtime_error: append() on a closed or failed sink.
+    [[noreturn]] void appendAfterClose() const;
 
     /// Open until close() or the first failed write; null after.
     std::unique_ptr<File> file_;
@@ -377,8 +427,23 @@ class EncodedTrace : public TraceSink
     EncodedTrace(const EncodedTrace &) = delete;
     EncodedTrace &operator=(const EncodedTrace &) = delete;
 
-    void append(const InstrRecord &rec) override;
-    void appendBlock(const InstrRecord *recs, std::size_t n) override;
+    void
+    append(const InstrRecord &rec) override
+    {
+        if (capacity_ - fill_ < wire::RecordEncoder::maxRecordBytes)
+            grow();
+        std::uint8_t *base = bytes_.get();
+        fill_ = std::size_t(encoder_.encode(rec, base + fill_) - base);
+        mix_.add(rec);
+        ++count_;
+    }
+
+    void
+    appendBlock(const InstrRecord *recs, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            EncodedTrace::append(recs[i]);
+    }
 
     /// Records appended so far.
     std::uint64_t count() const { return count_; }

@@ -144,24 +144,6 @@ TraceStore::Recorder::Recorder(std::string entryPath,
 
 TraceStore::Recorder::~Recorder() = default;
 
-void
-TraceStore::Recorder::append(const InstrRecord &rec)
-{
-    if (!appendError_.empty()) {
-        // Already failed: keep the record stream flowing and its mix
-        // whole. The record whose write failed is in sink_'s mix.
-        failedMix_.add(rec);
-        return;
-    }
-    try {
-        sink_.append(rec);
-    } catch (const std::exception &e) {
-        // Do not throw into the caller's recording pass - the sweep
-        // must finish uncached, not abort. commit() surfaces this.
-        appendError_ = e.what();
-    }
-}
-
 InstrMix
 TraceStore::Recorder::mix() const
 {

@@ -34,6 +34,7 @@
 #define UASIM_TRACE_TRACE_STORE_HH
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -113,7 +114,25 @@ class TraceStore
         Recorder(std::string entryPath, const std::string &key);
         ~Recorder() override;
 
-        void append(const InstrRecord &rec) override;
+        void
+        append(const InstrRecord &rec) override
+        {
+            if (!appendError_.empty()) {
+                // Already failed: keep the record stream flowing and
+                // its mix whole. The record whose write failed is in
+                // sink_'s mix.
+                failedMix_.add(rec);
+                return;
+            }
+            try {
+                sink_.append(rec);
+            } catch (const std::exception &e) {
+                // Do not throw into the caller's recording pass - the
+                // sweep must finish uncached, not abort. commit()
+                // surfaces this.
+                appendError_ = e.what();
+            }
+        }
 
         /**
          * Finalize the file and publish it under the entry path.

@@ -8,6 +8,8 @@
  *    table;
  *  - results and every SweepStats counter are identical for 1 and N
  *    worker threads, and the group pool is min(N, groups) workers;
+ *  - a pool thread that cannot start fails the run with its error
+ *    after the workers already started are joined;
  *  - duplicate addTrace keys dedupe to one recording;
  *  - a group with one timing cell still populates every mix-only cell
  *    and accounts its instructions as both recorded and replayed;
@@ -40,6 +42,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -702,6 +705,36 @@ TEST(SweepRunner, ResultsAndStatsThreadCountInvariant)
         }
         EXPECT_EQ(sa.cellsRun, std::uint64_t(plan.cells().size()));
         EXPECT_EQ(sa.tracesRecorded, std::uint64_t(groups));
+    }
+}
+
+TEST(SweepRunner, ThreadStartFailureJoinsStartedWorkersAndRethrows)
+{
+    // When the k-th pool thread cannot start, run() must stop and join
+    // the k workers already running and rethrow the start error - not
+    // unwind a vector of joinable threads into std::terminate. The
+    // runner stays usable: a later run without the failure matches
+    // the oracle.
+    const SweepPlan plan = makeSixGroupPlan();
+    for (int k : {0, 1, 3}) {
+        SCOPED_TRACE(k);
+        SweepRunner runner(4);
+        std::vector<int> starts;
+        runner.setThreadStartHook([&starts, k](int i) {
+            starts.push_back(i);
+            if (i == k) {
+                throw std::system_error(
+                    std::make_error_code(
+                        std::errc::resource_unavailable_try_again),
+                    "test: thread start refused");
+            }
+        });
+        EXPECT_THROW(runner.run(plan), std::system_error);
+        EXPECT_EQ(starts.size(), std::size_t(k + 1));
+
+        runner.setThreadStartHook({});
+        expectMatchesOracle(oracleResults(plan), runner.run(plan));
+        EXPECT_EQ(runner.stats().threads, 4);
     }
 }
 

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "core/sweep.hh"
 #include "trace/addrmap.hh"
 #include "trace/emitter.hh"
 #include "trace/instr.hh"
@@ -221,17 +225,14 @@ TEST(TraceIo, MissingFileThrows)
 
 namespace {
 
-/// Translate one memory load at @p addr through @p norm into @p buf.
+/// Emit one memory load at @p addr through @p em, whose sink is
+/// @p buf; @return the address the record carries.
 std::uint64_t
-pushAddr(ut::AddrNormalizer &norm, ut::TraceBuffer &buf,
-         std::uint64_t addr, std::uint8_t size = 16)
+pushAddr(ut::Emitter &em, ut::TraceBuffer &buf, std::uint64_t addr,
+         std::uint8_t size = 16)
 {
-    ut::InstrRecord rec;
-    rec.cls = size == 16 ? ut::InstrClass::VecLoad
-                         : ut::InstrClass::Load;
-    rec.addr = addr;
-    rec.size = size;
-    norm.append(rec);
+    em.emitMem(size == 16 ? ut::InstrClass::VecLoad : ut::InstrClass::Load,
+               addr, size, std::source_location::current());
     return buf.records().back().addr;
 }
 
@@ -240,22 +241,25 @@ pushAddr(ut::AddrNormalizer &norm, ut::TraceBuffer &buf,
 TEST(AddrNormalizer, RegisteredRegionsRebasePreservingLayout)
 {
     ut::TraceBuffer buf;
-    ut::AddrNormalizer norm(buf);
+    ut::AddrNormalizer norm;
     norm.addRegion(reinterpret_cast<const void *>(0x7fff12345000ull),
                    0x1000, 0x10000000);
-    EXPECT_EQ(pushAddr(norm, buf, 0x7fff12345000ull), 0x10000000u);
-    EXPECT_EQ(pushAddr(norm, buf, 0x7fff12345123ull), 0x10000123u);
+    ut::Emitter em(buf, std::move(norm));
+    EXPECT_EQ(pushAddr(em, buf, 0x7fff12345000ull), 0x10000000u);
+    EXPECT_EQ(pushAddr(em, buf, 0x7fff12345123ull), 0x10000123u);
 }
 
 TEST(AddrNormalizer, NonMemRecordsPassThroughUntouched)
 {
     ut::TraceBuffer buf;
-    ut::AddrNormalizer norm(buf);
-    ut::InstrRecord rec;
-    rec.cls = ut::InstrClass::IntAlu;
-    rec.addr = 0xdeadbeef;  // meaningless for non-mem; must not change
-    norm.append(rec);
+    ut::Emitter em(buf, ut::AddrNormalizer{});
+    // meaningless for non-mem; must not change
+    em.emitMem(ut::InstrClass::IntAlu, 0xdeadbeef, 0,
+               std::source_location::current());
     EXPECT_EQ(buf.records().back().addr, 0xdeadbeefull);
+    // ...and must not have taken the first fallback granule.
+    EXPECT_EQ(pushAddr(em, buf, 0x55501000),
+              ut::AddrNormalizer::fallbackBase);
 }
 
 TEST(AddrNormalizer, FallbackIsFirstAppearanceDeterministic)
@@ -271,21 +275,20 @@ TEST(AddrNormalizer, FallbackIsFirstAppearanceDeterministic)
                                       0xa5af3038, 0x94a11100};
 
     ut::TraceBuffer buf_a, buf_b;
-    ut::AddrNormalizer norm_a(buf_a), norm_b(buf_b);
+    ut::Emitter em_a(buf_a, ut::AddrNormalizer{});
+    ut::Emitter em_b(buf_b, ut::AddrNormalizer{});
     const std::uint8_t sizes[] = {16, 16, 8, 16};
     for (std::size_t i = 0; i < std::size(layout_a); ++i) {
-        std::uint64_t got_a =
-            pushAddr(norm_a, buf_a, layout_a[i], sizes[i]);
-        std::uint64_t got_b =
-            pushAddr(norm_b, buf_b, layout_b[i], sizes[i]);
+        std::uint64_t got_a = pushAddr(em_a, buf_a, layout_a[i], sizes[i]);
+        std::uint64_t got_b = pushAddr(em_b, buf_b, layout_b[i], sizes[i]);
         EXPECT_EQ(got_a, got_b) << "access " << i;
     }
     // Repeat accesses reuse the established mapping.
-    EXPECT_EQ(pushAddr(norm_a, buf_a, layout_a[0]),
-              pushAddr(norm_b, buf_b, layout_b[0]));
+    EXPECT_EQ(pushAddr(em_a, buf_a, layout_a[0]),
+              pushAddr(em_b, buf_b, layout_b[0]));
     // Distinct granules never collide.
-    EXPECT_NE(pushAddr(norm_a, buf_a, layout_a[0]) & ~0xfull,
-              pushAddr(norm_a, buf_a, layout_a[1]) & ~0xfull);
+    EXPECT_NE(pushAddr(em_a, buf_a, layout_a[0]) & ~0xfull,
+              pushAddr(em_a, buf_a, layout_a[1]) & ~0xfull);
 }
 
 TEST(AddrNormalizer, FallbackPreservesInGranuleOffsetVerbatim)
@@ -297,15 +300,114 @@ TEST(AddrNormalizer, FallbackPreservesInGranuleOffsetVerbatim)
     // Side tables reached by traced loads must therefore be
     // alignas(16) (see the clip table in h264/tables.cc).
     ut::TraceBuffer buf;
-    ut::AddrNormalizer norm(buf);
+    ut::Emitter em(buf, ut::AddrNormalizer{});
     for (std::uint64_t off = 0; off < 16; ++off) {
-        EXPECT_EQ(pushAddr(norm, buf, 0x55aa1230 + off, 1) & 0xf, off);
+        EXPECT_EQ(pushAddr(em, buf, 0x55aa1230 + off, 1) & 0xf, off);
     }
     // All 16 offsets stayed inside one host granule -> one virtual
     // granule; the next host granule gets the next virtual one.
-    EXPECT_EQ(pushAddr(norm, buf, 0x55aa1230, 1) & ~0xfull,
-              pushAddr(norm, buf, 0x55aa123f, 1) & ~0xfull);
-    EXPECT_EQ((pushAddr(norm, buf, 0x55aa1240) & ~0xfull) -
-                  (pushAddr(norm, buf, 0x55aa1230) & ~0xfull),
+    EXPECT_EQ(pushAddr(em, buf, 0x55aa1230, 1) & ~0xfull,
+              pushAddr(em, buf, 0x55aa123f, 1) & ~0xfull);
+    EXPECT_EQ((pushAddr(em, buf, 0x55aa1240) & ~0xfull) -
+                  (pushAddr(em, buf, 0x55aa1230) & ~0xfull),
               16u);
+}
+
+TEST(RankTable, ManyGrowthsKeepFirstSeenOrder)
+{
+    // Thousands of distinct keys, revisited in a scrambled order,
+    // across every growth from the initial capacity: each key's rank
+    // must be its first-seen index, as a std::map reference assigns
+    // it. The key shapes are those the Emitter feeds the table:
+    // call-site keys (a file-name pointer xor line << 20 xor
+    // column << 44, key 0 included) and 16B granule numbers.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t line = 0; line < 1500; ++line) {
+        keys.push_back(0x5566778899aaull ^ (line << 20) ^
+                       ((line % 37) << 44));
+        keys.push_back(line << 44);  // differ only in the top bits
+        keys.push_back((0x55501000 >> 4) + 3 * line);
+    }
+    std::uint64_t lcg = 12345;
+    auto next = [&] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 33;
+    };
+
+    ut::RankTable table;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    auto check = [&](std::uint64_t k) {
+        auto [it, inserted] = ref.try_emplace(k, ref.size());
+        ASSERT_EQ(table.rank(k), it->second) << "key " << k;
+    };
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        check(keys[i]);
+        check(keys[next() % (i + 1)]);  // a revisit
+    }
+    EXPECT_EQ(table.size(), ref.size());
+    EXPECT_GT(ref.size(), 4000u);
+
+    // The same first-seen rule through the Emitter's fallback map:
+    // granule n of first appearance maps to fallbackBase + 16 n.
+    ut::TraceBuffer buf;
+    ut::Emitter em(buf, ut::AddrNormalizer{});
+    std::map<std::uint64_t, std::uint64_t> granules;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t addr =
+            0x600000000ull + 16 * (next() % 5000) + (next() & 15);
+        auto [it, inserted] =
+            granules.try_emplace(addr >> 4, granules.size());
+        ASSERT_EQ(pushAddr(em, buf, addr, 1),
+                  ut::AddrNormalizer::fallbackBase + 16 * it->second +
+                      (addr & 15))
+            << "step " << i;
+    }
+    EXPECT_GT(granules.size(), 4000u);
+}
+
+// ---- Recorded bytes (the emulator-to-encoder path) ----
+
+TEST(RecordedTrace, PinnedBytesPerKernelFamily)
+{
+    // One kernel per family, both vector variants, recorded exactly as
+    // the sweep runner records a timing group. The record stream is a
+    // pure function of (kernel, variant, execs, seed), so any change on
+    // the emulator-to-encoder path - PC assignment, address
+    // normalization, encoding - that moves a single byte fails here.
+    using uasim::core::KernelSpec;
+    using uasim::h264::KernelId;
+    using uasim::h264::Variant;
+    struct Pin {
+        KernelSpec spec;
+        Variant variant;
+        std::uint64_t count, payloadBytes, payloadHash;
+    };
+    const Pin pins[] = {
+        {{KernelId::LumaMc, 16, false}, Variant::Altivec,
+         10248, 72993, 17655272319275790957ull},
+        {{KernelId::LumaMc, 16, false}, Variant::Unaligned,
+         7920, 55959, 16564058478867758632ull},
+        {{KernelId::ChromaMc, 8, false}, Variant::Altivec,
+         1638, 11361, 10416585779587541589ull},
+        {{KernelId::ChromaMc, 8, false}, Variant::Unaligned,
+         1104, 7827, 13046482159772586277ull},
+        {{KernelId::Idct, 4, false}, Variant::Altivec,
+         9120, 59475, 11222475420838904597ull},
+        {{KernelId::Idct, 4, false}, Variant::Unaligned,
+         7776, 50787, 6597710116882190659ull},
+        {{KernelId::Sad, 16, false}, Variant::Altivec,
+         1482, 10300, 13362524164127264522ull},
+        {{KernelId::Sad, 16, false}, Variant::Unaligned,
+         906, 6460, 9569537725559576776ull},
+    };
+    for (const Pin &p : pins) {
+        const auto job = uasim::core::kernelTraceJob(p.spec, p.variant, 6);
+        ut::EncodedTrace enc;
+        job.record(enc);
+        EXPECT_EQ(enc.count(), p.count) << job.key;
+        EXPECT_EQ(enc.payloadBytes(), p.payloadBytes) << job.key;
+        EXPECT_EQ(ut::wire::payloadHash(enc.payload(), enc.payloadBytes()),
+                  p.payloadHash)
+            << job.key;
+    }
 }
