@@ -17,7 +17,7 @@
 #include "core/cli.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
-#include "timing/model.hh"
+#include "timing/config.hh"
 #include "video/sequence.hh"
 
 namespace uasim::bench {
@@ -39,7 +39,7 @@ struct BenchOptions {
     core::CliArgs args;
     /// The smoke-test tiny-input path was requested.
     bool quick;
-    /// The TimingModel backend every timing cell simulates on.
+    /// The backend (CoreConfig::model) every timing cell simulates on.
     std::string timingModel;
     /// Artifact directory; empty when "--json" is absent.
     std::string jsonDir;

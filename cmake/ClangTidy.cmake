@@ -35,9 +35,10 @@ if(NOT EXISTS "${COMPDB}")
     message(FATAL_ERROR "${COMPDB} not found (configure with CMAKE_EXPORT_COMPILE_COMMANDS=ON)")
 endif()
 
-# Shipped-code TUs only (src/, tools/, bench/): _deps and build/ are
-# not ours, and tests/ is gtest-macro territory where check false
-# positives vary by clang-tidy version.
+# Shipped-code TUs (src/, tools/, bench/) plus the reference oracles
+# the engine is diffed against (tests/oracles/, no gtest macros):
+# _deps and build/ are not ours, and the rest of tests/ is gtest-macro
+# territory where check false positives vary by clang-tidy version.
 file(READ "${COMPDB}" _db)
 string(JSON _n LENGTH "${_db}")
 math(EXPR _last "${_n} - 1")
@@ -45,7 +46,7 @@ set(_files "")
 foreach(_i RANGE ${_last})
     string(JSON _f GET "${_db}" ${_i} file)
     file(RELATIVE_PATH _rel "${SOURCE_DIR}" "${_f}")
-    if(NOT _rel MATCHES "^(src|tools|bench)/")
+    if(NOT _rel MATCHES "^(src|tools|bench|tests/oracles)/")
         continue()
     endif()
     list(APPEND _files "${_f}")

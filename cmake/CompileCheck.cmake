@@ -15,9 +15,10 @@
 #    sim_determinism_bad.cc and campaign_determinism_bad.cc fail on
 #    each line marked "// poisoned: <names>", naming each of <names>
 #    where the compiler names poisoned identifiers (GCC does).
-#    Then the scope guard: every source under SOURCE_DIR that the
-#    SCOPE regex matches has an entry in the compile db COMPDB that
-#    force-includes the prelude.
+#    Then the scope guard: every source under SOURCE_DIR's src/ and
+#    tools/ - and, when the compile db COMPDB holds any tests/ source
+#    (the test suites are built), tests/oracles/ - that the SCOPE regex
+#    matches has an entry in COMPDB that force-includes the prelude.
 #
 # Usage: cmake -DCXX=<compiler> -DSTD_FLAG=<-std=c++20>
 #              -DINCLUDE=<repo>/src -DFIXTURES=<fixture dir>
@@ -120,9 +121,15 @@ foreach(i RANGE ${last})
     string(JSON command GET "${db}" ${i} command)
     file(RELATIVE_PATH rel ${SOURCE_DIR} ${file})
     set(cmd_${rel} "${command}")
+    if(rel MATCHES "^tests/")
+        set(tests_built TRUE)
+    endif()
 endforeach()
-file(GLOB_RECURSE sources RELATIVE ${SOURCE_DIR}
-    ${SOURCE_DIR}/src/*.cc ${SOURCE_DIR}/tools/*.cc)
+set(globs ${SOURCE_DIR}/src/*.cc ${SOURCE_DIR}/tools/*.cc)
+if(tests_built)
+    list(APPEND globs ${SOURCE_DIR}/tests/oracles/*.cc)
+endif()
+file(GLOB_RECURSE sources RELATIVE ${SOURCE_DIR} ${globs})
 set(scoped 0)
 foreach(src IN LISTS sources)
     if(NOT src MATCHES "${SCOPE}")

@@ -40,7 +40,6 @@
 #include "timing/batched_pipeline.hh"
 #include "timing/branch_pred.hh"
 #include "timing/config.hh"
-#include "timing/model.hh"
 #include "timing/results.hh"
 #include "trace/addrmap.hh"
 #include "trace/emitter.hh"

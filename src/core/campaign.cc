@@ -25,7 +25,7 @@
 #include <utility>
 #include <variant>
 
-#include "timing/model.hh"
+#include "timing/config.hh"
 #include "trace/file_io.hh"
 #include "trace/trace_io.hh"
 

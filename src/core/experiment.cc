@@ -11,7 +11,7 @@
 #include "h264/luma_ref.hh"
 #include "h264/sad_kernels.hh"
 #include "h264/sad_ref.hh"
-#include "timing/model.hh"
+#include "timing/batched_pipeline.hh"
 #include "trace/addrmap.hh"
 #include "vmx/buffer.hh"
 
@@ -256,9 +256,9 @@ timing::SimResult
 KernelBench::simulate(Variant variant, const timing::CoreConfig &cfg,
                       int execs)
 {
-    auto sim = timing::makeTimingModel(cfg);
-    recordTrace(variant, execs, *sim);
-    return sim->finalize();
+    timing::BatchedPipelineSim sim({cfg});
+    recordTrace(variant, execs, sim);
+    return sim.finalize();
 }
 
 bool

@@ -99,8 +99,9 @@ class KernelBench
     void recordTrace(h264::Variant variant, int execs,
                      trace::TraceSink &sink);
 
-    /// Simulated execution of @p execs executions on @p cfg (the
-    /// backend selected by cfg.model via timing::makeTimingModel).
+    /// Simulated execution of @p execs executions on @p cfg, streamed
+    /// straight into a one-cell timing::BatchedPipelineSim (the
+    /// backend selected by cfg.model).
     timing::SimResult simulate(h264::Variant variant,
                                const timing::CoreConfig &cfg, int execs);
 

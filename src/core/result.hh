@@ -64,12 +64,12 @@ struct SimResultField {
  * diff gating, and the batched-vs-oracle differential tests all
  * iterate this list, so a future counter added here is automatically
  * carried by the artifact, gated by uasim-report, AND compared between
- * the production pipeline engine and its test oracle — it cannot
- * serialize yet silently never gate, nor be modeled in the PipelineSim
- * oracle but forgotten in BatchedPipelineSim. core/field_table.hh
- * proves at compile time that it names every counter (all members
- * but `core`). (Adding one is a simulated-schema change: bump
- * BenchResult::schemaVersion.)
+ * the production engine and its test oracles — it cannot serialize
+ * yet silently never gate, nor be modeled in an oracle (PipelineSim,
+ * OoOPipelineSim: tests/oracles/) but forgotten in BatchedPipelineSim.
+ * core/field_table.hh proves at compile time that it names every
+ * counter (all members but `core`). (Adding one is a simulated-schema
+ * change: bump BenchResult::schemaVersion.)
  */
 std::span<const SimResultField> simResultFields();
 

@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "core/determinism.hh"
+#include "core/field_table.hh"
 #include "core/result.hh"
-#include "timing/model.hh"
+#include "timing/batched_pipeline.hh"
 #include "trace/trace_io.hh"
 
 namespace uasim::core {
@@ -29,6 +30,31 @@ struct TraceGroup {
 /// twinOf entry of a distinct config without a pipeline twin in its
 /// group.
 constexpr std::size_t noTwin = ~std::size_t{0};
+
+using CellWork = timing::BatchedPipelineSim::CellWork;
+
+/// One engine work counter and the SweepStats field it is summed into.
+struct CellWorkRow {
+    std::uint64_t CellWork::*member;
+    std::uint64_t SweepStats::*total;
+};
+
+/// Every CellWork counter, each summed into its SweepStats namesake;
+/// a counter without a row does not compile.
+constexpr CellWorkRow cellWorkRows[] = {
+    {&CellWork::blockedLoads, &SweepStats::blockedLoads},
+    {&CellWork::executedCycles, &SweepStats::executedCycles},
+    {&CellWork::idleJumpedCycles, &SweepStats::idleJumpedCycles},
+    {&CellWork::issueAttempts, &SweepStats::issueAttempts},
+    {&CellWork::producerWaits, &SweepStats::producerWaits},
+    {&CellWork::tokenWaits, &SweepStats::tokenWaits},
+    {&CellWork::portWaits, &SweepStats::portWaits},
+    {&CellWork::storeWaits, &SweepStats::storeWaits},
+    {&CellWork::mshrWaits, &SweepStats::mshrWaits},
+    {&CellWork::wakeSkips, &SweepStats::wakeSkips},
+    {&CellWork::watcherFlushes, &SweepStats::watcherFlushes},
+};
+static_assert(coversEveryMember<CellWork, cellWorkRows>());
 
 /// Add every field of @p from into @p into, through the one
 /// SweepStats table. Partial totals leave threads and wallSeconds 0:
@@ -239,16 +265,15 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                     // One replay pass over passList's distinct configs.
                     auto simulatePass = [&] {
                         auto t0 = WallClock::now();
-                        std::unique_ptr<timing::BatchedPipelineSim> batch;
-                        {
+                        auto batch = [&] {
                             // A temporary, freed before the replay (see
                             // above).
                             std::vector<timing::CoreConfig> cfgs;
                             cfgs.reserve(passList.size());
                             for (std::size_t d : passList)
                                 cfgs.push_back(canonical[firstCellOf[d]]);
-                            batch = timing::makeBatchedTimingModel(cfgs);
-                        }
+                            return timing::BatchedPipelineSim(cfgs);
+                        }();
                         trace::TraceCursor cur = start;
                         trace::InstrRecord block[1024];
                         for (;;) {
@@ -258,26 +283,16 @@ SweepRunner::run(const SweepPlan &plan, const GroupDone &onGroupDone)
                             groupTotals.decodeSeconds += secondsSince(d0);
                             if (got == 0)
                                 break;
-                            batch->appendBlock(block, got);
+                            batch.appendBlock(block, got);
                         }
                         groupTotals.decodeBytes += start.payloadBytes();
-                        auto sims = batch->finalizeAll();
+                        auto sims = batch.finalizeAll();
                         for (std::size_t p = 0; p < passList.size(); ++p) {
                             const std::size_t d = passList[p];
-                            const auto &work = batch->work(int(p));
+                            const auto &work = batch.work(int(p));
                             blockedOf[d] = work.blockedLoads;
-                            groupTotals.blockedLoads += work.blockedLoads;
-                            groupTotals.executedCycles += work.executedCycles;
-                            groupTotals.idleJumpedCycles +=
-                                work.idleJumpedCycles;
-                            groupTotals.issueAttempts += work.issueAttempts;
-                            groupTotals.producerWaits += work.producerWaits;
-                            groupTotals.tokenWaits += work.tokenWaits;
-                            groupTotals.portWaits += work.portWaits;
-                            groupTotals.storeWaits += work.storeWaits;
-                            groupTotals.mshrWaits += work.mshrWaits;
-                            groupTotals.wakeSkips += work.wakeSkips;
-                            groupTotals.watcherFlushes += work.watcherFlushes;
+                            for (const CellWorkRow &r : cellWorkRows)
+                                groupTotals.*r.total += work.*r.member;
                             simOf(d) = std::move(sims[p]);
                         }
                         groupTotals.replaySeconds += secondsSince(t0);

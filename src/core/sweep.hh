@@ -8,10 +8,10 @@
  * strategy loop, a decoder-stage microbenchmark) and a set of core
  * configurations, plus the cells of the grid to evaluate. The runner
  * records each referenced trace exactly once (keyed cache), replays
- * it into all of the trace's timing cells with one batched pass
- * (built through the timing::makeBatchedTimingModel factory, so the
- * runner never names a concrete backend), and spreads the trace
- * groups over a thread pool. Results land in cell order regardless of
+ * it into all of the trace's timing cells with one pass of the timing
+ * engine (timing::BatchedPipelineSim, one cell per config, each
+ * following its own CoreConfig::model), and spreads the trace groups
+ * over a thread pool. Results land in cell order regardless of
  * scheduling, so reports are byte-identical from 1 thread to N.
  *
  * With a persistent store attached (attachStore), "once" extends
@@ -21,12 +21,12 @@
  * re-emulating. Either way the replay decodes the same UATRACE3
  * payload bytes.
  *
- * Exactness: replaying a recorded trace into a timing model is
- * bit-identical to streaming the emulation straight into the model
- * (tests/sweep_test.cc locks this), so a sweep produces exactly the
- * simulated cycles the hand-rolled per-cell loops did - it just
- * emulates each unique trace once instead of once per cell. The
- * engine is in the determinism scope (core/determinism.hh): a
+ * Exactness: replaying a recorded trace into the engine is
+ * bit-identical to streaming the emulation straight into it
+ * (KernelBench::simulate; tests/sweep_test.cc locks this), so a sweep
+ * produces exactly the simulated cycles the hand-rolled per-cell
+ * loops did - it just emulates each unique trace once instead of once
+ * per cell. The engine is in the determinism scope (core/determinism.hh): a
  * wall-clock read, random number or unordered container in it or in
  * this header does not compile; the *Seconds stats read
  * core::WallClock.
@@ -274,14 +274,14 @@ class SweepRunner
     trace::TraceStore *store() const { return store_.get(); }
 
     /**
-     * Force every timing cell onto one TimingModel backend ("pipeline",
-     * "ooo", ...; see timing::timingModelNames). Applied as an override
-     * of CoreConfig::model when the runner copies each cell's config,
-     * so plans keep encoding the paper grid and the backend stays a
+     * Force every timing cell onto one backend ("pipeline", "ooo";
+     * see timing::timingModelNames). Applied as an override of
+     * CoreConfig::model when the runner copies each cell's config, so
+     * plans keep encoding the paper grid and the backend stays a
      * run-time axis. Empty (the default) leaves each config's own
      * model field in charge. An unknown name surfaces as
-     * std::invalid_argument from the factory when run() reaches the
-     * first timing cell.
+     * std::invalid_argument from the engine's constructor when run()
+     * reaches the first timing cell.
      */
     void setTimingModel(std::string model)
     {

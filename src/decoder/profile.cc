@@ -8,7 +8,6 @@
 #include "h264/deblock.hh"
 #include "h264/idct_kernels.hh"
 #include "h264/luma_kernels.hh"
-#include "timing/model.hh"
 #include "trace/addrmap.hh"
 #include "trace/emitter.hh"
 #include "video/rng.hh"
@@ -237,19 +236,6 @@ stageCostJobs(Variant variant)
          [](StageCosts &c, double v) { c.videoOutByte = v; }});
 
     return jobs;
-}
-
-StageCosts
-measureStageCosts(Variant variant, const timing::CoreConfig &cfg)
-{
-    StageCosts costs;
-    for (const auto &job : stageCostJobs(variant)) {
-        auto sim = timing::makeTimingModel(cfg);
-        job.record(*sim);
-        job.assign(costs,
-                   double(sim->finalize().cycles) / job.divisor);
-    }
-    return costs;
 }
 
 ProfileEstimate

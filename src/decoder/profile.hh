@@ -22,7 +22,6 @@
 
 #include "decoder/codec.hh"
 #include "h264/kernels.hh"
-#include "timing/config.hh"
 #include "trace/sink.hh"
 
 namespace uasim::dec {
@@ -58,10 +57,6 @@ struct StageCostJob {
 
 /// All stage microbenchmarks for @p variant, in StageCosts order.
 std::vector<StageCostJob> stageCostJobs(h264::Variant variant);
-
-/// Measure all stage costs for @p variant on @p cfg.
-StageCosts measureStageCosts(h264::Variant variant,
-                             const timing::CoreConfig &cfg);
 
 /// Estimated per-stage cycles for a decode run.
 struct ProfileEstimate {

@@ -4,8 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-
-#include "timing/model.hh"
+#include <string>
 
 namespace uasim::timing {
 
@@ -180,6 +179,17 @@ BatchedPipelineSim::finalizeAll()
     for (const auto &cell : cells_)
         out.push_back(cell.res);
     return out;
+}
+
+SimResult
+BatchedPipelineSim::finalize()
+{
+    if (cells_.size() != 1)
+        throw std::logic_error(
+            "BatchedPipelineSim::finalize: " +
+            std::to_string(cells_.size()) +
+            " cells, not 1 (use finalizeAll)");
+    return finalizeAll().front();
 }
 
 void

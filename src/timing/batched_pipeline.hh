@@ -1,19 +1,45 @@
 /**
  * @file
- * Batched multi-configuration replay: one decoded trace record
- * advances N independent timing-cell states in a single pass.
+ * The timing engine: trace replay of the paper's cores. One decoded
+ * trace record advances N independent timing-cell states in a single
+ * pass.
  *
  * A BatchedPipelineSim holds one machine state per CoreConfig of a
  * sweep group and consumes the instruction stream exactly once,
- * instead of one full replay per configuration. It is the only
- * production timing engine, for both backends: each cell derives its
- * behaviour from its own CoreConfig::model, so one group may mix
- * "pipeline" and "ooo" cells, and makeTimingModel() wraps the engine
- * as a one-cell model. Every cell's simulated counters are
- * bit-identical to feeding the same stream into the reference oracle
- * of its model with the same config - PipelineSim for "pipeline"
- * cells, OoOPipelineSim for "ooo" cells (tests/batched_replay_test.cc
- * is the differential harness that locks this cell for cell).
+ * instead of one full replay per configuration. It consumes an
+ * address-normalized InstrRecord stream - it is a TraceSink, so
+ * emulation, trace buffers and the persistent store all feed it the
+ * same way - and produces one SimResult per cell: the
+ * simResultFields() counter table of core/result.hh. It is the only
+ * timing code in the library. Everything above it (SweepRunner, the
+ * benches, bench_util's shared flags) selects a backend through
+ * CoreConfig::model (timingModelNames()), never by naming a
+ * simulator class. Each cell follows its own model, so one group
+ * may mix backends and predictor sizes:
+ *
+ *   "pipeline"  the Turandot-like in-flight-window model of the
+ *               paper's Table II runs (in-order issue with a bounded
+ *               lookahead unless CoreConfig::outOfOrder; every
+ *               aliasing load waits for the older store).
+ *   "ooo"       an always-out-of-order core with a decoupled issue
+ *               width (CoreConfig::issueWidth) and a store-set
+ *               memory-dependence predictor.
+ *
+ * Every cell's simulated counters are bit-identical to feeding the
+ * same stream into the reference oracle of its model with the same
+ * config - PipelineSim for "pipeline" cells, OoOPipelineSim for "ooo"
+ * cells. The oracles are straightforward test-only simulators
+ * (tests/oracles/, the uasim_oracles library), and
+ * tests/batched_replay_test.cc is the differential harness that locks
+ * this cell for cell.
+ *
+ * Stream-pure invariants shared by both backends: the fetch stage
+ * predicts and trains the branch predictor exactly once per branch,
+ * in program order, so instruction counts, branch counts, mispredict
+ * bits and unaligned-op counts are pure functions of the stream -
+ * identical across backends while cycle timing differs
+ * (tests/timing_model_test.cc is the cross-model differential
+ * harness).
  *
  * The two backends differ per cell in three places only:
  *
@@ -140,6 +166,12 @@ class BatchedPipelineSim : public trace::TraceSink
      * config order. Idempotent.
      */
     std::vector<SimResult> finalizeAll();
+
+    /**
+     * The one-cell form of finalizeAll(): the result of the only cell.
+     * @throws std::logic_error unless cellCount() == 1.
+     */
+    SimResult finalize();
 
     int cellCount() const { return int(cells_.size()); }
 

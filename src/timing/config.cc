@@ -1,5 +1,6 @@
 #include "timing/config.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -172,6 +173,20 @@ CoreConfig::validate() const
     }
     if (model.empty())
         throw std::invalid_argument("CoreConfig: empty model name");
+}
+
+const std::vector<std::string> &
+timingModelNames()
+{
+    static const std::vector<std::string> names = {"pipeline", "ooo"};
+    return names;
+}
+
+bool
+isTimingModel(const std::string &name)
+{
+    return std::ranges::find(timingModelNames(), name) !=
+        timingModelNames().end();
 }
 
 CoreConfig

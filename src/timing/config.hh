@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "trace/instr.hh"
@@ -62,10 +63,11 @@ struct UnitConfig {
 struct CoreConfig {
     std::string name = "2w";
     /**
-     * Timing backend simulating this core (the makeTimingModel()
-     * factory key, see timing/model.hh): "pipeline" is the paper's
-     * Turandot-like in-flight-window model, "ooo" the ROB/issue-queue
-     * out-of-order core with store-set dependence prediction.
+     * Timing backend simulating this core, one of timingModelNames()
+     * (each cell of BatchedPipelineSim follows its own): "pipeline" is
+     * the paper's Turandot-like in-flight-window model, "ooo" the
+     * ROB/issue-queue out-of-order core with store-set dependence
+     * prediction.
      */
     std::string model = "pipeline";
     bool outOfOrder = false;
@@ -157,6 +159,14 @@ struct CoreConfig {
     static const char *const presetNames[3];
     static CoreConfig preset(int idx);
 };
+
+/// Registered CoreConfig::model names, in presentation order.
+const std::vector<std::string> &timingModelNames();
+
+/// True when @p name is one of timingModelNames(). validate() does not
+/// check it; the engine's constructor rejects an unknown model, and
+/// callers with a command line check here first and exit 2.
+bool isTimingModel(const std::string &name);
 
 /**
  * When the timing backends read a CoreConfig field. A field is read by

@@ -5,7 +5,7 @@
  * grid, BatchedPipelineSim must produce per-cell SimResults
  * bit-identical to one standalone reference oracle per config fed the
  * same stream - PipelineSim for a "pipeline" cell, OoOPipelineSim for
- * an "ooo" cell. Coverage:
+ * an "ooo" cell (the test-only oracles of tests/oracles/). Coverage:
  *  - real kernel traces (KernelBench::recordTrace) across the paper
  *    presets and randomized (seeded) config grids that mutate every
  *    CoreConfig knob - model, predictor and store-set sizes, issue
@@ -14,8 +14,9 @@
  *    windows spanning the 1024 producer-ready-ring boundary;
  *  - a store-set aliasing stream replayed through tiny SSITs;
  *  - degenerate grids: a single cell, duplicate configs;
- *  - the one-cell model makeTimingModel() returns for each backend,
- *    fed record by record as emulation feeds it;
+ *  - the one-cell engine makeTimingModel() returns for each backend,
+ *    fed record by record as emulation feeds it, and its finalize()
+ *    (the one-cell finalizeAll());
  *  - synthetic dependence chains long enough to wrap the ready ring;
  *  - append() vs appendBlock() chunk-boundary equivalence and the
  *    empty stream;
@@ -46,11 +47,11 @@
 
 #include "core/experiment.hh"
 #include "core/result.hh"
+#include "oracles/ooo_pipeline.hh"
+#include "oracles/pipeline.hh"
 #include "timing/batched_pipeline.hh"
-#include "timing/model.hh"
-#include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
 #include "timing/config.hh"
+#include "timing/model.hh"
 #include "trace/emitter.hh"
 #include "trace/mix.hh"
 #include "trace/sink.hh"
@@ -460,21 +461,25 @@ TEST(BatchedReplay, FactoryModelsMatchOracles)
 {
     // makeTimingModel returns the batched engine at one cell for
     // either backend; emulation feeds it through append(), one record
-    // at a time, so that is the path compared here.
+    // at a time, so that is the path compared here. finalize() is the
+    // one-cell finalizeAll().
     auto records =
         kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4);
     for (int i = 0; i < 6; ++i) {
         CoreConfig cfg = CoreConfig::preset(i % 3);
         cfg.model = timing::timingModelNames()[std::size_t(i / 3)];
         auto model = timing::makeTimingModel(cfg);
-        EXPECT_EQ(model->config().name, cfg.name);
+        ASSERT_EQ(model->cellCount(), 1);
         for (const auto &rec : records)
             model->append(rec);
         const auto got = model->finalize();
+        EXPECT_EQ(got.core, cfg.name);
         const auto want = perCellResults({cfg}, records);
         expectFieldsIdentical(want[0], got,
                               "factory " + cfg.name + " " + cfg.model);
         expectFieldsIdentical(got, model->finalize(), "idempotent");
+        expectFieldsIdentical(got, model->finalizeAll().front(),
+                              "finalizeAll");
     }
 }
 

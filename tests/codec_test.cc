@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "core/sweep.hh"
 #include "decoder/codec.hh"
 #include "decoder/profile.hh"
 #include "decoder/transform.hh"
@@ -214,11 +217,34 @@ TEST(Profile, CostsAndEstimateShape)
     for (int f = 0; f < cfg.frames; ++f)
         dec.decodeFrame(enc.encodeFrame(f), counts);
 
-    auto cfg4 = timing::CoreConfig::fourWayOoO();
-    auto scalar = dec::measureStageCosts(h264::Variant::Scalar, cfg4);
-    auto altivec = dec::measureStageCosts(h264::Variant::Altivec, cfg4);
-    auto unaligned =
-        dec::measureStageCosts(h264::Variant::Unaligned, cfg4);
+    // Stage costs through fig10_decoder_profile's plan shape: one
+    // trace per stage job of each variant, each timed on one config.
+    core::SweepPlan plan;
+    const int cfg4 =
+        plan.addConfig("4w", timing::CoreConfig::fourWayOoO());
+    std::vector<dec::StageCostJob> jobs[h264::numVariants];
+    for (int v = 0; v < h264::numVariants; ++v) {
+        const auto variant = static_cast<h264::Variant>(v);
+        jobs[v] = dec::stageCostJobs(variant);
+        for (const auto &job : jobs[v]) {
+            const int t = plan.addTrace(
+                {std::string(h264::variantName(variant)) + "/" +
+                     job.key + "/" + std::to_string(job.divisor),
+                 job.record});
+            plan.addCell(t, cfg4);
+        }
+    }
+    const auto results = core::SweepRunner(1).run(plan);
+    dec::StageCosts costs[h264::numVariants];
+    std::size_t cell = 0;
+    for (int v = 0; v < h264::numVariants; ++v) {
+        for (const auto &job : jobs[v])
+            job.assign(costs[v], double(results[cell++].sim.cycles) /
+                                     job.divisor);
+    }
+    const auto &scalar = costs[int(h264::Variant::Scalar)];
+    const auto &altivec = costs[int(h264::Variant::Altivec)];
+    const auto &unaligned = costs[int(h264::Variant::Unaligned)];
 
     // Vectorization helps the MC kernels; CABAC/deblock identical.
     EXPECT_LT(altivec.lumaMc[0][10], scalar.lumaMc[0][10]);

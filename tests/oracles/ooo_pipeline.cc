@@ -1,4 +1,4 @@
-#include "timing/pipeline.hh"
+#include "oracles/ooo_pipeline.hh"
 
 #include <algorithm>
 #include <bit>
@@ -9,11 +9,13 @@ namespace uasim::timing {
 using trace::InstrClass;
 using trace::InstrRecord;
 
-PipelineSim::PipelineSim(const CoreConfig &cfg)
+OoOPipelineSim::OoOPipelineSim(const CoreConfig &cfg)
     // Validate before any member sizes anything from the config (the
-    // predictor table, the rings): a bad config must throw, not OOM.
+    // predictor table, the rings, the SSIT): a bad config must throw,
+    // not OOM.
     : cfg_((cfg.validate(), cfg)), mem_(cfg.mem),
-      bpred_(unsigned(cfg.bpredLog2Entries))
+      bpred_(unsigned(cfg.bpredLog2Entries)),
+      issueWidth_(cfg.issueWidth > 0 ? cfg.issueWidth : cfg.fetchWidth)
 {
     res_.core = cfg_.name;
     storeQ_.reserve(cfg_.storeQ);
@@ -25,10 +27,12 @@ PipelineSim::PipelineSim(const CoreConfig &cfg)
     readyRing_.resize(
         std::bit_ceil(std::max(minRingSize, 2 * inflight)));
     ringMask_ = readyRing_.size() - 1;
+    ssit_.assign(std::size_t(1) << cfg_.storeSetLog2, 0);
+    iq_.reserve(inflight);
 }
 
 int
-PipelineSim::renameLimit(RegFile rf) const
+OoOPipelineSim::renameLimit(RegFile rf) const
 {
     // 32 architected registers are always allocated; the rest rename.
     switch (rf) {
@@ -40,7 +44,7 @@ PipelineSim::renameLimit(RegFile rf) const
 }
 
 int *
-PipelineSim::renameCounter(RegFile rf)
+OoOPipelineSim::renameCounter(RegFile rf)
 {
     switch (rf) {
       case RegFile::GPR: return &gprInflight_;
@@ -51,7 +55,7 @@ PipelineSim::renameCounter(RegFile rf)
 }
 
 int
-PipelineSim::classLatency(InstrClass cls) const
+OoOPipelineSim::classLatency(InstrClass cls) const
 {
     switch (cls) {
       case InstrClass::IntAlu:     return cfg_.lat.intAlu;
@@ -65,8 +69,28 @@ PipelineSim::classLatency(InstrClass cls) const
     }
 }
 
+std::uint32_t
+OoOPipelineSim::allocSet()
+{
+    const auto sets = std::uint32_t(ssit_.size());
+    nextSet_ = nextSet_ + 1 < sets ? nextSet_ + 1 : 1;
+    return nextSet_;
+}
+
 void
-PipelineSim::feed(const InstrRecord &rec)
+OoOPipelineSim::trainStoreSet(std::uint64_t load_pc,
+                              std::uint64_t store_pc)
+{
+    std::uint32_t set = ssit_[ssitIndex(store_pc)];
+    if (!set) {
+        set = allocSet();
+        ssit_[ssitIndex(store_pc)] = set;
+    }
+    ssit_[ssitIndex(load_pc)] = set;
+}
+
+void
+OoOPipelineSim::feed(const InstrRecord &rec)
 {
     assert(!finalized_);
     pending_.push_back(rec);
@@ -80,7 +104,7 @@ PipelineSim::feed(const InstrRecord &rec)
 }
 
 SimResult
-PipelineSim::finalize()
+OoOPipelineSim::finalize()
 {
     if (finalized_)
         return res_;
@@ -103,7 +127,7 @@ PipelineSim::finalize()
 }
 
 void
-PipelineSim::cycle()
+OoOPipelineSim::cycle()
 {
     ++now_;
     for (int u = 0; u < numUnits; ++u)
@@ -117,7 +141,7 @@ PipelineSim::cycle()
     unitTokens_[int(Unit::VCMPLX)] = cfg_.units.vcmplx;
     readPorts_ = cfg_.dReadPorts;
     writePorts_ = cfg_.dWritePorts;
-    issueTokens_ = cfg_.fetchWidth;
+    issueTokens_ = issueWidth_;
 
     // Release completed misses.
     std::erase_if(mshr_, [this](std::uint64_t c) { return c <= now_; });
@@ -129,7 +153,7 @@ PipelineSim::cycle()
 }
 
 void
-PipelineSim::retireStage()
+OoOPipelineSim::retireStage()
 {
     int retired = 0;
     while (!rob_.empty() && retired < cfg_.retireWidth) {
@@ -169,12 +193,13 @@ PipelineSim::retireStage()
             --*ctr;
         ++res_.instrs;
         rob_.pop_front();
+        ++retiredCount_;
         ++retired;
     }
 }
 
 bool
-PipelineSim::tryIssue(Slot &slot)
+OoOPipelineSim::tryIssue(Slot &slot)
 {
     const InstrRecord &rec = slot.rec;
     int unit = int(unitFor(rec.cls));
@@ -187,9 +212,9 @@ PipelineSim::tryIssue(Slot &slot)
         if (readPorts_ <= 0)
             return false;
         // Store-to-load aliasing against older, undrained stores.
-        const StoreEntry *blocker = nullptr;
+        StoreEntry *blocker = nullptr;
         const StoreEntry *forwarder = nullptr;
-        for (const auto &se : storeQ_) {
+        for (auto &se : storeQ_) {
             if (se.id >= rec.id)
                 break;
             std::uint64_t s_end = se.addr + se.size;
@@ -206,8 +231,18 @@ PipelineSim::tryIssue(Slot &slot)
                 forwarder = nullptr;
             }
         }
-        if (blocker)
-            return false;  // retry when the store drains or issues
+        if (blocker) {
+            // Store-set prediction instead of the in-order backend's
+            // unconditional wait: a trained load (the undrained
+            // aliasing store's pc maps to the load's own set) waits
+            // for the drain; an untrained load speculates past the
+            // store and pays the replay penalty below, once the
+            // access is known to go ahead this cycle. Deadlock-free:
+            // the blocker is older and retires independently.
+            const std::uint32_t lset = ssit_[ssitIndex(rec.pc)];
+            if (lset && ssit_[ssitIndex(blocker->pc)] == lset)
+                return false;  // predicted dependent: wait for drain
+        }
 
         bool runtime_unaligned = (rec.addr & 15) != 0 &&
             trace::isUnalignedVecMem(rec.cls);
@@ -215,12 +250,8 @@ PipelineSim::tryIssue(Slot &slot)
         if (forwarder) {
             ++res_.storeForwards;
         } else {
-            // The shared line-crossing rule (the PR 5 deadlock fix,
-            // hoisted to CoreConfig so every backend applies it
-            // identically): under serialized banks a crossing load
-            // occupies a second read port only on a machine that has
-            // one; a single-ported core serializes the second bank
-            // access in the load pipe instead. The check runs before
+            // The shared line-crossing rule (see
+            // CoreConfig::crossingLoadNeedsSecondPort): runs before
             // the cache access so a port-starved retry cannot touch
             // cache state or counters.
             bool crosses =
@@ -248,6 +279,13 @@ PipelineSim::tryIssue(Slot &slot)
             }
             if (acc.l1Miss)
                 mshr_.push_back(now_ + cfg_.lat.load + extra);
+            if (blocker) {
+                // Ordering violation taken: train the pair into one
+                // store set and charge the deterministic replay cost.
+                trainStoreSet(rec.pc, blocker->pc);
+                extra += cfg_.memReplayPenalty;
+                ++memOrderReplays_;
+            }
         }
         if (runtime_unaligned) {
             ++res_.unalignedVecOps;
@@ -300,7 +338,7 @@ PipelineSim::tryIssue(Slot &slot)
 }
 
 bool
-PipelineSim::depsReady(const InstrRecord &rec) const
+OoOPipelineSim::depsReady(const InstrRecord &rec) const
 {
     for (auto d : rec.deps) {
         if (d && readyCycleOf(d) > now_)
@@ -310,34 +348,32 @@ PipelineSim::depsReady(const InstrRecord &rec) const
 }
 
 void
-PipelineSim::issueStage()
+OoOPipelineSim::issueStage()
 {
-    if (cfg_.outOfOrder) {
-        for (auto &slot : rob_) {
-            if (issueTokens_ <= 0)
-                break;
-            if (slot.state == State::Waiting)
-                tryIssue(slot);
-        }
-    } else {
-        // Near-program-order issue with a bounded static-scheduling
-        // window (see CoreConfig::inorderLookahead). Memory ordering
-        // is still protected by the store-queue alias checks.
-        int seen = 0;
-        for (auto &slot : rob_) {
-            if (issueTokens_ <= 0)
-                break;
-            if (slot.state != State::Waiting)
-                continue;
-            tryIssue(slot);
-            if (++seen >= cfg_.inorderLookahead)
-                break;
-        }
+    // Scan only the waiting pool, oldest first, compacting issued
+    // entries out in place. Unlike the "pipeline" backend there is no
+    // lookahead bound: any ready instruction may issue.
+    const std::size_t n = iq_.size();
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < n; ++i) {
+        if (issueTokens_ <= 0)
+            break;
+        const std::uint64_t seq = iq_[i];
+        Slot &slot = rob_[std::size_t(seq - retiredCount_)];
+        assert(slot.state == State::Waiting);
+        if (!tryIssue(slot))
+            iq_[keep++] = seq;
+    }
+    if (keep != i) {
+        for (; i < n; ++i)
+            iq_[keep++] = iq_[i];
+        iq_.resize(keep);
     }
 }
 
 void
-PipelineSim::dispatchStage()
+OoOPipelineSim::dispatchStage()
 {
     int dispatched = 0;
     while (!fetchBuf_.empty() && dispatched < cfg_.fetchWidth) {
@@ -358,6 +394,7 @@ PipelineSim::dispatchStage()
                 break;
             StoreEntry se;
             se.id = slot.rec.id;
+            se.pc = slot.rec.pc;
             se.addr = slot.rec.addr;
             se.size = slot.rec.size;
             storeQ_.push_back(se);
@@ -370,13 +407,14 @@ PipelineSim::dispatchStage()
             ++waitingNonBranch_;
         setReady(slot.rec.id, notReady);
         rob_.push_back(slot);
+        iq_.push_back(dispatchedCount_++);
         fetchBuf_.pop_front();
         ++dispatched;
     }
 }
 
 void
-PipelineSim::fetchStage()
+OoOPipelineSim::fetchStage()
 {
     if (now_ < fetchStallUntil_ || haltBranchId_) {
         ++res_.fetchStallCycles;

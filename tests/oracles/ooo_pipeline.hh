@@ -2,8 +2,9 @@
  * @file
  * Reference oracle of the "ooo" timing backend: a straightforward
  * out-of-order core with a ROB / issue-queue split and store-set
- * memory-dependence prediction. It is not a production engine -
- * every "ooo" cell runs on BatchedPipelineSim
+ * memory-dependence prediction. It is a test-only oracle (the
+ * uasim_oracles library, built with the test suites), not a
+ * production engine - every "ooo" cell runs on BatchedPipelineSim
  * (timing/batched_pipeline.hh), which tests/batched_replay_test.cc
  * diffs against this simulator cell for cell over the full
  * simResultFields() table.
@@ -34,8 +35,8 @@
  * (tests/timing_model_test.cc locks this).
  */
 
-#ifndef UASIM_TIMING_OOO_PIPELINE_HH
-#define UASIM_TIMING_OOO_PIPELINE_HH
+#ifndef UASIM_ORACLES_OOO_PIPELINE_HH
+#define UASIM_ORACLES_OOO_PIPELINE_HH
 
 #include <cstdint>
 #include <deque>
@@ -44,12 +45,12 @@
 #include "mem/hierarchy.hh"
 #include "timing/branch_pred.hh"
 #include "timing/config.hh"
-#include "timing/model.hh"
 #include "timing/results.hh"
+#include "trace/sink.hh"
 
 namespace uasim::timing {
 
-class OoOPipelineSim : public TimingModel
+class OoOPipelineSim : public trace::TraceSink
 {
   public:
     explicit OoOPipelineSim(const CoreConfig &cfg);
@@ -60,10 +61,8 @@ class OoOPipelineSim : public TimingModel
     /// Feed one instruction (program order).
     void feed(const trace::InstrRecord &rec);
 
-    /// Drain the machine and return the final statistics.
-    SimResult finalize() override;
-
-    const CoreConfig &config() const override { return cfg_; }
+    /// Drain the machine and return the final statistics. Idempotent.
+    SimResult finalize();
 
     /// Cycles elapsed so far (monotonic during feeding).
     std::uint64_t now() const { return now_; }
@@ -201,4 +200,4 @@ class OoOPipelineSim : public TimingModel
 
 } // namespace uasim::timing
 
-#endif // UASIM_TIMING_OOO_PIPELINE_HH
+#endif // UASIM_ORACLES_OOO_PIPELINE_HH

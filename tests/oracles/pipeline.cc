@@ -1,4 +1,4 @@
-#include "timing/ooo_pipeline.hh"
+#include "oracles/pipeline.hh"
 
 #include <algorithm>
 #include <bit>
@@ -9,13 +9,11 @@ namespace uasim::timing {
 using trace::InstrClass;
 using trace::InstrRecord;
 
-OoOPipelineSim::OoOPipelineSim(const CoreConfig &cfg)
+PipelineSim::PipelineSim(const CoreConfig &cfg)
     // Validate before any member sizes anything from the config (the
-    // predictor table, the rings, the SSIT): a bad config must throw,
-    // not OOM.
+    // predictor table, the rings): a bad config must throw, not OOM.
     : cfg_((cfg.validate(), cfg)), mem_(cfg.mem),
-      bpred_(unsigned(cfg.bpredLog2Entries)),
-      issueWidth_(cfg.issueWidth > 0 ? cfg.issueWidth : cfg.fetchWidth)
+      bpred_(unsigned(cfg.bpredLog2Entries))
 {
     res_.core = cfg_.name;
     storeQ_.reserve(cfg_.storeQ);
@@ -27,12 +25,10 @@ OoOPipelineSim::OoOPipelineSim(const CoreConfig &cfg)
     readyRing_.resize(
         std::bit_ceil(std::max(minRingSize, 2 * inflight)));
     ringMask_ = readyRing_.size() - 1;
-    ssit_.assign(std::size_t(1) << cfg_.storeSetLog2, 0);
-    iq_.reserve(inflight);
 }
 
 int
-OoOPipelineSim::renameLimit(RegFile rf) const
+PipelineSim::renameLimit(RegFile rf) const
 {
     // 32 architected registers are always allocated; the rest rename.
     switch (rf) {
@@ -44,7 +40,7 @@ OoOPipelineSim::renameLimit(RegFile rf) const
 }
 
 int *
-OoOPipelineSim::renameCounter(RegFile rf)
+PipelineSim::renameCounter(RegFile rf)
 {
     switch (rf) {
       case RegFile::GPR: return &gprInflight_;
@@ -55,7 +51,7 @@ OoOPipelineSim::renameCounter(RegFile rf)
 }
 
 int
-OoOPipelineSim::classLatency(InstrClass cls) const
+PipelineSim::classLatency(InstrClass cls) const
 {
     switch (cls) {
       case InstrClass::IntAlu:     return cfg_.lat.intAlu;
@@ -69,28 +65,8 @@ OoOPipelineSim::classLatency(InstrClass cls) const
     }
 }
 
-std::uint32_t
-OoOPipelineSim::allocSet()
-{
-    const auto sets = std::uint32_t(ssit_.size());
-    nextSet_ = nextSet_ + 1 < sets ? nextSet_ + 1 : 1;
-    return nextSet_;
-}
-
 void
-OoOPipelineSim::trainStoreSet(std::uint64_t load_pc,
-                              std::uint64_t store_pc)
-{
-    std::uint32_t set = ssit_[ssitIndex(store_pc)];
-    if (!set) {
-        set = allocSet();
-        ssit_[ssitIndex(store_pc)] = set;
-    }
-    ssit_[ssitIndex(load_pc)] = set;
-}
-
-void
-OoOPipelineSim::feed(const InstrRecord &rec)
+PipelineSim::feed(const InstrRecord &rec)
 {
     assert(!finalized_);
     pending_.push_back(rec);
@@ -104,7 +80,7 @@ OoOPipelineSim::feed(const InstrRecord &rec)
 }
 
 SimResult
-OoOPipelineSim::finalize()
+PipelineSim::finalize()
 {
     if (finalized_)
         return res_;
@@ -127,7 +103,7 @@ OoOPipelineSim::finalize()
 }
 
 void
-OoOPipelineSim::cycle()
+PipelineSim::cycle()
 {
     ++now_;
     for (int u = 0; u < numUnits; ++u)
@@ -141,7 +117,7 @@ OoOPipelineSim::cycle()
     unitTokens_[int(Unit::VCMPLX)] = cfg_.units.vcmplx;
     readPorts_ = cfg_.dReadPorts;
     writePorts_ = cfg_.dWritePorts;
-    issueTokens_ = issueWidth_;
+    issueTokens_ = cfg_.fetchWidth;
 
     // Release completed misses.
     std::erase_if(mshr_, [this](std::uint64_t c) { return c <= now_; });
@@ -153,7 +129,7 @@ OoOPipelineSim::cycle()
 }
 
 void
-OoOPipelineSim::retireStage()
+PipelineSim::retireStage()
 {
     int retired = 0;
     while (!rob_.empty() && retired < cfg_.retireWidth) {
@@ -193,13 +169,12 @@ OoOPipelineSim::retireStage()
             --*ctr;
         ++res_.instrs;
         rob_.pop_front();
-        ++retiredCount_;
         ++retired;
     }
 }
 
 bool
-OoOPipelineSim::tryIssue(Slot &slot)
+PipelineSim::tryIssue(Slot &slot)
 {
     const InstrRecord &rec = slot.rec;
     int unit = int(unitFor(rec.cls));
@@ -212,9 +187,9 @@ OoOPipelineSim::tryIssue(Slot &slot)
         if (readPorts_ <= 0)
             return false;
         // Store-to-load aliasing against older, undrained stores.
-        StoreEntry *blocker = nullptr;
+        const StoreEntry *blocker = nullptr;
         const StoreEntry *forwarder = nullptr;
-        for (auto &se : storeQ_) {
+        for (const auto &se : storeQ_) {
             if (se.id >= rec.id)
                 break;
             std::uint64_t s_end = se.addr + se.size;
@@ -231,18 +206,8 @@ OoOPipelineSim::tryIssue(Slot &slot)
                 forwarder = nullptr;
             }
         }
-        if (blocker) {
-            // Store-set prediction instead of the in-order backend's
-            // unconditional wait: a trained load (the undrained
-            // aliasing store's pc maps to the load's own set) waits
-            // for the drain; an untrained load speculates past the
-            // store and pays the replay penalty below, once the
-            // access is known to go ahead this cycle. Deadlock-free:
-            // the blocker is older and retires independently.
-            const std::uint32_t lset = ssit_[ssitIndex(rec.pc)];
-            if (lset && ssit_[ssitIndex(blocker->pc)] == lset)
-                return false;  // predicted dependent: wait for drain
-        }
+        if (blocker)
+            return false;  // retry when the store drains or issues
 
         bool runtime_unaligned = (rec.addr & 15) != 0 &&
             trace::isUnalignedVecMem(rec.cls);
@@ -250,8 +215,12 @@ OoOPipelineSim::tryIssue(Slot &slot)
         if (forwarder) {
             ++res_.storeForwards;
         } else {
-            // The shared line-crossing rule (see
-            // CoreConfig::crossingLoadNeedsSecondPort): runs before
+            // The shared line-crossing rule (the PR 5 deadlock fix,
+            // hoisted to CoreConfig so every backend applies it
+            // identically): under serialized banks a crossing load
+            // occupies a second read port only on a machine that has
+            // one; a single-ported core serializes the second bank
+            // access in the load pipe instead. The check runs before
             // the cache access so a port-starved retry cannot touch
             // cache state or counters.
             bool crosses =
@@ -279,13 +248,6 @@ OoOPipelineSim::tryIssue(Slot &slot)
             }
             if (acc.l1Miss)
                 mshr_.push_back(now_ + cfg_.lat.load + extra);
-            if (blocker) {
-                // Ordering violation taken: train the pair into one
-                // store set and charge the deterministic replay cost.
-                trainStoreSet(rec.pc, blocker->pc);
-                extra += cfg_.memReplayPenalty;
-                ++memOrderReplays_;
-            }
         }
         if (runtime_unaligned) {
             ++res_.unalignedVecOps;
@@ -338,7 +300,7 @@ OoOPipelineSim::tryIssue(Slot &slot)
 }
 
 bool
-OoOPipelineSim::depsReady(const InstrRecord &rec) const
+PipelineSim::depsReady(const InstrRecord &rec) const
 {
     for (auto d : rec.deps) {
         if (d && readyCycleOf(d) > now_)
@@ -348,32 +310,34 @@ OoOPipelineSim::depsReady(const InstrRecord &rec) const
 }
 
 void
-OoOPipelineSim::issueStage()
+PipelineSim::issueStage()
 {
-    // Scan only the waiting pool, oldest first, compacting issued
-    // entries out in place. Unlike the "pipeline" backend there is no
-    // lookahead bound: any ready instruction may issue.
-    const std::size_t n = iq_.size();
-    std::size_t keep = 0;
-    std::size_t i = 0;
-    for (; i < n; ++i) {
-        if (issueTokens_ <= 0)
-            break;
-        const std::uint64_t seq = iq_[i];
-        Slot &slot = rob_[std::size_t(seq - retiredCount_)];
-        assert(slot.state == State::Waiting);
-        if (!tryIssue(slot))
-            iq_[keep++] = seq;
-    }
-    if (keep != i) {
-        for (; i < n; ++i)
-            iq_[keep++] = iq_[i];
-        iq_.resize(keep);
+    if (cfg_.outOfOrder) {
+        for (auto &slot : rob_) {
+            if (issueTokens_ <= 0)
+                break;
+            if (slot.state == State::Waiting)
+                tryIssue(slot);
+        }
+    } else {
+        // Near-program-order issue with a bounded static-scheduling
+        // window (see CoreConfig::inorderLookahead). Memory ordering
+        // is still protected by the store-queue alias checks.
+        int seen = 0;
+        for (auto &slot : rob_) {
+            if (issueTokens_ <= 0)
+                break;
+            if (slot.state != State::Waiting)
+                continue;
+            tryIssue(slot);
+            if (++seen >= cfg_.inorderLookahead)
+                break;
+        }
     }
 }
 
 void
-OoOPipelineSim::dispatchStage()
+PipelineSim::dispatchStage()
 {
     int dispatched = 0;
     while (!fetchBuf_.empty() && dispatched < cfg_.fetchWidth) {
@@ -394,7 +358,6 @@ OoOPipelineSim::dispatchStage()
                 break;
             StoreEntry se;
             se.id = slot.rec.id;
-            se.pc = slot.rec.pc;
             se.addr = slot.rec.addr;
             se.size = slot.rec.size;
             storeQ_.push_back(se);
@@ -407,14 +370,13 @@ OoOPipelineSim::dispatchStage()
             ++waitingNonBranch_;
         setReady(slot.rec.id, notReady);
         rob_.push_back(slot);
-        iq_.push_back(dispatchedCount_++);
         fetchBuf_.pop_front();
         ++dispatched;
     }
 }
 
 void
-OoOPipelineSim::fetchStage()
+PipelineSim::fetchStage()
 {
     if (now_ < fetchStallUntil_ || haltBranchId_) {
         ++res_.fetchStallCycles;

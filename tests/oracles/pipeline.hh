@@ -21,14 +21,15 @@
  * fetch halts at a mispredicted branch and resumes a redirect penalty
  * after the branch resolves.
  *
- * This is the reference implementation of the "pipeline" backend, kept
- * as the test oracle: production runs use BatchedPipelineSim
+ * This is the reference implementation of the "pipeline" backend, a
+ * test-only oracle (the uasim_oracles library, built with the test
+ * suites): production runs use BatchedPipelineSim
  * (timing/batched_pipeline.hh), which tests/batched_replay_test.cc
  * proves bit-identical to it.
  */
 
-#ifndef UASIM_TIMING_PIPELINE_HH
-#define UASIM_TIMING_PIPELINE_HH
+#ifndef UASIM_ORACLES_PIPELINE_HH
+#define UASIM_ORACLES_PIPELINE_HH
 
 #include <cstdint>
 #include <deque>
@@ -37,13 +38,12 @@
 #include "mem/hierarchy.hh"
 #include "timing/branch_pred.hh"
 #include "timing/config.hh"
-#include "timing/model.hh"
 #include "timing/results.hh"
 #include "trace/sink.hh"
 
 namespace uasim::timing {
 
-class PipelineSim : public TimingModel
+class PipelineSim : public trace::TraceSink
 {
   public:
     explicit PipelineSim(const CoreConfig &cfg);
@@ -54,13 +54,12 @@ class PipelineSim : public TimingModel
     /// Feed one instruction (program order).
     void feed(const trace::InstrRecord &rec);
 
-    /// Drain the machine and return the final statistics.
-    SimResult finalize() override;
+    /// Drain the machine and return the final statistics. Idempotent.
+    SimResult finalize();
 
     /// Cycles elapsed so far (monotonic during feeding).
     std::uint64_t now() const { return now_; }
 
-    const CoreConfig &config() const override { return cfg_; }
     mem::MemoryHierarchy &memory() { return mem_; }
 
   private:
@@ -173,4 +172,4 @@ class PipelineSim : public TimingModel
 
 } // namespace uasim::timing
 
-#endif // UASIM_TIMING_PIPELINE_HH
+#endif // UASIM_ORACLES_PIPELINE_HH

@@ -51,8 +51,8 @@
 #include "core/result.hh"
 #include "core/sweep.hh"
 #include "file_size_limit.hh"
-#include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
+#include "oracles/ooo_pipeline.hh"
+#include "oracles/pipeline.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_store.hh"

@@ -1,9 +1,11 @@
 /**
  * @file
- * TimingModel interface tests: the factory/registry contract, the
- * cross-model stream-pure differential harness, the shared
- * line-crossing-load gate, and the ooo backend's own mechanisms
- * (store-set prediction, decoupled issue width, memBW throttle).
+ * Timing backend tests: the model registry (timing::timingModelNames,
+ * next to CoreConfig::model) and the engine factories, the one-cell
+ * BatchedPipelineSim::finalize(), the cross-model stream-pure
+ * differential harness, the shared line-crossing-load gate, and the
+ * ooo backend's own mechanisms (store-set prediction, decoupled issue
+ * width, memBW throttle).
  *
  * The cross-model harness is the model-vs-model analogue of
  * batched_replay_test: backends may (must, eventually) disagree on
@@ -25,9 +27,11 @@
 #include "core/experiment.hh"
 #include "core/result.hh"
 #include "core/sweep.hh"
+#include "oracles/ooo_pipeline.hh"
+#include "oracles/pipeline.hh"
+#include "timing/batched_pipeline.hh"
+#include "timing/config.hh"
 #include "timing/model.hh"
-#include "timing/ooo_pipeline.hh"
-#include "timing/pipeline.hh"
 #include "trace/emitter.hh"
 #include "trace/trace_buffer.hh"
 #include "vmx/buffer.hh"
@@ -55,19 +59,19 @@ kernelRecords(const KernelSpec &spec, Variant variant, int execs)
     return sink.records();
 }
 
-/// Feed @p records into a fresh backend selected by @p model.
+/// Feed @p records into a fresh one-cell engine of backend @p model.
 timing::SimResult
 runModel(const std::string &model, CoreConfig cfg,
          const std::vector<InstrRecord> &records)
 {
     cfg.model = model;
-    auto sim = timing::makeTimingModel(cfg);
-    sim->appendBlock(records.data(), records.size());
-    return sim->finalize();
+    timing::BatchedPipelineSim sim({cfg});
+    sim.appendBlock(records.data(), records.size());
+    return sim.finalize();
 }
 
 /// Counters that are pure functions of the record stream: identical
-/// across backends by the TimingModel contract. (lineCrossings is
+/// across backends by the engine's contract. (lineCrossings is
 /// stream-pure only on storeless streams - store-to-load forwarding
 /// elides cache accesses differently per backend - so it is asserted
 /// separately where the stream allows it.)
@@ -103,8 +107,18 @@ TEST(TimingModelFactory, SelectsBackendByConfigModel)
         cfg.model = name;
         auto sim = timing::makeTimingModel(cfg);
         ASSERT_NE(sim, nullptr) << name;
-        EXPECT_EQ(sim->config().model, name);
-        EXPECT_EQ(sim->config().name, cfg.name);
+        EXPECT_EQ(sim->cellCount(), 1) << name;
+        EXPECT_EQ(sim->finalize().core, cfg.name) << name;
+        // finalize() is the one-cell finalizeAll(): at any other cell
+        // count it is a caller error, an empty engine included.
+        for (std::size_t n : {0, 2, 3}) {
+            auto batch = timing::makeBatchedTimingModel(
+                std::vector<CoreConfig>(n, cfg));
+            EXPECT_EQ(batch->cellCount(), int(n)) << name;
+            EXPECT_EQ(batch->finalizeAll().size(), n) << name;
+            EXPECT_THROW((void)batch->finalize(), std::logic_error)
+                << name << " at " << n << " cells";
+        }
     }
     cfg.model = "no-such-model";
     EXPECT_THROW((void)timing::makeTimingModel(cfg),
@@ -119,8 +133,8 @@ TEST(TimingModelFactory, EmptyStreamFinalizes)
     for (const auto &name : timing::timingModelNames()) {
         CoreConfig cfg = CoreConfig::twoWayInOrder();
         cfg.model = name;
-        auto sim = timing::makeTimingModel(cfg);
-        auto r = sim->finalize();
+        timing::BatchedPipelineSim sim({cfg});
+        auto r = sim.finalize();
         EXPECT_EQ(r.instrs, 0u) << name;
         EXPECT_EQ(r.cycles, 0u) << name;
     }
@@ -168,10 +182,10 @@ TEST(TimingModelCrossDiff, BatchedMixedGroupMatchesOracles)
         cfg.bpredLog2Entries = 10 + p;
         cfgs.push_back(cfg);
     }
-    auto batch = timing::makeBatchedTimingModel(cfgs);
-    EXPECT_EQ(batch->cellCount(), 3);
-    batch->appendBlock(records.data(), records.size());
-    auto got = batch->finalizeAll();
+    timing::BatchedPipelineSim batch(cfgs);
+    EXPECT_EQ(batch.cellCount(), 3);
+    batch.appendBlock(records.data(), records.size());
+    auto got = batch.finalizeAll();
     ASSERT_EQ(got.size(), cfgs.size());
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         timing::SimResult want;
@@ -300,14 +314,14 @@ TEST(CrossingGate, OnePortConfigHandledIdenticallyInAllBackends)
         cfg.model = name;
         cfg.mem.parallelBanks = false;
         cfg.dReadPorts = 1;
-        auto sim = timing::makeTimingModel(cfg);
-        trace::Emitter em(*sim);
+        timing::BatchedPipelineSim sim({cfg});
+        trace::Emitter em(sim);
         for (int i = 0; i < n; ++i) {
             em.emitMem(InstrClass::VecLoadU,
                        base + 128 * std::uint64_t(i % 64) + 120, 16,
                        std::source_location::current());
         }
-        results.push_back(sim->finalize());
+        results.push_back(sim.finalize());
     }
     ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results) {
@@ -352,12 +366,12 @@ TEST(OoOBackend, IssueWidthDecouplesFromFetchWidth)
         CoreConfig cfg = CoreConfig::eightWayOoO();
         cfg.model = "ooo";
         cfg.issueWidth = issueWidth;
-        auto sim = timing::makeTimingModel(cfg);
-        trace::Emitter em(*sim);
+        timing::BatchedPipelineSim sim({cfg});
+        trace::Emitter em(sim);
         for (int i = 0; i < 4000; ++i)
             em.emit(InstrClass::IntAlu,
                     std::source_location::current());
-        return sim->finalize();
+        return sim.finalize();
     };
     auto narrow = run(1);
     auto wide = run(0);  // 0 = couple to fetchWidth (8)
@@ -410,14 +424,14 @@ TEST(MemBandwidth, ThrottleSlowsMissStreamsInBothBackends)
         CoreConfig cfg = CoreConfig::eightWayOoO();
         cfg.model = model;
         cfg.mem.memBWBytesPerCycle = bw;
-        auto sim = timing::makeTimingModel(cfg);
-        trace::Emitter em(*sim);
+        timing::BatchedPipelineSim sim({cfg});
+        trace::Emitter em(sim);
         for (int i = 0; i < 200; ++i) {
             em.emitMem(InstrClass::Load,
                        0x40000000ull + std::uint64_t(i) * 4096, 8,
                        std::source_location::current());
         }
-        return sim->finalize();
+        return sim.finalize();
     };
     for (const auto &model : timing::timingModelNames()) {
         auto unlimited = run(model, 0);

@@ -5,9 +5,9 @@
  * forwarding, branch misprediction, unaligned-access latency, and the
  * branch predictor.
  *
- * Every case drives the production engine through
- * timing::makeTimingModel and checks each result against the
- * PipelineSim reference oracle counter for counter, so these cases
+ * Every case drives the production engine, a one-cell
+ * timing::BatchedPipelineSim, and checks each result against the
+ * PipelineSim reference oracle (tests/oracles/) counter for counter, so these cases
  * cover the engine that actually runs while the oracle pins the exact
  * cycles.
  */
@@ -17,9 +17,9 @@
 #include <stdexcept>
 
 #include "core/result.hh"
+#include "oracles/pipeline.hh"
+#include "timing/batched_pipeline.hh"
 #include "timing/branch_pred.hh"
-#include "timing/model.hh"
-#include "timing/pipeline.hh"
 #include "trace/emitter.hh"
 #include "trace/trace_io.hh"
 #include "vmx/buffer.hh"
@@ -35,8 +35,8 @@ using trace::InstrRecord;
 namespace {
 
 /**
- * Feed the stream @p gen emits into the production engine
- * (timing::makeTimingModel) and into the PipelineSim oracle, expect
+ * Feed the stream @p gen emits into the production engine (a one-cell
+ * timing::BatchedPipelineSim) and into the PipelineSim oracle, expect
  * every counter to agree, and return the production result. @p gen
  * must emit the same stream on every call.
  */
@@ -44,9 +44,9 @@ template <class Gen>
 timing::SimResult
 simulate(const CoreConfig &cfg, Gen &&gen)
 {
-    auto model = timing::makeTimingModel(cfg);
-    gen(*model);
-    const timing::SimResult got = model->finalize();
+    timing::BatchedPipelineSim model({cfg});
+    gen(model);
+    const timing::SimResult got = model.finalize();
 
     PipelineSim oracle(cfg);
     gen(oracle);
@@ -525,7 +525,7 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
     // anything - the predictor table included.
     for (auto poke : {+[](CoreConfig &c) { c.inflight = 0; },
                       +[](CoreConfig &c) { c.bpredLog2Entries = 40; }}) {
-        EXPECT_THROW((void)timing::makeTimingModel(bad(poke)),
+        EXPECT_THROW(timing::BatchedPipelineSim({bad(poke)}),
                      std::invalid_argument);
         EXPECT_THROW(PipelineSim(bad(poke)), std::invalid_argument);
     }
