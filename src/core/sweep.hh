@@ -202,8 +202,8 @@ struct SweepStats {
      * Issue-stage work summed over the simulated cells, one field per
      * CellWork counter: tryIssue attempts, the check that failed each
      * failed one (issueAttempts = simulated instrs + the five *Waits),
-     * waiting-list visits skipped on a cached wake bound, and
-     * watcher-overflow flushes. Deterministic; informational.
+     * waiting-list visits skipped on a wake bound, and drops of
+     * every wake bound of a cell. Deterministic; informational.
      */
     std::uint64_t issueAttempts = 0;
     std::uint64_t producerWaits = 0;

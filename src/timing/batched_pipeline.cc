@@ -27,8 +27,10 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
     res.core = cfg.name;
     storeQ.reserve(cfg.storeQ);
     mshr.reserve(cfg.missMax);
+    // Dispatch caps the unissued slots at issueQ + branchQ.
     waiting.reserve(std::size_t(std::max(1, cfg.issueQ)) +
                     std::size_t(std::max(1, cfg.branchQ)));
+    woken.reserve(waiting.capacity());
     const auto inflight = std::size_t(std::max(1, cfg.inflight));
     readyRing.resize(
         std::bit_ceil(std::max(minRingSize, 2 * inflight)));
@@ -136,8 +138,27 @@ BatchedPipelineSim::appendBlock(const InstrRecord *recs, std::size_t n)
     assert(!finalized_);
     while (n > 0) {
         const std::size_t chunk = std::min(n, chunkRecords);
-        for (std::size_t i = 0; i < chunk; ++i)
-            window_[feedSeq_++ & winMask_] = recs[i];
+        const std::uint64_t chunkStart = feedSeq_;
+        for (std::size_t i = 0; i < chunk; ++i) {
+            // The input contract the timing depends on: a record that
+            // waits on itself or on a younger record never issues, and
+            // the backpressure loop would spin forever.
+            const InstrRecord &rec = recs[i];
+            const char *bad = nullptr;
+            if (feedSeq_ && rec.id <= winRec(feedSeq_ - 1).id)
+                bad = "its id does not exceed the previous record's";
+            for (auto d : rec.deps) {
+                if (d != 0 && d >= rec.id)
+                    bad = "it depends on an id not older than its own";
+            }
+            if (bad) {
+                feedSeq_ = chunkStart;
+                throw std::invalid_argument(
+                    "BatchedPipelineSim: record " + std::to_string(rec.id) +
+                    " rejected: " + bad);
+            }
+            window_[feedSeq_++ & winMask_] = rec;
+        }
         // Cell-major: each cell consumes the whole staged chunk while
         // its machine state is cache-hot.
         for (auto &cell : cells_)
@@ -224,6 +245,9 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     retireStage(cell);
     issueStage(cell);
     dispatchStage(cell);
+    if (!cell.woken.empty())
+        mergeWoken(cell, 0, 0);
+    cell.admitNow = false;
     fetchStage(cell);
 
     // issueTokens only decrements on a successful issue, so a full
@@ -249,12 +273,12 @@ BatchedPipelineSim::idleJump(Cell &cell)
     //  - the earliest MSHR release (frees miss capacity for both the
     //    issue and the store-drain path);
     //  - the fetch stall horizon (icache fill / mispredict redirect);
-    //  - every cached wake bound on the waiting list (sound lower
-    //    bounds on the next possible issue; wake == 0 entries sit
-    //    beyond the in-order lookahead and cannot issue before the
-    //    list front moves, which is itself an event above, and
-    //    wake == notReady entries wait on a producer issuing, also
-    //    an event above).
+    //  - every wake bound on the waiting list (sound lower bounds on
+    //    the next possible issue). Entries beyond an in-order cell's
+    //    lookahead cannot issue before the list front moves, and a
+    //    wake == notReady entry, like every Parked slot, waits on an
+    //    unissued producer, which can issue no earlier than the
+    //    events bounding it - all of them among these.
     //
     // Jumping now to just before that minimum is unobservable except
     // for fetchStallCycles, which the oracle increments once per
@@ -281,8 +305,12 @@ BatchedPipelineSim::idleJump(Cell &cell)
         t = std::min(t, c);  // post-erase entries are all > now
     if (cell.fetchStallUntil > cell.now)
         t = std::min(t, cell.fetchStallUntil);
-    for (const auto seq : cell.waiting) {
-        const std::uint64_t wake = cell.slots[seq & cell.slotMask].wake;
+    std::size_t scanned = cell.waiting.size();
+    if (!cell.outOfOrder)
+        scanned = std::min(scanned, std::size_t(cell.cfg.inorderLookahead));
+    for (std::size_t i = 0; i < scanned; ++i) {
+        const std::uint64_t wake =
+            cell.slots[cell.waiting[i] & cell.slotMask].wake;
         if (wake == 0 || wake >= wakeMshrFull)
             continue;
         if (wake <= cell.now)
@@ -362,21 +390,12 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
     slot.wake = cell.now + 1;
     // Producer check first (the oracle checks unit tokens first, but
     // every failure path up to the issue commit is side-effect-free,
-    // so the order is unobservable): a producer-blocked slot yields a
-    // cacheable wake bound, a token-blocked one does not.
-    std::uint64_t depWake = 0;
-    for (auto d : rec.deps) {
-        if (d)
-            depWake = std::max(depWake, cell.readyCycleOf(d));
-    }
+    // so the order is unobservable): a producer-blocked slot yields an
+    // exact wake bound, a token-blocked one does not. Dispatch and
+    // setReady keep producer bounds exact, so this fails only after a
+    // flush dropped the slot's bound or under aliasing ids.
+    const std::uint64_t depWake = cell.watchProducers(rec, seq);
     if (depWake > cell.now) {
-        // Sound until any dep's ring entry is rewritten; register
-        // this slot as a watcher on every index read so setReady
-        // zeroes the bound when that happens.
-        for (auto d : rec.deps) {
-            if (d)
-                cell.watchDep(d, seq);
-        }
         slot.wake = depWake;
         ++cell.work.producerWaits;
         return false;
@@ -433,13 +452,17 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             // remove it before it issues - so the earliest the
             // verdict can change is a computable event. An unissued
             // blocker flips at its own issue (a setReady on its id,
-            // so the watch fires); an issued containing blocker
-            // becomes a forwarder exactly at fwdReady. A partial
-            // overlap persists until the store drains, which has no
-            // timestamp - retry next cycle as before.
+            // so the watch fires - as long as the blocker still owns
+            // its ring entry, which only an aliasing id can take); an
+            // issued containing blocker becomes a forwarder exactly at
+            // fwdReady. A partial overlap persists until the store
+            // drains, which has no timestamp - retry next cycle as
+            // before.
             if (!blocker->issued) {
-                cell.watchDep(blocker->id, seq);
-                slot.wake = notReady;
+                if (cell.readyCycleOf(blocker->id) == notReady) {
+                    cell.watchDep(blocker->id, seq);
+                    slot.wake = notReady;
+                }
             } else if (blocker->addr <= rec.addr &&
                        rec.addr + rec.size <=
                            blocker->addr + blocker->size &&
@@ -545,7 +568,7 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
     --cell.unitTokens[unit];
     --cell.issueTokens;
     slot.state = State::Issued;
-    cell.setReady(rec.id, slot.readyCycle);
+    setReady(cell, rec.id, slot.readyCycle);
     if (rec.cls == InstrClass::Branch)
         --cell.waitingBranch;
     else
@@ -554,26 +577,87 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
 }
 
 void
+BatchedPipelineSim::wakeWatchers(Cell &cell, std::size_t idx, bool dropAll)
+{
+    const RingWatch fired = cell.ringWatch[idx];
+    cell.ringWatch[idx] = {};
+    if (fired.overflow || dropAll) {
+        dropWakes(cell);
+        return;
+    }
+    for (std::uint8_t k = 0; k < fired.n; ++k)
+        rewake(cell, fired.seq[k]);
+}
+
+void
+BatchedPipelineSim::rewake(Cell &cell, std::uint64_t seq)
+{
+    // A watcher that issued or retired since registering: its slot may
+    // already hold a younger record.
+    if (seq < cell.retirePos || seq >= cell.dispatchPos)
+        return;
+    Slot &slot = cell.slots[seq & cell.slotMask];
+    if (slot.state == State::Issued)
+        return;
+    const std::uint64_t bound = cell.watchProducers(winRec(seq), seq);
+    slot.wake = bound > cell.now ? bound : 0;
+    if (!slot.wake)
+        cell.admitNow = true;
+    if (slot.state == State::Parked && bound != notReady) {
+        slot.state = State::Waiting;
+        cell.woken.push_back(seq);
+    }
+}
+
+void
+BatchedPipelineSim::dropWakes(Cell &cell)
+{
+    // Drop every bound of the cell (a zero wake only forces a re-run of
+    // the real checks, never a wrong skip) and bring every parked slot
+    // back to the waiting list.
+    ++cell.work.watcherFlushes;
+    cell.admitNow = true;
+    for (std::uint64_t seq = cell.retirePos; seq < cell.dispatchPos; ++seq) {
+        Slot &slot = cell.slots[seq & cell.slotMask];
+        if (slot.state == State::Issued)
+            continue;
+        slot.wake = 0;
+        if (slot.state == State::Parked) {
+            slot.state = State::Waiting;
+            cell.woken.push_back(seq);
+        }
+    }
+}
+
+void
 BatchedPipelineSim::issueStage(Cell &cell)
 {
     // Scan only the Waiting slots (in ROB order): tryIssue is
     // side-effect-free for slots it is never called on, so skipping
-    // Issued slots reproduces PipelineSim's full-ROB walk exactly; for
-    // an "ooo" cell the list is OoOPipelineSim's issue queue.
+    // Issued slots - and Parked ones, which would fail on a producer -
+    // reproduces PipelineSim's full-ROB walk exactly; for an "ooo"
+    // cell the list is OoOPipelineSim's issue queue. A slot found
+    // waiting on an unissued producer parks.
     auto &waiting = cell.waiting;
-    const std::size_t n = waiting.size();
     const std::uint64_t attempts = cell.work.issueAttempts;
+    std::uint64_t visits = 0;
     std::size_t keep = 0;
     std::size_t i = 0;
     if (cell.outOfOrder) {
-        for (; i < n; ++i) {
-            if (cell.issueTokens <= 0)
-                break;
-            const std::uint64_t seq = waiting[i];
-            const std::uint64_t wake =
-                cell.slots[seq & cell.slotMask].wake;
-            if ((wake > cell.now && wake != wakeMshrFull) ||
-                !tryIssue(cell, seq))
+        // waiting[0, keep) stays listed, [i, size) is still to visit.
+        while (i < waiting.size() && cell.issueTokens > 0) {
+            const std::uint64_t seq = waiting[i++];
+            Slot &slot = cell.slots[seq & cell.slotMask];
+            ++visits;
+            if ((slot.wake <= cell.now || slot.wake == wakeMshrFull) &&
+                tryIssue(cell, seq)) {
+                if (cell.admitNow)
+                    i = admitWoken(cell, seq, keep, i);
+                continue;
+            }
+            if (slot.wake == notReady)
+                slot.state = State::Parked;
+            else
                 waiting[keep++] = seq;
         }
     } else {
@@ -582,6 +666,7 @@ BatchedPipelineSim::issueStage(Cell &cell)
         // counts Waiting slots examined, as PipelineSim's walk does -
         // a wake-skipped slot was still examined by the oracle's walk,
         // so it consumes lookahead all the same.
+        const std::size_t n = waiting.size();
         int seen = 0;
         for (; i < n; ++i) {
             if (cell.issueTokens <= 0)
@@ -597,15 +682,54 @@ BatchedPipelineSim::issueStage(Cell &cell)
                 break;
             }
         }
+        visits = i;
     }
-    // Each of the i visits either skipped on its wake bound or called
-    // tryIssue.
-    cell.work.wakeSkips += i - (cell.work.issueAttempts - attempts);
+    // Each visit either skipped on its wake bound or called tryIssue.
+    cell.work.wakeSkips += visits - (cell.work.issueAttempts - attempts);
     if (keep != i) {
-        for (; i < n; ++i)
-            waiting[keep++] = waiting[i];
-        waiting.resize(keep);
+        waiting.erase(waiting.begin() + std::ptrdiff_t(keep),
+                      waiting.begin() + std::ptrdiff_t(i));
     }
+}
+
+std::size_t
+BatchedPipelineSim::admitWoken(Cell &cell, std::uint64_t issuer,
+                               std::size_t keep, std::size_t next)
+{
+    // A slot that @p issuer's setReady made issuable at once - behind a
+    // 0-cycle producer, or a consumer of an id whose ring entry the
+    // issuer took back - is one the oracle's walk reaches later this
+    // cycle, if it is younger. Close the scan's gap waiting[keep, next)
+    // and merge those slots into the part still to visit; the rest of
+    // woken waits for the merge after dispatch.
+    cell.admitNow = false;
+    auto &woken = cell.woken;
+    const auto admit = std::partition(
+        woken.begin(), woken.end(), [&cell, issuer](std::uint64_t s) {
+            return s < issuer || cell.slots[s & cell.slotMask].wake != 0;
+        });
+    if (admit == woken.end())
+        return next;
+    cell.waiting.erase(cell.waiting.begin() + std::ptrdiff_t(keep),
+                       cell.waiting.begin() + std::ptrdiff_t(next));
+    mergeWoken(cell, keep, std::size_t(admit - woken.begin()));
+    return keep;
+}
+
+void
+BatchedPipelineSim::mergeWoken(Cell &cell, std::size_t at, std::size_t from)
+{
+    // Sorted insertion into waiting[at, end) (all of it younger than
+    // waiting[0, at)); every unissued slot fits the capacity reserved
+    // at construction.
+    auto &waiting = cell.waiting;
+    for (std::size_t j = from; j < cell.woken.size(); ++j) {
+        const std::uint64_t seq = cell.woken[j];
+        waiting.insert(std::upper_bound(waiting.begin() + std::ptrdiff_t(at),
+                                        waiting.end(), seq),
+                       seq);
+    }
+    cell.woken.resize(from);
 }
 
 void
@@ -646,8 +770,18 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
             ++cell.waitingBranch;
         else
             ++cell.waitingNonBranch;
-        cell.setReady(rec.id, notReady);
-        cell.waiting.push_back(cell.dispatchPos);
+        setReady(cell, rec.id, notReady);
+        // The first attempt's producer check, run here: the bound is
+        // exact from dispatch on (setReady keeps it so).
+        Slot &slot = cell.slots[cell.dispatchPos & cell.slotMask];
+        const std::uint64_t bound =
+            cell.watchProducers(rec, cell.dispatchPos);
+        if (bound > cell.now)
+            slot.wake = bound;
+        if (cell.outOfOrder && bound == notReady)
+            slot.state = State::Parked;
+        else
+            cell.waiting.push_back(cell.dispatchPos);
         ++cell.dispatchPos;
         ++dispatched;
     }

@@ -92,22 +92,31 @@
  *    branchQ - so the batch scans a compact ordered list of waiting
  *    slots (same slots, same order, same per-cycle token state:
  *    bit-identical decisions at a fraction of the memory traffic).
- *  - **Wakeup-cached issue attempts.** A failed tryIssue is pure, so
+ *  - **Event-driven issue wakeup.** A failed tryIssue is pure, so
  *    skipping a retry that is certain to fail again is unobservable.
- *    When a slot is blocked on producers, the max producer ready
- *    cycle is a sound earliest-retry bound - sound *until* any of
- *    the dep's ready-ring entries is rewritten (a producer issuing,
- *    or an aliasing id overwriting the tagged slot, which makes the
- *    dep read as ready immediately). Every rewrite goes through
- *    setReady, so each cached bound registers its ROB slot as a
- *    watcher on the ring indices it read, and setReady zeroes the
- *    wake of exactly those watchers (push invalidation: one producer
- *    issuing wakes just its own consumers; a watcher-list overflow
- *    degrades to flushing every cached bound, which is always safe).
- *    Resource-blocked slots (tokens, ports, store queue) and
- *    store-set waits (the SSIT changes whenever another load issues)
- *    retry next cycle as before. Net effect: the oracles' ~16 failed
- *    issue attempts per cycle collapse to one integer compare each.
+ *    A slot's producer bound - the max ready cycle of its deps - is
+ *    computed when it dispatches and again whenever that answer can
+ *    change, never by a failing retry (the wakeup/select split of
+ *    real schedulers). A producer's ready-ring entry changes only in
+ *    setReady: the producer issuing, or another id taking the entry
+ *    over, which makes the dep read as ready. A slot waiting on a
+ *    producer that has not issued registers as a watcher on that
+ *    producer's ring index, and setReady recomputes exactly those
+ *    watchers' bounds; a finite bound needs no watch, because an
+ *    issued producer's entry changes hands only after it completed
+ *    (once the ring wraps, at every dispatch) - unless ids far apart
+ *    alias it while in flight, which drops every bound of the cell,
+ *    as a watcher-list overflow does; a zero bound only forces a
+ *    re-run of the real checks. In an out-of-order cell a slot
+ *    waiting on an unissued producer leaves the waiting list
+ *    altogether (it is Parked) and re-enters it in ROB order once its
+ *    producers have all issued - during the issue scan itself when it
+ *    can issue at once, as the oracle's walk would reach it - so the
+ *    scan visits only slots that could issue. Resource-blocked slots
+ *    (tokens, ports, store queue) and store-set waits (the SSIT
+ *    changes whenever another load issues) retry next cycle as
+ *    before. Net effect: the oracles' ~16 failed issue attempts per
+ *    cycle collapse to about three waiting-list visits.
  *  - **Idle-cycle event jump.** Under long-latency stalls (an L2 or
  *    memory miss pins the ROB head for hundreds of cycles) most
  *    cycles move no cursor and issue nothing. After such a provably
@@ -129,6 +138,7 @@
 #ifndef UASIM_TIMING_BATCHED_PIPELINE_HH
 #define UASIM_TIMING_BATCHED_PIPELINE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -153,11 +163,18 @@ class BatchedPipelineSim : public trace::TraceSink
      */
     explicit BatchedPipelineSim(const std::vector<CoreConfig> &cfgs);
 
-    /// TraceSink hook: feed one record to every cell.
+    /// TraceSink hook: feed one record to every cell (input contract
+    /// as appendBlock()).
     void append(const trace::InstrRecord &rec) override;
 
-    /// Feed a decoded block to every cell, cell-major per chunk so a
-    /// cell's working state stays cache-hot across the whole chunk.
+    /**
+     * Feed a decoded block to every cell, cell-major per chunk so a
+     * cell's working state stays cache-hot across the whole chunk.
+     * @throws std::invalid_argument on a record whose id does not
+     * exceed the previous record's, or with a dep not older than
+     * itself (it could never issue). Nothing of the chunkRecords
+     * chunk holding it is fed; the stream may go on from there.
+     */
     void appendBlock(const trace::InstrRecord *recs,
                      std::size_t n) override;
 
@@ -191,7 +208,11 @@ class BatchedPipelineSim : public trace::TraceSink
         /// the five checks below, so issueAttempts is the cell's
         /// instrs plus the five *Waits.
         std::uint64_t issueAttempts = 0;
-        std::uint64_t producerWaits = 0;  //!< a producer not yet ready
+        /// A producer not yet ready. Dispatch and setReady keep
+        /// producer bounds exact, so this counts attempts after a
+        /// flush dropped the slot's bound (or an aliasing id's issue
+        /// took a producer's entry back).
+        std::uint64_t producerWaits = 0;
         std::uint64_t tokenWaits = 0;     //!< no token left on the unit
         /// No read port, or no second one for a line-crossing load.
         std::uint64_t portWaits = 0;
@@ -199,11 +220,13 @@ class BatchedPipelineSim : public trace::TraceSink
         /// "ooo" load waiting on its trained store set.
         std::uint64_t storeWaits = 0;
         std::uint64_t mshrWaits = 0;  //!< a missing load, MSHR file full
-        /// Waiting-list scan visits skipped on a cached wake bound
-        /// (issueStage visits = issueAttempts + wakeSkips).
+        /// Waiting-list scan visits skipped on a wake bound (issueStage
+        /// visits = issueAttempts + wakeSkips); Parked slots are not
+        /// on the list, so they cost no visit.
         std::uint64_t wakeSkips = 0;
-        /// setReady calls that dropped every cached wake bound of the
-        /// cell after a watcher-list overflow.
+        /// setReady calls that dropped every wake bound of the cell:
+        /// a watcher-list overflow, or an aliasing id taking over the
+        /// entry of an issued producer still in flight.
         std::uint64_t watcherFlushes = 0;
     };
 
@@ -212,16 +235,22 @@ class BatchedPipelineSim : public trace::TraceSink
     const CellWork &work(int i) const { return cells_[std::size_t(i)].work; }
 
   private:
-    enum class State : std::uint8_t { Waiting, Issued };
+    /// Parked: not issued and off the waiting list, because it waits
+    /// on a producer that has not issued (wake == notReady). Only
+    /// out-of-order cells park: an in-order scan's lookahead counts
+    /// the slots it visits.
+    enum class State : std::uint8_t { Waiting, Parked, Issued };
 
     /// Per-cell view of one in-flight record (the record itself lives
     /// once in the shared window).
     struct Slot {
         std::uint64_t readyCycle = 0;
-        /// Cached earliest-retry cycle while Waiting. 0 = no cached
-        /// bound, run the real checks; notReady = blocked until a
-        /// watched ready-ring index is rewritten (setReady zeroes
-        /// this through the watcher list); wakeMshrFull = see below.
+        /// Earliest cycle an unissued slot can issue. 0 = unknown, run
+        /// the real checks; notReady = a producer (or, in a "pipeline"
+        /// cell, the older store a load waits on) has not issued, and
+        /// setReady recomputes the bound when it does; wakeMshrFull =
+        /// see below; any other value = the cycle its last producer
+        /// completes, or a transient-resource retry cycle.
         std::uint64_t wake = 0;
         State state = State::Waiting;
         bool mispredict = false;  //!< set at fetch by the cell's gshare
@@ -241,11 +270,12 @@ class BatchedPipelineSim : public trace::TraceSink
         std::uint64_t cycle = 0;
     };
 
-    /// Watcher list of one ready-ring index: the ROB seqs whose
-    /// cached wake bound must be dropped when the index is rewritten.
-    /// Sized for an in-flight fan-out of 3 consumers; beyond that the
-    /// overflow flag makes the next rewrite flush every cached bound
-    /// of the cell (always safe, just slower).
+    /// Watcher list of one ready-ring index: the ROB seqs that wait
+    /// on the index's owner while it has not issued, whose bounds are
+    /// recomputed when the entry is next written (so a non-empty list
+    /// means an unissued owner). Sized for an in-flight fan-out of 3
+    /// consumers; beyond that the overflow flag makes the next write
+    /// drop every wake bound of the cell (always safe, just slower).
     struct RingWatch {
         std::array<std::uint64_t, 3> seq{};
         std::uint8_t n = 0;
@@ -284,6 +314,13 @@ class BatchedPipelineSim : public trace::TraceSink
         std::vector<std::uint64_t> mshr;
         /// Seqs of Waiting ROB slots, in ROB (= program) order.
         std::vector<std::uint64_t> waiting;
+        /// Seqs of Parked slots woken since the last merge into
+        /// waiting (any order): merged into the running issue scan
+        /// when they can issue at once, otherwise after dispatchStage.
+        std::vector<std::uint64_t> woken;
+        /// A wake dropped to 0 since the last admitWoken: a woken slot
+        /// may be able to issue at once.
+        bool admitNow = false;
         /// Per-ready-ring-index watcher lists for push invalidation
         /// of cached wake bounds.
         std::vector<RingWatch> ringWatch;
@@ -335,35 +372,25 @@ class BatchedPipelineSim : public trace::TraceSink
             return e.id == id ? e.cycle : 0;
         }
 
-        void
-        setReady(std::uint64_t id, std::uint64_t cycle)
+        /// Latest ready cycle over @p rec's producers (notReady while
+        /// one has not issued; a producer whose ring entry another id
+        /// took over reads as ready), with slot @p seq registered as a
+        /// watcher of each producer that has not issued.
+        std::uint64_t
+        watchProducers(const trace::InstrRecord &rec, std::uint64_t seq)
         {
-            const auto idx = id & ringMask;
-            auto &e = readyRing[idx];
-            e.id = id;
-            e.cycle = cycle;
-            RingWatch &wt = ringWatch[idx];
-            if (wt.overflow) {
-                // A past registration did not fit: conservatively
-                // drop every cached bound (a zero wake only forces a
-                // re-run of the real checks, never a wrong skip).
-                ++work.watcherFlushes;
-                for (auto s : waiting)
-                    slots[s & slotMask].wake = 0;
-                wt.overflow = false;
-                wt.n = 0;
-            } else if (wt.n) {
-                // A stale watcher (its slot issued, retired or was
-                // reused since) at worst re-zeroes a reused slot's
-                // wake - also just a forced recheck.
-                for (std::uint8_t k = 0; k < wt.n; ++k)
-                    slots[wt.seq[k] & slotMask].wake = 0;
-                wt.n = 0;
+            std::uint64_t bound = 0;
+            for (auto d : rec.deps) {
+                const std::uint64_t ready = readyCycleOf(d);
+                if (ready == notReady)
+                    watchDep(d, seq);
+                bound = std::max(bound, ready);
             }
+            return bound;
         }
 
-        /// Register @p seq's cached wake bound as depending on
-        /// producer id @p d's ready-ring index.
+        /// Register @p seq's wake bound as depending on producer id
+        /// @p d's ready-ring index.
         void
         watchDep(std::uint64_t d, std::uint64_t seq)
         {
@@ -408,6 +435,34 @@ class BatchedPipelineSim : public trace::TraceSink
     }
 
     void advanceCell(Cell &cell, std::uint64_t fedEnd);
+
+    void
+    setReady(Cell &cell, std::uint64_t id, std::uint64_t cycle)
+    {
+        const auto idx = id & cell.ringMask;
+        ReadyEntry &e = cell.readyRing[idx];
+        // Another id taking the entry over makes its owner read as
+        // ready. An owner that completed by now - the previous lap's,
+        // at every dispatch once the ring wraps - read as ready
+        // before, and one that has not issued has its waiting
+        // consumers on the watcher list. An issued owner still in
+        // flight (only ids far apart can alias one) leaves bounds
+        // nobody registered: drop them all.
+        const bool dropAll =
+            e.id != id && e.cycle != notReady && e.cycle > cell.now;
+        e.id = id;
+        e.cycle = cycle;
+        const RingWatch &wt = cell.ringWatch[idx];
+        if (wt.n || wt.overflow || dropAll)
+            wakeWatchers(cell, idx, dropAll);
+    }
+
+    void wakeWatchers(Cell &cell, std::size_t idx, bool dropAll);
+    void rewake(Cell &cell, std::uint64_t seq);
+    void dropWakes(Cell &cell);
+    std::size_t admitWoken(Cell &cell, std::uint64_t issuer,
+                           std::size_t keep, std::size_t next);
+    void mergeWoken(Cell &cell, std::size_t at, std::size_t from);
 
     void cycleCell(Cell &cell);
     void idleJump(Cell &cell);

@@ -18,8 +18,12 @@
  *    fed record by record as emulation feeds it, and its finalize()
  *    (the one-cell finalizeAll());
  *  - synthetic dependence chains long enough to wrap the ready ring;
- *  - append() vs appendBlock() chunk-boundary equivalence and the
- *    empty stream;
+ *  - append() vs appendBlock() chunk-boundary equivalence, the
+ *    empty stream, and the rejection of records whose ids do not
+ *    increase or whose deps are not older than themselves;
+ *  - latencies of 0, where a consumer issues in its producer's cycle;
+ *  - one producer with more in-flight consumers than a ready-ring
+ *    watcher list holds, over dense and ring-aliasing ids;
  *  - the issue-stage work counters (CellWork): per cell of the
  *    randomized grids, tryIssue attempts are the issued instructions
  *    plus one failure per failed check;
@@ -41,7 +45,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -154,9 +160,12 @@ kernelRecords(const KernelSpec &spec, Variant variant, int execs)
  * in-order cores with different lookaheads, single-ported caches,
  * windows big enough to cross the 1024-entry ready-ring floor, tiny
  * predictor and store-set tables, and both backends in one grid.
+ * Class and load latencies are drawn from @p minLatency up; at 0 the
+ * integer ALU latency is drawn too, after every other draw, so a
+ * seed's draws at the default are the same as without the parameter.
  */
 CoreConfig
-randomConfig(std::mt19937_64 &rng, int idx)
+randomConfig(std::mt19937_64 &rng, int idx, int minLatency = 1)
 {
     auto pick = [&rng](int lo, int hi) {
         return int(lo + std::int64_t(rng() % std::uint64_t(hi - lo + 1)));
@@ -193,20 +202,22 @@ randomConfig(std::mt19937_64 &rng, int idx)
     c.issueWidth = (rng() & 1) != 0 ? 0 : pick(1, 8);
     c.storeSetLog2 = pick(1, 12);
     c.memReplayPenalty = pick(0, 12);
-    c.lat.intMul = pick(1, 5);
-    c.lat.fpAlu = pick(1, 8);
-    c.lat.load = pick(1, 6);
+    c.lat.intMul = pick(minLatency, 5);
+    c.lat.fpAlu = pick(minLatency, 8);
+    c.lat.load = pick(minLatency, 6);
     c.lat.unalignedLoadExtra = pick(0, 6);
     c.lat.unalignedStoreExtra = pick(0, 4);
     c.lat.mispredictPenalty = pick(4, 20);
-    c.lat.branchResolve = pick(1, 4);
-    c.lat.vecSimple = pick(1, 3);
-    c.lat.vecPerm = pick(1, 3);
-    c.lat.vecComplex = pick(1, 6);
+    c.lat.branchResolve = pick(minLatency, 4);
+    c.lat.vecSimple = pick(minLatency, 3);
+    c.lat.vecPerm = pick(minLatency, 3);
+    c.lat.vecComplex = pick(minLatency, 6);
     c.mem.parallelBanks = (rng() & 1) != 0;
     c.mem.l2Latency = pick(6, 20);
     c.mem.memLatency = pick(100, 300);
     c.mem.memBWBytesPerCycle = (rng() % 3 == 0) ? 0 : pick(1, 32);
+    if (minLatency == 0)
+        c.lat.intAlu = pick(0, 2);
     return c;
 }
 
@@ -268,22 +279,27 @@ storeSetAliasRecords(std::uint64_t base, int iters)
  * on the last eight records, a few dozen call sites, and accesses that
  * land in a 256-byte hot window with probability @p hotPct percent
  * (older stores there overlap later loads, partially or fully) and
- * otherwise in a 1 MiB region where overlaps are rare.
+ * otherwise in a 1 MiB region where overlaps are rare. Record i has id
+ * 1 + i * @p idStride; a stride of a ready-ring fraction makes records
+ * in flight together share ring entries.
  */
 std::vector<InstrRecord>
-randomRecords(std::uint64_t seed, int n, int hotPct)
+randomRecords(std::uint64_t seed, int n, int hotPct,
+              std::uint64_t idStride = 1)
 {
     std::mt19937_64 rng(seed);
     std::vector<InstrRecord> recs;
     recs.reserve(std::size_t(n));
     for (int i = 0; i < n; ++i) {
         InstrRecord rec{};
-        rec.id = std::uint64_t(i) + 1;
+        rec.id = 1 + std::uint64_t(i) * idStride;
         rec.pc = 0x10000 + 4 * (rng() % 48);
         rec.cls = InstrClass(rng() % std::uint64_t(trace::numInstrClasses));
         for (auto &d : rec.deps) {
             if (i > 0 && rng() % 2 != 0)
-                d = rec.id - 1 - rng() % std::uint64_t(std::min(i, 8));
+                d = recs[std::size_t(i) - 1 -
+                         rng() % std::uint64_t(std::min(i, 8))]
+                        .id;
         }
         if (rec.isMem()) {
             rec.size = trace::isVectorClass(rec.cls)
@@ -298,6 +314,55 @@ randomRecords(std::uint64_t seed, int n, int hotPct)
         }
         rec.taken = rec.cls == InstrClass::Branch && rng() % 3 != 0;
         recs.push_back(rec);
+    }
+    return recs;
+}
+
+/**
+ * Fan-out stream for the wake-bound watcher lists, in groups of eight
+ * records: a missing load whose address depends on the previous
+ * group's chain (so it often waits to issue while its consumers
+ * dispatch), four consumers of it, a store fed by their chain, a load
+ * the store fully overlaps (which waits on the store's issue in a
+ * "pipeline" cell) and a fifth consumer (five are more than a
+ * ready-ring watcher list holds). Record i has id 1 + i * @p idStride: stride 1 is
+ * the emulator's dense numbering, whose ready-ring rewrites only ever
+ * replace completed producers; a stride of a ring fraction makes live
+ * producers alias, so ring entries change owner while consumers still
+ * wait on them.
+ */
+std::vector<InstrRecord>
+fanOutRecords(int groups, std::uint64_t idStride)
+{
+    std::vector<InstrRecord> recs;
+    recs.reserve(8 * std::size_t(groups));
+    auto idOf = [idStride](std::size_t i) { return 1 + i * idStride; };
+    for (int g = 0; g < groups; ++g) {
+        const std::size_t base = recs.size();
+        auto add = [&](InstrClass cls, std::uint64_t dep0,
+                       std::uint64_t dep1, std::uint64_t addr = 0) {
+            InstrRecord rec{};
+            rec.id = idOf(recs.size());
+            rec.pc = 0x2000 + 4 * (recs.size() - base);
+            rec.cls = cls;
+            rec.deps[0] = dep0;
+            rec.deps[1] = dep1;
+            rec.addr = addr;
+            rec.size = rec.isMem() ? 8 : 0;
+            recs.push_back(rec);
+        };
+        const std::uint64_t producer = idOf(base);
+        const std::uint64_t chain = g > 0 ? idOf(base - 4) : 0;
+        const std::uint64_t storeAddr = 0x5000 + 8 * std::uint64_t(g % 4);
+        add(InstrClass::Load, chain, 0,
+            0x100000 + 4096 * std::uint64_t(g % 512));
+        add(InstrClass::IntAlu, producer, 0);
+        add(InstrClass::IntMul, producer, idOf(base + 1));
+        add(InstrClass::IntAlu, producer, 0);
+        add(InstrClass::IntAlu, producer, idOf(base + 3));
+        add(InstrClass::Store, idOf(base + 4), 0, storeAddr);
+        add(InstrClass::Load, 0, 0, storeAddr);
+        add(InstrClass::IntAlu, producer, idOf(base + 6));
     }
     return recs;
 }
@@ -346,6 +411,93 @@ TEST(BatchedReplay, RandomizedConfigGrids)
             cfgs.push_back(randomConfig(rng, i));
         expectBitIdentical(cfgs, records,
                            "seed " + std::to_string(seed));
+    }
+}
+
+TEST(BatchedReplay, ZeroLatencyConfigGrids)
+{
+    // Validation admits a latency of 0 for every class and for loads,
+    // so a consumer can issue in its producer's own cycle, later in the
+    // same issue scan. Seeded grids with those latencies drawn from 0
+    // on, each grid covering both models with and without outOfOrder,
+    // over a real unaligned trace and a dense random stream.
+    const std::vector<InstrRecord> streams[] = {
+        kernelRecords({KernelId::ChromaMc, 8, false}, Variant::Unaligned, 4),
+        randomRecords(0x2e70, 3000, 30),
+    };
+    for (std::uint64_t seed : {3u, 0x5eedu, 20261019u}) {
+        std::mt19937_64 rng(seed);
+        std::vector<CoreConfig> cfgs;
+        for (int i = 0; i < 8; ++i) {
+            CoreConfig c = randomConfig(rng, i, 0);
+            c.model = (i & 1) != 0 ? "ooo" : "pipeline";
+            c.outOfOrder = (i & 2) != 0;
+            cfgs.push_back(c);
+        }
+        for (std::size_t s = 0; s < std::size(streams); ++s)
+            expectBitIdentical(cfgs, streams[s],
+                               "zero-latency seed " + std::to_string(seed) +
+                                   " stream " + std::to_string(s));
+    }
+}
+
+TEST(BatchedReplay, WatcherOverflowAndRingWrap)
+{
+    // One producer with five in-flight consumers overflows its watcher
+    // list; 4,000 records wrap the 1,024-entry ready ring several
+    // times, so dispatch keeps rewriting entries whose owner completed
+    // long ago and watchers re-register on the new owners. The strided
+    // ids alias live producers (every fourth record shares an entry).
+    std::vector<CoreConfig> cfgs;
+    for (int p = 0; p < 3; ++p) {
+        for (const char *model : {"pipeline", "ooo"}) {
+            CoreConfig c = CoreConfig::preset(p);
+            c.name = c.name + "-" + model;
+            c.model = model;
+            cfgs.push_back(c);
+        }
+    }
+    CoreConfig zero = CoreConfig::fourWayOoO();
+    zero.name = "4w-zero-latency";
+    zero.lat.intAlu = 0;
+    zero.lat.load = 0;
+    cfgs.push_back(zero);
+    for (std::uint64_t stride : {1u, 256u}) {
+        const auto records = fanOutRecords(500, stride);
+        expectBitIdentical(cfgs, records,
+                           "fan-out stride " + std::to_string(stride));
+        BatchedPipelineSim batch(cfgs);
+        batch.appendBlock(records.data(), records.size());
+        batch.finalizeAll();
+        std::uint64_t flushes = 0;
+        for (int i = 0; i < batch.cellCount(); ++i)
+            flushes += batch.work(i).watcherFlushes;
+        EXPECT_GT(flushes, 0u) << "stride " << stride;
+    }
+}
+
+TEST(BatchedReplay, RandomStreamsWithAliasingIds)
+{
+    // Ids a ring fraction apart make producers still in flight share
+    // ready-ring entries: an entry changes owner while consumers wait
+    // on it, and a producer issuing takes its entry back from a younger
+    // owner whose consumers then read as ready at once, in the middle
+    // of the issue scan.
+    for (std::uint64_t stride : {255u, 512u, 1024u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            std::mt19937_64 rng(seed * 7919 + stride);
+            std::vector<CoreConfig> cfgs;
+            for (int i = 0; i < 8; ++i) {
+                cfgs.push_back(randomConfig(rng, i, i % 2));
+                // A window within the 1024-entry ring floor, which the
+                // strides alias.
+                cfgs.back().inflight = std::min(cfgs.back().inflight, 256);
+            }
+            expectBitIdentical(cfgs,
+                               randomRecords(seed, 1500, 30, stride),
+                               "stride " + std::to_string(stride) +
+                                   " seed " + std::to_string(seed));
+        }
     }
 }
 
@@ -573,6 +725,61 @@ TEST(BatchedReplay, AppendMatchesAppendBlockAcrossChunkBoundaries)
                               "append() cell " + std::to_string(i));
         expectFieldsIdentical(blockWise[i], raggedRes[i],
                               "ragged cell " + std::to_string(i));
+    }
+}
+
+TEST(BatchedReplay, RejectsRecordsOutOfIdOrder)
+{
+    // A record that waits on itself or on a younger id can never
+    // issue, and the engine would spin in its backpressure loop; the
+    // trace wire format carries any dep, so the engine checks ids
+    // strictly increase and every dep is older than its record.
+    const auto good = chainRecords(2000);
+    struct Case {
+        const char *name;
+        void (*edit)(InstrRecord &rec, const InstrRecord &prev);
+    };
+    const Case cases[] = {
+        {"self dependence",
+         [](InstrRecord &rec, const InstrRecord &) {
+             rec.deps[1] = rec.id;
+         }},
+        {"younger dependence",
+         [](InstrRecord &rec, const InstrRecord &) {
+             rec.deps[2] = rec.id + 3;
+         }},
+        {"repeated id",
+         [](InstrRecord &rec, const InstrRecord &prev) {
+             rec.id = prev.id;
+             rec.deps[0] = 0;
+         }},
+        {"falling id",
+         [](InstrRecord &rec, const InstrRecord &) {
+             rec.id = 5;
+             rec.deps[0] = 0;
+         }},
+    };
+    const std::vector<CoreConfig> cfgs = {CoreConfig::fourWayOoO()};
+    const auto want = batchedResults(cfgs, good);
+    const std::size_t at = 1000;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto records = good;
+        c.edit(records[at], records[at - 1]);
+        BatchedPipelineSim blockWise(cfgs);
+        EXPECT_THROW(blockWise.appendBlock(records.data(), records.size()),
+                     std::invalid_argument);
+
+        // Nothing of a rejected block is fed: the good record in its
+        // place continues the stream.
+        BatchedPipelineSim oneByOne(cfgs);
+        for (std::size_t i = 0; i < at; ++i)
+            oneByOne.append(records[i]);
+        EXPECT_THROW(oneByOne.append(records[at]), std::invalid_argument);
+        for (std::size_t i = at; i < good.size(); ++i)
+            oneByOne.append(good[i]);
+        expectFieldsIdentical(want[0], oneByOne.finalizeAll()[0],
+                              "after rejection");
     }
 }
 

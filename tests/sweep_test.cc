@@ -18,8 +18,9 @@
  *    cacheable trace from disk with zero re-emulation and results
  *    bit-identical to the in-memory path, corrupt entries (truncated,
  *    or checksum-valid with an undecodable record stream) fall back
- *    to re-recording and are rewritten valid, and non-cacheable jobs
- *    bypass the store;
+ *    to re-recording and are rewritten valid, as does an entry whose
+ *    records the engine rejects (a self-dependence), and non-cacheable
+ *    jobs bypass the store;
  *  - cells whose configs canonicalize equal (exact duplicates, fields
  *    the trace or the model never reads) are simulated once, still
  *    match their own oracle and keep their own core name, and every
@@ -474,6 +475,41 @@ TEST(SweepStore, MidDecodeCorruptionFallsBackToRecordingAndHeals)
         expectResultsEqual(inMemory, warm.run(c.plan()));
         EXPECT_EQ(warm.stats().tracesRecorded, 0u);
     }
+}
+
+TEST(SweepStore, EntryTheEngineRejectsIsDiscardedAndReRecorded)
+{
+    // The wire format round-trips any dep, so a checksum-valid entry
+    // can hold a record that depends on itself. The engine rejects it
+    // (it would never issue) and the runner heals the entry like a
+    // corrupt one.
+    StoreDir dir("self_dep");
+    const auto inMemory = SweepRunner(1).run(makeSingleGroupPlan());
+    const auto plan = makeSingleGroupPlan();
+    const auto &job = plan.traces()[0];
+    trace::TraceBuffer recorded;
+    job.record(recorded);
+    auto records = recorded.records();
+    ASSERT_GT(records.size(), 2u);
+    auto &victim = records[records.size() / 2];
+    victim.deps[0] = victim.id;
+    trace::EncodedTrace selfDependent;
+    selfDependent.appendBlock(records.data(), records.size());
+
+    SweepRunner heal(1);
+    heal.attachStore(dir.path);
+    heal.store()->publish(job.key, selfDependent);
+    ASSERT_NE(heal.store()->openReader(job.key), nullptr);
+    expectResultsEqual(inMemory, heal.run(makeSingleGroupPlan()));
+    EXPECT_EQ(heal.stats().tracesLoaded, 0u);
+    EXPECT_EQ(heal.stats().tracesRecorded, 1u);
+    EXPECT_EQ(heal.stats().tracesStored, 1u);
+
+    SweepRunner warm(1);
+    warm.attachStore(dir.path);
+    expectResultsEqual(inMemory, warm.run(makeSingleGroupPlan()));
+    EXPECT_EQ(warm.stats().tracesLoaded, 1u);
+    EXPECT_EQ(warm.stats().tracesRecorded, 0u);
 }
 
 TEST(SweepStore, FailedStoreWritesLeaveResultsAndNoFiles)
