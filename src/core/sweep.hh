@@ -262,10 +262,12 @@ class SweepRunner
      * Attach a persistent trace store under @p dir (creating it if
      * needed). Cacheable trace jobs then probe the store before
      * recording: a hit replays the stored stream into every cell of
-     * the group with zero re-emulation, a miss records through to
-     * disk for the next run. Replayed results are bit-identical to
-     * in-memory recording (tests/sweep_test.cc locks the disk path
-     * too).
+     * the group with zero re-emulation. On a miss a timing group
+     * publishes the payload it recorded in memory for its replay, and
+     * a mix-only group streams its recording to disk through a
+     * TraceStore::Recorder; either entry serves the next run.
+     * Replayed results are bit-identical to in-memory recording
+     * (tests/sweep_test.cc locks the disk path too).
      * @throws std::runtime_error if the directory cannot be created.
      */
     void attachStore(const std::string &dir);

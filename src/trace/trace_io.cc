@@ -205,92 +205,6 @@ RecordDecoder::decodeBlock(const std::uint8_t *&p,
 
 } // namespace wire
 
-FileSink::FileSink(const std::string &path, std::string key)
-    : path_(path), key_(std::move(key)),
-      buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(
-          writeBufferBytes + wire::RecordEncoder::maxRecordBytes))
-{
-    if (key_.size() > wire::maxKeyBytes)
-        throw std::runtime_error("FileSink: key too long for " + path);
-    file_ = std::make_unique<File>(path, File::Mode::Write);
-    // Header + mix placeholders (patched by close()) and the key; a
-    // reader of an unfinalized file sees payloadBytes 0 != actual
-    // size and rejects it.
-    wire::Header hdr;
-    hdr.keyBytes = std::uint32_t(key_.size());
-    hdr.keyHash = wire::fnv1a(key_.data(), key_.size());
-    std::string head =
-        hdr.serialize() + key_ + std::string(wire::mixBytes, '\0');
-    file_->write(head.data(), head.size());
-}
-
-FileSink::~FileSink()
-{
-    if (!file_)
-        return;
-    try {
-        close();
-    } catch (const std::exception &e) {
-        // Destructors must not throw; surface the failure instead of
-        // silently leaving a corrupt trace behind.
-        std::fprintf(stderr, "FileSink: %s\n", e.what());
-    }
-}
-
-void
-FileSink::appendAfterClose() const
-{
-    throw std::runtime_error(
-        "FileSink: append on a closed or failed sink for " + path_);
-}
-
-void
-FileSink::flushBuffer(bool last)
-{
-    // Before the last flush only whole words are hashed and written
-    // (the tail moves to the front of the buffer), so the streamed
-    // checksum equals one payloadHash() over the whole payload.
-    const std::size_t n = last ? fill_ : fill_ & ~std::size_t{7};
-    if (n == 0)
-        return;
-    payloadHash_ = wire::payloadHash(buffer_.get(), n, payloadHash_);
-    try {
-        file_->write(buffer_.get(), n);
-    } catch (...) {
-        // The sink is failed: later appends throw, close() is a no-op.
-        failed_ = true;
-        file_.reset();
-        throw;
-    }
-    payloadBytes_ += n;
-    fill_ -= n;
-    std::memmove(buffer_.get(), buffer_.get() + n, fill_);
-}
-
-void
-FileSink::close()
-{
-    if (!file_)
-        return;
-    flushBuffer(true);
-    // Header, key and mix section are contiguous from offset 0, so
-    // one seek patches them all.
-    const std::string head =
-        wire::frontMatter(key_, mix_, payloadBytes_, payloadHash_);
-    std::unique_ptr<File> file = std::move(file_);
-    try {
-        // Flush data before patching the header so a failure cannot
-        // leave a valid-looking header over a truncated payload.
-        file->flush();
-        file->seek(0);
-        file->write(head.data(), head.size());
-        file->close();
-    } catch (...) {
-        failed_ = true;
-        throw;
-    }
-}
-
 namespace {
 
 /// Validated front matter of a trace file.

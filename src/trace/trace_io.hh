@@ -29,14 +29,17 @@
  *
  * The payload is the bulk of every file, so its checksum works a
  * 64-bit word at a time (wire::payloadHash) rather than FNV-1a's one
- * multiply per byte; FileSink encodes straight into a fixed raw
- * buffer. Format 3 differs from format 2 only in that checksum.
+ * multiply per byte. Format 3 differs from format 2 only in that
+ * checksum.
  *
- * Every error path is checked: files go through the checked file
- * module (trace/file_io.hh), so FileSink::close() throws on any failed
- * write/flush/seek/close (the destructor reports to stderr instead),
- * and TraceReader validates magic, version, file size against the
- * header, the payload checksum, and per-record class/flag sanity, so a
+ * This header holds the format and its readers. The files themselves
+ * are written by the trace store (trace/trace_store.hh), in one of two
+ * ways: TraceStore::publish() writes an EncodedTrace's in-memory
+ * payload behind its front matter, and TraceStore::Recorder streams
+ * records to disk through a fixed buffer. Both go through the checked
+ * file module (trace/file_io.hh) and throw on any failed write.
+ * TraceReader validates magic, version, file size against the header,
+ * the payload checksum, and per-record class/flag sanity, so a
  * truncated or corrupted file is rejected instead of silently read as
  * data. A file TraceReader cannot open or read at all throws that
  * module's IoError instead, so a caller can tell "unreachable" from
@@ -58,8 +61,6 @@
 #include "trace/sink.hh"
 
 namespace uasim::trace {
-
-class File;
 
 /**
  * Wire-format primitives, public so tests can craft valid and
@@ -102,8 +103,8 @@ std::uint64_t fnv1a(const void *data, std::size_t n,
  * changes the result.
  *
  * Continuing from @p state equals hashing the concatenation when every
- * earlier piece was a multiple of 8 bytes long, which is how FileSink
- * streams it.
+ * earlier piece was a multiple of 8 bytes long, which is how
+ * TraceStore::Recorder streams it.
  */
 std::uint64_t payloadHash(const void *data, std::size_t n,
                           std::uint64_t state = fnvBasis);
@@ -164,7 +165,7 @@ std::string serializeMix(const InstrMix &mix);
  * The front matter of a finished trace file - header, key and mix
  * section - for a payload of @p payloadBytes bytes that holds
  * mix.total() records and whose payloadHash() is @p payloadHash.
- * FileSink and TraceStore::publish() both write it.
+ * TraceStore::Recorder and TraceStore::publish() both write it.
  * @throws std::runtime_error if @p key is longer than maxKeyBytes.
  */
 std::string frontMatter(const std::string &key, const InstrMix &mix,
@@ -253,84 +254,6 @@ class RecordDecoder
 } // namespace wire
 
 /**
- * Sink that writes records to a UATRACE3 trace file.
- *
- * Records are encoded straight into one fixed buffer that is written
- * out once it holds writeBufferBytes. The file is finalized
- * (count/length/checksum patched) by close(), which throws on any I/O
- * failure - a full disk can no longer yield a truncated trace with a
- * valid-looking header. The destructor closes as a fallback but
- * reports failures to stderr instead of throwing.
- */
-class FileSink : public TraceSink
-{
-  public:
-    /**
-     * @param path destination file; truncated if it exists.
-     * @param key trace-job identity stored in the file (may be empty).
-     * @throws std::runtime_error if the file cannot be created (an
-     * IoError) or the key is too long.
-     */
-    explicit FileSink(const std::string &path, std::string key = {});
-    ~FileSink() override;
-
-    FileSink(const FileSink &) = delete;
-    FileSink &operator=(const FileSink &) = delete;
-
-    void
-    append(const InstrRecord &rec) override
-    {
-        if (!file_)
-            appendAfterClose();
-        fill_ = std::size_t(encoder_.encode(rec, buffer_.get() + fill_) -
-                            buffer_.get());
-        mix_.add(rec);
-        ++written_;
-        if (fill_ >= writeBufferBytes)
-            flushBuffer(false);
-    }
-
-    /**
-     * Flush buffered records and patch the header. Idempotent.
-     * @throws IoError on any write/flush/seek/close failure (the file
-     * is closed and left invalid on disk).
-     */
-    void close();
-
-    std::uint64_t written() const { return written_; }
-
-    /// Instruction mix of the appended records.
-    const InstrMix &mix() const { return mix_; }
-
-    /// False once any I/O on the file has failed.
-    bool ok() const { return !failed_; }
-
-    /// Buffered payload bytes that trigger a write.
-    static constexpr std::size_t writeBufferBytes = std::size_t{1} << 20;
-
-  private:
-    void flushBuffer(bool last);
-
-    /// @throws std::runtime_error: append() on a closed or failed sink.
-    [[noreturn]] void appendAfterClose() const;
-
-    /// Open until close() or the first failed write; null after.
-    std::unique_ptr<File> file_;
-    std::string path_;
-    std::string key_;
-    /// writeBufferBytes + maxRecordBytes: a record encoded below the
-    /// write threshold always fits.
-    std::unique_ptr<std::uint8_t[]> buffer_;
-    std::size_t fill_ = 0;  //!< bytes of buffer_ in use
-    wire::RecordEncoder encoder_;
-    InstrMix mix_;
-    std::uint64_t written_ = 0;
-    std::uint64_t payloadBytes_ = 0;
-    std::uint64_t payloadHash_ = wire::fnvBasis;
-    bool failed_ = false;
-};
-
-/**
  * Thrown when a trace file is valid but stores a different key than
  * the caller expected (a content-address hash collision). Kept
  * distinct from plain corruption so the TraceStore can treat it as a
@@ -408,7 +331,7 @@ class TraceCursor
 
 /**
  * Sink that encodes records into a growing in-memory UATRACE3
- * payload: the bytes FileSink writes after the front matter, about
+ * payload: the bytes a file holds after its front matter, about
  * 7 bytes per record instead of an InstrRecord's 56. The sweep engine
  * records a timing group into one, publishes it as the group's store
  * entry on a miss (TraceStore::publish) and replays every pass
@@ -486,7 +409,7 @@ class EncodedTrace : public TraceSink
 };
 
 /**
- * Reader for UATRACE3 files produced by FileSink.
+ * Reader for UATRACE3 files, as the trace store writes them.
  *
  * Construction validates the front matter, reads the whole payload
  * into one buffer with a single checked read, and verifies the payload

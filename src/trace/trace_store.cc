@@ -1,6 +1,7 @@
 #include "trace/trace_store.hh"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
@@ -137,28 +138,71 @@ TraceStore::publish(const std::string &key, const EncodedTrace &trace) const
 
 TraceStore::Recorder::Recorder(std::string entryPath,
                                const std::string &key)
-    : publish_(std::make_unique<AtomicPublish>(std::move(entryPath))),
-      sink_(publish_->tempPath(), key)
+    : key_(key),
+      publish_(std::make_unique<AtomicPublish>(std::move(entryPath))),
+      buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(
+          writeBufferBytes + wire::RecordEncoder::maxRecordBytes))
 {
+    // Placeholder front matter, patched by commit(); it throws on a
+    // key too long for the format before any file is created.
+    const std::string head = wire::frontMatter(key_, mix_, 0, 0);
+    file_ = std::make_unique<File>(publish_->tempPath(), File::Mode::Write);
+    file_->write(head.data(), head.size());
 }
 
 TraceStore::Recorder::~Recorder() = default;
 
-InstrMix
-TraceStore::Recorder::mix() const
+void
+TraceStore::Recorder::drop()
 {
-    InstrMix mix = sink_.mix();
-    mix += failedMix_;
-    return mix;
+    error_ = std::current_exception();
+    file_.reset();
+    publish_.reset();
+}
+
+void
+TraceStore::Recorder::flush(bool last)
+{
+    const std::size_t n = last ? fill_ : fill_ & ~std::size_t{7};
+    if (n == 0)
+        return;
+    payloadHash_ = wire::payloadHash(buffer_.get(), n, payloadHash_);
+    try {
+        file_->write(buffer_.get(), n);
+    } catch (...) {
+        drop();
+        return;
+    }
+    payloadBytes_ += n;
+    fill_ -= n;
+    std::memmove(buffer_.get(), buffer_.get() + n, fill_);
 }
 
 void
 TraceStore::Recorder::commit()
 {
-    if (!appendError_.empty())
-        throw std::runtime_error(appendError_);
-    sink_.close();
-    publish_->commit();
+    if (file_)
+        flush(true);
+    if (file_) {
+        // Header, key and mix section are contiguous from offset 0, so
+        // one seek patches them all. The payload is flushed first, so
+        // a failure cannot leave a valid-looking header over a
+        // truncated payload.
+        try {
+            const std::string head =
+                wire::frontMatter(key_, mix_, payloadBytes_, payloadHash_);
+            file_->flush();
+            file_->seek(0);
+            file_->write(head.data(), head.size());
+            file_->close();
+            file_.reset();
+            publish_->commit();
+        } catch (...) {
+            drop();
+        }
+    }
+    if (error_)
+        std::rethrow_exception(error_);
 }
 
 } // namespace uasim::trace

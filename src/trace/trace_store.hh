@@ -33,6 +33,7 @@
 #ifndef UASIM_TRACE_TRACE_STORE_HH
 #define UASIM_TRACE_TRACE_STORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -45,6 +46,7 @@
 namespace uasim::trace {
 
 class AtomicPublish;
+class File;
 
 class TraceStore
 {
@@ -94,66 +96,79 @@ class TraceStore
                       const std::string &why) const;
 
     /**
-     * Write-through sink for one entry: records appended to it are
-     * serialized to a temporary file that commit() atomically renames
-     * to the entry path. Destroying an uncommitted recorder - or one
-     * whose commit() failed - removes the temporary file.
+     * The streaming UATRACE3 writer: records appended to it are
+     * encoded into one fixed buffer of writeBufferBytes plus
+     * maxRecordBytes, and each full buffer is hashed and written to a
+     * temporary file that commit() patches and atomically renames to
+     * the entry path. Memory stays at the buffer however long the
+     * trace is. Destroying an uncommitted recorder removes the
+     * temporary file.
      *
-     * append() never throws into the record stream: a write failure
-     * (e.g. a full disk) latches the recorder as failed, later
-     * appends become no-ops, and commit() reports the original error
-     * instead of publishing - the caller's recording pass completes
-     * uncached rather than aborting mid-trace.
+     * append() never throws into the record stream: a failed write
+     * (e.g. a full disk) drops the temporary file and latches the
+     * error, later appends only count the mix, and commit() rethrows
+     * the error instead of publishing - the caller's recording pass
+     * completes uncached rather than aborting mid-trace.
      */
     class Recorder : public TraceSink
     {
       public:
         /// Record the entry for @p key at @p entryPath.
-        /// @throws std::runtime_error if the temporary file cannot be
-        /// created.
+        /// @throws std::runtime_error if the key is too long or the
+        /// temporary file cannot be created (an IoError).
         Recorder(std::string entryPath, const std::string &key);
         ~Recorder() override;
 
         void
         append(const InstrRecord &rec) override
         {
-            if (!appendError_.empty()) {
-                // Already failed: keep the record stream flowing and
-                // its mix whole. The record whose write failed is in
-                // sink_'s mix.
-                failedMix_.add(rec);
-                return;
-            }
-            try {
-                sink_.append(rec);
-            } catch (const std::exception &e) {
-                // Do not throw into the caller's recording pass - the
-                // sweep must finish uncached, not abort. commit()
-                // surfaces this.
-                appendError_ = e.what();
-            }
+            mix_.add(rec);
+            if (!file_)
+                return;  // failed or committed: only count
+            std::uint8_t *base = buffer_.get();
+            fill_ = std::size_t(encoder_.encode(rec, base + fill_) - base);
+            if (fill_ >= writeBufferBytes)
+                flush(false);
         }
 
         /**
-         * Finalize the file and publish it under the entry path.
+         * Write the buffered records, patch the front matter and
+         * publish the file under the entry path. Idempotent.
          * @throws std::runtime_error on any I/O failure, including a
-         * latched append() failure.
+         * latched append() failure; no entry or temporary is left.
          */
         void commit();
 
-        std::uint64_t written() const { return sink_.written(); }
+        /// Instruction mix of every record appended.
+        const InstrMix &mix() const { return mix_; }
 
-        /// Instruction mix of every record appended, including those
-        /// appended after a write failure.
-        InstrMix mix() const;
+        /// Buffered payload bytes that trigger a write.
+        static constexpr std::size_t writeBufferBytes = std::size_t{1} << 20;
 
       private:
-        // Declared before sink_, so the file closes before its
+        /// Hash and write the buffer; before the @p last write only
+        /// its whole 8-byte words, so the streamed checksum equals one
+        /// wire::payloadHash() over the payload. A failure drops the
+        /// file and latches the error.
+        void flush(bool last);
+
+        /// Close and remove the temporary and latch the current
+        /// exception for commit().
+        void drop();
+
+        std::string key_;
+        // Declared before file_, so the file closes before its
         // temporary is removed.
         std::unique_ptr<AtomicPublish> publish_;
-        FileSink sink_;
-        std::string appendError_;
-        InstrMix failedMix_;  //!< records appended after the failure
+        /// Open until commit() or the first failed write; null after.
+        std::unique_ptr<File> file_;
+        std::exception_ptr error_;
+        std::unique_ptr<std::uint8_t[]> buffer_;
+        std::size_t fill_ = 0;  //!< bytes of buffer_ in use
+        wire::RecordEncoder encoder_;
+        InstrMix mix_;
+        std::uint64_t payloadBytes_ = 0;
+        std::uint64_t payloadHash_ = wire::fnvBasis;
     };
 
     /**

@@ -21,6 +21,9 @@
  *    to re-recording and are rewritten valid, as does an entry whose
  *    records the engine rejects (a self-dependence), and non-cacheable
  *    jobs bypass the store;
+ *  - a store that cannot be written - at commit, or mid-stream while a
+ *    mix-only trace is still recording - leaves the uncached results,
+ *    nothing stored and no file;
  *  - cells whose configs canonicalize equal (exact duplicates, fields
  *    the trace or the model never reads) are simulated once, still
  *    match their own oracle and keep their own core name, and every
@@ -526,6 +529,67 @@ TEST(SweepStore, FailedStoreWritesLeaveResultsAndNoFiles)
         expectResultsEqual(baseline, cold.run(makeStorePlan()));
     }
     EXPECT_EQ(cold.stats().tracesRecorded, 4u);
+    EXPECT_EQ(cold.stats().tracesStored, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path));
+}
+
+TEST(SweepStore, MidStreamWriteFailureLeavesResultsAndNoFiles)
+{
+    // A mix-only trace larger than the Recorder's write buffer fails
+    // its first flush mid-recording, not in commit(): the temporary
+    // the recording started with is gone before the job returns. The
+    // run still gives the storeless results and mix, stores nothing
+    // and leaves the store directory empty.
+    StoreDir dir("full_midstream");
+    auto filesIn = [&dir] {
+        std::error_code ec;
+        return std::distance(
+            std::filesystem::directory_iterator(dir.path, ec),
+            std::filesystem::directory_iterator());
+    };
+    std::ptrdiff_t filesAtStart = -1, filesAtEnd = -1;
+    auto record = [&](trace::TraceSink &sink) {
+        filesAtStart = filesIn();
+        trace::InstrRecord rec{};
+        rec.size = 16;
+        // Every varint takes 10 bytes: 62-byte records, two write
+        // buffers' worth.
+        const std::size_t n = 2 * trace::TraceStore::Recorder::writeBufferBytes /
+                              trace::wire::RecordEncoder::maxRecordBytes;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t v = i % 2 ? 0 : std::uint64_t{1} << 63;
+            rec.cls = i % 3 ? trace::InstrClass::VecLoadU
+                            : trace::InstrClass::VecStoreU;
+            rec.id = rec.pc = rec.addr = v;
+            rec.deps.fill(v - (std::uint64_t{1} << 62));
+            sink.append(rec);
+        }
+        filesAtEnd = filesIn();
+    };
+    auto makePlan = [&record] {
+        SweepPlan plan;
+        plan.addTrace({"big/mix-only", record});
+        plan.addCell(0, SweepCell::mixOnly);
+        return plan;
+    };
+    trace::EncodedTrace encoded;
+    record(encoded);
+    ASSERT_GT(encoded.payloadBytes(),
+              trace::TraceStore::Recorder::writeBufferBytes);
+
+    auto baseline = SweepRunner(1).run(makePlan());
+    SweepRunner cold(1);
+    cold.attachStore(dir.path);
+    {
+        FileSizeLimit full;
+        ASSERT_TRUE(full.active());
+        auto results = cold.run(makePlan());
+        expectResultsEqual(baseline, results);
+        EXPECT_EQ(results[0].mix.total(), encoded.count());
+    }
+    EXPECT_EQ(filesAtStart, 1) << "the recording had no temporary file";
+    EXPECT_EQ(filesAtEnd, 0) << "the write did not fail mid-stream";
+    EXPECT_EQ(cold.stats().tracesRecorded, 1u);
     EXPECT_EQ(cold.stats().tracesStored, 0u);
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }

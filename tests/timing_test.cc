@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 
 #include "core/result.hh"
@@ -22,6 +23,7 @@
 #include "timing/branch_pred.hh"
 #include "trace/emitter.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 #include "vmx/buffer.hh"
 #include "vmx/scalarops.hh"
 #include "vmx/vecops.hh"
@@ -392,19 +394,23 @@ TEST(Pipeline, OfflineTraceFileEqualsOnline)
 
     auto r_online = simulate(cfg, gen);
 
-    std::string path = ::testing::TempDir() + "/uasim_offline.trace";
+    const std::string dir = ::testing::TempDir() + "/uasim_offline";
+    std::filesystem::remove_all(dir);
+    trace::TraceStore store(dir);
     {
-        trace::FileSink file(path);
-        gen(file);
+        auto recorder = store.startRecord("offline");
+        ASSERT_NE(recorder, nullptr);
+        gen(*recorder);
+        recorder->commit();
     }
     auto r_offline = simulate(cfg, [&](trace::TraceSink &sink) {
-        trace::TraceReader reader(path);
+        trace::TraceReader reader(store.entryPath("offline"));
         trace::TraceCursor cur = reader.cursor();
         trace::InstrRecord block[256];
         while (const std::size_t n = cur.nextBlock(block, std::size(block)))
             sink.appendBlock(block, n);
     });
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 
     EXPECT_EQ(r_online.cycles, r_offline.cycles);
     EXPECT_EQ(r_online.instrs, r_offline.instrs);

@@ -11,9 +11,12 @@
  *    version, wrong checksum, lying header counts, invalid class
  *    bytes) is rejected with a clear error instead of being read as
  *    data;
- *  - FileSink surfaces write failures (throw from close(), report
- *    from the destructor) instead of leaving a truncated trace with
- *    a valid-looking header - the PR 4 bug class.
+ *  - TraceStore::Recorder, the streaming writer, round-trips worst-
+ *    case records across its buffer flushes with a streamed checksum
+ *    equal to the one-shot hash, and surfaces write failures (mid-
+ *    stream or at commit) by throwing from commit() and leaving no
+ *    entry or temporary file, instead of publishing a truncated
+ *    trace with a valid-looking header;
  *  - the block decoder (RecordDecoder::decodeBlock, TraceCursor::
  *    nextBlock) is byte-for-byte equivalent to record-
  *    by-record decode() on seeded random and adversarial streams for
@@ -21,10 +24,10 @@
  *    every byte offset of a record, max-length and over-long varints
  *    and invalid tag bytes (same error message as decode()), and
  *    independent cursors over one reader;
- *  - EncodedTrace's in-memory payload is FileSink's payload byte for
- *    byte, and published as a store entry it is FileSink's whole
- *    file; a cursor over it yields TraceReader's records and, over
- *    every cut of the bytes, TraceReader's errors.
+ *  - an EncodedTrace published as a store entry is a committed
+ *    Recorder's entry for the same records, byte for byte; a cursor
+ *    over it yields TraceReader's records and, over every cut of the
+ *    bytes, TraceReader's errors.
  */
 
 #include <gtest/gtest.h>
@@ -120,16 +123,6 @@ encodeTo(ut::wire::RecordEncoder &enc, const ut::InstrRecord &rec,
                std::size_t(end - buf));
 }
 
-void
-writeTrace(const std::string &path, const std::string &key,
-           const std::vector<ut::InstrRecord> &records)
-{
-    ut::FileSink sink(path, key);
-    for (const auto &rec : records)
-        sink.append(rec);
-    sink.close();
-}
-
 std::string
 readAll(const std::string &path)
 {
@@ -143,6 +136,44 @@ writeAll(const std::string &path, const std::string &bytes)
 {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), std::streamsize(bytes.size()));
+}
+
+std::string
+payloadOf(const ut::EncodedTrace &encoded)
+{
+    return {reinterpret_cast<const char *>(encoded.payload()),
+            std::size_t(encoded.payloadBytes())};
+}
+
+/// Write @p records as a trace file for @p key: an EncodedTrace's
+/// payload behind its wire::frontMatter.
+void
+writeTrace(const std::string &path, const std::string &key,
+           const std::vector<ut::InstrRecord> &records)
+{
+    ut::EncodedTrace encoded;
+    encoded.appendBlock(records.data(), records.size());
+    const std::string payload = payloadOf(encoded);
+    writeAll(path, ut::wire::frontMatter(
+                       key, encoded.mix(), payload.size(),
+                       ut::wire::payloadHash(payload.data(),
+                                             payload.size())) +
+                       payload);
+}
+
+/// Stream @p records through @p store's Recorder for @p key and commit
+/// the entry. @return its path.
+std::string
+recordEntry(const ut::TraceStore &store, const std::string &key,
+            const std::vector<ut::InstrRecord> &records)
+{
+    auto recorder = store.startRecord(key);
+    if (!recorder)
+        throw std::runtime_error("startRecord failed for " + key);
+    for (const auto &rec : records)
+        recorder->append(rec);
+    recorder->commit();
+    return store.entryPath(key);
 }
 
 /// Assemble raw file bytes with self-consistent hashes; corruption
@@ -209,7 +240,10 @@ TEST(TraceIoV2, SyntheticRoundTripBitIdentity)
 
 TEST(TraceIoV2, KernelTraceRoundTripBitIdentity)
 {
-    const std::string path = tempPath("rt_kernel.uatrace");
+    const std::string dir = tempPath("rt_kernel");
+    fs::remove_all(dir);
+    ut::TraceStore store(dir);
+    const std::string path = store.entryPath("sad16");
     const KernelSpec spec{KernelId::Sad, 16, false};
 
     ut::TraceBuffer want;
@@ -217,12 +251,12 @@ TEST(TraceIoV2, KernelTraceRoundTripBitIdentity)
     direct.recordTrace(Variant::Unaligned, 3, want);
 
     {
-        ut::FileSink sink(path, "sad16");
-        KernelBench recorder(spec);
-        recorder.recordTrace(Variant::Unaligned, 3, sink);
-        sink.close();
-        EXPECT_TRUE(sink.ok());
-        EXPECT_EQ(sink.written(), want.records().size());
+        auto recorder = store.startRecord("sad16");
+        ASSERT_NE(recorder, nullptr);
+        KernelBench bench(spec);
+        bench.recordTrace(Variant::Unaligned, 3, *recorder);
+        recorder->commit();
+        EXPECT_EQ(recorder->mix().total(), want.records().size());
     }
 
     ut::TraceReader reader(path);
@@ -244,7 +278,7 @@ TEST(TraceIoV2, KernelTraceRoundTripBitIdentity)
         auto cls = static_cast<ut::InstrClass>(c);
         EXPECT_EQ(reader2.mix().count(cls), counted.mix().count(cls));
     }
-    std::remove(path.c_str());
+    fs::remove_all(dir);
 }
 
 TEST(TraceIoV2, EmptyTraceRoundTrips)
@@ -554,10 +588,12 @@ referencePayloadHash(const std::string &bytes)
     return h;
 }
 
-/// Records a FileSink writes before its first flush, at the worst case.
+constexpr std::size_t writeBufferBytes =
+    ut::TraceStore::Recorder::writeBufferBytes;
+
+/// Records a Recorder buffers before its first flush, at the worst case.
 constexpr std::size_t recordsPerFlush =
-    ut::FileSink::writeBufferBytes / ut::wire::RecordEncoder::maxRecordBytes +
-    1;
+    writeBufferBytes / ut::wire::RecordEncoder::maxRecordBytes + 1;
 
 } // namespace
 
@@ -579,14 +615,13 @@ TEST(TraceIoWrite, PayloadHashMatchesItsDefinition)
 TEST(TraceIoWrite, WorstCaseRecordsRoundTripAcrossFlushes)
 {
     // maxRecordBytes is a tight bound, and records of exactly that
-    // size streamed across three flushes land in the fixed write
-    // buffer without overrunning it (ASan guards the bound). Small
-    // leading records put the first flush at the worst phase: a
-    // maximal record encoded with the buffer one byte short of
-    // writeBufferBytes.
+    // size streamed through a Recorder across three flushes land in
+    // its fixed write buffer without overrunning it (ASan guards the
+    // bound). Small leading records put the first flush at the worst
+    // phase: a maximal record encoded with the buffer one byte short
+    // of writeBufferBytes.
     constexpr std::size_t maxBytes = ut::wire::RecordEncoder::maxRecordBytes;
-    const std::size_t phase =
-        (ut::FileSink::writeBufferBytes - 1) % maxBytes;
+    const std::size_t phase = (writeBufferBytes - 1) % maxBytes;
     const std::size_t worst = 3 * recordsPerFlush + 101;
     std::vector<ut::InstrRecord> want;
     std::size_t lead = 0;
@@ -604,29 +639,31 @@ TEST(TraceIoWrite, WorstCaseRecordsRoundTripAcrossFlushes)
         want.push_back(rec);
         ASSERT_EQ(std::size_t(enc.encode(rec, buf) - buf), maxBytes);
     }
-    const std::string path = tempPath("worst_case.uatrace");
-    writeTrace(path, "worst", want);
-
-    ut::TraceReader reader(path, "worst");
+    const std::string dir = tempPath("worst_case");
+    fs::remove_all(dir);
+    ut::TraceReader reader(recordEntry(ut::TraceStore(dir), "worst", want),
+                           "worst");
     ut::TraceCursor cur = reader.cursor();
     EXPECT_EQ(reader.payloadBytes(), phase + worst * maxBytes);
-    EXPECT_GT(reader.payloadBytes(), 3 * ut::FileSink::writeBufferBytes);
+    EXPECT_GT(reader.payloadBytes(), 3 * writeBufferBytes);
     ut::InstrRecord rec;
     for (const auto &w : want) {
         ASSERT_TRUE(cur.next(rec));
         expectRecordEqual(w, rec);
     }
     EXPECT_FALSE(cur.next(rec));
-    std::remove(path.c_str());
+    fs::remove_all(dir);
 }
 
 TEST(TraceIoWrite, StreamedChecksumEqualsOneShotForEveryTailLength)
 {
-    // A flush writes whole words and carries up to 7 bytes over; the
-    // header's checksum must still be one payloadHash() over the
-    // payload, whatever the payload length mod 8, with or without an
-    // intermediate flush.
-    const std::string path = tempPath("tail_lengths.uatrace");
+    // A Recorder's flush writes whole words and carries up to 7 bytes
+    // over; the header's checksum must still be one payloadHash() over
+    // the payload, whatever the payload length mod 8, with or without
+    // an intermediate flush.
+    const std::string dir = tempPath("tail_lengths");
+    fs::remove_all(dir);
+    const ut::TraceStore store(dir);
     for (std::size_t prefix : {std::size_t(0), recordsPerFlush}) {
         for (std::size_t residue = 0; residue < 8; ++residue) {
             auto recs = worstCaseRecords(prefix);
@@ -644,7 +681,7 @@ TEST(TraceIoWrite, StreamedChecksumEqualsOneShotForEveryTailLength)
                 recs.push_back(filler);
                 encodeTo(shadow, filler, want);
             }
-            writeTrace(path, "tail", recs);
+            const std::string path = recordEntry(store, "tail", recs);
 
             const std::string file = readAll(path);
             const std::size_t payloadAt =
@@ -660,66 +697,59 @@ TEST(TraceIoWrite, StreamedChecksumEqualsOneShotForEveryTailLength)
             EXPECT_NO_THROW(ut::TraceReader reader(path, "tail"));
         }
     }
-    std::remove(path.c_str());
+    fs::remove_all(dir);
 }
 
-// ---- FileSink error paths ----
+// ---- Recorder error paths ----
 
-TEST(FileSinkErrors, CloseThrowsOnFullDisk)
+TEST(RecorderErrors, CommitThrowsOnFullDiskAndLeavesNothing)
 {
-    const std::string path = tempPath("full_disk.uatrace");
+    // Records that fit the write buffer reach the disk only in
+    // commit(), which throws instead of publishing, and keeps
+    // throwing; an abandoned recorder with pending records destroys
+    // quietly. Neither leaves an entry or a temporary file.
+    const std::string dir = tempPath("full_disk");
+    fs::remove_all(dir);
+    ut::TraceStore store(dir);
     {
         FileSizeLimit full;
         ASSERT_TRUE(full.active());
-        ut::FileSink sink(path, "k");
+        auto recorder = store.startRecord("k");
+        ASSERT_NE(recorder, nullptr);
         for (const auto &rec : syntheticRecords())
-            sink.append(rec);
-        EXPECT_THROW(sink.close(), std::runtime_error);
-        EXPECT_FALSE(sink.ok());
-        // Idempotent after failure: the file is already closed.
-        EXPECT_NO_THROW(sink.close());
+            recorder->append(rec);
+        EXPECT_THROW(recorder->commit(), std::runtime_error);
+        EXPECT_THROW(recorder->commit(), std::runtime_error);
+        auto abandoned = store.startRecord("a");
+        ASSERT_NE(abandoned, nullptr);
+        for (const auto &rec : syntheticRecords())
+            abandoned->append(rec);
+        EXPECT_NO_THROW(abandoned.reset());
     }
-    std::remove(path.c_str());
+    EXPECT_FALSE(fs::exists(store.entryPath("k")));
+    EXPECT_TRUE(fs::is_empty(dir)) << "a temporary file was left behind";
+    fs::remove_all(dir);
 }
 
-TEST(FileSinkErrors, DestructorReportsInsteadOfThrowing)
+TEST(RecorderErrors, UncreatableTemporaryStartsNothing)
 {
-    const std::string path = tempPath("full_disk_dtor.uatrace");
-    {
-        FileSizeLimit full;
-        ASSERT_TRUE(full.active());
-        EXPECT_NO_THROW({
-            ut::FileSink sink(path, "k");
-            for (const auto &rec : syntheticRecords())
-                sink.append(rec);
-            // Destructor runs here with pending buffered data.
-        });
-    }
-    std::remove(path.c_str());
+    // With its directory gone the store cannot create a temporary:
+    // startRecord() reports and returns null, and the caller records
+    // uncached.
+    const std::string dir = tempPath("vanished_store");
+    fs::remove_all(dir);
+    ut::TraceStore store(dir);
+    fs::remove_all(dir);
+    EXPECT_EQ(store.startRecord("k"), nullptr);
+    EXPECT_FALSE(fs::exists(dir));
 }
 
-TEST(FileSinkErrors, UnwritablePathThrowsAtConstruction)
-{
-    EXPECT_THROW(ut::FileSink sink("/nonexistent-dir/trace.bin"),
-                 std::runtime_error);
-}
-
-TEST(FileSinkErrors, AppendAfterCloseThrowsInsteadOfCorrupting)
-{
-    const std::string path = tempPath("closed.uatrace");
-    ut::FileSink sink(path, "k");
-    sink.close();
-    EXPECT_THROW(sink.append(syntheticRecords().front()),
-                 std::runtime_error);
-    std::remove(path.c_str());
-}
-
-TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
+TEST(RecorderErrors, MidStreamWriteFailureLatchesUntilCommit)
 {
     // A recording pass must complete even when the write-through
-    // target fills up: append() latches the failure, commit() throws
-    // instead of publishing, and neither an entry nor its temporary
-    // file is left behind - nor by a publish() that fails.
+    // target fills up: the failed flush drops the temporary at once,
+    // append() keeps counting the mix, commit() throws instead of
+    // publishing - and a publish() that fails leaves nothing either.
     const std::string dir = tempPath("never_published");
     fs::remove_all(dir);
     ut::TraceStore store(dir);
@@ -728,6 +758,7 @@ TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
         ASSERT_TRUE(full.active());
         auto recorder = store.startRecord("k");
         ASSERT_NE(recorder, nullptr);
+        EXPECT_FALSE(fs::is_empty(dir)) << "no temporary file";
         const auto recs = syntheticRecords();
         // Enough records to overflow the 1 MiB write buffer and force
         // a flush (and its EFBIG) mid-recording.
@@ -737,6 +768,7 @@ TEST(FileSinkErrors, RecorderLatchesWriteFailureInsteadOfThrowing)
                     recorder->append(rec);
             }
         });
+        EXPECT_TRUE(fs::is_empty(dir)) << "the failed temporary was kept";
         // The mix still counts every record, before and after the
         // failure.
         EXPECT_EQ(recorder->mix().total(), 40000 * recs.size());
@@ -1520,13 +1552,6 @@ filePayload(const std::string &path, const std::string &key)
                                 ut::wire::mixBytes);
 }
 
-std::string
-payloadOf(const ut::EncodedTrace &encoded)
-{
-    return {reinterpret_cast<const char *>(encoded.payload()),
-            std::size_t(encoded.payloadBytes())};
-}
-
 /// Drain @p cur in 7-record blocks, then through next(); @return the
 /// error thrown, or empty when it ends cleanly.
 std::string
@@ -1544,14 +1569,14 @@ drainError(ut::TraceCursor cur)
 
 } // namespace
 
-TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
+TEST(EncodedTrace, PublishedEntryIsRecorderEntryByteForByte)
 {
     // A synthetic stream, a real kernel trace, worst-case records
-    // spanning several FileSink flushes and a worst-case stream whose
+    // spanning several Recorder flushes and a worst-case stream whose
     // payload passes 8 MiB (a dozen capacity doublings from 4 KiB),
-    // appended one by one and as blocks. Published as a store entry,
-    // the whole file is FileSink's file, and a cursor decodes every
-    // record.
+    // appended one by one and as blocks. The in-memory payload is the
+    // committed Recorder entry's payload, published it is that whole
+    // entry, and a cursor decodes every record.
     constexpr std::size_t bigPayload = std::size_t{8} << 20;
     ut::TraceBuffer kernel;
     KernelBench({KernelId::Sad, 16, false}).recordTrace(Variant::Unaligned,
@@ -1562,16 +1587,14 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
         worstCaseRecords(bigPayload / ut::wire::RecordEncoder::maxRecordBytes +
                          1001),
         {}};
-    const std::string path = tempPath("encoded_vs_file.uatrace");
     const std::string dir = tempPath("encoded_store");
     fs::remove_all(dir);
     ut::TraceStore store(dir);
     std::size_t largest = 0;
     for (const auto &recs : streams) {
         SCOPED_TRACE(std::to_string(recs.size()) + " records");
-        writeTrace(path, "k", recs);
-        const std::string file = readAll(path);
-        const std::string want = filePayload(path, "k");
+        const std::string file = readAll(recordEntry(store, "k", recs));
+        const std::string want = filePayload(store.entryPath("k"), "k");
         largest = std::max(largest, want.size());
         ut::EncodedTrace one, block;
         ut::InstrMix mix;
@@ -1597,7 +1620,6 @@ TEST(EncodedTrace, PayloadIsFileSinkPayloadByteForByte)
         }
     }
     EXPECT_GT(largest, bigPayload);
-    std::remove(path.c_str());
     fs::remove_all(dir);
 }
 

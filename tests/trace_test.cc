@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "trace/sink.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_store.hh"
 
 namespace ut = uasim::trace;
 
@@ -156,19 +158,22 @@ TEST(Sinks, CountingSink)
 
 TEST(TraceIo, RoundTrip)
 {
-    std::string path = ::testing::TempDir() + "/uasim_trace_test.bin";
+    const std::string dir = ::testing::TempDir() + "/uasim_trace_test";
+    std::filesystem::remove_all(dir);
+    ut::TraceStore store(dir);
     {
-        ut::FileSink fs(path);
-        ut::Emitter em(fs);
+        auto recorder = store.startRecord("k");
+        ASSERT_NE(recorder, nullptr);
+        ut::Emitter em(*recorder);
         auto d = em.emit(ut::InstrClass::IntAlu,
                          std::source_location::current());
         em.emitMem(ut::InstrClass::VecLoadU, 0xdeadbeef, 16,
                    std::source_location::current(), d);
         em.emitBranch(true, std::source_location::current());
-        fs.close();
-        EXPECT_EQ(fs.written(), 3u);
+        recorder->commit();
+        EXPECT_EQ(recorder->mix().total(), 3u);
     }
-    ut::TraceReader reader(path);
+    ut::TraceReader reader(store.entryPath("k"));
     EXPECT_EQ(reader.count(), 3u);
     ut::TraceCursor cur = reader.cursor();
     ut::InstrRecord rec;
@@ -181,20 +186,24 @@ TEST(TraceIo, RoundTrip)
     ASSERT_TRUE(cur.next(rec));
     EXPECT_TRUE(rec.taken);
     EXPECT_FALSE(cur.next(rec));
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceIo, CursorBlocksCoverTheTrace)
 {
-    std::string path = ::testing::TempDir() + "/uasim_trace_drain.bin";
+    const std::string dir = ::testing::TempDir() + "/uasim_trace_drain";
+    std::filesystem::remove_all(dir);
+    ut::TraceStore store(dir);
     {
-        ut::FileSink fs(path);
-        ut::Emitter em(fs);
+        auto recorder = store.startRecord("k");
+        ASSERT_NE(recorder, nullptr);
+        ut::Emitter em(*recorder);
         for (int i = 0; i < 100; ++i)
             em.emit(ut::InstrClass::VecPerm,
                     std::source_location::current());
+        recorder->commit();
     }
-    ut::TraceReader reader(path);
+    ut::TraceReader reader(store.entryPath("k"));
     ut::TraceCursor cur = reader.cursor();
     ut::CountingSink sink;
     ut::InstrRecord block[32];
@@ -202,7 +211,7 @@ TEST(TraceIo, CursorBlocksCoverTheTrace)
         sink.appendBlock(block, n);
     EXPECT_EQ(cur.read(), 100u);
     EXPECT_EQ(sink.mix().vecPerm(), 100u);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(TraceIo, BadMagicThrows)
