@@ -114,6 +114,7 @@ constexpr SweepStatsField statsFields[] = {
     {"executedCycles", &SweepStats::executedCycles, !gates, !required},
     {"idleJumpedCycles", &SweepStats::idleJumpedCycles, !gates,
      !required},
+    {"idleCycles", &SweepStats::idleCycles, !gates, !required},
     {"issueAttempts", &SweepStats::issueAttempts, !gates, !required},
     {"producerWaits", &SweepStats::producerWaits, !gates, !required},
     {"tokenWaits", &SweepStats::tokenWaits, !gates, !required},

@@ -45,6 +45,7 @@ constexpr CellWorkRow cellWorkRows[] = {
     {&CellWork::blockedLoads, &SweepStats::blockedLoads},
     {&CellWork::executedCycles, &SweepStats::executedCycles},
     {&CellWork::idleJumpedCycles, &SweepStats::idleJumpedCycles},
+    {&CellWork::idleCycles, &SweepStats::idleCycles},
     {&CellWork::issueAttempts, &SweepStats::issueAttempts},
     {&CellWork::producerWaits, &SweepStats::producerWaits},
     {&CellWork::tokenWaits, &SweepStats::tokenWaits},

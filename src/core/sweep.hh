@@ -191,13 +191,15 @@ struct SweepStats {
     /**
      * Engine work summed over the simulated cells
      * (timing::BatchedPipelineSim::CellWork): load issue attempts that
-     * found a blocking older store, cycles stepped one by one, and
-     * cycles skipped by the idle-cycle jump. Deterministic at any
-     * thread count; informational.
+     * found a blocking older store, cycles stepped one by one, cycles
+     * skipped by the idle-cycle jump, and the executed cycles in which
+     * no stage moved. Deterministic at any thread count;
+     * informational.
      */
     std::uint64_t blockedLoads = 0;
     std::uint64_t executedCycles = 0;
     std::uint64_t idleJumpedCycles = 0;
+    std::uint64_t idleCycles = 0;
     /**
      * Issue-stage work summed over the simulated cells, one field per
      * CellWork counter: tryIssue attempts, the check that failed each

@@ -255,6 +255,7 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     if (preRetire == cell.retirePos && preDispatch == cell.dispatchPos &&
         preFetch == cell.fetchPos && preStall == cell.fetchStallUntil &&
         cell.issueTokens == cell.issueWidth) {
+        ++cell.work.idleCycles;
         idleJump(cell);
     }
 }
@@ -264,7 +265,9 @@ BatchedPipelineSim::idleJump(Cell &cell)
 {
     // The cycle that just ran was provably idle: no stage moved a
     // cursor, nothing issued, and the fetch stall horizon did not
-    // move. Every remaining blocker is purely time-driven, so the
+    // move. So until the next event no load issues (the SSIT holds),
+    // no store dispatches or drains, and the caches and MSHR file
+    // hold: a retry slot's checks keep failing the same way. The
     // earliest cycle at which anything can change is the minimum of:
     //
     //  - the ROB head's completion cycle (an un-issued head is
@@ -273,21 +276,18 @@ BatchedPipelineSim::idleJump(Cell &cell)
     //  - the earliest MSHR release (frees miss capacity for both the
     //    issue and the store-drain path);
     //  - the fetch stall horizon (icache fill / mispredict redirect);
-    //  - every wake bound on the waiting list (sound lower bounds on
-    //    the next possible issue). Entries beyond an in-order cell's
-    //    lookahead cannot issue before the list front moves, and a
-    //    wake == notReady entry, like every Parked slot, waits on an
-    //    unissued producer, which can issue no earlier than the
-    //    events bounding it - all of them among these.
+    //  - every exact wake bound on the waiting list (sound lower
+    //    bounds on the next possible issue). Entries beyond an
+    //    in-order cell's lookahead cannot issue before the list front
+    //    moves, and a wake == notReady entry, like every Parked slot,
+    //    waits on an unissued producer, which can issue no earlier
+    //    than the events bounding it - all of them among these;
+    //  - retryWake: the fwdReady at which the blocker of a retrying
+    //    "ooo" load turns into its forwarder.
     //
     // Jumping now to just before that minimum is unobservable except
     // for fetchStallCycles, which the oracle increments once per
-    // halted cycle - replicated arithmetically below. Blockers that
-    // can clear without a timestamp (port or token shortage, store
-    // aliasing, MSHR-full issue retries) always leave a wake bound of
-    // now + 1, which forbids the jump; so do an "ooo" load's
-    // store-set wait and any retry of a load that speculated past a
-    // blocker.
+    // halted cycle - replicated arithmetically below.
     std::uint64_t t = notReady;
     if (cell.retirePos < cell.dispatchPos) {
         const Slot &head = cell.slots[cell.retirePos & cell.slotMask];
@@ -301,6 +301,7 @@ BatchedPipelineSim::idleJump(Cell &cell)
             }
         }
     }
+    t = std::min(t, cell.retryWake);
     for (auto c : cell.mshr)
         t = std::min(t, c);  // post-erase entries are all > now
     if (cell.fetchStallUntil > cell.now)
@@ -311,7 +312,7 @@ BatchedPipelineSim::idleJump(Cell &cell)
     for (std::size_t i = 0; i < scanned; ++i) {
         const std::uint64_t wake =
             cell.slots[cell.waiting[i] & cell.slotMask].wake;
-        if (wake == 0 || wake >= wakeMshrFull)
+        if (wake == 0 || wake >= retry)
             continue;
         if (wake <= cell.now)
             return;  // stale bound; take the next cycle normally
@@ -385,9 +386,6 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
     Slot &slot = cell.slots[seq & cell.slotMask];
     const InstrRecord &rec = winRec(seq);
     ++cell.work.issueAttempts;
-    // Default retry bound: transient resource shortage, recheck next
-    // cycle (tokens and ports refresh, queues can drain).
-    slot.wake = cell.now + 1;
     // Producer check first (the oracle checks unit tokens first, but
     // every failure path up to the issue commit is side-effect-free,
     // so the order is unobservable): a producer-blocked slot yields an
@@ -400,6 +398,9 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
         ++cell.work.producerWaits;
         return false;
     }
+    // Every later failure is idle-stable (see idleJump) unless it names
+    // the exact cycle its verdict changes.
+    slot.wake = retry;
     int unit = int(unitFor(rec.cls));
     if (cell.unitTokens[unit] <= 0) {
         ++cell.work.tokenWaits;
@@ -431,6 +432,14 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
                 forwarder = nullptr;
             }
         }
+        // The verdict is decided by the last overlapping older store,
+        // and drains (front-first) never remove it before the load
+        // issues. An issued blocker that contains the load becomes
+        // its forwarder exactly at fwdReady (> now, or it would be
+        // one already).
+        const bool forwardsLater = blocker && blocker->issued &&
+            blocker->addr <= rec.addr &&
+            rec.addr + rec.size <= blocker->addr + blocker->size;
         if (blocker)
             ++cell.work.blockedLoads;
         if (blocker && cell.ooo) {
@@ -440,33 +449,27 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             // untrained load speculates past the store and pays the
             // replay penalty further down, once the access is known
             // to go ahead this cycle. The SSIT can change whenever
-            // another load issues, so a wait keeps the now + 1 bound.
+            // another load issues, so every failure retries; the
+            // forwarder turn is the one time bound.
+            if (forwardsLater)
+                cell.retryWake = std::min(cell.retryWake, blocker->fwdReady);
             const std::uint32_t lset = cell.ssit[cell.ssitIndex(rec.pc)];
             if (lset && cell.ssit[cell.ssitIndex(blocker->pc)] == lset) {
                 ++cell.work.storeWaits;
                 return false;
             }
         } else if (blocker) {
-            // The classification of this load is decided by the last
-            // overlapping older store, and drains (front-first) never
-            // remove it before it issues - so the earliest the
-            // verdict can change is a computable event. An unissued
-            // blocker flips at its own issue (a setReady on its id,
-            // so the watch fires - as long as the blocker still owns
-            // its ring entry, which only an aliasing id can take); an
-            // issued containing blocker becomes a forwarder exactly at
-            // fwdReady. A partial overlap persists until the store
-            // drains, which has no timestamp - retry next cycle as
-            // before.
+            // An unissued blocker flips at its own issue (a setReady on
+            // its id, so the watch fires - as long as the blocker still
+            // owns its ring entry, which only an aliasing id can take).
+            // A partial overlap persists until the store drains at
+            // retire: a retry.
             if (!blocker->issued) {
                 if (cell.readyCycleOf(blocker->id) == notReady) {
                     cell.watchDep(blocker->id, seq);
                     slot.wake = notReady;
                 }
-            } else if (blocker->addr <= rec.addr &&
-                       rec.addr + rec.size <=
-                           blocker->addr + blocker->size &&
-                       blocker->fwdReady > cell.now) {
+            } else if (forwardsLater) {
                 slot.wake = blocker->fwdReady;
             }
             ++cell.work.storeWaits;
@@ -499,13 +502,6 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
             if (would_miss &&
                 cell.mshr.size() >=
                     static_cast<std::size_t>(cell.cfg.missMax)) {
-                // Only a full MSHR file blocks this load (no older
-                // overlapping store reached this far): idle-stable,
-                // so it does not veto an idle jump. A speculated-past
-                // blocker can turn into a forwarder at its fwdReady,
-                // so that load keeps the now + 1 bound.
-                if (!blocker)
-                    slot.wake = wakeMshrFull;
                 ++cell.work.mshrWaits;
                 return false;
             }
@@ -640,6 +636,7 @@ BatchedPipelineSim::issueStage(Cell &cell)
     // waiting on an unissued producer parks.
     auto &waiting = cell.waiting;
     const std::uint64_t attempts = cell.work.issueAttempts;
+    cell.retryWake = notReady;
     std::uint64_t visits = 0;
     std::size_t keep = 0;
     std::size_t i = 0;
@@ -649,7 +646,7 @@ BatchedPipelineSim::issueStage(Cell &cell)
             const std::uint64_t seq = waiting[i++];
             Slot &slot = cell.slots[seq & cell.slotMask];
             ++visits;
-            if ((slot.wake <= cell.now || slot.wake == wakeMshrFull) &&
+            if ((slot.wake <= cell.now || slot.wake == retry) &&
                 tryIssue(cell, seq)) {
                 if (cell.admitNow)
                     i = admitWoken(cell, seq, keep, i);
@@ -674,7 +671,7 @@ BatchedPipelineSim::issueStage(Cell &cell)
             const std::uint64_t seq = waiting[i];
             const std::uint64_t wake =
                 cell.slots[seq & cell.slotMask].wake;
-            if ((wake > cell.now && wake != wakeMshrFull) ||
+            if ((wake > cell.now && wake != retry) ||
                 !tryIssue(cell, seq))
                 waiting[keep++] = seq;
             if (++seen >= cell.cfg.inorderLookahead) {

@@ -113,19 +113,19 @@
  *    producers have all issued - during the issue scan itself when it
  *    can issue at once, as the oracle's walk would reach it - so the
  *    scan visits only slots that could issue. Resource-blocked slots
- *    (tokens, ports, store queue) and store-set waits (the SSIT
- *    changes whenever another load issues) retry next cycle as
- *    before. Net effect: the oracles' ~16 failed issue attempts per
- *    cycle collapse to about three waiting-list visits.
+ *    (tokens, ports, store queue, MSHR file) and store-set waits (the
+ *    SSIT changes whenever another load issues) are retried on every
+ *    executed cycle. Net effect: the oracles' ~16 failed issue
+ *    attempts per cycle collapse to about three waiting-list visits.
  *  - **Idle-cycle event jump.** Under long-latency stalls (an L2 or
  *    memory miss pins the ROB head for hundreds of cycles) most
- *    cycles move no cursor and issue nothing. After such a provably
- *    idle cycle every remaining blocker is time-driven, so the clock
- *    jumps to the earliest of head completion, store forward-ready,
- *    MSHR release, fetch-stall horizon and cached wake bounds,
- *    accruing the skipped fetch-stall cycles arithmetically. Any
- *    blocker that can clear without a timestamp leaves a wake bound
- *    of now + 1, which forbids the jump (see idleJump()).
+ *    cycles move no cursor and issue nothing. A failed issue attempt
+ *    leaves an exact event cycle as its wake bound, or retry: re-run
+ *    every executed cycle, but stable across idle cycles. So after a
+ *    provably idle cycle the clock jumps to the earliest event (see
+ *    idleJump()), accruing the skipped fetch-stall cycles
+ *    arithmetically: a cycle is stepped only when it moves something
+ *    or an event is due on the next one.
  *
  * Field-table rule (core/result.hh): a counter added to SimResult
  * must be accumulated here as well as in both oracles (PipelineSim
@@ -204,6 +204,7 @@ class BatchedPipelineSim : public trace::TraceSink
         std::uint64_t blockedLoads = 0;
         std::uint64_t executedCycles = 0;    //!< cycles stepped one by one
         std::uint64_t idleJumpedCycles = 0;  //!< cycles skipped by idleJump
+        std::uint64_t idleCycles = 0;  //!< executed, and no stage moved
         /// tryIssue calls. Each one issues or fails on exactly one of
         /// the five checks below, so issueAttempts is the cell's
         /// instrs plus the five *Waits.
@@ -248,9 +249,10 @@ class BatchedPipelineSim : public trace::TraceSink
         /// Earliest cycle an unissued slot can issue. 0 = unknown, run
         /// the real checks; notReady = a producer (or, in a "pipeline"
         /// cell, the older store a load waits on) has not issued, and
-        /// setReady recomputes the bound when it does; wakeMshrFull =
-        /// see below; any other value = the cycle its last producer
-        /// completes, or a transient-resource retry cycle.
+        /// setReady recomputes the bound when it does; retry = re-run
+        /// the checks every executed cycle (idle-stable, see idleJump);
+        /// any other value = an exact event cycle (a producer's ready
+        /// cycle, or a blocking store's fwdReady).
         std::uint64_t wake = 0;
         State state = State::Waiting;
         bool mispredict = false;  //!< set at fetch by the cell's gshare
@@ -321,6 +323,10 @@ class BatchedPipelineSim : public trace::TraceSink
         /// A wake dropped to 0 since the last admitWoken: a woken slot
         /// may be able to issue at once.
         bool admitNow = false;
+        /// Earliest fwdReady, this issue scan, of a blocker that will
+        /// turn into the forwarder of a retrying "ooo" load (notReady =
+        /// none): the one time bound a retry wake hides.
+        std::uint64_t retryWake = notReady;
         /// Per-ready-ring-index watcher lists for push invalidation
         /// of cached wake bounds.
         std::vector<RingWatch> ringWatch;
@@ -408,16 +414,9 @@ class BatchedPipelineSim : public trace::TraceSink
 
     static constexpr std::uint64_t notReady = ~std::uint64_t{0};
 
-    /// Wake sentinel for a load blocked only by a full MSHR file: it
-    /// must re-run the real checks every executed cycle (another
-    /// access can bring its line in, removing the miss), but during a
-    /// provably idle window the cache cannot change, so the block
-    /// provably holds until the earliest MSHR release - which is
-    /// already an idleJump candidate, so the sentinel simply does not
-    /// veto the jump the way a now + 1 bound does. Not used for an
-    /// "ooo" load that speculated past a blocker: that blocker can
-    /// become a forwarder at its fwdReady, which is no jump candidate.
-    static constexpr std::uint64_t wakeMshrFull = ~std::uint64_t{0} - 1;
+    /// Wake sentinel of a slot whose checks must re-run every executed
+    /// cycle (see Slot::wake).
+    static constexpr std::uint64_t retry = notReady - 1;
 
     /// Same floor as PipelineSim::minRingSize: the producer-ready ring
     /// is bit_ceil(max(1024, 2 * inflight)) so id aliasing behaviour -

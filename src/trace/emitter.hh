@@ -8,6 +8,8 @@
 #ifndef UASIM_TRACE_EMITTER_HH
 #define UASIM_TRACE_EMITTER_HH
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -114,9 +116,37 @@ class Emitter
     std::size_t staticSites() const { return pcRanks_.size(); }
 
   private:
+    // The memo below keys on the value of a source_location: one
+    // pointer to its call site's constant (file, line, column, function)
+    // record.
+    static_assert(sizeof(std::source_location) == sizeof(std::uintptr_t));
+
+    static constexpr unsigned pcMemoBits = 10;
+
+    /// One direct-mapped memo entry: call site -> its PC (0 = empty).
+    struct PcMemo {
+        std::uintptr_t site = 0;
+        std::uint64_t pc = 0;
+    };
+
     /// Map a source location to its synthetic PC.
     std::uint64_t
     pcFor(const std::source_location &loc)
+    {
+        const auto site = std::bit_cast<std::uintptr_t>(loc);
+        PcMemo &m = pcMemo_[std::size_t(
+            (std::uint64_t{site} * 0x9e3779b97f4a7c15ull) >>
+            (64 - pcMemoBits))];
+        if (m.site != site || m.pc == 0)
+            m = {site, rankedPc(loc)};
+        return m.pc;
+    }
+
+    /// The PC of @p loc's (file, line, column), numbered in first-seen
+    /// order; locations that share it (an inline function's, one per
+    /// translation unit, say) share the PC.
+    std::uint64_t
+    rankedPc(const std::source_location &loc)
     {
         // file_name() returns a stable pointer per call site, so hashing
         // the pointer value is both cheap and collision-safe in practice.
@@ -131,6 +161,7 @@ class Emitter
     std::optional<AddrNormalizer> map_;
     std::uint64_t nextId_ = 1;
     RankTable pcRanks_;  //!< call-site key -> first-seen rank
+    std::array<PcMemo, std::size_t{1} << pcMemoBits> pcMemo_{};
 };
 
 } // namespace uasim::trace

@@ -36,7 +36,10 @@
  *  - pipeline twins (timing::pipelineTwin): whenever the twin counts
  *    no blocked load, the "ooo" oracle of its preimage equals the
  *    "pipeline" oracle of the twin on every counter, the proof
- *    SweepRunner's twin copies rest on.
+ *    SweepRunner's twin copies rest on;
+ *  - the idle jump over loads that wait on older stores: it skips a
+ *    memory miss behind such a wait, and an "ooo" cell steps about as
+ *    few cycles as its pipeline twin on kernels whose loads wait.
  * Every comparison iterates core::simResultFields(), so a counter
  * added to SimResult is automatically diffed here — modeling it in
  * one engine but not the other fails the harness by construction.
@@ -363,6 +366,47 @@ fanOutRecords(int groups, std::uint64_t idStride)
         add(InstrClass::Store, idOf(base + 4), 0, storeAddr);
         add(InstrClass::Load, 0, 0, storeAddr);
         add(InstrClass::IntAlu, producer, idOf(base + 6));
+    }
+    return recs;
+}
+
+/**
+ * Store-wait stream for the idle jump, in groups of five records: a
+ * load that misses to memory (fresh line) and heads the ROB, its
+ * address fed by the previous group's miss, so misses never overlap;
+ * a store and a load it partially overlaps, which can never forward,
+ * so the load waits until the store drains behind the miss; an
+ * unaligned vector store and a load it contains, which forwards once
+ * the store's realignment pipe drains (fwdReady) and also feeds the
+ * next group's miss. Fixed PCs, so an "ooo" cell trains both pairs
+ * into store sets and then waits on them.
+ */
+std::vector<InstrRecord>
+storeWaitRecords(int groups)
+{
+    std::vector<InstrRecord> recs;
+    auto add = [&recs](InstrClass cls, std::uint64_t addr,
+                       std::uint8_t size, std::uint64_t dep0 = 0,
+                       std::uint64_t dep1 = 0) {
+        InstrRecord rec{};
+        rec.id = recs.size() + 1;
+        rec.pc = 0x3000 + 4 * (recs.size() % 5);
+        rec.cls = cls;
+        rec.addr = addr;
+        rec.size = size;
+        rec.deps[0] = dep0;
+        rec.deps[1] = dep1;
+        recs.push_back(rec);
+    };
+    for (int g = 0; g < groups; ++g) {
+        const std::uint64_t a = 0x5000 + 64 * std::uint64_t(g % 8);
+        const std::uint64_t prev = recs.size();  // previous group's last id
+        add(InstrClass::Load, 0x100000 + 4096 * std::uint64_t(g), 8,
+            g > 0 ? prev - 4 : 0, prev);
+        add(InstrClass::Store, a + 4, 8);
+        add(InstrClass::Load, a, 8);
+        add(InstrClass::VecStoreU, a + 33, 16);
+        add(InstrClass::Load, a + 37, 8);
     }
     return recs;
 }
@@ -1029,5 +1073,72 @@ TEST(PipelineTwin, AliasingStreamBlocksAndBackendsDiffer)
             EXPECT_TRUE(differ) << c.name;
             EXPECT_EQ(got.cycles, pipe.cycles) << c.name;
         }
+    }
+}
+
+TEST(IdleJump, SkipsAMissBehindLoadsWaitingOnOlderStores)
+{
+    // While a memory miss pins the ROB head, the loads behind it wait
+    // on older stores (a partial overlap, and a store-set wait in the
+    // "ooo" cell) that drain only at retire: no cycle of the miss moves
+    // anything but the realignment pipe's forward, so the jump skips
+    // nearly all of it. A two-entry store queue holds one group's
+    // stores, so each group dispatches during the previous miss, and
+    // the "ooo" wait on its containing store must end at that store's
+    // fwdReady, or the next miss would issue late.
+    CoreConfig pipe = CoreConfig::fourWayOoO();
+    pipe.storeQ = 2;
+    pipe.lat.unalignedStoreExtra = 4;
+    CoreConfig ooo = pipe;
+    ooo.name += "-ooo";
+    ooo.model = "ooo";
+    const std::vector<CoreConfig> cfgs = {pipe, ooo};
+    const int groups = 40;
+    const auto records = storeWaitRecords(groups);
+    expectBitIdentical(cfgs, records, "store waits");
+
+    BatchedPipelineSim batch(cfgs);
+    batch.appendBlock(records.data(), records.size());
+    const auto sims = batch.finalizeAll();
+    const std::uint64_t misses =
+        std::uint64_t(groups) * std::uint64_t(pipe.mem.memLatency);
+    for (int i = 0; i < batch.cellCount(); ++i) {
+        SCOPED_TRACE(cfgs[std::size_t(i)].name);
+        const auto &w = batch.work(i);
+        EXPECT_GE(sims[std::size_t(i)].l2Misses, std::uint64_t(groups));
+        EXPECT_GT(w.storeWaits, 0u);
+        EXPECT_GT(w.idleJumpedCycles, misses * 9 / 10);
+        EXPECT_EQ(w.executedCycles + w.idleJumpedCycles,
+                  sims[std::size_t(i)].cycles);
+    }
+}
+
+TEST(IdleJump, OoOStepsAboutAsFewCyclesAsItsPipelineTwin)
+{
+    // On kernels whose loads wait on older stores, an "ooo" cell and
+    // its pipeline twin simulate about the same cycles; a store-set
+    // wait is a retry the jump passes over like the twin's store wait,
+    // so neither steps many more cycles one by one than the other.
+    for (const KernelSpec &spec : {KernelSpec{KernelId::Sad, 4, false},
+                                   KernelSpec{KernelId::ChromaMc, 8, false}}) {
+        SCOPED_TRACE(spec.name());
+        const auto records = kernelRecords(spec, Variant::Unaligned, 16);
+        trace::InstrMix mix;
+        for (const auto &rec : records)
+            mix.add(rec);
+        CoreConfig ooo = CoreConfig::fourWayOoO();
+        ooo.model = "ooo";
+        const auto twin = timing::pipelineTwin(ooo, mix);
+        ASSERT_TRUE(twin);
+        const std::vector<CoreConfig> cfgs = {ooo, *twin};
+        expectBitIdentical(cfgs, records, spec.name());
+
+        BatchedPipelineSim batch(cfgs);
+        batch.appendBlock(records.data(), records.size());
+        batch.finalizeAll();
+        EXPECT_GT(batch.work(1).blockedLoads, 0u);
+        EXPECT_LE(batch.work(0).executedCycles * 10,
+                  batch.work(1).executedCycles * 11)
+            << "twin " << batch.work(1).executedCycles;
     }
 }

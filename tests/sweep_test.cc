@@ -1068,6 +1068,7 @@ TEST(SweepOneReplayPath, StorelessColdAndWarmDecodeEveryPass)
                  {&core::SweepStats::blockedLoads,
                   &core::SweepStats::executedCycles,
                   &core::SweepStats::idleJumpedCycles,
+                  &core::SweepStats::idleCycles,
                   &core::SweepStats::issueAttempts,
                   &core::SweepStats::producerWaits,
                   &core::SweepStats::tokenWaits,

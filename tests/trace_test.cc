@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <source_location>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,19 @@
 #include "trace/trace_store.hh"
 
 namespace ut = uasim::trace;
+
+namespace {
+
+/// One place in the source, but a distinct source_location object per
+/// instantiation: each carries its own function name.
+template <int N>
+std::source_location
+siteIn()
+{
+    return std::source_location::current();
+}
+
+} // namespace
 
 TEST(InstrClass, Predicates)
 {
@@ -124,6 +138,27 @@ TEST(Emitter, DistinctSitesGetDistinctPcs)
     em.emit(ut::InstrClass::IntAlu, std::source_location::current());
     ASSERT_EQ(sink.records().size(), 2u);
     EXPECT_NE(sink.records()[0].pc, sink.records()[1].pc);
+    EXPECT_EQ(em.staticSites(), 2u);
+}
+
+TEST(Emitter, LocationsOfOneFileLineColumnShareOnePc)
+{
+    // The Emitter memoises PCs per source_location object; objects that
+    // name the same file, line and column still get one PC, numbered
+    // in first-seen order.
+    ASSERT_STRNE(siteIn<1>().function_name(), siteIn<2>().function_name());
+    ut::TraceBuffer sink;
+    ut::Emitter em(sink);
+    for (int i = 0; i < 2; ++i) {
+        em.emit(ut::InstrClass::IntAlu, siteIn<1>());
+        em.emit(ut::InstrClass::IntAlu, siteIn<2>());
+    }
+    em.emit(ut::InstrClass::IntAlu, std::source_location::current());
+    const auto &recs = sink.records();
+    ASSERT_EQ(recs.size(), 5u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(recs[i].pc, ut::Emitter::codeBase) << i;
+    EXPECT_EQ(recs[4].pc, ut::Emitter::codeBase + 4);
     EXPECT_EQ(em.staticSites(), 2u);
 }
 
