@@ -12,6 +12,7 @@
 #include <exception>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cli.hh"
@@ -61,8 +62,8 @@ inline BenchOptions
 parseBenchArgs(int argc, char **argv, std::vector<core::CliFlag> own = {})
 {
     std::string models;
-    for (const auto &m : timing::timingModelNames())
-        models += (models.empty() ? "" : "|") + m;
+    for (std::string_view m : timing::timingModelNames())
+        models.append(models.empty() ? "" : "|").append(m);
     own.insert(own.begin(),
                {{"--quick"},
                 {"--threads", core::CliFlag::Int, "N", 0},

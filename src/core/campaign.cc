@@ -118,17 +118,45 @@ parseInt(int line, const std::string &text)
     return v;
 }
 
-/// parseInt() for core field @p field; every field is an int, so a
-/// value outside int range is a parse error rather than a silent
-/// narrowing.
-long long
-evalCoreValue(int line, const std::string &field, const std::string &text)
+/// The core field table row named @p key. @throws CampaignError.
+const timing::CoreConfigField &
+lookupCoreField(int line, const std::string &key)
 {
+    for (const timing::CoreConfigField &f : timing::coreConfigFields()) {
+        if (key == f.name)
+            return f;
+    }
+    parseFail(line, "unknown core field '" + key + "'");
+}
+
+/// One value of core field @p f: a named field's value by name (stored
+/// as its index), any other field's as parseInt(). Every numeric field
+/// is an int, so a value outside int range is a parse error rather
+/// than a silent narrowing.
+long long
+parseCoreValue(int line, const timing::CoreConfigField &f,
+               const std::string &text)
+{
+    if (!f.names.empty()) {
+        const auto it = std::ranges::find(f.names, text);
+        if (it == f.names.end())
+            parseFail(line, "unknown " + std::string(f.name) + " '" + text +
+                                "'");
+        return it - f.names.begin();
+    }
     const long long v = parseInt(line, text);
     if (v < INT_MIN || v > INT_MAX)
-        parseFail(line, "value " + std::to_string(v) + " for '" + field +
+        parseFail(line, "value " + std::to_string(v) + " for '" + f.name +
                             "' is out of int range");
     return v;
+}
+
+/// parseCoreValue()'s inverse: how a value of @p f is printed.
+std::string
+coreValueText(const timing::CoreConfigField &f, long long v)
+{
+    return f.names.empty() ? std::to_string(v)
+                           : std::string(f.names[std::size_t(v)]);
 }
 
 const std::vector<KernelSpec> &
@@ -180,36 +208,6 @@ lookupPreset(const std::string &name, timing::CoreConfig &out)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// public field-table API
-// ---------------------------------------------------------------------------
-
-const std::vector<std::string> &
-campaignCoreFields()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const timing::CoreConfigField &f : timing::coreConfigFields())
-            out.push_back(f.name);
-        std::sort(out.begin(), out.end());
-        return out;
-    }();
-    return names;
-}
-
-bool
-setCampaignCoreField(timing::CoreConfig &cfg, const std::string &field,
-                     long long value)
-{
-    for (const timing::CoreConfigField &f : timing::coreConfigFields()) {
-        if (field == f.name) {
-            f.set(cfg, value);
-            return true;
-        }
-    }
-    return false;
-}
-
-// ---------------------------------------------------------------------------
 // Campaign::parse
 // ---------------------------------------------------------------------------
 
@@ -217,7 +215,7 @@ Campaign
 Campaign::parse(std::string_view text)
 {
     // Pass 1: split into sections (any file order), reject unknown or
-    // duplicate sections and junk lines.
+    // duplicate sections, duplicate keys and junk lines.
     static const char *const sectionNames[] = {"campaign", "workload",
                                                "core", "axes"};
     std::map<std::string, std::vector<Entry>> sections;
@@ -266,7 +264,12 @@ Campaign::parse(std::string_view text)
             parseFail(lineNo, "empty key");
         if (e.value.empty())
             parseFail(lineNo, "empty value for '" + e.key + "'");
-        sections[current].push_back(std::move(e));
+        std::vector<Entry> &entries = sections[current];
+        for (const Entry &prev : entries) {
+            if (prev.key == e.key)
+                parseFail(lineNo, "duplicate key '" + e.key + "'");
+        }
+        entries.push_back(std::move(e));
     }
 
     Campaign c;
@@ -274,169 +277,115 @@ Campaign::parse(std::string_view text)
     // [campaign]
     if (!sections.count("campaign"))
         throw CampaignError("campaign: missing [campaign] section");
-    {
-        std::set<std::string> seen;
-        for (const Entry &e : sections["campaign"]) {
-            if (!seen.insert(e.key).second)
-                parseFail(e.line, "duplicate key '" + e.key + "'");
-            if (e.key == "name") {
-                if (!isCampaignIdent(e.value))
-                    parseFail(e.line, "invalid campaign name '" + e.value +
-                                          "' (want [A-Za-z_][A-Za-z0-9_-]*)");
-                c.name_ = e.value;
-            } else if (e.key == "execs") {
-                long long v = parseInt(e.line, e.value);
-                if (v < 1 || v > 1000000000)
-                    parseFail(e.line, "execs out of range: " +
-                                          std::to_string(v));
-                c.execs_ = int(v);
-            } else if (e.key == "seed") {
-                long long v = parseInt(e.line, e.value);
-                if (v < 0)
-                    parseFail(e.line, "seed must be non-negative");
-                c.seed_ = std::uint64_t(v);
-            } else {
-                parseFail(e.line, "unknown [campaign] key '" + e.key + "'");
-            }
+    for (const Entry &e : sections["campaign"]) {
+        if (e.key == "name") {
+            if (!isCampaignIdent(e.value))
+                parseFail(e.line, "invalid campaign name '" + e.value +
+                                      "' (want [A-Za-z_][A-Za-z0-9_-]*)");
+            c.name_ = e.value;
+        } else if (e.key == "execs") {
+            long long v = parseInt(e.line, e.value);
+            if (v < 1 || v > 1000000000)
+                parseFail(e.line, "execs out of range: " + std::to_string(v));
+            c.execs_ = int(v);
+        } else if (e.key == "seed") {
+            long long v = parseInt(e.line, e.value);
+            if (v < 0)
+                parseFail(e.line, "seed must be non-negative");
+            c.seed_ = std::uint64_t(v);
+        } else {
+            parseFail(e.line, "unknown [campaign] key '" + e.key + "'");
         }
-        if (c.name_.empty())
-            throw CampaignError("campaign: [campaign] requires 'name'");
-        if (c.execs_ == 0)
-            throw CampaignError("campaign '" + c.name_ +
-                                "': [campaign] requires 'execs'");
     }
+    if (c.name_.empty())
+        throw CampaignError("campaign: [campaign] requires 'name'");
+    if (c.execs_ == 0)
+        throw CampaignError("campaign '" + c.name_ +
+                            "': [campaign] requires 'execs'");
 
     // [workload]
     if (!sections.count("workload"))
         throw CampaignError("campaign '" + c.name_ +
                             "': missing [workload] section");
-    {
-        std::set<std::string> seen;
-        for (const Entry &e : sections["workload"]) {
-            if (!seen.insert(e.key).second)
-                parseFail(e.line, "duplicate key '" + e.key + "'");
-            if (e.key == "kernels") {
-                if (e.value == "paper") {
-                    c.kernels_ = kernelGrid();
-                    continue;
-                }
-                std::set<std::string> dup;
-                for (const std::string &k : splitList(e.value)) {
-                    KernelSpec spec;
-                    if (!lookupKernel(k, spec))
-                        parseFail(e.line, "unknown kernel '" + k + "'");
-                    if (!dup.insert(k).second)
-                        parseFail(e.line, "duplicate kernel '" + k + "'");
-                    c.kernels_.push_back(spec);
-                }
-            } else if (e.key == "variants") {
-                std::set<std::string> dup;
-                for (const std::string &v : splitList(e.value)) {
-                    h264::Variant var;
-                    if (!lookupVariant(v, var))
-                        parseFail(e.line, "unknown variant '" + v + "'");
-                    if (!dup.insert(v).second)
-                        parseFail(e.line, "duplicate variant '" + v + "'");
-                    c.variants_.push_back(var);
-                }
-            } else {
-                parseFail(e.line, "unknown [workload] key '" + e.key + "'");
+    for (const Entry &e : sections["workload"]) {
+        if (e.key == "kernels") {
+            if (e.value == "paper") {
+                c.kernels_ = kernelGrid();
+                continue;
             }
+            std::set<std::string> dup;
+            for (const std::string &k : splitList(e.value)) {
+                KernelSpec spec;
+                if (!lookupKernel(k, spec))
+                    parseFail(e.line, "unknown kernel '" + k + "'");
+                if (!dup.insert(k).second)
+                    parseFail(e.line, "duplicate kernel '" + k + "'");
+                c.kernels_.push_back(spec);
+            }
+        } else if (e.key == "variants") {
+            std::set<std::string> dup;
+            for (const std::string &v : splitList(e.value)) {
+                h264::Variant var;
+                if (!lookupVariant(v, var))
+                    parseFail(e.line, "unknown variant '" + v + "'");
+                if (!dup.insert(v).second)
+                    parseFail(e.line, "duplicate variant '" + v + "'");
+                c.variants_.push_back(var);
+            }
+        } else {
+            parseFail(e.line, "unknown [workload] key '" + e.key + "'");
         }
-        if (c.kernels_.empty())
-            throw CampaignError("campaign '" + c.name_ +
-                                "': [workload] requires 'kernels'");
-        if (c.variants_.empty())
-            throw CampaignError("campaign '" + c.name_ +
-                                "': [workload] requires 'variants'");
     }
+    if (c.kernels_.empty())
+        throw CampaignError("campaign '" + c.name_ +
+                            "': [workload] requires 'kernels'");
+    if (c.variants_.empty())
+        throw CampaignError("campaign '" + c.name_ +
+                            "': [workload] requires 'variants'");
 
-    // [core]
-    std::set<std::string> fixedFields;
-    if (sections.count("core")) {
-        std::set<std::string> seen;
-        for (const Entry &e : sections["core"]) {
-            if (!seen.insert(e.key).second)
-                parseFail(e.line, "duplicate key '" + e.key + "'");
-            if (e.key == "base") {
-                timing::CoreConfig probe;
-                if (!lookupPreset(e.value, probe))
-                    parseFail(e.line, "unknown base preset '" + e.value +
-                                          "' (want 2w, 4w, or 8w)");
-                c.base_ = e.value;
-            } else if (e.key == "model") {
-                if (!timing::isTimingModel(e.value))
-                    parseFail(e.line,
-                              "unknown timing model '" + e.value + "'");
-                c.fixedModel_ = e.value;
-            } else {
-                timing::CoreConfig probe;
-                if (!setCampaignCoreField(probe, e.key, 0))
-                    parseFail(e.line,
-                              "unknown core field '" + e.key + "'");
-                c.overrides_.emplace_back(
-                    e.key, evalCoreValue(e.line, e.key, e.value));
-                fixedFields.insert(e.key);
-            }
+    // [core]: the base preset, then core field overrides.
+    for (const Entry &e : sections["core"]) {
+        if (e.key == "base") {
+            timing::CoreConfig probe;
+            if (!lookupPreset(e.value, probe))
+                parseFail(e.line, "unknown base preset '" + e.value +
+                                      "' (want 2w, 4w, or 8w)");
+            c.base_ = e.value;
+            continue;
         }
+        const timing::CoreConfigField &f = lookupCoreField(e.line, e.key);
+        c.overrides_.emplace_back(&f, parseCoreValue(e.line, f, e.value));
     }
 
     // [axes]
-    if (sections.count("axes")) {
-        std::set<std::string> seen;
-        for (const Entry &e : sections["axes"]) {
-            if (!seen.insert(e.key).second)
-                parseFail(e.line, "duplicate axis '" + e.key + "'");
-            CampaignAxis axis;
-            axis.field = e.key;
-            if (e.key == "model") {
-                if (!c.fixedModel_.empty())
-                    parseFail(e.line,
-                              "'model' is both a [core] override and an axis");
-                std::set<std::string> dup;
-                for (const std::string &m : splitList(e.value)) {
-                    if (!timing::isTimingModel(m))
-                        parseFail(e.line,
-                                  "unknown timing model '" + m + "'");
-                    if (!dup.insert(m).second)
-                        parseFail(e.line,
-                                  "duplicate axis value '" + m + "'");
-                    axis.names.push_back(m);
-                }
-            } else {
-                timing::CoreConfig probe;
-                if (!setCampaignCoreField(probe, e.key, 0))
-                    parseFail(e.line, "unknown core field '" + e.key + "'");
-                if (fixedFields.count(e.key))
-                    parseFail(e.line, "'" + e.key +
-                                          "' is both a [core] override "
-                                          "and an axis");
-                std::set<long long> dup;
-                for (const std::string &t : splitList(e.value)) {
-                    const long long v = evalCoreValue(e.line, e.key, t);
-                    if (!dup.insert(v).second)
-                        parseFail(e.line, "duplicate axis value " +
-                                              std::to_string(v));
-                    axis.values.push_back(v);
-                }
-            }
-            if (axis.values.empty() && axis.names.empty())
-                parseFail(e.line, "axis '" + e.key + "' has no values");
-            c.axes_.push_back(std::move(axis));
+    for (const Entry &e : sections["axes"]) {
+        CampaignAxis axis{&lookupCoreField(e.line, e.key), {}};
+        for (const auto &o : c.overrides_) {
+            if (o.first == axis.field)
+                parseFail(e.line, "'" + e.key +
+                                      "' is both a [core] override "
+                                      "and an axis");
         }
+        std::set<long long> dup;
+        for (const std::string &t : splitList(e.value)) {
+            const long long v = parseCoreValue(e.line, *axis.field, t);
+            if (!dup.insert(v).second)
+                parseFail(e.line, "duplicate axis value " +
+                                      coreValueText(*axis.field, v));
+            axis.values.push_back(v);
+        }
+        c.axes_.push_back(std::move(axis));
     }
 
     // Expand and validate the config grid.
     timing::CoreConfig base;
     lookupPreset(c.base_, base);
-    if (!c.fixedModel_.empty())
-        base.model = c.fixedModel_;
     for (const auto &[field, value] : c.overrides_)
-        setCampaignCoreField(base, field, value);
+        field->set(base, value);
 
     long long total = 1;
     for (const CampaignAxis &a : c.axes_) {
-        total *= static_cast<long long>(a.values.size() + a.names.size());
+        total *= static_cast<long long>(a.values.size());
         if (total > 1000000)
             throw CampaignError("campaign '" + c.name_ +
                                 "': axes expand to more than 1000000 "
@@ -445,24 +394,17 @@ Campaign::parse(std::string_view text)
     for (long long i = 0; i < total; ++i) {
         timing::CoreConfig cfg = base;
         std::string label;
-        long long rem = i;
         // First axis slowest: the declaration-order odometer.
         long long stride = total;
         for (const CampaignAxis &a : c.axes_) {
-            long long n =
-                static_cast<long long>(a.values.size() + a.names.size());
+            const auto n = static_cast<long long>(a.values.size());
             stride /= n;
-            long long pick = (rem / stride) % n;
+            const long long v = a.values[std::size_t((i / stride) % n)];
             if (!label.empty())
                 label += ',';
-            if (!a.names.empty()) {
-                cfg.model = a.names[std::size_t(pick)];
-                label += a.field + "=" + a.names[std::size_t(pick)];
-            } else {
-                long long v = a.values[std::size_t(pick)];
-                setCampaignCoreField(cfg, a.field, v);
-                label += a.field + "=" + std::to_string(v);
-            }
+            a.field->set(cfg, v);
+            label += std::string(a.field->name) + "=" +
+                coreValueText(*a.field, v);
         }
         if (label.empty())
             label = c.base_;  // axis-free campaign: the base core alone
@@ -517,24 +459,15 @@ Campaign::canonical() const
     }
     out += "\n\n[core]\n";
     out += "base = " + base_ + "\n";
-    if (!fixedModel_.empty())
-        out += "model = " + fixedModel_ + "\n";
     for (const auto &[field, value] : overrides_)
-        out += field + " = " + std::to_string(value) + "\n";
+        out += std::string(field->name) + " = " +
+            coreValueText(*field, value) + "\n";
     if (!axes_.empty()) {
         out += "\n[axes]\n";
         for (const CampaignAxis &a : axes_) {
-            out += a.field + " = ";
-            if (!a.names.empty()) {
-                for (std::size_t i = 0; i < a.names.size(); ++i)
-                    out += (i ? ", " : "") + a.names[i];
-            } else {
-                for (std::size_t i = 0; i < a.values.size(); ++i) {
-                    if (i)
-                        out += ", ";
-                    out += std::to_string(a.values[i]);
-                }
-            }
+            out += std::string(a.field->name) + " = ";
+            for (std::size_t i = 0; i < a.values.size(); ++i)
+                out += (i ? ", " : "") + coreValueText(*a.field, a.values[i]);
             out += "\n";
         }
     }

@@ -28,8 +28,10 @@
  *     model = pipeline, ooo
  *     lat.unalignedLoadExtra = 0, 1, 2
  *
- * Every expanded configuration is checked through
- * timing::CoreConfig::validate() and the timing-model registry at
+ * Every [core] override and [axes] key is a row of the core field
+ * table, timing::coreConfigFields(): a named row's values (model)
+ * are its names, any other row's are integers. Every expanded
+ * configuration is checked through timing::CoreConfig::validate() at
  * parse time, so a malformed campaign fails before any simulation.
  *
  * Identity is content-addressed: canonical() renders the campaign in
@@ -81,22 +83,11 @@ class CampaignError : public std::runtime_error
     {}
 };
 
-/// The CoreConfig fields a campaign [core] override or [axes] entry
-/// may set, by dotted name ("fetchWidth", "lat.unalignedLoadExtra",
-/// "mem.memBWBytesPerCycle", ...): every timing::coreConfigFields()
-/// entry, sorted for stable docs/tests.
-const std::vector<std::string> &campaignCoreFields();
-
-/// Set @p field on @p cfg. @return false for an unknown field name.
-bool setCampaignCoreField(timing::CoreConfig &cfg,
-                          const std::string &field, long long value);
-
-/// One swept axis: a CoreConfig field (integer values) or the special
-/// "model" axis (timing-backend names).
+/// One swept axis: a core field table row and its values in
+/// declaration order (a named row's values are indices into its names).
 struct CampaignAxis {
-    std::string field;
-    std::vector<long long> values;   //!< numeric axes (empty for model)
-    std::vector<std::string> names;  //!< "model" axis backend names
+    const timing::CoreConfigField *field;
+    std::vector<long long> values;
 };
 
 /// One parsed, validated, expanded campaign.
@@ -113,14 +104,6 @@ class Campaign
     const std::string &name() const { return name_; }
     int execs() const { return execs_; }
     std::uint64_t seed() const { return seed_; }
-
-    /// The kernel/variant trace axis, in declaration order.
-    const std::vector<KernelSpec> &kernels() const { return kernels_; }
-    const std::vector<h264::Variant> &variants() const
-    {
-        return variants_;
-    }
-    const std::vector<CampaignAxis> &axes() const { return axes_; }
 
     /**
      * The normalized campaign text: fixed section order and spacing,
@@ -186,9 +169,11 @@ class Campaign
     int execs_ = 0;
     std::uint64_t seed_ = 12345;
     std::string base_ = "4w";
-    std::string fixedModel_;  //!< [core] model override; empty = default
-    /// [core] field overrides in declaration order (resolved values).
-    std::vector<std::pair<std::string, long long>> overrides_;
+    /// [core] field overrides in declaration order (values as in
+    /// CampaignAxis).
+    std::vector<std::pair<const timing::CoreConfigField *, long long>>
+        overrides_;
+    /// The kernel/variant trace axis, in declaration order.
     std::vector<KernelSpec> kernels_;
     std::vector<h264::Variant> variants_;
     std::vector<CampaignAxis> axes_;

@@ -283,8 +283,8 @@ class SweepRunner
      * CoreConfig::model when the runner copies each cell's config, so
      * plans keep encoding the paper grid and the backend stays a
      * run-time axis. Empty (the default) leaves each config's own
-     * model field in charge. An unknown name surfaces as
-     * std::invalid_argument from the engine's constructor when run()
+     * model field in charge. An unknown name fails run() with
+     * std::invalid_argument from CoreConfig::validate() when it
      * reaches the first timing cell.
      */
     void setTimingModel(std::string model)

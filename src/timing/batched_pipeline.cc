@@ -21,9 +21,6 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
       issueWidth(ooo && config.issueWidth > 0 ? config.issueWidth
                                               : config.fetchWidth)
 {
-    if (!isTimingModel(cfg.model))
-        throw std::invalid_argument("unknown timing model \"" +
-                                    cfg.model + "\"");
     res.core = cfg.name;
     storeQ.reserve(cfg.storeQ);
     mshr.reserve(cfg.missMax);

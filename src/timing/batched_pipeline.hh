@@ -158,8 +158,8 @@ class BatchedPipelineSim : public trace::TraceSink
      * One machine state per entry of @p cfgs (duplicates allowed;
      * every cell is simulated independently; models and predictor
      * sizes may differ from cell to cell).
-     * @throws std::invalid_argument on an invalid config or an
-     * unknown model name.
+     * @throws std::invalid_argument on a config CoreConfig::validate()
+     * rejects, an unknown model name included.
      */
     explicit BatchedPipelineSim(const std::vector<CoreConfig> &cfgs);
 

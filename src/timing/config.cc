@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,6 +49,9 @@ inOrderPipelineCell(const CoreConfig &c)
     return c.model != "ooo" && !c.outOfOrder;
 }
 
+/// The timing backends, in presentation order (CoreConfig::model).
+constexpr std::string_view modelNames[] = {"pipeline", "ooo"};
+
 // One table row. The member path is both the dotted name and the
 // accessor, so the two cannot drift apart; a bool field reads as 0/1
 // and is set by v != 0.
@@ -59,6 +63,17 @@ inOrderPipelineCell(const CoreConfig &c)
 
 // Sizes lie in [1, maxStructureSize], latencies in [0, maxLatency].
 constexpr CoreConfigField fieldTable[] = {
+    // The one named row; every cell reads it (it picks the backend).
+    CoreConfigField{
+        "model",
+        [](const CoreConfig &c) -> long long {
+            const auto *it = std::ranges::find(modelNames, c.model);
+            return it == std::end(modelNames) ? -1 : it - modelNames;
+        },
+        [](CoreConfig &c, long long v) {
+            c.model = modelNames[std::size_t(v)];
+        },
+        0, int(std::size(modelNames)) - 1, {}, modelNames},
     UASIM_CORE_FIELD(fetchWidth, 1, maxStructureSize, {}),
     UASIM_CORE_FIELD(retireWidth, 1, maxStructureSize, {}),
     UASIM_CORE_FIELD(inflight, 1, maxStructureSize, {}),
@@ -138,7 +153,8 @@ canonicalConfig(CoreConfig cfg, const trace::InstrMix &mix)
 {
     static const CoreConfig defaults;
     cfg.name.clear();
-    // No relevance predicate reads a table field, so resetting one
+    // Relevance predicates read only model, which every cell reads,
+    // and outOfOrder, which is not in the table; so resetting one
     // field never changes whether another is read.
     for (const CoreConfigField &f : fieldTable) {
         if (!f.relevance.readBy(cfg, mix))
@@ -165,28 +181,32 @@ CoreConfig::validate() const
 {
     for (const CoreConfigField &f : fieldTable) {
         const long long v = f.get(*this);
-        if (v < f.lo || v > f.hi) {
-            throw std::invalid_argument(
-                std::string("CoreConfig: ") + f.name + " out of range [" +
-                std::to_string(f.lo) + ", " + std::to_string(f.hi) + "]");
+        if (v >= f.lo && v <= f.hi)
+            continue;
+        std::string msg = std::string("CoreConfig: ") + f.name;
+        if (f.names.empty()) {
+            msg += " out of range [" + std::to_string(f.lo) + ", " +
+                std::to_string(f.hi) + "]";
+        } else {
+            // model is the one named row.
+            msg += " \"" + model + "\" is not one of ";
+            for (std::size_t i = 0; i < f.names.size(); ++i)
+                msg += (i ? ", " : "") + std::string(f.names[i]);
         }
+        throw std::invalid_argument(msg);
     }
-    if (model.empty())
-        throw std::invalid_argument("CoreConfig: empty model name");
 }
 
-const std::vector<std::string> &
+std::span<const std::string_view>
 timingModelNames()
 {
-    static const std::vector<std::string> names = {"pipeline", "ooo"};
-    return names;
+    return modelNames;
 }
 
 bool
-isTimingModel(const std::string &name)
+isTimingModel(std::string_view name)
 {
-    return std::ranges::find(timingModelNames(), name) !=
-        timingModelNames().end();
+    return std::ranges::find(modelNames, name) != std::end(modelNames);
 }
 
 CoreConfig

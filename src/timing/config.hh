@@ -12,7 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "mem/hierarchy.hh"
 #include "trace/instr.hh"
@@ -123,10 +123,12 @@ struct CoreConfig {
 
     /**
      * Reject impossible configurations with std::invalid_argument
-     * naming the offending field: any coreConfigFields() value outside
-     * its [lo, hi] (widths, windows, queues, ports, units or register
+     * naming the offending field: a model that is not one of
+     * timingModelNames() (the message gives the value and the allowed
+     * names), or any other coreConfigFields() value outside its
+     * [lo, hi] (widths, windows, queues, ports, units or register
      * files below 1 or above a fixed bound, negative or oversized
-     * latencies, out-of-range predictor sizes), or an empty model.
+     * latencies, out-of-range predictor sizes).
      * Every timing backend calls this at construction, so a malformed
      * sweep cell fails loudly in any model instead of deadlocking or
      * silently misbehaving in one of them.
@@ -160,13 +162,14 @@ struct CoreConfig {
     static CoreConfig preset(int idx);
 };
 
-/// Registered CoreConfig::model names, in presentation order.
-const std::vector<std::string> &timingModelNames();
+/// Registered CoreConfig::model names, in presentation order: the
+/// names of the "model" row of coreConfigFields().
+std::span<const std::string_view> timingModelNames();
 
-/// True when @p name is one of timingModelNames(). validate() does not
-/// check it; the engine's constructor rejects an unknown model, and
-/// callers with a command line check here first and exit 2.
-bool isTimingModel(const std::string &name);
+/// True when @p name is one of timingModelNames(). validate() rejects
+/// any other model; callers with a command line check here first and
+/// exit 2.
+bool isTimingModel(std::string_view name);
 
 /**
  * When the timing backends read a CoreConfig field. A field is read by
@@ -184,15 +187,22 @@ struct FieldRelevance {
     bool readBy(const CoreConfig &cfg, const trace::InstrMix &mix) const;
 };
 
-/// One settable CoreConfig field: its dotted member path, an accessor,
-/// the range validate() enforces and when the backends read it.
+/**
+ * One settable CoreConfig field: its dotted member path, an accessor,
+ * the range validate() enforces and when the backends read it. A
+ * *named* field (today only "model") takes one of @c names: get()
+ * returns the index of the current value in @c names (-1 for none of
+ * them), set() stores the name at an index, and [lo, hi] spans the
+ * indices. A numeric field has no names and reads and sets its value.
+ */
 struct CoreConfigField {
-    const char *name;  //!< "fetchWidth", "lat.load", "mem.memLatency", ...
+    const char *name;  //!< "model", "fetchWidth", "lat.load", ...
     long long (*get)(const CoreConfig &);
     void (*set)(CoreConfig &, long long);
     int lo;
     int hi;
     FieldRelevance relevance;
+    std::span<const std::string_view> names = {};
 };
 
 /**

@@ -420,7 +420,7 @@ TEST(MemBandwidth, ThrottleSlowsMissStreamsInBothBackends)
     // memBWBytesPerCycle serializes line fills on the memory bus; a
     // stream of independent far-apart misses gets slower as bandwidth
     // shrinks, in either backend, without touching stream counters.
-    auto run = [](const std::string &model, int bw) {
+    auto run = [](std::string_view model, int bw) {
         CoreConfig cfg = CoreConfig::eightWayOoO();
         cfg.model = model;
         cfg.mem.memBWBytesPerCycle = bw;
@@ -437,7 +437,7 @@ TEST(MemBandwidth, ThrottleSlowsMissStreamsInBothBackends)
         auto unlimited = run(model, 0);
         auto esesc = run(model, 11);  // the esesc reference value
         auto trickle = run(model, 2);
-        expectStreamInvariantsEqual(unlimited, trickle, model);
+        expectStreamInvariantsEqual(unlimited, trickle, std::string(model));
         EXPECT_GT(esesc.cycles, unlimited.cycles) << model;
         EXPECT_GT(trickle.cycles, esesc.cycles) << model;
     }

@@ -18,6 +18,7 @@
 #include <stdexcept>
 
 #include "core/result.hh"
+#include "oracles/ooo_pipeline.hh"
 #include "oracles/pipeline.hh"
 #include "timing/batched_pipeline.hh"
 #include "timing/branch_pred.hh"
@@ -503,9 +504,18 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
     EXPECT_THROW(bad([](CoreConfig &c) { c.storeSetLog2 = 0; })
                      .validate(),
                  std::invalid_argument);
-    EXPECT_THROW(bad([](CoreConfig &c) { c.model.clear(); })
-                     .validate(),
-                 std::invalid_argument);
+    // model is the field table's named row: anything but a registered
+    // backend fails with the value and the allowed names.
+    for (const char *model : {"vax", ""}) {
+        try {
+            bad([&](CoreConfig &c) { c.model = model; }).validate();
+            ADD_FAILURE() << "model \"" << model << "\" validated";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "CoreConfig: model \"" + std::string(model) +
+                          "\" is not one of pipeline, ooo");
+        }
+    }
     // Values the engines cannot simulate: no unit to issue on, a
     // latency that wraps the cycle count, a ring too large to allocate.
     for (auto poke : {+[](CoreConfig &c) { c.units.ls = 0; },
@@ -527,13 +537,17 @@ TEST(Pipeline, ValidateRejectsBadConfigs)
                         c.issueQ = 4096;
                         c.gprPhys = 4096;
                     }).validate());
-    // Both engines' constructor paths must throw before sizing
-    // anything - the predictor table included.
+    // The engine's and both oracles' constructor paths must throw
+    // before sizing anything - the predictor table included - and
+    // before simulating an unknown model as another.
     for (auto poke : {+[](CoreConfig &c) { c.inflight = 0; },
-                      +[](CoreConfig &c) { c.bpredLog2Entries = 40; }}) {
+                      +[](CoreConfig &c) { c.bpredLog2Entries = 40; },
+                      +[](CoreConfig &c) { c.model = "vax"; }}) {
         EXPECT_THROW(timing::BatchedPipelineSim({bad(poke)}),
                      std::invalid_argument);
         EXPECT_THROW(PipelineSim(bad(poke)), std::invalid_argument);
+        EXPECT_THROW(timing::OoOPipelineSim(bad(poke)),
+                     std::invalid_argument);
     }
 }
 
