@@ -54,9 +54,11 @@ struct BenchOptions {
 };
 
 /**
- * Parse a bench command line: the shared flags plus @p own. A
- * rejected token or an unknown "--timing-model" exits 2; the "--json"
- * DIR is created before any simulation (exit 1 if it cannot be).
+ * Parse a bench command line: the shared flags plus @p own and
+ * "--help", which prints the usage line to stdout and exits 0, as
+ * uasim-sweep and uasim-report do. A rejected token or an unknown
+ * "--timing-model" exits 2; the "--json" DIR is created before any
+ * simulation (exit 1 if it cannot be).
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv, std::vector<core::CliFlag> own = {})
@@ -70,7 +72,12 @@ parseBenchArgs(int argc, char **argv, std::vector<core::CliFlag> own = {})
                 {"--trace-cache", core::CliFlag::String, "DIR"},
                 {"--timing-model", core::CliFlag::String, models},
                 {"--json", core::CliFlag::String, "DIR"}});
+    own.push_back({"--help"});
     BenchOptions opt(core::parseCommandLine(argc, argv, std::move(own)));
+    if (opt.args.has("--help")) {
+        std::printf("%s\n", opt.args.usage().c_str());
+        std::exit(0);
+    }
     if (!timing::isTimingModel(opt.timingModel))
         opt.args.fail("--timing-model",
                       "unknown model \"" + opt.timingModel + "\"");

@@ -116,6 +116,7 @@ constexpr SweepStatsField statsFields[] = {
      !required},
     {"idleCycles", &SweepStats::idleCycles, !gates, !required},
     {"issueAttempts", &SweepStats::issueAttempts, !gates, !required},
+    {"producerChecks", &SweepStats::producerChecks, !gates, !required},
     {"producerWaits", &SweepStats::producerWaits, !gates, !required},
     {"tokenWaits", &SweepStats::tokenWaits, !gates, !required},
     {"portWaits", &SweepStats::portWaits, !gates, !required},

@@ -47,6 +47,7 @@ constexpr CellWorkRow cellWorkRows[] = {
     {&CellWork::idleJumpedCycles, &SweepStats::idleJumpedCycles},
     {&CellWork::idleCycles, &SweepStats::idleCycles},
     {&CellWork::issueAttempts, &SweepStats::issueAttempts},
+    {&CellWork::producerChecks, &SweepStats::producerChecks},
     {&CellWork::producerWaits, &SweepStats::producerWaits},
     {&CellWork::tokenWaits, &SweepStats::tokenWaits},
     {&CellWork::portWaits, &SweepStats::portWaits},

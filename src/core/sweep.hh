@@ -202,12 +202,14 @@ struct SweepStats {
     std::uint64_t idleCycles = 0;
     /**
      * Issue-stage work summed over the simulated cells, one field per
-     * CellWork counter: tryIssue attempts, the check that failed each
-     * failed one (issueAttempts = simulated instrs + the five *Waits),
-     * waiting-list visits skipped on a wake bound, and drops of
-     * every wake bound of a cell. Deterministic; informational.
+     * CellWork counter: tryIssue attempts, those that ran the producer
+     * check, the check that failed each failed one (issueAttempts =
+     * simulated instrs + the five *Waits), waiting-list visits skipped
+     * on a wake bound, and drops of every wake bound of a cell.
+     * Deterministic; informational.
      */
     std::uint64_t issueAttempts = 0;
+    std::uint64_t producerChecks = 0;
     std::uint64_t producerWaits = 0;
     std::uint64_t tokenWaits = 0;
     std::uint64_t portWaits = 0;

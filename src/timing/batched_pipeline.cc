@@ -386,14 +386,19 @@ BatchedPipelineSim::tryIssue(Cell &cell, std::uint64_t seq)
     // Producer check first (the oracle checks unit tokens first, but
     // every failure path up to the issue commit is side-effect-free,
     // so the order is unobservable): a producer-blocked slot yields an
-    // exact wake bound, a token-blocked one does not. Dispatch and
-    // setReady keep producer bounds exact, so this fails only after a
-    // flush dropped the slot's bound or under aliasing ids.
-    const std::uint64_t depWake = cell.watchProducers(rec, seq);
-    if (depWake > cell.now) {
-        slot.wake = depWake;
-        ++cell.work.producerWaits;
-        return false;
+    // exact wake bound, a token-blocked one does not. It runs only on
+    // an unknown bound (wake == 0): any other wake reaching here
+    // (retry, or a cycle <= now) met every producer already, and a met
+    // bound stays met - ready cycles never move later, except when an
+    // issuing id takes its entry back, and that drops every bound.
+    if (!slot.wake) {
+        ++cell.work.producerChecks;
+        const std::uint64_t depWake = cell.watchProducers(rec, seq);
+        if (depWake > cell.now) {
+            slot.wake = depWake;
+            ++cell.work.producerWaits;
+            return false;
+        }
     }
     // Every later failure is idle-stable (see idleJump) unless it names
     // the exact cycle its verdict changes.
@@ -766,12 +771,12 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
             ++cell.waitingNonBranch;
         setReady(cell, rec.id, notReady);
         // The first attempt's producer check, run here: the bound is
-        // exact from dispatch on (setReady keeps it so).
+        // exact from dispatch on (setReady keeps it so), and one
+        // already met (<= now, and now >= 1) skips tryIssue's check.
         Slot &slot = cell.slots[cell.dispatchPos & cell.slotMask];
         const std::uint64_t bound =
             cell.watchProducers(rec, cell.dispatchPos);
-        if (bound > cell.now)
-            slot.wake = bound;
+        slot.wake = std::max(bound, std::uint64_t{1});
         if (cell.outOfOrder && bound == notReady)
             slot.state = State::Parked;
         else

@@ -107,7 +107,12 @@
  *    (once the ring wraps, at every dispatch) - unless ids far apart
  *    alias it while in flight, which drops every bound of the cell,
  *    as a watcher-list overflow does; a zero bound only forces a
- *    re-run of the real checks. In an out-of-order cell a slot
+ *    re-run of the real checks. A met bound stays met, since ready
+ *    cycles never move later: tryIssue re-runs the producer check
+ *    only on a zero bound. The one exception, again only for ids far
+ *    apart, is a producer issuing after an aliasing id took its
+ *    entry, which its consumers read as ready meanwhile; that
+ *    setReady drops every bound too. In an out-of-order cell a slot
  *    waiting on an unissued producer leaves the waiting list
  *    altogether (it is Parked) and re-enters it in ROB order once its
  *    producers have all issued - during the issue scan itself when it
@@ -209,10 +214,13 @@ class BatchedPipelineSim : public trace::TraceSink
         /// the five checks below, so issueAttempts is the cell's
         /// instrs plus the five *Waits.
         std::uint64_t issueAttempts = 0;
+        /// tryIssue calls that ran the producer check: only those on
+        /// an unknown bound (Slot::wake == 0, left by a flush or a
+        /// watcher rewake). Informational, not a sixth outcome.
+        std::uint64_t producerChecks = 0;
         /// A producer not yet ready. Dispatch and setReady keep
         /// producer bounds exact, so this counts attempts after a
-        /// flush dropped the slot's bound (or an aliasing id's issue
-        /// took a producer's entry back).
+        /// flush dropped the slot's bound.
         std::uint64_t producerWaits = 0;
         std::uint64_t tokenWaits = 0;     //!< no token left on the unit
         /// No read port, or no second one for a line-crossing load.
@@ -226,8 +234,10 @@ class BatchedPipelineSim : public trace::TraceSink
         /// on the list, so they cost no visit.
         std::uint64_t wakeSkips = 0;
         /// setReady calls that dropped every wake bound of the cell:
-        /// a watcher-list overflow, or an aliasing id taking over the
-        /// entry of an issued producer still in flight.
+        /// a watcher-list overflow, an aliasing id taking over the
+        /// entry of an issued producer still in flight, or an issuing
+        /// id taking its entry back from another (never with dense
+        /// ids: the ring holds at least twice the window).
         std::uint64_t watcherFlushes = 0;
     };
 
@@ -247,12 +257,14 @@ class BatchedPipelineSim : public trace::TraceSink
     struct Slot {
         std::uint64_t readyCycle = 0;
         /// Earliest cycle an unissued slot can issue. 0 = unknown, run
-        /// the real checks; notReady = a producer (or, in a "pipeline"
-        /// cell, the older store a load waits on) has not issued, and
-        /// setReady recomputes the bound when it does; retry = re-run
-        /// the checks every executed cycle (idle-stable, see idleJump);
-        /// any other value = an exact event cycle (a producer's ready
-        /// cycle, or a blocking store's fwdReady).
+        /// every check, the producer check included; notReady = a
+        /// producer (or, in a "pipeline" cell, the older store a load
+        /// waits on) has not issued, and setReady recomputes the bound
+        /// when it does; retry = re-run the checks every executed cycle
+        /// (idle-stable, see idleJump); any other value = an exact
+        /// event cycle (a producer's ready cycle, or a blocking store's
+        /// fwdReady). Once retry or <= now, every producer was seen
+        /// issued and ready, so tryIssue skips the producer check.
         std::uint64_t wake = 0;
         State state = State::Waiting;
         bool mispredict = false;  //!< set at fetch by the cell's gshare
@@ -444,11 +456,15 @@ class BatchedPipelineSim : public trace::TraceSink
         // ready. An owner that completed by now - the previous lap's,
         // at every dispatch once the ring wraps - read as ready
         // before, and one that has not issued has its waiting
-        // consumers on the watcher list. An issued owner still in
-        // flight (only ids far apart can alias one) leaves bounds
-        // nobody registered: drop them all.
-        const bool dropAll =
-            e.id != id && e.cycle != notReady && e.cycle > cell.now;
+        // consumers on the watcher list. Two cases, both reached only
+        // by ids far apart, leave bounds nobody registered and drop
+        // them all: an issued owner still in flight, whose ready cycle
+        // bounds its consumers; and an issuing id that finds its entry
+        // held by another, whose consumers may have met bounds that
+        // read it as ready.
+        const bool dropAll = e.id != id &&
+            (cycle != notReady ||
+             (e.cycle != notReady && e.cycle > cell.now));
         e.id = id;
         e.cycle = cycle;
         const RingWatch &wt = cell.ringWatch[idx];

@@ -24,9 +24,12 @@
  *  - latencies of 0, where a consumer issues in its producer's cycle;
  *  - one producer with more in-flight consumers than a ready-ring
  *    watcher list holds, over dense and ring-aliasing ids;
+ *  - a producer that takes its ready-ring entry back from an aliasing
+ *    id after a consumer met a bound that read it as ready;
  *  - the issue-stage work counters (CellWork): per cell of the
  *    randomized grids, tryIssue attempts are the issued instructions
- *    plus one failure per failed check;
+ *    plus one failure per failed check, and on real kernels at most
+ *    5% of attempts re-run the producer check;
  *  - the relevance sets of timing::coreConfigFields(): a field
  *    perturbed over its whole range where its relevance says no
  *    backend reads it (the trace lacks its classes, or the cell is of
@@ -411,6 +414,47 @@ storeWaitRecords(int groups)
     return recs;
 }
 
+/**
+ * Takeback stream for met producer bounds, in groups of four records:
+ * a load that misses to memory and, under a one-entry MSHR file, holds
+ * it; a multiply that waits on the load; an id one @p ringSize later,
+ * which takes the waiting multiply's ready-ring entry at dispatch; and
+ * a missing load that consumes the multiply. That load reads its
+ * producer as ready through the taken entry, so its bound is met at
+ * dispatch, and it waits for the MSHR instead. When the miss returns,
+ * the multiply issues and takes its entry back with a ready cycle
+ * still ahead, which the load must now wait for. Each group's miss
+ * depends on the previous group's load, so a load issued early shows
+ * in every later cycle.
+ */
+std::vector<InstrRecord>
+takebackRecords(int groups, std::uint64_t ringSize)
+{
+    std::vector<InstrRecord> recs;
+    auto add = [&recs](std::uint64_t id, InstrClass cls,
+                       std::uint64_t dep0, std::uint64_t addr) {
+        InstrRecord rec{};
+        rec.id = id;
+        rec.pc = 0x4000 + 4 * (recs.size() % 4);
+        rec.cls = cls;
+        rec.deps[0] = dep0;
+        rec.addr = addr;
+        rec.size = rec.isMem() ? 8 : 0;
+        recs.push_back(rec);
+    };
+    std::uint64_t id = 1;
+    for (int g = 0; g < groups; ++g) {
+        const std::uint64_t line = 4096 * std::uint64_t(g);
+        const std::uint64_t prevLoad = g > 0 ? id - 1 : 0;
+        add(id, InstrClass::Load, prevLoad, 0x100000 + line);
+        add(id + 1, InstrClass::IntMul, id, 0);
+        add(id + 1 + ringSize, InstrClass::IntAlu, 0, 0);
+        add(id + 2 + ringSize, InstrClass::Load, id + 1, 0x800000 + line);
+        id += ringSize + 3;
+    }
+    return recs;
+}
+
 } // namespace
 
 TEST(BatchedReplay, PresetGridOnKernelTraces)
@@ -545,6 +589,40 @@ TEST(BatchedReplay, RandomStreamsWithAliasingIds)
     }
 }
 
+TEST(BatchedReplay, TakenBackRingEntryDropsMetBounds)
+{
+    // A met producer bound skips tryIssue's producer check, which is
+    // sound only while ready cycles never move later. A producer
+    // taking its entry back from an aliasing id is the one move later:
+    // its consumer met a bound that read it as ready, and must wait
+    // again (the setReady drop), in both backends.
+    CoreConfig pipe = CoreConfig::fourWayOoO();
+    pipe.missMax = 1;
+    pipe.lat.intMul = 4;
+    CoreConfig ooo = pipe;
+    ooo.name += "-ooo";
+    ooo.model = "ooo";
+    const std::vector<CoreConfig> cfgs = {pipe, ooo};
+    // The 1,024-entry ring floor; a larger window would grow the ring.
+    ASSERT_LE(2 * pipe.inflight, 1024);
+    const int groups = 20;
+    const auto records = takebackRecords(groups, 1024);
+    expectBitIdentical(cfgs, records, "takeback");
+
+    BatchedPipelineSim batch(cfgs);
+    batch.appendBlock(records.data(), records.size());
+    batch.finalizeAll();
+    for (int i = 0; i < batch.cellCount(); ++i) {
+        SCOPED_TRACE(cfgs[std::size_t(i)].name);
+        const auto &w = batch.work(i);
+        // Every group takes an entry back, and its load then waits on
+        // the producer it had read as ready.
+        EXPECT_GE(w.watcherFlushes, std::uint64_t(groups));
+        EXPECT_GE(w.producerWaits, std::uint64_t(groups));
+        EXPECT_GT(w.mshrWaits, 0u);
+    }
+}
+
 TEST(BatchedReplay, IssueCountersAccountForEveryAttempt)
 {
     // Over the randomized grids, per cell: every tryIssue either
@@ -588,6 +666,33 @@ TEST(BatchedReplay, IssueCountersAccountForEveryAttempt)
     EXPECT_GT(total.mshrWaits, 0u);
     EXPECT_GT(total.wakeSkips, 0u);
     EXPECT_GT(total.watcherFlushes, 0u);
+}
+
+TEST(BatchedReplay, MetProducerBoundsSkipTheProducerCheck)
+{
+    // Dispatch and setReady keep a slot's producer bound exact, and a
+    // met bound stays met, so tryIssue re-runs the producer check only
+    // on the few attempts whose bound a flush or a rewake left unknown:
+    // at most 5% of attempts on real kernels, in both backends (an
+    // engine that checks on every attempt reads 100%).
+    CoreConfig ooo = CoreConfig::fourWayOoO();
+    ooo.name += "-ooo";
+    ooo.model = "ooo";
+    const std::vector<CoreConfig> cfgs = {CoreConfig::fourWayOoO(), ooo};
+    for (const KernelSpec &spec : {KernelSpec{KernelId::LumaMc, 16, false},
+                                   KernelSpec{KernelId::Sad, 16, false}}) {
+        const auto records = kernelRecords(spec, Variant::Unaligned, 8);
+        BatchedPipelineSim batch(cfgs);
+        batch.appendBlock(records.data(), records.size());
+        batch.finalizeAll();
+        for (int i = 0; i < batch.cellCount(); ++i) {
+            SCOPED_TRACE(spec.name() + " " + cfgs[std::size_t(i)].name);
+            const auto &w = batch.work(i);
+            EXPECT_GE(w.producerChecks, w.producerWaits);
+            EXPECT_LE(w.producerChecks * 20, w.issueAttempts)
+                << w.producerChecks << " checks";
+        }
+    }
 }
 
 TEST(BatchedReplay, MixedModelsAndPredictorSizesInOneGroup)

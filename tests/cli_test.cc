@@ -300,6 +300,25 @@ TEST(CliBinaries, BadCommandLineExits2BeforeAnyWork)
     }
 }
 
+TEST(CliBinaries, BenchHelpPrintsUsageAndExits0)
+{
+    // Like uasim-sweep and uasim-report: usage on stdout, nothing on
+    // stderr, no run and no --json directory.
+    for (const Binary &b : binaries()) {
+        if (std::string(b.operandFlag ? b.operandFlag : "") != "--json")
+            continue;
+        const fs::path dir = freshDir("help_" + b.name);
+        const RunResult r =
+            run(b.path.string() + " --help --json " + dir.string());
+        EXPECT_EQ(r.exit, 0) << b.name << "\n" << r.err;
+        EXPECT_EQ(r.err, "") << b.name;
+        EXPECT_EQ(r.out.rfind("usage: " + b.name + " [--quick]", 0), 0u)
+            << b.name << "\n" << r.out;
+        EXPECT_NE(r.out.find(" [--help]"), std::string::npos) << b.name;
+        EXPECT_FALSE(fs::exists(dir)) << b.name;
+    }
+}
+
 TEST(CliBinaries, JsonNamesADirectoryCreatedBeforeTheRun)
 {
     const fs::path root = freshDir("json_dir");

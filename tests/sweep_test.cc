@@ -1070,6 +1070,7 @@ TEST(SweepOneReplayPath, StorelessColdAndWarmDecodeEveryPass)
                   &core::SweepStats::idleJumpedCycles,
                   &core::SweepStats::idleCycles,
                   &core::SweepStats::issueAttempts,
+                  &core::SweepStats::producerChecks,
                   &core::SweepStats::producerWaits,
                   &core::SweepStats::tokenWaits,
                   &core::SweepStats::portWaits,
