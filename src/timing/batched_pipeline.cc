@@ -27,7 +27,6 @@ BatchedPipelineSim::Cell::Cell(const CoreConfig &config)
     // Dispatch caps the unissued slots at issueQ + branchQ.
     waiting.reserve(std::size_t(std::max(1, cfg.issueQ)) +
                     std::size_t(std::max(1, cfg.branchQ)));
-    woken.reserve(waiting.capacity());
     const auto inflight = std::size_t(std::max(1, cfg.inflight));
     readyRing.resize(
         std::bit_ceil(std::max(minRingSize, 2 * inflight)));
@@ -242,9 +241,6 @@ BatchedPipelineSim::cycleCell(Cell &cell)
     retireStage(cell);
     issueStage(cell);
     dispatchStage(cell);
-    if (!cell.woken.empty())
-        mergeWoken(cell, 0, 0);
-    cell.admitNow = false;
     fetchStage(cell);
 
     // issueTokens only decrements on a successful issue, so a full
@@ -273,12 +269,12 @@ BatchedPipelineSim::idleJump(Cell &cell)
     //  - the earliest MSHR release (frees miss capacity for both the
     //    issue and the store-drain path);
     //  - the fetch stall horizon (icache fill / mispredict redirect);
-    //  - every exact wake bound on the waiting list (sound lower
-    //    bounds on the next possible issue). Entries beyond an
+    //  - every exact wake bound within the issue scan's limit (sound
+    //    lower bounds on the next possible issue). Entries beyond an
     //    in-order cell's lookahead cannot issue before the list front
-    //    moves, and a wake == notReady entry, like every Parked slot,
-    //    waits on an unissued producer, which can issue no earlier
-    //    than the events bounding it - all of them among these;
+    //    moves, and a wake == notReady entry waits on an unissued
+    //    producer, which can issue no earlier than the events bounding
+    //    it - all of them among these;
     //  - retryWake: the fwdReady at which the blocker of a retrying
     //    "ooo" load turns into its forwarder.
     //
@@ -303,9 +299,7 @@ BatchedPipelineSim::idleJump(Cell &cell)
         t = std::min(t, c);  // post-erase entries are all > now
     if (cell.fetchStallUntil > cell.now)
         t = std::min(t, cell.fetchStallUntil);
-    std::size_t scanned = cell.waiting.size();
-    if (!cell.outOfOrder)
-        scanned = std::min(scanned, std::size_t(cell.cfg.inorderLookahead));
+    const std::size_t scanned = scanLimit(cell);
     for (std::size_t i = 0; i < scanned; ++i) {
         const std::uint64_t wake =
             cell.slots[cell.waiting[i] & cell.slotMask].wake;
@@ -599,136 +593,62 @@ BatchedPipelineSim::rewake(Cell &cell, std::uint64_t seq)
         return;
     const std::uint64_t bound = cell.watchProducers(winRec(seq), seq);
     slot.wake = bound > cell.now ? bound : 0;
-    if (!slot.wake)
-        cell.admitNow = true;
-    if (slot.state == State::Parked && bound != notReady) {
-        slot.state = State::Waiting;
-        cell.woken.push_back(seq);
-    }
 }
 
 void
 BatchedPipelineSim::dropWakes(Cell &cell)
 {
-    // Drop every bound of the cell (a zero wake only forces a re-run of
-    // the real checks, never a wrong skip) and bring every parked slot
-    // back to the waiting list.
+    // Drop every bound of the cell: a zero wake only forces a re-run of
+    // the real checks, never a wrong skip.
     ++cell.work.watcherFlushes;
-    cell.admitNow = true;
     for (std::uint64_t seq = cell.retirePos; seq < cell.dispatchPos; ++seq) {
         Slot &slot = cell.slots[seq & cell.slotMask];
-        if (slot.state == State::Issued)
-            continue;
-        slot.wake = 0;
-        if (slot.state == State::Parked) {
-            slot.state = State::Waiting;
-            cell.woken.push_back(seq);
-        }
+        if (slot.state != State::Issued)
+            slot.wake = 0;
     }
+}
+
+std::size_t
+BatchedPipelineSim::scanLimit(const Cell &cell)
+{
+    // Near-program-order issue examines at most inorderLookahead
+    // waiting slots (see CoreConfig::inorderLookahead), as
+    // PipelineSim's walk does; a wake-skipped slot was still examined
+    // by that walk, so it counts all the same.
+    const std::size_t n = cell.waiting.size();
+    return cell.outOfOrder
+        ? n
+        : std::min(n, std::size_t(cell.cfg.inorderLookahead));
 }
 
 void
 BatchedPipelineSim::issueStage(Cell &cell)
 {
-    // Scan only the Waiting slots (in ROB order): tryIssue is
-    // side-effect-free for slots it is never called on, so skipping
-    // Issued slots - and Parked ones, which would fail on a producer -
-    // reproduces PipelineSim's full-ROB walk exactly; for an "ooo"
-    // cell the list is OoOPipelineSim's issue queue. A slot found
-    // waiting on an unissued producer parks.
+    // Scan the Waiting slots in ROB order, skipping each whose wake
+    // bound has not come: tryIssue is side-effect-free for slots it is
+    // never called on, so skipping Issued slots reproduces
+    // PipelineSim's full-ROB walk exactly; for an "ooo" cell the list
+    // is OoOPipelineSim's issue queue. A consumer that a zero-latency
+    // producer wakes mid-scan is younger, so the scan still reaches it.
     auto &waiting = cell.waiting;
     const std::uint64_t attempts = cell.work.issueAttempts;
     cell.retryWake = notReady;
-    std::uint64_t visits = 0;
+    const std::size_t limit = scanLimit(cell);
+    // waiting[0, keep) stays listed; what issued from [0, i) drops.
     std::size_t keep = 0;
     std::size_t i = 0;
-    if (cell.outOfOrder) {
-        // waiting[0, keep) stays listed, [i, size) is still to visit.
-        while (i < waiting.size() && cell.issueTokens > 0) {
-            const std::uint64_t seq = waiting[i++];
-            Slot &slot = cell.slots[seq & cell.slotMask];
-            ++visits;
-            if ((slot.wake <= cell.now || slot.wake == retry) &&
-                tryIssue(cell, seq)) {
-                if (cell.admitNow)
-                    i = admitWoken(cell, seq, keep, i);
-                continue;
-            }
-            if (slot.wake == notReady)
-                slot.state = State::Parked;
-            else
-                waiting[keep++] = seq;
-        }
-    } else {
-        // Near-program-order issue with a bounded static-scheduling
-        // window (see CoreConfig::inorderLookahead); the lookahead
-        // counts Waiting slots examined, as PipelineSim's walk does -
-        // a wake-skipped slot was still examined by the oracle's walk,
-        // so it consumes lookahead all the same.
-        const std::size_t n = waiting.size();
-        int seen = 0;
-        for (; i < n; ++i) {
-            if (cell.issueTokens <= 0)
-                break;
-            const std::uint64_t seq = waiting[i];
-            const std::uint64_t wake =
-                cell.slots[seq & cell.slotMask].wake;
-            if ((wake > cell.now && wake != retry) ||
-                !tryIssue(cell, seq))
-                waiting[keep++] = seq;
-            if (++seen >= cell.cfg.inorderLookahead) {
-                ++i;
-                break;
-            }
-        }
-        visits = i;
+    for (; i < limit && cell.issueTokens > 0; ++i) {
+        const std::uint64_t seq = waiting[i];
+        const std::uint64_t wake = cell.slots[seq & cell.slotMask].wake;
+        if ((wake > cell.now && wake != retry) || !tryIssue(cell, seq))
+            waiting[keep++] = seq;
     }
     // Each visit either skipped on its wake bound or called tryIssue.
-    cell.work.wakeSkips += visits - (cell.work.issueAttempts - attempts);
+    cell.work.wakeSkips += i - (cell.work.issueAttempts - attempts);
     if (keep != i) {
         waiting.erase(waiting.begin() + std::ptrdiff_t(keep),
                       waiting.begin() + std::ptrdiff_t(i));
     }
-}
-
-std::size_t
-BatchedPipelineSim::admitWoken(Cell &cell, std::uint64_t issuer,
-                               std::size_t keep, std::size_t next)
-{
-    // A slot that @p issuer's setReady made issuable at once - behind a
-    // 0-cycle producer, or a consumer of an id whose ring entry the
-    // issuer took back - is one the oracle's walk reaches later this
-    // cycle, if it is younger. Close the scan's gap waiting[keep, next)
-    // and merge those slots into the part still to visit; the rest of
-    // woken waits for the merge after dispatch.
-    cell.admitNow = false;
-    auto &woken = cell.woken;
-    const auto admit = std::partition(
-        woken.begin(), woken.end(), [&cell, issuer](std::uint64_t s) {
-            return s < issuer || cell.slots[s & cell.slotMask].wake != 0;
-        });
-    if (admit == woken.end())
-        return next;
-    cell.waiting.erase(cell.waiting.begin() + std::ptrdiff_t(keep),
-                       cell.waiting.begin() + std::ptrdiff_t(next));
-    mergeWoken(cell, keep, std::size_t(admit - woken.begin()));
-    return keep;
-}
-
-void
-BatchedPipelineSim::mergeWoken(Cell &cell, std::size_t at, std::size_t from)
-{
-    // Sorted insertion into waiting[at, end) (all of it younger than
-    // waiting[0, at)); every unissued slot fits the capacity reserved
-    // at construction.
-    auto &waiting = cell.waiting;
-    for (std::size_t j = from; j < cell.woken.size(); ++j) {
-        const std::uint64_t seq = cell.woken[j];
-        waiting.insert(std::upper_bound(waiting.begin() + std::ptrdiff_t(at),
-                                        waiting.end(), seq),
-                       seq);
-    }
-    cell.woken.resize(from);
 }
 
 void
@@ -777,10 +697,7 @@ BatchedPipelineSim::dispatchStage(Cell &cell)
         const std::uint64_t bound =
             cell.watchProducers(rec, cell.dispatchPos);
         slot.wake = std::max(bound, std::uint64_t{1});
-        if (cell.outOfOrder && bound == notReady)
-            slot.state = State::Parked;
-        else
-            cell.waiting.push_back(cell.dispatchPos);
+        cell.waiting.push_back(cell.dispatchPos);
         ++cell.dispatchPos;
         ++dispatched;
     }

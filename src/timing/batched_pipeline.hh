@@ -112,16 +112,19 @@
  *    only on a zero bound. The one exception, again only for ids far
  *    apart, is a producer issuing after an aliasing id took its
  *    entry, which its consumers read as ready meanwhile; that
- *    setReady drops every bound too. In an out-of-order cell a slot
- *    waiting on an unissued producer leaves the waiting list
- *    altogether (it is Parked) and re-enters it in ROB order once its
- *    producers have all issued - during the issue scan itself when it
- *    can issue at once, as the oracle's walk would reach it - so the
- *    scan visits only slots that could issue. Resource-blocked slots
- *    (tokens, ports, store queue, MSHR file) and store-set waits (the
- *    SSIT changes whenever another load issues) are retried on every
- *    executed cycle. Net effect: the oracles' ~16 failed issue
- *    attempts per cycle collapse to about three waiting-list visits.
+ *    setReady drops every bound too. Every unissued slot stays on
+ *    the waiting list in ROB order, and a visit to one whose bound has
+ *    not come costs one compare. A consumer that a producer issuing
+ *    this cycle makes issuable at once (a zero-latency producer) is
+ *    younger than it, so the running scan reaches it later in the same
+ *    cycle, as the oracle's walk does; an older slot whose bound a drop
+ *    reopens waits for the next cycle, as it does in the walk.
+ *    Resource-blocked slots (tokens, ports, store queue, MSHR file)
+ *    and store-set waits (the SSIT changes whenever another load
+ *    issues) are retried on every executed cycle. Net effect: the
+ *    oracles' ~16 failed issue attempts per cycle collapse to about
+ *    three tryIssue calls per executed cycle, the rest of the scan
+ *    one compare per slot.
  *  - **Idle-cycle event jump.** Under long-latency stalls (an L2 or
  *    memory miss pins the ROB head for hundreds of cycles) most
  *    cycles move no cursor and issue nothing. A failed issue attempt
@@ -230,8 +233,8 @@ class BatchedPipelineSim : public trace::TraceSink
         std::uint64_t storeWaits = 0;
         std::uint64_t mshrWaits = 0;  //!< a missing load, MSHR file full
         /// Waiting-list scan visits skipped on a wake bound (issueStage
-        /// visits = issueAttempts + wakeSkips); Parked slots are not
-        /// on the list, so they cost no visit.
+        /// visits = issueAttempts + wakeSkips): to slots waiting on a
+        /// producer that has not issued, or has not yet completed.
         std::uint64_t wakeSkips = 0;
         /// setReady calls that dropped every wake bound of the cell:
         /// a watcher-list overflow, an aliasing id taking over the
@@ -246,11 +249,8 @@ class BatchedPipelineSim : public trace::TraceSink
     const CellWork &work(int i) const { return cells_[std::size_t(i)].work; }
 
   private:
-    /// Parked: not issued and off the waiting list, because it waits
-    /// on a producer that has not issued (wake == notReady). Only
-    /// out-of-order cells park: an in-order scan's lookahead counts
-    /// the slots it visits.
-    enum class State : std::uint8_t { Waiting, Parked, Issued };
+    /// Waiting from fetch until the slot issues.
+    enum class State : std::uint8_t { Waiting, Issued };
 
     /// Per-cell view of one in-flight record (the record itself lives
     /// once in the shared window).
@@ -328,13 +328,6 @@ class BatchedPipelineSim : public trace::TraceSink
         std::vector<std::uint64_t> mshr;
         /// Seqs of Waiting ROB slots, in ROB (= program) order.
         std::vector<std::uint64_t> waiting;
-        /// Seqs of Parked slots woken since the last merge into
-        /// waiting (any order): merged into the running issue scan
-        /// when they can issue at once, otherwise after dispatchStage.
-        std::vector<std::uint64_t> woken;
-        /// A wake dropped to 0 since the last admitWoken: a woken slot
-        /// may be able to issue at once.
-        bool admitNow = false;
         /// Earliest fwdReady, this issue scan, of a blocker that will
         /// turn into the forwarder of a retrying "ooo" load (notReady =
         /// none): the one time bound a retry wake hides.
@@ -475,11 +468,11 @@ class BatchedPipelineSim : public trace::TraceSink
     void wakeWatchers(Cell &cell, std::size_t idx, bool dropAll);
     void rewake(Cell &cell, std::uint64_t seq);
     void dropWakes(Cell &cell);
-    std::size_t admitWoken(Cell &cell, std::uint64_t issuer,
-                           std::size_t keep, std::size_t next);
-    void mergeWoken(Cell &cell, std::size_t at, std::size_t from);
 
     void cycleCell(Cell &cell);
+    /// Waiting slots one issue scan examines at most: all of them, or
+    /// an in-order cell's lookahead.
+    static std::size_t scanLimit(const Cell &cell);
     void idleJump(Cell &cell);
     void retireStage(Cell &cell);
     void issueStage(Cell &cell);

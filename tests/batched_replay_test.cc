@@ -21,7 +21,8 @@
  *  - append() vs appendBlock() chunk-boundary equivalence, the
  *    empty stream, and the rejection of records whose ids do not
  *    increase or whose deps are not older than themselves;
- *  - latencies of 0, where a consumer issues in its producer's cycle;
+ *  - latencies of 0, where a consumer issues in its producer's cycle
+ *    (on a two-record stream, also against a hand-computed count);
  *  - one producer with more in-flight consumers than a ready-ring
  *    watcher list holds, over dense and ring-aliasing ids;
  *  - a producer that takes its ready-ring entry back from an aliasing
@@ -526,6 +527,56 @@ TEST(BatchedReplay, ZeroLatencyConfigGrids)
             expectBitIdentical(cfgs, streams[s],
                                "zero-latency seed " + std::to_string(seed) +
                                    " stream " + std::to_string(s));
+    }
+}
+
+TEST(BatchedReplay, ZeroLatencyConsumerIssuesInItsProducersCycle)
+{
+    // A zero-latency IntAlu producer (id 1) and its consumer (id 2),
+    // on one I-cache line whose miss costs no extra cycle. By hand,
+    // in every cell below (fetch and issue width >= 2, two FX units,
+    // retire width >= 2):
+    //   cycle 1  fetch both;
+    //   cycle 2  dispatch both; the consumer waits on an unissued
+    //            producer;
+    //   cycle 3  the producer issues, ready at 3, and the scan reaches
+    //            the consumer later in the same cycle: it issues too;
+    //   cycle 4  both retire, so cycles = 4.
+    // At intAlu latency 1 the consumer issues in cycle 4 and retires
+    // in cycle 5, so 4 shows the same-cycle issue. The 2w in-order
+    // cell's lookahead of 2 covers the consumer.
+    std::vector<InstrRecord> recs(2);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        recs[i].id = i + 1;
+        recs[i].pc = 0x1000 + 4 * i;
+        recs[i].cls = InstrClass::IntAlu;
+    }
+    recs[1].deps[0] = 1;
+    CoreConfig ooo = CoreConfig::fourWayOoO();
+    ooo.name += "-ooo";
+    ooo.model = "ooo";
+    std::vector<CoreConfig> cfgs = {CoreConfig::fourWayOoO(), ooo,
+                                    CoreConfig::twoWayInOrder()};
+    ASSERT_GE(cfgs[2].inorderLookahead, 2);
+    for (int latency : {0, 1}) {
+        for (auto &c : cfgs) {
+            c.lat.intAlu = latency;
+            c.mem.l2Latency = 0;
+            c.mem.memLatency = 0;
+            c.mem.memBWBytesPerCycle = 0;
+        }
+        const std::string label = "intAlu latency " + std::to_string(latency);
+        expectBitIdentical(cfgs, recs, label);
+        BatchedPipelineSim batch(cfgs);
+        batch.appendBlock(recs.data(), recs.size());
+        const auto sims = batch.finalizeAll();
+        for (std::size_t i = 0; i < sims.size(); ++i) {
+            SCOPED_TRACE(label + " " + cfgs[i].name);
+            EXPECT_EQ(sims[i].instrs, 2u);
+            EXPECT_EQ(sims[i].cycles, latency == 0 ? 4u : 5u);
+            // Each record issues on its first attempt.
+            EXPECT_EQ(batch.work(int(i)).issueAttempts, 2u);
+        }
     }
 }
 

@@ -16,6 +16,15 @@
  * per-class latency reasoning of interval analysis. A violation is an
  * engine finding: fix the engine, never loosen the bound or drop
  * pairs.
+ *
+ * Throughput lower bound. A Table II core fetches at most fetchWidth
+ * instructions and issues at most units.ls load/store-class ops per
+ * cycle, so every cell simulated on a preset must satisfy
+ *
+ *     cycles * fetchWidth >= instrs,  cycles * units.ls >= LS ops,
+ *
+ * the per-class throughput reasoning of interval analysis. A
+ * violation is an engine bug.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <vector>
@@ -126,7 +136,88 @@ checkSlopeBound(const std::string &file)
     return env;
 }
 
+/// The throughput-bearing widths of one Table II preset, written out
+/// here so the bound shares no code with the engine's config.
+struct PresetWidths {
+    const char *core;
+    int fetchWidth;
+    int lsUnits;
+};
+
+constexpr PresetWidths presetWidths[] = {
+    {"2w", 2, 1},
+    {"4w", 4, 2},
+    {"8w", 8, 4},
+};
+
+/// Load/store-class ops of @p mix: every class the LS unit issues.
+std::uint64_t
+lsOps(const trace::InstrMix &mix)
+{
+    using IC = trace::InstrClass;
+    std::uint64_t n = 0;
+    for (IC cls : {IC::Load, IC::Store, IC::VecLoad, IC::VecStore,
+                   IC::VecLoadU, IC::VecStoreU})
+        n += mix.count(cls);
+    return n;
+}
+
+/// Every committed baseline artifact, sorted by path.
+std::vector<std::string>
+baselineFiles()
+{
+    std::vector<std::string> out;
+    for (const auto &e :
+         std::filesystem::directory_iterator(UASIM_BASELINES_DIR)) {
+        const std::string name = e.path().filename().string();
+        if (name.starts_with("BENCH_") && name.ends_with(".json"))
+            out.push_back(e.path().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 } // namespace
+
+TEST(ThroughputEnvelope, LowerBoundOnCommittedPresetCells)
+{
+    std::size_t cells = 0;
+    double worstFetch = 0;  //!< max instrs / (cycles * fetchWidth)
+    double worstLs = 0;     //!< max LS ops / (cycles * units.ls)
+    for (const std::string &path : baselineFiles()) {
+        const core::BenchResult art = core::loadResultFile(path);
+        for (const auto &cell : art.cells) {
+            const PresetWidths *w = nullptr;
+            for (const auto &p : presetWidths) {
+                if (cell.sim.core == p.core)
+                    w = &p;
+            }
+            if (!w)
+                continue;  // mix-only, or a swept core (fig9_ci)
+            const timing::SimResult &s = cell.sim;
+            const std::string where =
+                path + ": " + cell.trace + " " + cell.config;
+            ASSERT_GT(s.cycles, 0u) << where;
+            const std::uint64_t ls = lsOps(cell.mix);
+            EXPECT_GE(s.cycles * std::uint64_t(w->fetchWidth), s.instrs)
+                << where;
+            EXPECT_GE(s.cycles * std::uint64_t(w->lsUnits), ls) << where;
+            worstFetch = std::max(
+                worstFetch,
+                double(s.instrs) / double(s.cycles * w->fetchWidth));
+            worstLs = std::max(
+                worstLs, double(ls) / double(s.cycles * w->lsUnits));
+            ++cells;
+        }
+    }
+    // ablation 21, fig10 168, fig8 99, fig9 and its .ooo 132, the
+    // membw sweep and its .ooo 176, table1 7. A smaller count means
+    // cells went missing.
+    EXPECT_EQ(cells, 603u);
+    std::printf("%zu preset cells, worst fetch ratio %.3f, worst LS "
+                "ratio %.3f\n",
+                cells, worstFetch, worstLs);
+}
 
 TEST(Fig9Envelope, SlopeBoundOnCommittedBaselines)
 {
